@@ -21,6 +21,7 @@ invertible affine self-map of the cube.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,10 +76,12 @@ def class_map(p: LogPair) -> pt.AffineMap:
     return pt.affine_map([list(coeffs) for _, coeffs in forms], [off for off, _ in forms])
 
 
-def _ample_halfspaces(p: LogPair, strict: bool) -> list[pt.HalfSpace]:
+def _ample_halfspaces(
+    p: LogPair, strict: bool, family: Optional[LogAdjointFamily] = None
+) -> list[pt.HalfSpace]:
     """Ampleness of the adjoint family as affine constraints on beta (rank <= 2)."""
     prov = p.surface.provenance
-    forms = _adjoint_coordinate_forms(log_adjoint(p))
+    forms = _adjoint_coordinate_forms(family or log_adjoint(p))
     if isinstance(prov, ProjectivePlane):
         off, coeffs = forms[0]
         return [pt.halfspace(coeffs, off, strict)]
@@ -92,19 +95,22 @@ def _ample_halfspaces(p: LogPair, strict: bool) -> list[pt.HalfSpace]:
     raise ValueError("exact ampleness constraints exist only for the plane and F_n")
 
 
+def _body(r: int, constraints: list[pt.HalfSpace], exactness: str) -> AABody:
+    """The strict constraints cut down to the open cube, with their closure."""
+    open_part = pt.polytope(r, constraints + pt.cube_halfspaces(r, strict=True))
+    return AABody(open_part, pt.closure(open_part), exactness)
+
+
 def aa_halfspaces_rank_le2(p: LogPair) -> AABody:
     """Exact body of ample angles for pairs on the plane or a Hirzebruch surface."""
-    open_part = pt.polytope(
-        p.r, _ample_halfspaces(p, strict=True) + pt.cube_halfspaces(p.r, strict=True)
-    )
-    return AABody(open_part, pt.closure(open_part), EXACT)
+    return _body(p.r, _ample_halfspaces(p, strict=True), EXACT)
 
 
 def aa_body(p: LogPair) -> AABody:
-    """The exact body when available, otherwise the blow-up outer approximation."""
+    """The exact body on the plane and F_n; on a blow-up, the outer body of
+    `aa_outer_blowup` without its quadratic report."""
     if isinstance(p.surface.provenance, BlowUp):
-        body, _ = aa_outer_blowup(p)
-        return body
+        return _outer_body(p)
     return aa_halfspaces_rank_le2(p)
 
 
@@ -113,10 +119,9 @@ def is_aldp(p: LogPair):
     origin lies in its closure.  UNKNOWN when only an outer body exists."""
     if isinstance(p.surface.provenance, BlowUp):
         return UNKNOWN
-    body = aa_halfspaces_rank_le2(p)
-    return pt.is_feasible(body.open_part) and pt.contains(
-        body.closed_hull, [0] * p.r
-    )
+    # closure is canonical_empty, which contains no point, exactly when the
+    # open part is infeasible, so the one membership test decides both
+    return pt.contains(aa_halfspaces_rank_le2(p).closed_hull, [0] * p.r)
 
 
 def is_strongly_aldp(p: LogPair):
@@ -196,13 +201,17 @@ class QuadraticReport:
     negative: int
 
     def value(self, beta: Sequence[Rat]) -> Fraction:
-        b = [Fraction(x) for x in beta]
-        total = self.constant + sum(l * x for l, x in zip(self.linear, b))
-        for i, bi in enumerate(b):
-            if bi == 0:
-                continue
-            total += bi * sum(self.quadratic[i][j] * bj for j, bj in enumerate(b) if bj != 0)
-        return total
+        return _quadratic_value(self.constant, self.linear, self.quadratic, beta)
+
+
+def _quadratic_value(constant, linear, quadratic, beta: Sequence[Rat]) -> Fraction:
+    b = [Fraction(x) for x in beta]
+    total = constant + sum(l * x for l, x in zip(linear, b))
+    for i, bi in enumerate(b):
+        if bi == 0:
+            continue
+        total += bi * sum(quadratic[i][j] * bj for j, bj in enumerate(b) if bj != 0)
+    return total
 
 
 def _tracked_constraints(p: LogPair, strict: bool) -> list[pt.HalfSpace]:
@@ -217,6 +226,12 @@ def _tracked_constraints(p: LogPair, strict: bool) -> list[pt.HalfSpace]:
     return out
 
 
+def _outer_body(p: LogPair) -> AABody:
+    if not isinstance(p.surface.provenance, BlowUp):
+        raise ValueError("outer approximation applies to blow-up surfaces only")
+    return _body(p.r, _tracked_constraints(p, strict=True), OUTER)
+
+
 def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
     """Outer approximation of the body on a blow-up surface.
 
@@ -225,13 +240,7 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     result.  The self-intersection quadratic is evaluated on a grid of the
     linear body and reported alongside.
     """
-    if not isinstance(p.surface.provenance, BlowUp):
-        raise ValueError("outer approximation applies to blow-up surfaces only")
-    open_part = pt.polytope(
-        p.r, _tracked_constraints(p, strict=True) + pt.cube_halfspaces(p.r, strict=True)
-    )
-    body = AABody(open_part, pt.closure(open_part), OUTER)
-
+    body = _outer_body(p)
     family = log_adjoint(p)
     const = intersect(family.constant, family.constant)
     linear = tuple(2 * intersect(family.constant, inc) for inc in family.increments)
@@ -240,21 +249,15 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     )
     # keep the sample count at desk scale for deep blow-ups
     denom = grid_denominator if p.r <= 4 else min(grid_denominator, 4)
-    samples = pos = zero = neg = 0
-    report_stub = QuadraticReport(const, linear, quad, denom, 0, 0, 0, 0)
     steps = [Fraction(k, denom) for k in range(1, denom)]
+    signs = Counter()
     for beta in itertools.product(steps, repeat=p.r):
-        if not pt.contains(open_part, beta):
-            continue
-        samples += 1
-        q = report_stub.value(beta)
-        if q > 0:
-            pos += 1
-        elif q == 0:
-            zero += 1
-        else:
-            neg += 1
-    report = QuadraticReport(const, linear, quad, denom, samples, pos, zero, neg)
+        if pt.contains(body.open_part, beta):
+            q = _quadratic_value(const, linear, quad, beta)
+            signs[(q > 0) - (q < 0)] += 1
+    report = QuadraticReport(
+        const, linear, quad, denom, sum(signs.values()), signs[1], signs[0], signs[-1]
+    )
     return body, report
 
 
@@ -267,8 +270,7 @@ class ReparamData:
     gamma: AngleVector
     eta: Fraction
     ample_part: DivisorClass  # A, independent of beta
-    boundary_coeffs: pt.AffineMap  # beta -> coefficient vector of F(beta)
-    f: pt.AffineMap
+    f: pt.AffineMap  # beta -> coefficient vector of F(beta)
     f_inv: pt.AffineMap
 
 
@@ -295,8 +297,9 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     r = p.r
     if len(gamma.entries) != r:
         raise ValueError("gamma length must match the number of boundary components")
+    lhs = log_adjoint(p)
     open_part = pt.polytope(
-        r, _ample_halfspaces(p, strict=True) + pt.cube_halfspaces(r, strict=True)
+        r, _ample_halfspaces(p, strict=True, family=lhs) + pt.cube_halfspaces(r, strict=True)
     )
     if not pt.contains(open_part, gamma.entries):
         raise ValueError("gamma must lie in the open body of ample angles")
@@ -316,7 +319,6 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     )
 
     # (a) the adjoint identity, coefficientwise in the affine family
-    lhs = log_adjoint(p)
     rhs_constant = h * (k_class + a_class + _weighted_boundary(p, f.translation))
     if rhs_constant.coeffs != lhs.constant.coeffs:
         raise RuntimeError("reparametrization identity failed on the constant class")
@@ -337,7 +339,7 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     if not f.compose(f_inv).is_identity() or not f_inv.compose(f).is_identity():
         raise RuntimeError("angle substitution is not an exact inverse pair")
 
-    return ReparamData(gamma, h, a_class, boundary_coeffs=f, f=f, f_inv=f_inv)
+    return ReparamData(gamma, h, a_class, f, f_inv)
 
 
 def _weighted_boundary(p: LogPair, weights: Sequence[Rat]) -> DivisorClass:

@@ -107,8 +107,8 @@ def candidate_multisets(
     yield from rec(0, 0, 0)
 
 
-def swap_canonical(n: int, classes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Multiset key, minimized over the F_0 ruling swap when n = 0."""
+def swap_canonical(n: Optional[int], classes: tuple) -> tuple:
+    """Multiset key, minimized over the F_0 ruling swap when n = 0 (n is None on the plane)."""
     key = tuple(sorted(classes))
     if n != 0:
         return key
@@ -128,18 +128,18 @@ def p2_degree_multisets(max_total: int = 3) -> Iterator[tuple[int, ...]]:
 # Family tables (names and conventional component order)
 
 _P2_RANK2 = [
-    ("I.1A", (3,)),
-    ("I.1B", (2,)),
-    ("I.1C", (1,)),
-    ("II.1A", (2, 1)),
-    ("II.1B", (1, 1)),
-    ("III.1", (1, 1, 1)),
+    ("I.1A", None, (3,)),
+    ("I.1B", None, (2,)),
+    ("I.1C", None, (1,)),
+    ("II.1A", None, (2, 1)),
+    ("II.1B", None, (1, 1)),
+    ("III.1", None, (1, 1, 1)),
 ]
 
 _P2_MAEDA = [
-    ("Maeda.i", (1,)),
-    ("Maeda.ii", (1, 1)),
-    ("Maeda.iii", (2,)),
+    ("Maeda.i", None, (1,)),
+    ("Maeda.ii", None, (1, 1)),
+    ("Maeda.iii", None, (2,)),
 ]
 
 
@@ -196,7 +196,7 @@ def _maeda_rows(n: int) -> list[tuple[str, Optional[int], tuple[tuple[int, int],
     return rows
 
 
-def _table(n: int, rows) -> dict:
+def _table(n: Optional[int], rows) -> dict:
     out = {}
     for label, label_n, presentation in rows:
         key = swap_canonical(n, presentation)
@@ -213,16 +213,10 @@ def match_label(c: CandidatePair) -> FamilyLabel:
 
 
 def _match(c: CandidatePair) -> tuple[FamilyLabel, tuple]:
-    if c.n is None:
-        key = tuple(sorted(c.classes))
-        for label, presentation in _P2_RANK2:
-            if tuple(sorted(presentation)) == key:
-                return FamilyLabel(label), presentation
-        raise LookupError(f"no rank-2 family matches P2 boundary {c.classes}")
-    table = _table(c.n, _rank2_rows(c.n))
+    table = _table(c.n, _P2_RANK2 if c.n is None else _rank2_rows(c.n))
     key = swap_canonical(c.n, c.classes)
     if key not in table:
-        raise LookupError(f"no rank-2 family matches F_{c.n} boundary {c.classes}")
+        raise LookupError(f"no rank-2 family matches {c.surface} boundary {c.classes}")
     return table[key]
 
 
@@ -236,68 +230,40 @@ def _strength(p: LogPair) -> str:
     return STRONG if is_strongly_aldp(p) is True else NOT_STRONG
 
 
+def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair, FamilyLabel]]:
+    """The candidates `accept` holds for, each in its family's presentation:
+    the plane in degree order, then F_0, ..., F_n_max, each sorted by
+    (label, classes).  An accepted candidate missing from its family table
+    raises LookupError."""
+    groups = [(None, p2_rows, sorted(p2_degree_multisets()))]
+    groups += [(n, fn_rows(n), candidate_multisets(n)) for n in range(n_max + 1)]
+    out = []
+    for n, rows, candidates in groups:
+        surface = "P2" if n is None else f"F{n}"
+        table = _table(n, rows)
+        found = []
+        for key in dict.fromkeys(swap_canonical(n, ms) for ms in candidates):
+            if accept(build_pair(CandidatePair(surface, n, key))) is not True:
+                continue
+            if key not in table:
+                raise LookupError(f"no family matches {surface} boundary {key}")
+            label, presentation = table[key]
+            found.append((CandidatePair(surface, n, presentation), label))
+        if n is not None:
+            found.sort(key=lambda row: (row[1].text, row[0].classes))
+        out += found
+    return out
+
+
 def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, str]]:
     """All asymptotically log del Pezzo boundaries on the plane and on F_n,
     n <= n_max, each labelled with its family and positivity strength."""
-    out = []
-    for degs in sorted(p2_degree_multisets()):
-        c = CandidatePair("P2", None, degs)
-        if is_aldp(build_pair(c)) is not True:
-            continue
-        label, presentation = _match(c)
-        survivor = CandidatePair("P2", None, presentation)
-        out.append((survivor, label, _strength(build_pair(survivor))))
-    for n in range(n_max + 1):
-        table = _table(n, _rank2_rows(n))
-        seen = set()
-        rows = []
-        for ms in candidate_multisets(n):
-            key = swap_canonical(n, ms)
-            if key in seen:
-                continue
-            seen.add(key)
-            probe = CandidatePair(f"F{n}", n, key)
-            if is_aldp(build_pair(probe)) is not True:
-                continue
-            if key not in table:
-                raise LookupError(f"no rank-2 family matches F_{n} boundary {key}")
-            label, presentation = table[key]
-            survivor = CandidatePair(f"F{n}", n, presentation)
-            rows.append((survivor, label, _strength(build_pair(survivor))))
-        rows.sort(key=lambda row: (row[1].text, row[0].classes))
-        out.extend(rows)
-    return out
+    return [
+        (c, label, _strength(build_pair(c)))
+        for c, label in _enumerate(is_aldp, _P2_RANK2, _rank2_rows, n_max)
+    ]
 
 
 def enumerate_maeda(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel]]:
     """All log del Pezzo boundaries on the plane and on F_n, n <= n_max."""
-    out = []
-    for degs in sorted(p2_degree_multisets()):
-        c = CandidatePair("P2", None, degs)
-        if is_log_dp(build_pair(c)) is not True:
-            continue
-        key = tuple(sorted(degs))
-        for label, presentation in _P2_MAEDA:
-            if tuple(sorted(presentation)) == key:
-                out.append((CandidatePair("P2", None, presentation), FamilyLabel(label)))
-                break
-        else:
-            raise LookupError(f"no Maeda family matches P2 boundary {degs}")
-    for n in range(n_max + 1):
-        table = _table(n, _maeda_rows(n))
-        seen = set()
-        rows = []
-        for ms in candidate_multisets(n):
-            key = swap_canonical(n, ms)
-            if key in seen:
-                continue
-            seen.add(key)
-            if is_log_dp(build_pair(CandidatePair(f"F{n}", n, key))) is not True:
-                continue
-            if key not in table:
-                raise LookupError(f"no Maeda family matches F_{n} boundary {key}")
-            label, presentation = table[key]
-            rows.append((CandidatePair(f"F{n}", n, presentation), label))
-        rows.sort(key=lambda row: (row[1].text, row[0].classes))
-        out.extend(rows)
-    return out
+    return _enumerate(is_log_dp, _P2_MAEDA, _maeda_rows, n_max)

@@ -8,8 +8,10 @@ Subcommands:
                                       self-intersection quadratic report
 
 Exit codes: 0 computed (any verdict), 1 input error, 2 a verdict came
-back unknown/unsupported.  Reports are deterministic; timing goes to
-stderr only.  AA_GRID_DENOM overrides the quadratic-report grid density.
+back unknown/unsupported, 3 internal error (a failed self-check or a
+family-table miss: a bug, not bad input).  Reports are deterministic;
+timing goes to stderr only.  AA_GRID_DENOM overrides the quadratic-report
+grid density.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import angles, classify, polytope as pt, svgfig
-from .dsl import SpecParseError, load_pair_spec
+from .dsl import load_pair_spec
 from .geometry import BlowUp, Tri
 from .pairs import LogPair, is_minimal, log_adjoint
 
@@ -55,24 +57,19 @@ def _grid_denom() -> int:
     return denom
 
 
-def _body_and_report(p: LogPair):
-    if isinstance(p.surface.provenance, BlowUp):
-        return angles.aa_outer_blowup(p, grid_denominator=_grid_denom())
-    return angles.aa_halfspaces_rank_le2(p), None
-
-
-def _print_body(body: angles.AABody, out) -> None:
-    print(f"exactness: {body.exactness}", file=out)
+def _print_body(exactness: str, closed: pt.HPolytope, out) -> None:
+    print(f"exactness: {exactness}", file=out)
     print("closure:", file=out)
-    for line in pt.canonical_lines(body.closed_hull):
+    for line in pt.canonical_lines(closed):
         print(f"  {line}", file=out)
-    if pt.is_feasible(body.closed_hull):
-        verts = pt.vertices(body.closed_hull).vertices
-        print("vertices:", file=out)
-        for v in verts:
-            print(f"  {_fmt_point(v)}", file=out)
-    else:
+    # a bounded non-empty polytope has a vertex; an infeasible one has none
+    verts = pt.vertices(closed).vertices
+    if not verts:
         print("vertices: (empty body)", file=out)
+        return
+    print("vertices:", file=out)
+    for v in verts:
+        print(f"  {_fmt_point(v)}", file=out)
 
 
 def _print_quadratic(report: angles.QuadraticReport, out) -> None:
@@ -114,7 +111,7 @@ class RunReport:
             print(f"  {lab}: {_fmt_point(cls.coeffs)}", file=out)
         for name, verdict in self.verdicts.items():
             print(f"{name}: {_fmt_verdict(verdict)}", file=out)
-        _print_body(self.body, out)
+        _print_body(self.body.exactness, self.body.closed_hull, out)
         if self.quadratic is not None:
             _print_quadratic(self.quadratic, out)
 
@@ -127,7 +124,10 @@ def run_report(p: LogPair, echo: str) -> RunReport:
         "asymptotically log del Pezzo": angles.is_aldp(p),
         "minimal": is_minimal(p),
     }
-    body, quadratic = _body_and_report(p)
+    if isinstance(p.surface.provenance, BlowUp):
+        body, quadratic = angles.aa_outer_blowup(p, grid_denominator=_grid_denom())
+    else:
+        body, quadratic = angles.aa_body(p), None
     return RunReport(echo, p, verdicts, body, quadratic, time.perf_counter() - started)
 
 
@@ -178,7 +178,7 @@ def _parse_slices(raw_slices, r: int):
 def cmd_aa(args) -> int:
     script = load_pair_spec(args.file)
     pair = script.final
-    body, _ = _body_and_report(pair)
+    body = angles.aa_body(pair)
     slices = _parse_slices(args.slice, pair.r)
     if slices and pair.r < 3:
         raise SystemExit("slices only make sense for three or more angles")
@@ -191,16 +191,7 @@ def cmd_aa(args) -> int:
     if slices:
         fixed = ", ".join(f"b{i}={_fmt_frac(v)}" for i, v in sorted(slices))
         print(f"section: {fixed}  (a section, not a projection)")
-    print(f"exactness: {body.exactness}")
-    print("closure:")
-    for line in pt.canonical_lines(closed):
-        print(f"  {line}")
-    if pt.is_feasible(closed):
-        print("vertices:")
-        for v in pt.vertices(closed).vertices:
-            print(f"  {_fmt_point(v)}")
-    else:
-        print("vertices: (empty body)")
+    _print_body(body.exactness, closed, sys.stdout)
     if args.svg:
         if closed.dim != 2:
             raise SystemExit(
@@ -280,12 +271,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except SpecParseError as exc:
+    except (OSError, ValueError) as exc:  # SpecParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    except (RuntimeError, AssertionError, LookupError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -193,18 +193,16 @@ def make_pair(
     return LogPair(surface, labels, classes, node_tuple, tuple(tracked), tuple(history))
 
 
+def _root(s: SurfaceModel):
+    """The provenance of the plane or F_n that s is blown up from."""
+    prov = s.provenance
+    while isinstance(prov, BlowUp):
+        prov = prov.parent.provenance
+    return prov
+
+
 def _is_hirzebruch_rooted(s: SurfaceModel) -> bool:
-    prov = s.provenance
-    while isinstance(prov, BlowUp):
-        prov = prov.parent.provenance
-    return isinstance(prov, Hirzebruch)
-
-
-def _root_rank(s: SurfaceModel) -> int:
-    prov = s.provenance
-    while isinstance(prov, BlowUp):
-        prov = prov.parent.provenance
-    return 1 if isinstance(prov, ProjectivePlane) else 2
+    return isinstance(_root(s), Hirzebruch)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +309,8 @@ def _is_fiber_like(p: LogPair, idx: int) -> bool:
 
 
 def _root_part_zero(p: LogPair, idx: int) -> bool:
-    rr = _root_rank(p.surface)
+    rr = 1 if isinstance(_root(p.surface), ProjectivePlane) else 2
     return all(c == 0 for c in p.classes[idx].coeffs[:rr])
-
-
-def _fresh_fiber_tag(p: LogPair, exc_label: str) -> str:
-    return f"{_FIBER_SEQ}:{exc_label}"
 
 
 def _track_fiber(
@@ -341,7 +335,7 @@ def _track_fiber(
         return
     if any(_root_part_zero(p, i) for i in incident):
         return
-    tag = fiber_tag or _fresh_fiber_tag(p, exc_label)
+    tag = fiber_tag or f"{_FIBER_SEQ}:{exc_label}"
     for pos, tc in enumerate(tracked):
         if tc.kind == "fiber" and tc.tag == tag:
             coeffs = tc.coeffs[:-1] + (tc.coeffs[-1] - 1,)
@@ -423,7 +417,7 @@ def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> L
     ]
     new_classes.append(surface.basis_vector(surface.rank - 1))
     e_idx = p.r
-    nodes = [replace(other, incident=other.incident) for other in p.nodes if other.id != node_id]
+    nodes = [other for other in p.nodes if other.id != node_id]
     nodes.append(NodeRecord(f"{p.labels[i]}.{label}.1", (i, e_idx)))
     nodes.append(NodeRecord(f"{p.labels[j]}.{label}.1", (j, e_idx)))
     tracked = [replace(tc, coeffs=_extend(tc.coeffs, 0)) for tc in p.tracked]
@@ -447,12 +441,6 @@ def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> L
 AffineForm = tuple[Fraction, tuple[Fraction, ...]]  # (constant, per-angle coefficients)
 
 
-def _last_exceptional_class(p: LogPair) -> tuple[Fraction, ...]:
-    return tuple(
-        Fraction(1) if i == p.surface.rank - 1 else Fraction(0) for i in range(p.surface.rank)
-    )
-
-
 def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
     """Contract a (-1)-curve named by boundary index/label or tracked-curve tag.
 
@@ -466,7 +454,7 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
     """
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("contract requires a blow-up surface")
-    e_coeffs = _last_exceptional_class(p)
+    e_coeffs = p.surface.basis_vector(p.surface.rank - 1).coeffs
     boundary_idx: Optional[int] = None
     tracked_tag: Optional[str] = None
     if isinstance(which, int) or (isinstance(which, str) and which in p.labels):

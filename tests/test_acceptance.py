@@ -149,7 +149,7 @@ def test_criterion_4_reparametrization():
                 rd = an.reparam(p, pr.angles(gamma))
                 # identity (exact, affine in beta: spanning probes suffice)
                 for beta in probes:
-                    coeffs = rd.boundary_coeffs.apply(beta)
+                    coeffs = rd.f.apply(beta)
                     rhs = p.surface.canonical_class() + rd.ample_part
                     for c, cls in zip(coeffs, p.classes):
                         rhs = rhs + c * cls
@@ -164,7 +164,7 @@ def test_criterion_4_reparametrization():
                 # beta_i alone, so the all-0 and all-1 corners realize every
                 # coordinate value any vertex attains
                 for corner in ((F(0),) * r, (F(1),) * r):
-                    assert all(0 <= c <= 1 for c in rd.boundary_coeffs.apply(corner))
+                    assert all(0 <= c <= 1 for c in rd.f.apply(corner))
                 # exact inverse
                 assert rd.f.compose(rd.f_inv).is_identity()
                 assert rd.f_inv.compose(rd.f).is_identity()

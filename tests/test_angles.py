@@ -138,7 +138,7 @@ def test_reparam_identity_by_independent_evaluation():
     fam = pr.log_adjoint(p)
     probes = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
     for beta in probes:
-        coeffs = rd.boundary_coeffs.apply(beta)
+        coeffs = rd.f.apply(beta)
         rhs = p.surface.canonical_class() + rd.ample_part
         for c, cls in zip(coeffs, p.classes):
             rhs = rhs + c * cls
@@ -151,7 +151,7 @@ def test_reparam_boundary_coeff_bounds():
     assert pt.contains(an.aa_halfspaces_rank_le2(p).open_part, gamma.entries)
     rd = an.reparam(p, gamma)
     for corner in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
-        coeffs = rd.boundary_coeffs.apply([F(c) for c in corner])
+        coeffs = rd.f.apply([F(c) for c in corner])
         assert all(0 <= c <= 1 for c in coeffs)
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import ampleangles
-from ampleangles import dsl
+from ampleangles import classify, cli, dsl
 from ampleangles import polytope as pt
 
 FIG1 = """\
@@ -177,6 +177,40 @@ def test_reports_are_deterministic_and_timing_on_stderr(specs):
     assert "elapsed" in a.stderr
 
 
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError, LookupError])
+def test_internal_error_exit_code(specs, monkeypatch, capsys, error):
+    def broken(p):
+        raise error("self-check failed")
+
+    monkeypatch.setattr(cli.angles, "is_log_dp", broken)
+    assert cli.main(["check", str(specs / "fig1.pair")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: self-check failed" in err
+    assert "input error" not in err
+
+
+def _fn_classes(column):
+    return tuple(tuple(int(x) for x in part.strip("()").split(",")) for part in column.split("+"))
+
+
+def test_classify_row_order(capsys):
+    """The documented row order: the plane in sorted(p2_degree_multisets())
+    order, then n ascending, and within each n by (label text, classes)."""
+    p2_order = sorted(classify.p2_degree_multisets())
+    for mode in ("maeda", "rank2"):
+        assert cli.main(["classify", "--mode", mode, "--n-max", "3"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        keys = [
+            (-1, p2_order.index(tuple(sorted(int(d) for d in row[2].split("+")))))
+            if row[1] == "P2"
+            else (int(row[1][1:]), row[3], _fn_classes(row[2]))
+            for row in rows
+        ]
+        assert keys == sorted(keys), mode
+        assert len(set(keys)) == len(keys)
+        assert {key[0] for key in keys} == {-1, 0, 1, 2, 3}
+
+
 def test_classify_tsv_shape(specs):
     out = run_cli(["classify", "--mode", "rank2", "--n-max", "1"], cwd=specs)
     assert out.returncode == 0
@@ -216,6 +250,20 @@ def test_aa_slice_section(specs):
     two = run_cli(["aa", "fig1.pair", "--slice", "1=1/2"], cwd=specs)
     assert two.returncode == 1
     assert "slices only make sense" in two.stderr
+
+
+def test_aa_empty_outer_body(monkeypatch, capsys):
+    """aa prints the outer body alone: no quadratic report, no grid sampled."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("aa sampled the quadratic grid")
+
+    monkeypatch.setattr(cli.angles, "aa_outer_blowup", no_grid)
+    samples = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
+    assert cli.main(["aa", os.path.join(samples, "shared-fiber-degeneration.pair")]) == 0
+    out = capsys.readouterr().out
+    assert "exactness: outer" in out
+    assert "vertices: (empty body)" in out
+    assert "self-intersection quadratic" not in out
 
 
 def test_aa_svg_output(specs):
