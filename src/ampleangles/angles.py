@@ -20,10 +20,11 @@ invertible affine self-map of the cube.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import polytope as pt
@@ -77,20 +78,20 @@ def class_map(p: LogPair) -> pt.AffineMap:
 
 
 def _ample_halfspaces(
-    p: LogPair, strict: bool, family: Optional[LogAdjointFamily] = None
+    p: LogPair, family: Optional[LogAdjointFamily] = None
 ) -> list[pt.HalfSpace]:
-    """Ampleness of the adjoint family as affine constraints on beta (rank <= 2)."""
+    """Ampleness of the adjoint family as strict affine constraints on beta (rank <= 2)."""
     prov = p.surface.provenance
     forms = _adjoint_coordinate_forms(family or log_adjoint(p))
     if isinstance(prov, ProjectivePlane):
         off, coeffs = forms[0]
-        return [pt.halfspace(coeffs, off, strict)]
+        return [pt.halfspace(coeffs, off, True)]
     if isinstance(prov, Hirzebruch):
         n = prov.n
         (off_a, ca), (off_b, cb) = forms
         return [
-            pt.halfspace(ca, off_a, strict),
-            pt.halfspace([y - n * x for x, y in zip(ca, cb)], off_b - n * off_a, strict),
+            pt.halfspace(ca, off_a, True),
+            pt.halfspace([y - n * x for x, y in zip(ca, cb)], off_b - n * off_a, True),
         ]
     raise ValueError("exact ampleness constraints exist only for the plane and F_n")
 
@@ -103,7 +104,7 @@ def _body(r: int, constraints: list[pt.HalfSpace], exactness: str) -> AABody:
 
 def aa_halfspaces_rank_le2(p: LogPair) -> AABody:
     """Exact body of ample angles for pairs on the plane or a Hirzebruch surface."""
-    return _body(p.r, _ample_halfspaces(p, strict=True), EXACT)
+    return _body(p.r, _ample_halfspaces(p), EXACT)
 
 
 def aa_body(p: LogPair) -> AABody:
@@ -133,7 +134,7 @@ def is_strongly_aldp(p: LogPair):
     """
     if isinstance(p.surface.provenance, BlowUp):
         return UNKNOWN
-    for hs in _ample_halfspaces(p, strict=True):
+    for hs in _ample_halfspaces(p):
         c, d = hs.offset, hs.normal
         if c > 0:
             continue
@@ -214,22 +215,43 @@ def _quadratic_value(constant, linear, quadratic, beta: Sequence[Rat]) -> Fracti
     return total
 
 
-def _tracked_constraints(p: LogPair, strict: bool) -> list[pt.HalfSpace]:
-    family = log_adjoint(p)
+def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter:
+    """Counter of the signs (1, 0, -1) of q(k/denom) over integer points k.
+
+    The sign of q(k/denom) is the sign of the integer lcm.denom^2.q(k/denom),
+    lcm being that of q's coefficient denominators.
+    """
+    coeffs = [constant, *linear, *(c for row in quadratic for c in row)]
+    scale = lcm(*(c.denominator for c in coeffs))
+    c0 = int(constant * scale) * denom * denom
+    c1 = [int(c * scale) * denom for c in linear]
+    c2 = [[int(c * scale) for c in row] for row in quadratic]
+    signs = Counter()
+    for k in points:
+        q = c0 + sum(ki * (li + sum(map(mul, row, k))) for ki, li, row in zip(k, c1, c2))
+        signs[(q > 0) - (q < 0)] += 1
+    return signs
+
+
+def _tracked_constraints(
+    p: LogPair, family: Optional[LogAdjointFamily] = None
+) -> list[pt.HalfSpace]:
+    """Positivity of the adjoint on every tracked curve, as strict constraints."""
+    family = family or log_adjoint(p)
     curves = [c for c in p.classes]
     curves += [p.surface.divisor(tc.coeffs) for tc in p.tracked]
     out = []
     for t in curves:
         offset = intersect(family.constant, t)
         normal = [intersect(inc, t) for inc in family.increments]
-        out.append(pt.halfspace(normal, offset, strict))
+        out.append(pt.halfspace(normal, offset, True))
     return out
 
 
-def _outer_body(p: LogPair) -> AABody:
+def _outer_body(p: LogPair, family: Optional[LogAdjointFamily] = None) -> AABody:
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("outer approximation applies to blow-up surfaces only")
-    return _body(p.r, _tracked_constraints(p, strict=True), OUTER)
+    return _body(p.r, _tracked_constraints(p, family), OUTER)
 
 
 def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
@@ -240,8 +262,8 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     result.  The self-intersection quadratic is evaluated on a grid of the
     linear body and reported alongside.
     """
-    body = _outer_body(p)
     family = log_adjoint(p)
+    body = _outer_body(p, family)
     const = intersect(family.constant, family.constant)
     linear = tuple(2 * intersect(family.constant, inc) for inc in family.increments)
     quad = tuple(
@@ -249,12 +271,11 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     )
     # keep the sample count at desk scale for deep blow-ups
     denom = grid_denominator if p.r <= 4 else min(grid_denominator, 4)
-    steps = [Fraction(k, denom) for k in range(1, denom)]
-    signs = Counter()
-    for beta in itertools.product(steps, repeat=p.r):
-        if pt.contains(body.open_part, beta):
-            q = _quadratic_value(const, linear, quad, beta)
-            signs[(q > 0) - (q < 0)] += 1
+    # an empty closure means an infeasible open part: no grid point can pass
+    if body.closed_hull == pt.canonical_empty(p.r):
+        signs = Counter()
+    else:
+        signs = _quadratic_signs(const, linear, quad, denom, pt.grid_points(body.open_part, denom))
     report = QuadraticReport(
         const, linear, quad, denom, sum(signs.values()), signs[1], signs[0], signs[-1]
     )
@@ -299,7 +320,7 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
         raise ValueError("gamma length must match the number of boundary components")
     lhs = log_adjoint(p)
     open_part = pt.polytope(
-        r, _ample_halfspaces(p, strict=True, family=lhs) + pt.cube_halfspaces(r, strict=True)
+        r, _ample_halfspaces(p, family=lhs) + pt.cube_halfspaces(r, strict=True)
     )
     if not pt.contains(open_part, gamma.entries):
         raise ValueError("gamma must lie in the open body of ample angles")

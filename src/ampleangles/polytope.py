@@ -2,17 +2,22 @@
 
 H-representations mix strict and weak halfspaces (ampleness is an open
 condition, cube faces are closed).  Feasibility is decided by
-Fourier-Motzkin elimination with strictness combined by OR; vertex
-enumeration is brute force over active constraint subsets.  Everything
-is exact over `fractions.Fraction`; there is no floating-point mode.
+Fourier-Motzkin elimination with strictness combined by OR.  Vertex
+enumeration is the double description method over the gcd-normalized
+integer rows; Fourier-Motzkin enters it only when the normals have rank
+below the dimension.  Grid scans test those integer rows against integer
+points.  Everything is exact, over `fractions.Fraction` and `int`; there
+is no floating-point mode.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .geometry import Rat
@@ -53,6 +58,12 @@ class HPolytope:
         for hs in self.halfspaces:
             if len(hs.normal) != self.dim:
                 raise ValueError("halfspace dimension mismatch")
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+        """The halfspaces as (normal, offset, strict), each scaled by a
+        positive rational to coprime integers (see `_normalize_row`)."""
+        return tuple(_normalize_row(hs.normal, hs.offset, hs.strict) for hs in self.halfspaces)
 
 
 @dataclass(frozen=True)
@@ -160,16 +171,14 @@ def intersection(p: HPolytope, q: HPolytope) -> HPolytope:
 
 def _normalize_row(normal: tuple[Fraction, ...], offset: Fraction, strict: bool):
     """Scale by a positive rational so entries are coprime integers."""
-    nums = list(normal) + [offset]
-    if all(v == 0 for v in nums):
-        return (0,) * len(normal), 0, strict
+    nums = (*normal, offset)
     den = 1
-    for v in nums:
+    for v in nums:  # on these short rows a loop beats math.lcm(*...)
         den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in nums]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = [v.numerator * (den // v.denominator) for v in nums]
+    g = gcd(*ints)
+    if g == 0:
+        return (0,) * len(normal), 0, strict
     ints = [v // g for v in ints]
     return tuple(ints[:-1]), ints[-1], strict
 
@@ -304,71 +313,169 @@ def closure(p: HPolytope) -> HPolytope:
 
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
-    pt = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in x)
+    """Membership, tested on the integer rows against x = k/den."""
+    pt = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
     if len(pt) != p.dim:
         raise ValueError("point dimension mismatch")
-    return all(hs.holds(pt) for hs in p.halfspaces)
+    den = 1
+    for v in pt:
+        den = den * v.denominator // gcd(den, v.denominator)
+    k = [v.numerator * (den // v.denominator) for v in pt]
+    # an integer is > 0 exactly when it is >= 1
+    return all(
+        sum(map(mul, normal, k)) + offset * den >= strict
+        for normal, offset, strict in p.integer_rows
+    )
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration
+# Vertex enumeration by double description
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square rational system by Gaussian elimination; None if singular."""
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _simplicial_cone(rows: list[tuple[int, ...]]):
+    """The first n independent rows B (n = row length) as indices, and the
+    extreme rays of B.y >= 0: the columns of B^-1, as primitive integer
+    vectors.  None when the rows have rank < n."""
+    n = len(rows[0])
+    basis, echelon = [], []  # echelon: (pivot column, reduced row)
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for col, e in echelon:
+            if v[col]:
+                f = v[col] / e[col]
+                v = [a - f * b for a, b in zip(v, e)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            basis.append(i)
+            echelon.append((col, v))
+            if len(basis) == n:
+                break
+    if len(basis) < n:
+        return None
+    # Gauss-Jordan on [B | I] leaves B^-1 on the right
+    a = [[Fraction(x) for x in rows[i]] + [Fraction(int(j == k)) for k in range(n)]
+         for j, i in enumerate(basis)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
+        a[col] = [v / a[col][col] for v in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    rays = []
+    for k in range(n):
+        column = [a[r][n + k] for r in range(n)]
+        den = lcm(*(v.denominator for v in column))
+        rays.append(_primitive([v.numerator * (den // v.denominator) for v in column]))
+    return basis, rays
 
 
-def _recession_unbounded(p: HPolytope) -> bool:
-    cone_rows = [halfspace(hs.normal, 0, False) for hs in p.halfspaces]
-    for i in range(p.dim):
-        e = [0] * p.dim
-        for s in (1, -1):
-            e[i] = s
-            probe = polytope(p.dim, cone_rows + [halfspace(e, -1, False)])
-            if is_feasible(probe):
-                return True
-        e[i] = 0
-    return False
+def _extreme_rays(rows: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]]:
+    """Extreme rays of the cone {y : row.y >= 0 for every row}; None when
+    the rows have rank below the row length, i.e. the cone is not pointed.
+
+    Double description (Fukuda & Prodon 1996): start from a simplicial
+    cone and add one row at a time, combining a ray on its positive side
+    with one on its negative side only when the two are adjacent.  The
+    combinatorial test decides adjacency: the rays share at least n - 2
+    zero rows among those added so far, and no third ray is zero on all
+    of them.  Zero sets are bitmasks over row indices.
+    """
+    n = len(rows[0])
+    cone = _simplicial_cone(rows)
+    if cone is None:
+        return None
+    basis, rays = cone
+    zeros = []
+    for ray in rays:
+        zeros.append(sum(1 << i for i in basis if sum(map(mul, rows[i], ray)) == 0))
+    in_basis = set(basis)
+    for i, row in enumerate(rows):
+        if i in in_basis:
+            continue
+        values = [sum(map(mul, row, ray)) for ray in rays]
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        new_rays, new_zeros = [], []
+        for k, v in enumerate(values):
+            if v >= 0:
+                new_rays.append(rays[k])
+                new_zeros.append(zeros[k] | (1 << i) if v == 0 else zeros[k])
+        for kp in pos:
+            for kn in neg:
+                common = zeros[kp] & zeros[kn]
+                if common.bit_count() < n - 2:
+                    continue
+                if any(
+                    zeros[k] & common == common
+                    for k in range(len(rays))
+                    if k != kp and k != kn
+                ):
+                    continue
+                vp, vn = values[kp], -values[kn]
+                new_rays.append(
+                    _primitive([vp * b + vn * a for a, b in zip(rays[kp], rays[kn])])
+                )
+                new_zeros.append(common | (1 << i))
+        rays, zeros = new_rays, new_zeros
+    return rays
 
 
 def vertices(p: HPolytope) -> VPolytope:
     """Exact vertex list of a closed bounded polyhedron, lexicographically sorted.
 
-    Brute force: solve every dim-subset of active constraints, keep the
-    solutions satisfying the whole system.
+    Double description over the gcd-normalized integer rows: the rows
+    a.x + c >= 0 are homogenized to a.x + c.t >= 0 together with t >= 0,
+    and the vertices are x/t over the extreme rays of that cone with
+    t > 0.  A ray with t = 0 is a recession direction; all rays having
+    t = 0 means the system is empty.  When the normals have rank < dim
+    the cone is not pointed: the system is empty or contains a line, and
+    only then does Fourier-Motzkin feasibility decide which.
     """
     if any(hs.strict for hs in p.halfspaces):
         raise ValueError("vertex enumeration requires a closed (weak) system")
-    if not is_feasible(p):
-        return VPolytope(p.dim, ())
-    if _recession_unbounded(p):
-        raise ValueError("vertex enumeration requires a bounded polyhedron")
-    found = set()
-    hs_list = p.halfspaces
-    for subset in itertools.combinations(range(len(hs_list)), p.dim):
-        rows = [list(hs_list[i].normal) for i in subset]
-        rhs = [-hs_list[i].offset for i in subset]
-        sol = _solve_square(rows, rhs)
-        if sol is None:
-            continue
-        pt = tuple(sol)
-        if all(hs.holds(pt) for hs in hs_list):
-            found.add(pt)
-    return VPolytope(p.dim, tuple(sorted(found)))
+    dim = p.dim
+    rows = dict.fromkeys(normal + (offset,) for normal, offset, _ in p.integer_rows)
+    unbounded = ValueError("vertex enumeration requires a bounded polyhedron")
+    # with t >= 0 the homogenized rows have rank 1 + the rank of the normals
+    rays = _extreme_rays([(0,) * dim + (1,), *rows])
+    if rays is None:
+        if is_feasible(p):
+            raise unbounded
+        return VPolytope(dim, ())
+    found = [ray for ray in rays if ray[-1] > 0]
+    if found and len(found) < len(rays):
+        raise unbounded
+    return VPolytope(
+        dim, tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in found))
+    )
+
+
+def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
+    """The integer points k of {1..denom-1}^dim with k/denom in p.
+
+    Each row is tested in integer form: normal.k + offset.denom is > 0
+    (strict) or >= 0 (weak) on the gcd-normalized row; the first failing
+    row rejects the point.
+    """
+    tests = []
+    for normal, offset, strict in p.integer_rows:
+        least = int(strict) - offset * denom  # an integer is > 0 iff it is >= 1
+        # a row that holds at the minimizing corner of the box needs no test
+        if sum(c if c > 0 else c * (denom - 1) for c in normal) < least:
+            tests.append((normal, least))
+    for k in itertools.product(range(1, denom), repeat=p.dim):
+        for normal, least in tests:
+            if sum(map(mul, normal, k)) < least:
+                break
+        else:
+            yield k
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 F = Fraction
 
@@ -34,24 +35,93 @@ def direct_ample_p2(boundary, beta):
     return d > 0
 
 
-def solve2(a11, a12, b1, a21, a22, b2):
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        return None
-    return (F(b1 * a22 - b2 * a12, det), F(a11 * b2 - a21 * b1, det))
+def _solve(rows):
+    """Solve the square integer system [A | b] (A x = b) by fraction-free
+    forward elimination and back substitution; None if singular."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col]
+            if f:
+                a[r] = [p * v - f * w for v, w in zip(a[r], a[col])]
+    x = [F(0)] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (a[r][n] - sum(a[r][j] * x[j] for j in range(r + 1, n))) / F(a[r][r])
+    return tuple(x)
 
 
-def brute_force_vertices_2d(halfspaces):
-    """Active-set vertex enumeration for weak 2-D systems: solve every pair
-    of constraints as equalities, keep solutions satisfying the rest."""
+def brute_force_vertices(p):
+    """Active-set vertex enumeration for a weak system of any dimension:
+    solve every dim-subset of its rows as equalities and keep the solutions
+    satisfying every row.  Sorted; empty when the system is empty."""
+    rows = []
+    for hs in p.halfspaces:
+        coeffs = list(hs.normal) + [-hs.offset]
+        scale = 1
+        for c in coeffs:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        rows.append([int(c * scale) for c in coeffs])  # normal . x = -offset
     out = set()
-    for (n1, c1), (n2, c2) in combinations(halfspaces, 2):
-        pt = solve2(n1[0], n1[1], -c1, n2[0], n2[1], -c2)
-        if pt is None:
+    for subset in combinations(rows, p.dim):
+        point = _solve(subset)
+        if point is None:
             continue
-        if all(nm[0] * pt[0] + nm[1] * pt[1] + cc >= 0 for nm, cc in halfspaces):
-            out.add(pt)
+        if all(sum(a * x for a, x in zip(row, point)) >= row[-1] for row in rows):
+            out.add(point)
     return sorted(out)
+
+
+def _rank(rows):
+    m = [[F(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def verify_printed_vertices(stdout):
+    """Read the closure rows and vertices off a printed body and check that
+    every vertex satisfies every row and is tight on dim rows of full rank.
+    Returns the number of vertices (0 for an empty body)."""
+    lines = stdout.splitlines()
+    k = lines.index("closure:") + 1
+    rows = []
+    while lines[k].startswith("  "):
+        body, rel = lines[k].split("|")
+        offset, op, zero = rel.split()
+        assert (op, zero) == (">=", "0"), lines[k]
+        rows.append(([int(t) for t in body.split()], int(offset)))
+        k += 1
+    if lines[k] == "vertices: (empty body)":
+        return 0
+    assert lines[k] == "vertices:", lines[k]
+    verts = []
+    for line in lines[k + 1 :]:
+        if not line.startswith("  ("):
+            break
+        verts.append(tuple(F(t) for t in line.strip()[1:-1].split(",")))
+    assert verts and len(set(verts)) == len(verts)
+    dim = len(rows[0][0])
+    for v in verts:
+        assert len(v) == dim
+        values = [sum(a * x for a, x in zip(nm, v)) + c for nm, c in rows]
+        assert all(val >= 0 for val in values), f"{v} violates a closure row"
+        tight = [nm for (nm, _), val in zip(rows, values) if val == 0]
+        assert _rank(tight) == dim, f"{v} is not a vertex"
+    return len(verts)
 
 
 def hull_2d(points):

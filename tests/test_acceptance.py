@@ -17,7 +17,7 @@ from _util import (
     F,
     MAEDA_P2,
     P2_TABLE,
-    brute_force_vertices_2d,
+    brute_force_vertices,
     direct_ample_fn,
     direct_ample_p2,
     fn_table,
@@ -125,9 +125,7 @@ def test_criterion_3_aa_bodies():
                 assert _minimal(body.closed_hull) == _minimal(want)
         fig1 = pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("C2", (1, 3))])
         hull = an.aa_halfspaces_rank_le2(fig1).closed_hull
-        oracle = brute_force_vertices_2d(
-            [(tuple(hs.normal), hs.offset) for hs in hull.halfspaces]
-        )
+        oracle = brute_force_vertices(hull)
         assert oracle == [(F(0), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1), F(1))]
         assert list(pt.vertices(hull).vertices) == oracle
         crit.detail = "ALdP.1-3.n for n<=12 plus Figure-1 vertices"

@@ -1,6 +1,11 @@
+import pathlib
+import random
+from collections import Counter
+
 import pytest
 
 from ampleangles import angles as an
+from ampleangles import dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
@@ -249,6 +254,72 @@ def test_outer_blowup_detects_shared_fiber_degeneration():
     generic = pr.blow_up_smooth_point(generic, "C4", "q2")
     body2, _ = an.aa_outer_blowup(generic)
     assert pt.is_feasible(body2.open_part)
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+def chain_pair(r):
+    """F_1 with Z + F and r - 2 node blow-ups repeated on Z."""
+    p = pr.blow_up_node(fn_pair(1, [(1, 0), (0, 1)]), "C1.C2.1", "E1")
+    for i in range(2, r - 1):
+        p = pr.blow_up_node(p, f"C1.E{i - 1}.1", f"E{i}")
+    return p
+
+
+def fraction_sign_table(p, open_part, denom):
+    """(samples, positive, zero, negative) of q = adjoint(beta)^2 over the
+    grid points of the open body, scanned in Fractions."""
+    adj = pr.log_adjoint(p)
+    signs = Counter()
+    for beta in grid(p.r, denom):
+        if pt.contains(open_part, beta):
+            cls = adj.at(beta)
+            q = g.intersect(cls, cls)
+            signs[(q > 0) - (q < 0)] += 1
+    return sum(signs.values()), signs[1], signs[0], signs[-1]
+
+
+def test_quadratic_sign_table_against_fraction_scan():
+    near = dsl.load_pair_spec(str(SAMPLES / "infinitely-near.pair")).final
+    # 16 and the odd 7 as given; r = 5 caps the grid at 1/4
+    for p, denom, used in ((near, 16, 16), (near, 7, 7), (chain_pair(5), 16, 4)):
+        body, report = an.aa_outer_blowup(p, grid_denominator=denom)
+        assert report.grid_denominator == used
+        got = (report.samples, report.positive, report.zero, report.negative)
+        assert got == fraction_sign_table(p, body.open_part, used)
+    shared = dsl.load_pair_spec(str(SAMPLES / "shared-fiber-degeneration.pair")).final
+    _, report = an.aa_outer_blowup(shared)
+    assert report.samples == 0
+
+
+def test_quadratic_signs_match_fraction_evaluation():
+    # every sampled sign on the shipped pairs is positive, so the integer
+    # form of q is checked on random rational quadratics as well
+    rng = random.Random(31)
+    rand = lambda: F(rng.randint(-9, 9), rng.randint(1, 6))
+    seen = Counter()
+    for _ in range(40):
+        r, denom = rng.randint(1, 4), rng.choice([2, 3, 7, 16])
+        linear = tuple(rand() for _ in range(r))
+        upper = [[rand() for _ in range(r)] for _ in range(r)]
+        quad = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(r)) for i in range(r))
+        points = [tuple(rng.randint(1, denom - 1) for _ in range(r)) for _ in range(30)]
+
+        def q_without_constant(k):
+            beta = [F(x, denom) for x in k]
+            return sum(l * b for l, b in zip(linear, beta)) + sum(
+                quad[i][j] * beta[i] * beta[j] for i in range(r) for j in range(r)
+            )
+
+        const = -q_without_constant(points[0])  # q vanishes at the first point
+        want = Counter()
+        for k in points:
+            q = const + q_without_constant(k)
+            want[(q > 0) - (q < 0)] += 1
+        assert an._quadratic_signs(const, linear, quad, denom, points) == want
+        seen += want
+    assert all(seen[s] > 40 for s in (1, 0, -1))
 
 
 def test_grid_oracle_rank2_families():

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ampleangles
 from ampleangles import classify, cli, dsl
 from ampleangles import polytope as pt
+from _util import verify_printed_vertices
 
 FIG1 = """\
 surface F 1
@@ -264,6 +266,24 @@ def test_aa_empty_outer_body(monkeypatch, capsys):
     assert "exactness: outer" in out
     assert "vertices: (empty body)" in out
     assert "self-intersection quadratic" not in out
+
+
+def test_check_chain_r7_scaling(tmp_path, monkeypatch, capsys):
+    """Scaling guard on the infinitely-near chain series (F_1 with Z + F,
+    node blow-ups repeated on Z): check on r = 7 stays inside 10 s, and
+    every printed vertex is a vertex of the printed closure."""
+    lines = ["surface F 1", "component Z 1 0", "component F 0 1", "blowup node Z.F.1 E1"]
+    lines += [f"blowup node Z.E{i - 1}.1 E{i}" for i in range(2, 6)]
+    spec = tmp_path / "chain-r7.pair"
+    spec.write_text("\n".join(lines) + "\n")
+    monkeypatch.delenv("AA_GRID_DENOM", raising=False)
+    started = time.perf_counter()
+    code = cli.main(["check", str(spec)])
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    assert code == 2  # verdicts on blow-up surfaces come back unknown
+    assert verify_printed_vertices(out) == 40
+    assert elapsed < 10.0, f"check on the r = 7 chain took {elapsed:.2f}s"
 
 
 def test_aa_svg_output(specs):

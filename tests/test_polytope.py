@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ampleangles import polytope as pt
-from _util import F, brute_force_vertices_2d, hull_2d
+from _util import F, brute_force_vertices, hull_2d
 
 
 def figure1_open():
@@ -52,9 +52,7 @@ def test_contains():
 
 def test_vertices_figure1_against_brute_force():
     closed = pt.closure(figure1_open())
-    oracle = brute_force_vertices_2d(
-        [(tuple(hs.normal), hs.offset) for hs in closed.halfspaces]
-    )
+    oracle = brute_force_vertices(closed)
     got = pt.vertices(closed).vertices
     assert list(got) == oracle
     assert set(got) == {(F(0), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1), F(1))}
@@ -73,8 +71,82 @@ def test_vertices_rejects_strict_and_unbounded():
     with pytest.raises(ValueError):
         pt.vertices(figure1_open())
     halfline = pt.polytope(1, [pt.halfspace([1], 0, False)])
-    with pytest.raises(ValueError):
-        pt.vertices(halfline)
+    # normals of rank 1 < dim: the strip 0 <= x <= 1 in the plane
+    strip = pt.polytope(2, [pt.halfspace([1, 0], 0, False), pt.halfspace([-1, 0], 1, False)])
+    # full rank but unbounded: the wedge 0 <= y <= x
+    wedge = pt.polytope(2, [pt.halfspace([0, 1], 0, False), pt.halfspace([1, -1], 0, False)])
+    for unbounded in (halfline, strip, wedge):
+        with pytest.raises(ValueError, match="bounded"):
+            pt.vertices(unbounded)
+
+
+def _random_row(rng, dim):
+    return [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)], F(rng.randint(-2, 2))
+
+
+def _bounded_system(rng, dim, kind):
+    """A random weak system that is bounded (or empty), of the given kind.
+    Row counts stay small in dimension 5, where the oracle solves C(m, 5)
+    systems."""
+    extra = 3 if dim < 5 else 1
+    if kind == "simplex":
+        rows = [([int(i == j) for j in range(dim)], 0) for i in range(dim)]
+        rows.append(([-1] * dim, 1))
+    elif kind == "point":
+        # x = v pinned by two rows per axis, more rows through v
+        v = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(dim)]
+        rows = []
+        for i in range(dim):
+            e = [int(i == j) for j in range(dim)]
+            rows += [(e, -v[i]), ([-c for c in e], v[i])]
+        for _ in range(rng.randint(0, extra - 1)):
+            nm, _ = _random_row(rng, dim)
+            rows.append((nm, -sum(a * x for a, x in zip(nm, v))))
+    else:
+        rows = [(tuple(hs.normal), hs.offset) for hs in pt.cube_halfspaces(dim, strict=False)]
+    if kind == "corner" and dim:
+        # hyperplanes through a cube corner, oriented to keep the centre:
+        # the corner becomes a degenerate vertex
+        corner = [rng.randint(0, 1) for _ in range(dim)]
+        for _ in range(rng.randint(1, extra)):
+            nm, _ = _random_row(rng, dim)
+            c = -sum(a * x for a, x in zip(nm, corner))
+            if sum(a * F(1, 2) for a in nm) + c < 0:
+                nm, c = [-a for a in nm], -c
+            rows.append((nm, c))
+    if kind == "empty" and dim:
+        rows.append(([-1] * dim, -dim - 1 + F(1, 2)))  # sum(x) >= dim + 1/2
+    if kind in ("cube", "simplex", "empty"):
+        rows += [_random_row(rng, dim) for _ in range(rng.randint(0, extra))]
+    if rows and dim < 5 and rng.random() < 0.5:
+        # a duplicate, once verbatim and once rescaled
+        nm, c = rng.choice(rows)
+        rows += [(nm, c), ([2 * a for a in nm], 2 * c)]
+    if rng.random() < 0.3:
+        rows.append(([0] * dim, rng.choice([0, 1])))  # all-zero and trivially true
+    if dim == 0:
+        rows.append(((), rng.randint(-1, 2)))  # feasible unless the offset is -1
+    rng.shuffle(rows)
+    return pt.polytope(dim, [pt.halfspace(nm, c, False) for nm, c in rows])
+
+
+def test_vertices_double_description_against_brute_force():
+    rng = random.Random(2024)
+    kinds = ("cube", "simplex", "corner", "point", "empty")
+    systems = [pt.canonical_empty(3), pt.polytope(0, [])]
+    for i in range(250):
+        dim = i % 6
+        systems.append(_bounded_system(rng, dim, kinds[(i // 6) % len(kinds)]))
+    non_empty = 0
+    for system in systems:
+        got = list(pt.vertices(system).vertices)
+        assert got == brute_force_vertices(system), pt.canonical_text(system)
+        non_empty += bool(got)
+    # both outcomes are exercised
+    assert 100 < non_empty < len(systems) - 40
+    assert pt.vertices(pt.canonical_empty(3)).vertices == ()
+    assert pt.vertices(pt.polytope(0, [])).vertices == ((),)
+    assert pt.vertices(pt.polytope(0, [pt.halfspace([], -1, False)])).vertices == ()
 
 
 def test_affine_preimage():
