@@ -111,7 +111,8 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_surface(self, other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        pairs = zip(self.coeffs, other.coeffs)  # a zero term leaves the other as it is
+        return DivisorClass(self.surface, tuple(a + b if a and b else a or b for a, b in pairs))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         _same_surface(self, other)
@@ -121,8 +122,8 @@ class DivisorClass:
         return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar: Rat) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(self.surface, tuple(s * a for a in self.coeffs))
+        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        return DivisorClass(self.surface, tuple(s * a if a else a for a in self.coeffs))
 
     __mul__ = __rmul__
 

@@ -2,12 +2,13 @@
 
 H-representations mix strict and weak halfspaces (ampleness is an open
 condition, cube faces are closed).  Feasibility is decided by
-Fourier-Motzkin elimination with strictness combined by OR.  Vertex
-enumeration is the double description method over the gcd-normalized
-integer rows; Fourier-Motzkin enters it only when the normals have rank
-below the dimension.  Grid scans test those integer rows against integer
-points.  Everything is exact, over `fractions.Fraction` and `int`; there
-is no floating-point mode.
+Fourier-Motzkin elimination over the gcd-normalized integer rows, with
+strictness combined by OR; infeasibility certificates are rebuilt from
+the provenance of the violated row.  Vertex enumeration is the double
+description method over the same integer rows; Fourier-Motzkin enters it
+only when the normals have rank below the dimension.  Grid scans test
+those integer rows against integer points.  Everything is exact, over
+`fractions.Fraction` and `int`; there is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -96,28 +97,23 @@ class AffineMap:
         if len(x) != self.domain_dim:
             raise ValueError("point dimension mismatch")
         return tuple(
-            sum(row[j] * x[j] for j in range(len(x)) if row[j]) + t
+            sum((row[j] * x[j] for j in range(len(x)) if row[j]), t)
             for row, t in zip(self.matrix, self.translation)
         )
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner."""
+        """self after inner; zero entries of either map are skipped."""
         if inner.codomain_dim != self.domain_dim:
             raise ValueError("composition dimension mismatch")
-        rows = []
-        for row in self.matrix:
+        rows, trans = [], []
+        for row, t in zip(self.matrix, self.translation):
             support = [k for k in range(len(row)) if row[k]]
-            rows.append(
-                tuple(
-                    sum(row[k] * inner.matrix[k][j] for k in support)
-                    for j in range(inner.domain_dim)
-                )
-            )
-        trans = tuple(
-            sum(row[k] * inner.translation[k] for k in range(len(row)) if row[k]) + t
-            for row, t in zip(self.matrix, self.translation)
-        )
-        return AffineMap(tuple(rows), trans)
+            rows.append(tuple(
+                sum((row[k] * inner.matrix[k][j] for k in support if inner.matrix[k][j]), Fraction(0))
+                for j in range(inner.domain_dim)
+            ))
+            trans.append(sum((row[k] * inner.translation[k] for k in support if inner.translation[k]), t))
+        return AffineMap(tuple(rows), tuple(trans))
 
     def is_identity(self) -> bool:
         n = self.domain_dim
@@ -176,45 +172,55 @@ def _normalize_row(normal: tuple[Fraction, ...], offset: Fraction, strict: bool)
     for v in nums:  # on these short rows a loop beats math.lcm(*...)
         den = den * v.denominator // gcd(den, v.denominator)
     ints = [v.numerator * (den // v.denominator) for v in nums]
-    g = gcd(*ints)
-    if g == 0:
-        return (0,) * len(normal), 0, strict
+    g = gcd(*ints) or 1  # an all-zero row stays as it is
     ints = [v // g for v in ints]
     return tuple(ints[:-1]), ints[-1], strict
 
 
-def is_feasible(p: HPolytope) -> bool:
-    """Exact nonemptiness of a mixed strict/weak rational inequality system."""
-    rows = {
-        _normalize_row(hs.normal, hs.offset, hs.strict)
-        for hs in p.halfspaces
-    }
-    dim = p.dim
-    for k in range(dim - 1, -1, -1):
-        lows, ups, rest = [], [], set()
-        for normal, offset, strict in rows:
-            # constant rows can be checked immediately
-            if all(c == 0 for c in normal):
-                if (offset <= 0) if strict else (offset < 0):
-                    return False
+def _eliminate(p: HPolytope):
+    """Fourier-Motzkin elimination over the integer rows; the provenance of
+    a violated constant row, or None when the system is feasible.
+
+    Eliminating a variable combines each lower row (coefficient al > 0)
+    with each upper row (-au < 0) into au.low + al.up, divided by its gcd,
+    strict when either is.  A constant integer row is violated when its
+    offset is below its strictness: an integer is > 0 exactly when it is
+    >= 1.  Each distinct row keeps the provenance of its first derivation:
+    its index among the input rows, or (au, low, al, up, gcd).
+    """
+    rows: dict[tuple, object] = {}
+    for i, row in enumerate(p.integer_rows):
+        rows.setdefault(row, i)
+    for k in range(p.dim - 1, -1, -1):
+        lows, ups, rest = [], [], {}
+        for (normal, offset, strict), why in rows.items():
+            if not any(normal):
+                if offset < strict:
+                    return why
                 continue
             a = normal[k]
             reduced = normal[:k] + normal[k + 1 :]
             if a > 0:
-                lows.append((reduced, offset, strict, a))
+                lows.append((reduced, offset, strict, a, why))
             elif a < 0:
-                ups.append((reduced, offset, strict, -a))
-            else:
-                rest.add(_normalize_row(reduced, offset, strict))
-        for (nl, cl, sl, al), (nu, cu, su, au) in itertools.product(lows, ups):
-            normal = tuple(Fraction(x, al) + Fraction(y, au) for x, y in zip(nl, nu))
-            offset = Fraction(cl, al) + Fraction(cu, au)
-            rest.add(_normalize_row(normal, offset, sl or su))
+                ups.append((reduced, offset, strict, -a, why))
+            else:  # dropping a zero keeps the row gcd-normalized
+                rest.setdefault((reduced, offset, strict), why)
+        for nl, cl, sl, al, wl in lows:
+            for nu, cu, su, au, wu in ups:
+                normal = [au * x + al * y for x, y in zip(nl, nu)]
+                offset = au * cl + al * cu
+                g = gcd(offset, *normal) or 1
+                key = (tuple(x // g for x in normal), offset // g, sl or su)
+                if key not in rest:
+                    rest[key] = (au, wl, al, wu, g)
         rows = rest
-    for normal, offset, strict in rows:
-        if (offset <= 0) if strict else (offset < 0):
-            return False
-    return True
+    return next((why for (_, offset, strict), why in rows.items() if offset < strict), None)
+
+
+def is_feasible(p: HPolytope) -> bool:
+    """Exact nonemptiness of a mixed strict/weak rational inequality system."""
+    return _eliminate(p) is None
 
 
 def infeasibility_certificate(p: HPolytope) -> Optional[tuple[Fraction, ...]]:
@@ -223,61 +229,29 @@ def infeasibility_certificate(p: HPolytope) -> Optional[tuple[Fraction, ...]]:
     Returns lambda with sum lambda_i * normal_i = 0 and c = sum lambda_i *
     offset_i violating the combined relation (c < 0, or c <= 0 when some
     strict constraint enters with positive weight); None when feasible.
-    Re-verify with `verify_certificate`.
+    The multipliers unfold the provenance of the violated row found by the
+    elimination.  Re-verify with `verify_certificate`.
     """
-    m = len(p.halfspaces)
+    why = _eliminate(p)
+    if why is None:
+        return None
+    lam = [Fraction(0)] * len(p.halfspaces)
 
-    def rescaled(key, raw_normal, raw_offset, combo):
-        # keys are positively rescaled rows; scale the multipliers to match
-        normal, offset, _ = key
-        for a, b in zip(raw_normal + (raw_offset,), normal + (offset,)):
-            if a != 0:
-                rho = Fraction(b) / a
-                return tuple(rho * lam for lam in combo)
-        return combo  # all-zero row: any scale reproduces it
+    def unfold(why, weight: Fraction) -> None:
+        # derivations are at most dim deep: each step eliminates a variable
+        if isinstance(why, int):
+            hs, (normal, offset, _) = p.halfspaces[why], p.integer_rows[why]
+            # integer_rows[why] is halfspaces[why] times a positive scale
+            lam[why] += weight * next(
+                (b / a for a, b in zip((*hs.normal, hs.offset), (*normal, offset)) if a), 1
+            )
+        else:
+            au, low, al, up, g = why
+            unfold(low, weight * au / g)
+            unfold(up, weight * al / g)
 
-    rows: dict[tuple, tuple[Fraction, ...]] = {}
-    for i, hs in enumerate(p.halfspaces):
-        key = _normalize_row(hs.normal, hs.offset, hs.strict)
-        unit = tuple(Fraction(int(i == j)) for j in range(m))
-        rows.setdefault(key, rescaled(key, hs.normal, hs.offset, unit))
-
-    def violated(key) -> bool:
-        normal, offset, strict = key
-        if any(c != 0 for c in normal):
-            return False
-        return offset <= 0 if strict else offset < 0
-
-    for k in range(p.dim - 1, -1, -1):
-        lows, ups, rest = [], [], {}
-        for key, combo in rows.items():
-            normal, offset, strict = key
-            if all(c == 0 for c in normal):
-                if violated(key):
-                    return combo
-                continue
-            a = normal[k]
-            reduced = normal[:k] + normal[k + 1 :]
-            if a > 0:
-                lows.append((reduced, offset, strict, a, combo))
-            elif a < 0:
-                ups.append((reduced, offset, strict, -a, combo))
-            else:
-                rest.setdefault(
-                    _normalize_row(reduced, offset, strict),
-                    rescaled(_normalize_row(reduced, offset, strict), reduced, offset, combo),
-                )
-        for (nl, cl, sl, al, gl), (nu, cu, su, au, gu) in itertools.product(lows, ups):
-            normal = tuple(Fraction(x, al) + Fraction(y, au) for x, y in zip(nl, nu))
-            offset = Fraction(cl, al) + Fraction(cu, au)
-            combo = tuple(x / al + y / au for x, y in zip(gl, gu))
-            key = _normalize_row(normal, offset, sl or su)
-            rest.setdefault(key, rescaled(key, normal, offset, combo))
-        rows = rest
-    for key, combo in rows.items():
-        if violated(key):
-            return combo
-    return None
+    unfold(why, Fraction(1))
+    return tuple(lam)
 
 
 def verify_certificate(p: HPolytope, cert: tuple[Fraction, ...]) -> bool:
@@ -540,8 +514,7 @@ def canonical_lines(p: HPolytope) -> list[str]:
     positive scale), then the offset, then the relation; deduplicated and
     sorted lexicographically."""
     lines = set()
-    for hs in p.halfspaces:
-        normal, offset, strict = _normalize_row(hs.normal, hs.offset, hs.strict)
+    for normal, offset, strict in p.integer_rows:
         body = " ".join(str(c) for c in normal)
         lines.add(f"{body} | {offset} {_REL[strict]} 0")
     return sorted(lines)

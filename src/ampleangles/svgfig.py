@@ -20,6 +20,11 @@ def _to_px(point) -> tuple[float, float]:
     return x * SIZE, (1 - y) * SIZE
 
 
+def _escape(text: str) -> str:
+    """Text as SVG character data: &, < and > become entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -48,15 +53,15 @@ def render_body(
     ]
     if title:
         parts.append(
-            f'<text x="{SIZE / 2}" y="-28" text-anchor="middle" font-size="18">{title}</text>'
+            f'<text x="{SIZE / 2}" y="-28" text-anchor="middle" font-size="18">{_escape(title)}</text>'
         )
     # axis labels and unit ticks
     parts.append(
-        f'<text x="{SIZE / 2}" y="{SIZE + 44}" text-anchor="middle" font-size="16">{axis_labels[0]}</text>'
+        f'<text x="{SIZE / 2}" y="{SIZE + 44}" text-anchor="middle" font-size="16">{_escape(axis_labels[0])}</text>'
     )
     parts.append(
         f'<text x="-44" y="{SIZE / 2}" text-anchor="middle" font-size="16" '
-        f'transform="rotate(-90 -44 {SIZE / 2})">{axis_labels[1]}</text>'
+        f'transform="rotate(-90 -44 {SIZE / 2})">{_escape(axis_labels[1])}</text>'
     )
     for t, anchor in ((0, (0, SIZE)), (1, (SIZE, SIZE))):
         parts.append(

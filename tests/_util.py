@@ -35,6 +35,40 @@ def direct_ample_p2(boundary, beta):
     return d > 0
 
 
+def _scaled(normal, offset, strict):
+    """The row divided by its largest absolute entry: one positive rescaling
+    shared by all rows proportional to it."""
+    m = max(map(abs, (*normal, offset))) or 1
+    return tuple(c / m for c in normal), offset / m, strict
+
+
+def fm_is_feasible(p):
+    """Fourier-Motzkin feasibility over Fraction rows, strictness combined
+    by OR: an oracle for the library's integer elimination."""
+    rows = {_scaled(hs.normal, F(hs.offset), hs.strict) for hs in p.halfspaces}
+    for k in range(p.dim - 1, -1, -1):
+        lows, ups, rest = [], [], set()
+        for normal, offset, strict in rows:
+            # constant rows can be checked immediately
+            if all(c == 0 for c in normal):
+                if (offset <= 0) if strict else (offset < 0):
+                    return False
+                continue
+            a = normal[k]
+            reduced = normal[:k] + normal[k + 1 :]
+            if a > 0:
+                lows.append((reduced, offset, strict, a))
+            elif a < 0:
+                ups.append((reduced, offset, strict, -a))
+            else:
+                rest.add(_scaled(reduced, offset, strict))
+        for (nl, cl, sl, al), (nu, cu, su, au) in product(lows, ups):
+            normal = tuple(x / al + y / au for x, y in zip(nl, nu))
+            rest.add(_scaled(normal, cl / al + cu / au, sl or su))
+        rows = rest
+    return all(offset > 0 if strict else offset >= 0 for _, offset, strict in rows)
+
+
 def _solve(rows):
     """Solve the square integer system [A | b] (A x = b) by fraction-free
     forward elimination and back substitution; None if singular."""

@@ -307,6 +307,20 @@ def test_aa_svg_output(specs):
     assert "SVG output needs a 2-dimensional body" in no_slice.stderr
 
 
+def test_aa_svg_escapes_file_name(tmp_path):
+    """A file name with XML markup characters still gives well-formed SVG."""
+    import shutil
+    import xml.etree.ElementTree as ET
+
+    samples = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
+    shutil.copy(os.path.join(samples, "three-fibers.pair"), tmp_path / "a&b<c.pair")
+    out = run_cli(["aa", "a&b<c.pair", "--slice", "1=1/2", "--svg", "out.svg"], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    root = ET.parse(tmp_path / "out.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c.pair section b1=1/2" in texts
+
+
 def test_blowup_report(specs):
     out = run_cli(["blowup", "blow.pair"], cwd=specs)
     assert out.returncode == 2  # verdicts are unknown on the blow-up

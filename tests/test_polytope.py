@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ampleangles import polytope as pt
-from _util import F, brute_force_vertices, hull_2d
+from _util import F, brute_force_vertices, fm_is_feasible, hull_2d
 
 
 def figure1_open():
@@ -236,6 +236,20 @@ def _random_system(rng, dim):
     return pt.polytope(dim, pt.cube_halfspaces(dim, strict=False) + rows)
 
 
+def _degenerate_system(rng, dim):
+    """A random system plus duplicate, positively rescaled and all-zero
+    rows, each strict or weak."""
+    rows = list(_random_system(rng, dim).halfspaces)
+    for _ in range(rng.randint(0, 2)):
+        hs = rng.choice(rows)
+        scale = F(rng.randint(1, 3), rng.randint(1, 3))  # 1 repeats the row verbatim
+        rows.append(pt.HalfSpace(tuple(scale * c for c in hs.normal), scale * hs.offset, hs.strict))
+    if rng.random() < 0.25:
+        rows.append(pt.halfspace([0] * dim, 0, rng.random() < 0.3))  # 0 > 0 is absurd
+    rng.shuffle(rows)
+    return pt.polytope(dim, rows)
+
+
 def test_infeasibility_certificates():
     empty = pt.polytope(
         1, [pt.halfspace([1], 0, True), pt.halfspace([-1], 0, True)]
@@ -251,15 +265,22 @@ def test_infeasibility_certificates():
     # dropping a multiplier breaks the cancellation and must not verify
     assert not pt.verify_certificate(weak, (cert[0], F(0)))
     assert not pt.verify_certificate(weak, (-cert[0], -cert[1]))
+    # x > 0 with -x >= 0 derives the constant row 0 > 0
+    zero = pt.polytope(2, [pt.halfspace([2, 0], 0, True), pt.halfspace([-1, 0], 0, False)])
+    systems = [zero, pt.canonical_empty(3), pt.polytope(0, [])]
     rng = random.Random(99)
-    for _ in range(150):
-        system = _random_system(rng, rng.randint(1, 3))
+    systems += [_degenerate_system(rng, i % 6) for i in range(300)]
+    infeasible = 0
+    for system in systems:
+        feasible = pt.is_feasible(system)
+        assert feasible == fm_is_feasible(system), pt.canonical_text(system)
         cert = pt.infeasibility_certificate(system)
-        if cert is None:
-            assert pt.is_feasible(system)
-        else:
-            assert not pt.is_feasible(system)
-            assert pt.verify_certificate(system, cert)
+        assert (cert is None) == feasible
+        if cert is not None:
+            assert pt.verify_certificate(system, cert), pt.canonical_text(system)
+            infeasible += 1
+    # both outcomes are exercised
+    assert 60 < infeasible < len(systems) - 60
 
 
 def test_feasibility_agrees_with_grid_search():
