@@ -15,7 +15,8 @@ Three constructions are provided:
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
 point gamma of the body, with the angle substitution realized by an
-invertible affine self-map of the cube.
+invertible affine self-map of the cube.  It is built and checked in
+integer arithmetic over gamma's common denominator.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .geometry import (
     Hirzebruch,
     ProjectivePlane,
     Rat,
+    _ZERO,
+    _fraction,
+    _integer_point,
     intersect,
     is_ample,
     nef_cone,
@@ -44,6 +48,7 @@ from .pairs import AngleVector, LogAdjointFamily, LogPair, log_adjoint
 
 EXACT = "exact"
 OUTER = "outer"
+_RANK_LE2_ONLY = "exact ampleness constraints exist only for the plane and F_n"
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,10 @@ def class_map(p: LogPair) -> pt.AffineMap:
     return pt.affine_map([list(coeffs) for _, coeffs in forms], [off for off, _ in forms])
 
 
-def _ample_halfspaces(
-    p: LogPair, family: Optional[LogAdjointFamily] = None
-) -> list[pt.HalfSpace]:
+def _ample_halfspaces(p: LogPair) -> list[pt.HalfSpace]:
     """Ampleness of the adjoint family as strict affine constraints on beta (rank <= 2)."""
     prov = p.surface.provenance
-    forms = _adjoint_coordinate_forms(family or log_adjoint(p))
+    forms = _adjoint_coordinate_forms(log_adjoint(p))
     if isinstance(prov, ProjectivePlane):
         off, coeffs = forms[0]
         return [pt.halfspace(coeffs, off, True)]
@@ -93,7 +96,7 @@ def _ample_halfspaces(
             pt.halfspace(ca, off_a, True),
             pt.halfspace([y - n * x for x, y in zip(ca, cb)], off_b - n * off_a, True),
         ]
-    raise ValueError("exact ampleness constraints exist only for the plane and F_n")
+    raise ValueError(_RANK_LE2_ONLY)
 
 
 def _body(r: int, constraints: list[pt.HalfSpace], exactness: str) -> AABody:
@@ -120,9 +123,16 @@ def is_aldp(p: LogPair):
     origin lies in its closure.  UNKNOWN when only an outer body exists."""
     if isinstance(p.surface.provenance, BlowUp):
         return UNKNOWN
+    return _aldp_verdict(aa_halfspaces_rank_le2(p))
+
+
+def _aldp_verdict(body: AABody):
+    """The ALdP verdict read off a body: UNKNOWN when it is only outer."""
+    if not body.exact:
+        return UNKNOWN
     # closure is canonical_empty, which contains no point, exactly when the
     # open part is infeasible, so the one membership test decides both
-    return pt.contains(aa_halfspaces_rank_le2(p).closed_hull, [0] * p.r)
+    return pt.contains(body.closed_hull, [0] * body.closed_hull.dim)
 
 
 def is_strongly_aldp(p: LogPair):
@@ -233,11 +243,9 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter
     return signs
 
 
-def _tracked_constraints(
-    p: LogPair, family: Optional[LogAdjointFamily] = None
-) -> list[pt.HalfSpace]:
+def _tracked_constraints(p: LogPair) -> list[pt.HalfSpace]:
     """Positivity of the adjoint on every tracked curve, as strict constraints."""
-    family = family or log_adjoint(p)
+    family = log_adjoint(p)
     curves = [c for c in p.classes]
     curves += [p.surface.divisor(tc.coeffs) for tc in p.tracked]
     out = []
@@ -248,10 +256,10 @@ def _tracked_constraints(
     return out
 
 
-def _outer_body(p: LogPair, family: Optional[LogAdjointFamily] = None) -> AABody:
+def _outer_body(p: LogPair) -> AABody:
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("outer approximation applies to blow-up surfaces only")
-    return _body(p.r, _tracked_constraints(p, family), OUTER)
+    return _body(p.r, _tracked_constraints(p), OUTER)
 
 
 def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
@@ -263,7 +271,7 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     linear body and reported alongside.
     """
     family = log_adjoint(p)
-    body = _outer_body(p, family)
+    body = _outer_body(p)
     const = intersect(family.constant, family.constant)
     linear = tuple(2 * intersect(family.constant, inc) for inc in family.increments)
     quad = tuple(
@@ -299,11 +307,14 @@ def eta(gamma: AngleVector) -> Fraction:
     """max over i of (1-gamma_i)/gamma_i and gamma_i/(1-gamma_i)."""
     if not gamma.interior:
         raise ValueError("eta requires every angle strictly between 0 and 1")
-    vals = []
+    best_num, best_den = 0, 1
     for g in gamma.entries:
-        vals.append((1 - g) / g)
-        vals.append(g / (1 - g))
-    return max(vals)
+        # g = k/d: the two ratios are (d-k)/k and k/(d-k); keep the larger
+        k, d = g.numerator, g.denominator
+        num, den = (d - k, k) if d - k > k else (k, d - k)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
@@ -314,48 +325,50 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     closed cube, and invertibility of the angle substitution.  Failures
     raise RuntimeError: each checked statement is a theorem, so a failure
     means an implementation bug.
+
+    The work is integer arithmetic over gamma = k/d, eta = hn/hd and the
+    family's integer form (numerators over den).  With s = hn + hd:
+        A          = s.X / (hn.d.den),  X = d.den.adjoint(gamma)
+        f(beta)_i  = (hd.d.beta_i + hn.d - s.k_i) / (hn.d)
+        f_inv(x)_i = (hn.d.x_i - hn.d + s.k_i) / (hd.d)
     """
     r = p.r
     if len(gamma.entries) != r:
         raise ValueError("gamma length must match the number of boundary components")
-    lhs = log_adjoint(p)
-    open_part = pt.polytope(
-        r, _ample_halfspaces(p, family=lhs) + pt.cube_halfspaces(r, strict=True)
-    )
-    if not pt.contains(open_part, gamma.entries):
+    if not isinstance(p.surface.provenance, (ProjectivePlane, Hirzebruch)):
+        raise ValueError(_RANK_LE2_ONLY)
+    family = log_adjoint(p)
+    den, constant, increments = family.integer_form
+    k, d = _integer_point(gamma.entries)
+    # X is a positive multiple of the adjoint at gamma, so ample exactly when it is
+    x = family.integer_at(k, d)
+    if not all(0 < ki < d for ki in k) or is_ample(p.surface, p.surface.divisor(x)) is not True:
         raise ValueError("gamma must lie in the open body of ample angles")
     h = eta(gamma)
-    scale = (1 + h) / h
-    k_class = p.surface.canonical_class()
-    a_class = -scale * (
-        k_class + _weighted_boundary(p, [1 - g for g in gamma.entries])
-    )
-    f = pt.affine_map(
-        [[1 / h if i == j else 0 for j in range(r)] for i in range(r)],
-        [1 - scale * g for g in gamma.entries],
-    )
-    f_inv = pt.affine_map(
-        [[h if i == j else 0 for j in range(r)] for i in range(r)],
-        [-h + (1 + h) * g for g in gamma.entries],
-    )
+    hn, hd = h.numerator, h.denominator
+    s = hn + hd
+    a_num = [s * v for v in x]
+    a_class = DivisorClass(p.surface, tuple(_fraction(v, hn * d * den) for v in a_num))
+    t_num = [hn * d - s * ki for ki in k]  # f's translation, over hn.d
+    f = _diagonal_map(Fraction(hd, hn), [_fraction(t, hn * d) for t in t_num])
+    f_inv = _diagonal_map(h, [_fraction(-t, hd * d) for t in t_num])
 
-    # (a) the adjoint identity, coefficientwise in the affine family
-    rhs_constant = h * (k_class + a_class + _weighted_boundary(p, f.translation))
-    if rhs_constant.coeffs != lhs.constant.coeffs:
-        raise RuntimeError("reparametrization identity failed on the constant class")
-    for i in range(r):
-        rhs_inc = h * f.matrix[i][i] * p.classes[i]
-        if rhs_inc.coeffs != lhs.increments[i].coeffs:
-            raise RuntimeError("reparametrization identity failed on an increment class")
+    # (a) the adjoint identity, coefficientwise in the affine family:
+    # hn.d.den.(K + A + F(0)) = hd.d.den.constant, and h.f_ii = 1 so h.f_ii.C_i = C_i
+    k_class = p.surface.canonical
+    for j, (kj, aj, cj) in enumerate(zip(k_class, a_num, constant)):
+        lhs = hn * d * den * kj + aj + sum(t * inc[j] for t, inc in zip(t_num, increments))
+        if lhs != hd * d * cj:
+            raise RuntimeError("reparametrization identity failed on the constant class")
+    if any(h * f.matrix[i][i] != 1 for i in range(r)):
+        raise RuntimeError("reparametrization identity failed on an increment class")
     # (b) A is ample
     if is_ample(p.surface, a_class) is not True:
         raise RuntimeError("reparametrization produced a non-ample A")
-    # (c) boundary coefficients stay within [0, 1] over the closed cube
-    for i in range(r):
-        lo = f.translation[i]
-        hi = f.translation[i] + f.matrix[i][i]
-        if lo < 0 or hi > 1:
-            raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
+    # (c) boundary coefficients stay within [0, 1] over the closed cube:
+    # f_i(0) = t_i/(hn.d) and f_i(1) = (t_i + hd.d)/(hn.d)
+    if any(t < 0 or t + hd * d > hn * d for t in t_num):
+        raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
     # invertibility
     if not f.compose(f_inv).is_identity() or not f_inv.compose(f).is_identity():
         raise RuntimeError("angle substitution is not an exact inverse pair")
@@ -363,8 +376,10 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     return ReparamData(gamma, h, a_class, f, f_inv)
 
 
-def _weighted_boundary(p: LogPair, weights: Sequence[Rat]) -> DivisorClass:
-    total = Fraction(weights[0]) * p.classes[0]
-    for w, c in zip(weights[1:], p.classes[1:]):
-        total = total + Fraction(w) * c
-    return total
+def _diagonal_map(diagonal: Fraction, translation: list[Fraction]) -> pt.AffineMap:
+    """x -> diagonal.x + translation, sharing one zero off the diagonal."""
+    r = len(translation)
+    return pt.AffineMap(
+        tuple(tuple(diagonal if i == j else _ZERO for j in range(r)) for i in range(r)),
+        tuple(translation),
+    )

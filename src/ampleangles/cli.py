@@ -118,16 +118,17 @@ class RunReport:
 
 def run_report(p: LogPair, echo: str) -> RunReport:
     started = time.perf_counter()
-    verdicts = {
-        "log del Pezzo": angles.is_log_dp(p),
-        "strongly asymptotically log del Pezzo": angles.is_strongly_aldp(p),
-        "asymptotically log del Pezzo": angles.is_aldp(p),
-        "minimal": is_minimal(p),
-    }
     if isinstance(p.surface.provenance, BlowUp):
         body, quadratic = angles.aa_outer_blowup(p, grid_denominator=_grid_denom())
     else:
         body, quadratic = angles.aa_body(p), None
+    verdicts = {
+        "log del Pezzo": angles.is_log_dp(p),
+        "strongly asymptotically log del Pezzo": angles.is_strongly_aldp(p),
+        # the printed body decides ALdP, as `angles.is_aldp` would
+        "asymptotically log del Pezzo": angles._aldp_verdict(body),
+        "minimal": is_minimal(p),
+    }
     return RunReport(echo, p, verdicts, body, quadratic, time.perf_counter() - started)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import hirzebruch, projective_plane
+from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
 from .pairs import LogPair, NodeRecord, blow_up_node, blow_up_smooth_point, make_pair
 
 
@@ -71,6 +71,7 @@ class PairScript:
 def parse_pair_spec(text: str) -> PairScript:
     surface = None
     is_plane = False
+    n = 0
     components: list[tuple[str, tuple[int, ...]]] = []
     node_lines: list[tuple[int, str, str, str, Optional[str]]] = []
     steps: list[BlowUpStep] = []
@@ -113,6 +114,11 @@ def parse_pair_spec(text: str) -> PairScript:
                 raise SpecParseError(line_no, "component coordinates must be integers") from None
             if any(label == lab for lab, _ in components):
                 raise SpecParseError(line_no, f"duplicate component label {label!r}")
+            if not _irreducible(coords, is_plane, n):
+                where = "P2" if is_plane else f"F_{n}"
+                raise SpecParseError(
+                    line_no, f"class {' '.join(toks[2:])} on {where} has no irreducible member"
+                )
             components.append((label, coords))
         elif kind == "node":
             if len(toks) not in (4, 5):
@@ -154,6 +160,14 @@ def parse_pair_spec(text: str) -> PairScript:
     except ValueError as exc:
         raise SpecParseError(0, str(exc)) from None
     return PairScript(base, tuple(steps))
+
+
+def _irreducible(coords: tuple[int, ...], is_plane: bool, n: int) -> bool:
+    """Whether a boundary class has an irreducible member: degree d >= 1 on
+    the plane, `fn_irreducible_admissible` on F_n."""
+    if is_plane:
+        return coords[0] >= 1
+    return coords != (0, 0) and fn_irreducible_admissible(*coords, n)
 
 
 def load_pair_spec(path: str) -> PairScript:

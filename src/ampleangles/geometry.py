@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 
@@ -135,6 +136,24 @@ class DivisorClass:
         return " + ".join(terms) if terms else "0"
 
 
+_ZERO = Fraction(0)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction; every zero is the one shared constant."""
+    return Fraction(num, den) if num else _ZERO
+
+
+def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
+    """x as (k, den): integer numerators k over den, the least common
+    denominator of the entries, so that x = k/den."""
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    den = 1
+    for v in values:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _same_surface(a: DivisorClass, b: DivisorClass) -> None:
     if a.surface != b.surface:
         raise ValueError("divisor classes live on different surfaces")
@@ -194,12 +213,13 @@ def fn_is_nef(a: Rat, b: Rat, n: int) -> bool:
 
 
 def fn_irreducible_admissible(a: int, b: int, n: int) -> bool:
-    """Whether aZ + bF may contain an irreducible curve: Z_n itself, or b >= n*a >= 0."""
+    """Whether aZ + bF on F_n contains an irreducible curve: Z_n itself, the
+    fiber F, or a >= 1 with b >= max(n*a, 1)."""
     if (a, b) == (0, 0):
         raise ValueError("zero class")
-    if (a, b) == (1, 0):
+    if (a, b) in ((1, 0), (0, 1)):
         return True
-    return a >= 0 and b >= 0 and b >= n * a
+    return a >= 1 and b >= max(n * a, 1)
 
 
 def is_ample(s: SurfaceModel, d: DivisorClass):

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .geometry import (
@@ -36,6 +38,8 @@ from .geometry import (
     ProjectivePlane,
     Rat,
     SurfaceModel,
+    _fraction,
+    _integer_point,
     blow_up,
     intersect,
 )
@@ -121,6 +125,11 @@ class LogPair:
         for c in self.classes[1:]:
             total = total + c
         return total
+
+    @cached_property
+    def adjoint_family(self) -> "LogAdjointFamily":
+        """The log adjoint family of the pair, built once (see `log_adjoint`)."""
+        return LogAdjointFamily(self.surface.minus_k() - self.boundary_total(), self.classes)
 
 
 def _sorted_nodes(nodes) -> tuple[NodeRecord, ...]:
@@ -217,18 +226,35 @@ class LogAdjointFamily:
     increments: tuple[DivisorClass, ...]
 
     def at(self, beta: Union[AngleVector, Sequence[Rat]]) -> DivisorClass:
-        values = beta.entries if isinstance(beta, AngleVector) else [Fraction(b) for b in beta]
+        """The class at beta, computed on the integer form."""
+        values = beta.entries if isinstance(beta, AngleVector) else beta
         if len(values) != len(self.increments):
             raise ValueError("angle vector length mismatch")
-        total = self.constant
-        for b, inc in zip(values, self.increments):
-            total = total + b * inc
-        return total
+        k, bden = _integer_point(values)
+        scale = self.integer_form[0] * bden
+        return DivisorClass(
+            self.constant.surface, tuple(_fraction(v, scale) for v in self.integer_at(k, bden))
+        )
+
+    def integer_at(self, k: Sequence[int], d: int) -> list[int]:
+        """d.den times the class at beta = k/d (den from `integer_form`), as
+        integer coefficients: d.constant + sum k_i.increment_i."""
+        _, constant, increments = self.integer_form
+        return [d * c + sum(ki * inc[j] for ki, inc in zip(k, increments) if ki)
+                for j, c in enumerate(constant)]
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(den, constant, increments): the coefficients as integer numerators
+        over den, the least common denominator of all of them."""
+        classes = (self.constant, *self.increments)
+        den = lcm(*(c.denominator for cls in classes for c in cls.coeffs))
+        nums = [tuple(c.numerator * (den // c.denominator) for c in cls.coeffs) for cls in classes]
+        return den, nums[0], tuple(nums[1:])
 
 
 def log_adjoint(p: LogPair) -> LogAdjointFamily:
-    constant = p.surface.minus_k() - p.boundary_total()
-    return LogAdjointFamily(constant, p.classes)
+    return p.adjoint_family
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ strictness combined by OR; infeasibility certificates are rebuilt from
 the provenance of the violated row.  Vertex enumeration is the double
 description method over the same integer rows; Fourier-Motzkin enters it
 only when the normals have rank below the dimension.  Grid scans test
-those integer rows against integer points.  Everything is exact, over
+those integer rows against integer points, and affine maps apply and
+compose on cached integer forms.  Everything is exact, over
 `fractions.Fraction` and `int`; there is no floating-point mode.
 """
 
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Rat
+from .geometry import Rat, _fraction, _integer_point
 
 
 @dataclass(frozen=True)
@@ -93,26 +94,47 @@ class AffineMap:
     def codomain_dim(self) -> int:
         return len(self.translation)
 
-    def apply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """(matrix, translation, den): the entries as integer numerators over
+        den, the least common denominator of all of them."""
+        entries = [v for row in self.matrix for v in row] + list(self.translation)
+        den = lcm(*(v.denominator for v in entries))
+        return (
+            tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.matrix),
+            tuple(v.numerator * (den // v.denominator) for v in self.translation),
+            den,
+        )
+
+    def apply(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
+        """The image of x, computed on the integer form against x = k/xden."""
         if len(x) != self.domain_dim:
             raise ValueError("point dimension mismatch")
+        matrix, translation, den = self.integer_form
+        k, xden = _integer_point(x)
         return tuple(
-            sum((row[j] * x[j] for j in range(len(x)) if row[j]), t)
-            for row, t in zip(self.matrix, self.translation)
+            _fraction(sum(map(mul, row, k)) + t * xden, den * xden)
+            for row, t in zip(matrix, translation)
         )
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner; zero entries of either map are skipped."""
+        """self after inner, computed on the integer forms: over den1.den2 the
+        matrix is M1.M2 and the translation M1.t2 + den2.t1.  Zero entries of
+        self are skipped."""
         if inner.codomain_dim != self.domain_dim:
             raise ValueError("composition dimension mismatch")
+        m1, t1, den1 = self.integer_form
+        m2, t2, den2 = inner.integer_form
+        den = den1 * den2
         rows, trans = [], []
-        for row, t in zip(self.matrix, self.translation):
-            support = [k for k in range(len(row)) if row[k]]
-            rows.append(tuple(
-                sum((row[k] * inner.matrix[k][j] for k in support if inner.matrix[k][j]), Fraction(0))
-                for j in range(inner.domain_dim)
-            ))
-            trans.append(sum((row[k] * inner.translation[k] for k in support if inner.translation[k]), t))
+        for row, t in zip(m1, t1):
+            nums, shift = [0] * inner.domain_dim, den2 * t
+            for a, inner_row, inner_t in zip(row, m2, t2):
+                if a:
+                    nums = [v + a * w for v, w in zip(nums, inner_row)]
+                    shift += a * inner_t
+            rows.append(tuple(_fraction(v, den) for v in nums))
+            trans.append(_fraction(shift, den))
         return AffineMap(tuple(rows), tuple(trans))
 
     def is_identity(self) -> bool:
@@ -288,13 +310,9 @@ def closure(p: HPolytope) -> HPolytope:
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
     """Membership, tested on the integer rows against x = k/den."""
-    pt = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
-    if len(pt) != p.dim:
+    k, den = _integer_point(x)
+    if len(k) != p.dim:
         raise ValueError("point dimension mismatch")
-    den = 1
-    for v in pt:
-        den = den * v.denominator // gcd(den, v.denominator)
-    k = [v.numerator * (den // v.denominator) for v in pt]
     # an integer is > 0 exactly when it is >= 1
     return all(
         sum(map(mul, normal, k)) + offset * den >= strict

@@ -4,6 +4,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from ampleangles.angles import ReparamData
+from ampleangles.geometry import Hirzebruch, ProjectivePlane
+from ampleangles.polytope import affine_map
+
 F = Fraction
 
 
@@ -67,6 +71,68 @@ def fm_is_feasible(p):
             rest.add(_scaled(normal, cl / al + cu / au, sl or su))
         rows = rest
     return all(offset > 0 if strict else offset >= 0 for _, offset, strict in rows)
+
+
+def _product(outer, inner):
+    """outer after inner for (matrix, translation) pairs of plain Fractions."""
+    (m1, t1), (m2, t2) = outer, inner
+    cols = len(m2[0]) if m2 else 0
+    matrix = tuple(
+        tuple(sum((row[k] * m2[k][j] for k in range(len(row))), F(0)) for j in range(cols))
+        for row in m1
+    )
+    trans = tuple(sum((row[k] * t2[k] for k in range(len(row))), F(0)) + t for row, t in zip(m1, t1))
+    return matrix, trans
+
+
+def fraction_compose(outer, inner):
+    """AffineMap composition as a plain Fraction matrix product: an oracle
+    for the library's integer `compose`."""
+    return _product((outer.matrix, outer.translation), (inner.matrix, inner.translation))
+
+
+def fraction_reparam(p, gamma):
+    """The reparametrization at gamma and its checks, all in plain Fractions
+    on coefficient lists: an oracle for the library's integer `reparam`.
+    Raises the ValueError and RuntimeError texts the library raises."""
+    r, g = p.r, gamma.entries
+    if len(g) != r:
+        raise ValueError("gamma length must match the number of boundary components")
+    prov = p.surface.provenance
+    if isinstance(prov, ProjectivePlane):
+        ample = lambda c: c[0] > 0
+    elif isinstance(prov, Hirzebruch):
+        ample = lambda c: c[0] > 0 and c[1] > prov.n * c[0]
+    else:
+        raise ValueError("exact ampleness constraints exist only for the plane and F_n")
+    k = [F(c) for c in p.surface.canonical]
+    classes = [cls.coeffs for cls in p.classes]
+
+    def k_plus_weighted(weights):  # K + sum w_i C_i
+        return [kj + sum(w * c[j] for w, c in zip(weights, classes)) for j, kj in enumerate(k)]
+
+    if not (all(0 < x < 1 for x in g) and ample([-c for c in k_plus_weighted([1 - x for x in g])])):
+        raise ValueError("gamma must lie in the open body of ample angles")
+    h = max(max((1 - x) / x, x / (1 - x)) for x in g)
+    scale = (1 + h) / h
+    a = [-scale * c for c in k_plus_weighted([1 - x for x in g])]
+    f = ([[1 / h if i == j else F(0) for j in range(r)] for i in range(r)], [1 - scale * x for x in g])
+    f_inv = ([[h if i == j else F(0) for j in range(r)] for i in range(r)], [-h + (1 + h) * x for x in g])
+
+    constant = [-c for c in k_plus_weighted([1] * r)]  # -K - sum C_i
+    if [h * (c + aj) for c, aj in zip(k_plus_weighted(f[1]), a)] != constant:
+        raise RuntimeError("reparametrization identity failed on the constant class")
+    for i in range(r):
+        if [h * f[0][i][i] * c for c in classes[i]] != list(classes[i]):
+            raise RuntimeError("reparametrization identity failed on an increment class")
+    if not ample(a):
+        raise RuntimeError("reparametrization produced a non-ample A")
+    if any(f[1][i] < 0 or f[1][i] + f[0][i][i] > 1 for i in range(r)):
+        raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
+    identity = (tuple(tuple(F(int(i == j)) for j in range(r)) for i in range(r)), (F(0),) * r)
+    if _product(f, f_inv) != identity or _product(f_inv, f) != identity:
+        raise RuntimeError("angle substitution is not an exact inverse pair")
+    return ReparamData(gamma, h, p.surface.divisor(a), affine_map(*f), affine_map(*f_inv))
 
 
 def _solve(rows):

@@ -5,11 +5,21 @@ from collections import Counter
 import pytest
 
 from ampleangles import angles as an
+from ampleangles import classify as cl
 from ampleangles import dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
-from _util import F, direct_ample_fn, direct_ample_p2, grid
+from _util import (
+    F,
+    P2_TABLE,
+    direct_ample_fn,
+    direct_ample_p2,
+    fn_table,
+    fraction_compose,
+    fraction_reparam,
+    grid,
+)
 
 
 def fn_pair(n, classes):
@@ -164,6 +174,144 @@ def test_reparam_rejects_gamma_outside_body():
     p = fn_pair(2, [(1, 0), (1, 4)])  # needs 2 b2 > 2 b1
     with pytest.raises(ValueError):
         an.reparam(p, pr.angles([F(3, 4), F(1, 4)]))
+
+
+def _outcome(fn, p, gamma):
+    try:
+        return fn(p, gamma)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_reparam_against_fraction_oracle():
+    survivors = [cl.build_pair(cl.CandidatePair("P2", None, degs)) for _, degs, _ in P2_TABLE]
+    for n in range(9):
+        survivors += [cl.build_pair(cl.CandidatePair(f"F{n}", n, c)) for _, c, _ in fn_table(n)]
+    # boundaries with rational coefficients give the family a denominator
+    survivors += [p2_pair([F(1, 2), 2]), fn_pair(1, [(F(1, 2), F(5, 3))]), fn_pair(0, [(F(2, 3), F(1, 3))])]
+    blown = pr.blow_up_node(fn_pair(1, [(1, 0), (0, 1)]), "C1.C2.1", "E")
+    rng = random.Random(20261018)
+    denominators = (2, 3, 5, 7, 16, 97)
+    built = Counter()
+    for p in survivors:
+        # the midpoint and 24 mixed-denominator angles; entries 0 and 1 occur
+        gammas = [[F(1, 2)] * p.r]
+        for _ in range(24):
+            gammas.append([F(rng.randint(0, q), q) for q in rng.choices(denominators, k=p.r)])
+        for gamma in gammas:
+            got, want = _outcome(an.reparam, p, pr.angles(gamma)), _outcome(fraction_reparam, p, pr.angles(gamma))
+            assert got == want, (p.classes, gamma)
+            if isinstance(got, an.ReparamData):
+                fields = (got.eta, *got.ample_part.coeffs, *got.f.translation, *got.f_inv.translation)
+                assert all(type(v) is F for v in fields)
+            built[isinstance(got, an.ReparamData)] += 1
+    assert built[True] > 300 and built[False] > 300
+    for p, gamma in ((blown, [F(1, 2)] * 3), (blown, [F(0)] * 3), (survivors[0], [F(1, 2)] * 2)):
+        got = _outcome(an.reparam, p, pr.angles(gamma))
+        assert got == _outcome(fraction_reparam, p, pr.angles(gamma)) and got.startswith("ValueError")
+
+    # compose on dense random maps: non-square, zero rows, mixed denominators
+    def random_map(rows, cols):
+        entry = lambda: F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7, 12)))
+        matrix = [[entry() for _ in range(cols)] if rng.random() > 0.2 else [F(0)] * cols
+                  for _ in range(rows)]
+        return pt.affine_map(matrix, [entry() for _ in range(rows)])
+
+    for _ in range(400):
+        inner_dom, mid = rng.randint(0, 4), rng.randint(1, 4)
+        outer, inner = random_map(rng.randint(1, 4), mid), random_map(mid, inner_dom)
+        got = outer.compose(inner)
+        assert (got.matrix, got.translation) == fraction_compose(outer, inner)
+        assert got.domain_dim == inner_dom
+        assert all(type(v) is F for v in (*got.translation, *(v for row in got.matrix for v in row)))
+        # apply, against the plain Fraction evaluation
+        x = [F(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(inner_dom)]
+        want = tuple(sum((a * b for a, b in zip(row, x)), t) for row, t in zip(inner.matrix, inner.translation))
+        assert inner.apply(x) == want and all(type(v) is F for v in inner.apply(x))
+    empty = pt.affine_map([], [])
+    assert empty.compose(empty) == empty
+
+
+def test_log_adjoint_at_matches_direct_evaluation():
+    rng = random.Random(7)
+    surface = g.hirzebruch(3)
+    rand = lambda: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 12)))
+    for r in range(1, 5):
+        for _ in range(25):
+            constant = surface.divisor([rand(), rand()])
+            increments = tuple(surface.divisor([rand(), rand()]) for _ in range(r))
+            family = pr.LogAdjointFamily(constant, increments)
+            beta = [F(rng.randint(0, 7), rng.choice((7, 2, 1))) for _ in range(r)]
+            want = tuple(c + sum(b * inc.coeffs[j] for b, inc in zip(beta, increments))
+                         for j, c in enumerate(constant.coeffs))
+            got = family.at(beta)
+            assert got.coeffs == want and all(type(v) is F for v in got.coeffs)
+            if all(b <= 1 for b in beta):
+                assert family.at(pr.angles(beta)) == got
+
+
+def test_reparam_checks_fire(monkeypatch):
+    """Each check of reparam raises its RuntimeError when the statement it
+    checks is broken from outside."""
+    p = fn_pair(2, [(1, 0), (0, 1), (0, 1)])
+    gamma = pr.angles([F(1, 3), F(2, 3), F(5, 8)])
+    family = pr.log_adjoint(p)
+
+    # (a) a shifted constant class: membership still passes, the identity fails
+    shifted = pr.LogAdjointFamily(family.constant + p.surface.divisor([1, 3]), family.increments)
+    monkeypatch.setattr(an, "log_adjoint", lambda q: shifted)
+    with pytest.raises(RuntimeError, match="identity failed on the constant class"):
+        an.reparam(p, gamma)
+    monkeypatch.undo()
+
+    # (b) membership waved through for a gamma outside the body: A is not ample
+    outside = pr.angles([F(7, 8), F(1, 8), F(1, 8)])
+    calls = []
+
+    def ample_once(s, d):
+        calls.append(d)
+        return True if len(calls) == 1 else g.is_ample(s, d)
+
+    monkeypatch.setattr(an, "is_ample", ample_once)
+    with pytest.raises(RuntimeError, match="non-ample A"):
+        an.reparam(p, outside)
+    monkeypatch.undo()
+
+    # (c) eta = 1, below the true maximum, pushes one coefficient out of
+    # [0, 1] on one side only: f_i(0) >= 0 needs eta >= g_i/(1-g_i), which
+    # fails for g_2 = 3/4, and f_i(1) <= 1 needs eta >= (1-g_i)/g_i, which
+    # fails for g_1 = 1/4
+    monkeypatch.setattr(an, "eta", lambda gm: F(1))
+    for angle in ([F(1, 2), F(3, 4), F(1, 2)], [F(1, 4), F(1, 2), F(1, 2)]):
+        with pytest.raises(RuntimeError, match="boundary coefficient bounds"):
+            an.reparam(p, pr.angles(angle))
+    monkeypatch.undo()
+
+    # (a) on the increments: f's diagonal doubled, so eta.f_ii is not 1
+    real_diagonal = an._diagonal_map
+    monkeypatch.setattr(an, "_diagonal_map", lambda d, t: real_diagonal(2 * d, t))
+    with pytest.raises(RuntimeError, match="identity failed on an increment class"):
+        an.reparam(p, gamma)
+    monkeypatch.undo()
+
+    # the inverse check, on each side: f after f_inv, then f_inv after f,
+    # composed with the translation dropped
+    real = pt.AffineMap.compose
+    for broken_call in (0, 1):
+        calls.clear()
+
+        def compose(m, inner):
+            calls.append(m)
+            product = real(m, inner)
+            if len(calls) - 1 != broken_call:
+                return product
+            return pt.AffineMap(product.matrix, inner.translation)
+
+        monkeypatch.setattr(pt.AffineMap, "compose", compose)
+        with pytest.raises(RuntimeError, match="not an exact inverse pair"):
+            an.reparam(p, gamma)
+        monkeypatch.undo()
+    assert an.reparam(p, gamma) == fraction_reparam(p, gamma)
 
 
 def test_aa_via_nef_matches_direct():

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -6,8 +7,9 @@ import time
 import pytest
 
 import ampleangles
-from ampleangles import classify, cli, dsl
+from ampleangles import angles, classify, cli, dsl
 from ampleangles import polytope as pt
+from ampleangles.pairs import is_minimal
 from _util import verify_printed_vertices
 
 FIG1 = """\
@@ -89,7 +91,7 @@ def test_parse_pair_spec_roundtrip():
     assert final.labels == ("Z", "F1", "E1", "E2")
 
 
-def test_parse_errors_carry_line_numbers():
+def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     with pytest.raises(dsl.SpecParseError) as err:
         dsl.parse_pair_spec("surface F 1\ncomponent Z 1\n")
     assert "line 2" in str(err.value)
@@ -99,6 +101,21 @@ def test_parse_errors_carry_line_numbers():
         dsl.parse_pair_spec("surface F 1\nfrobnicate\n")
     with pytest.raises(dsl.SpecParseError):
         dsl.parse_pair_spec(FIG1 + "component Z 0 1\n")
+    # classes with no irreducible member are refused on their own line
+    no_member = [("P2", "-1"), ("P2", "0"), ("F 2", "0 0"), ("F 2", "-1 3"), ("F 2", "0 2"),
+                 ("F 0", "0 0"), ("F 0", "-1 3"), ("F 0", "0 2"), ("F 0", "2 0"), ("F 2", "1 1")]
+    for surface, coords in no_member:
+        text = f"surface {surface}\ncomponent A 1{' 0' if surface != 'P2' else ''}\ncomponent B {coords}\n"
+        with pytest.raises(dsl.SpecParseError) as err:
+            dsl.parse_pair_spec(text)
+        assert str(err.value).startswith("line 3: ") and "no irreducible member" in str(err.value)
+        spec = tmp_path / "bad.pair"
+        spec.write_text(text)
+        assert cli.main(["check", str(spec)]) == 1
+        assert "input error: line 3: " in capsys.readouterr().err
+    # the classes just inside the rule still parse
+    for surface, coords in (("P2", "1"), ("F 0", "2 1"), ("F 0", "0 1"), ("F 2", "1 2"), ("F 3", "0 1")):
+        dsl.parse_pair_spec(f"surface {surface}\ncomponent B {coords}\n")
 
 
 def test_parse_explicit_nodes_and_fiber_tags():
@@ -148,6 +165,20 @@ def test_check_positive_and_negative_verdicts(tmp_path):
     assert out.returncode == 0  # computed, verdict negative
     assert "asymptotically log del Pezzo: no" in out.stdout
     assert "vertices: (empty body)" in out.stdout
+
+
+def test_report_verdicts_match_the_predicates():
+    """The report reads ALdP off the body it prints; every verdict must still
+    be what the library predicates say, on plane, F_n and blow-up pairs."""
+    samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
+    texts = [FIG1, BLOWUP, ALDP32, P2LINE, F2ANTICANONICAL]
+    texts += [path.read_text() for path in sorted(samples.glob("*.pair"))]
+    for text in texts:
+        p = dsl.parse_pair_spec(text).final
+        verdicts = cli.run_report(p, "spec").verdicts
+        assert list(verdicts.values()) == [
+            angles.is_log_dp(p), angles.is_strongly_aldp(p), angles.is_aldp(p), is_minimal(p)
+        ]
 
 
 def test_check_exit_codes(specs):
