@@ -10,16 +10,21 @@ survivor missing from the table is an inconsistency and raises.
 F_0 carries the ruling swap (a, b) <-> (b, a); candidates are
 deduplicated up to boundary reordering and this swap, and matched to
 the families phrased in (p, q)-curve language.
+
+Each candidate owns its pair (`CandidatePair.pair`), built once in its
+family's presentation (key order when the table lacks it); reordering
+the components or swapping the F_0 rulings changes no verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .angles import is_aldp, is_log_dp, is_strongly_aldp
-from .geometry import hirzebruch, projective_plane
+from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
 from .pairs import LogPair, make_pair
 
 LOG_DP = "LogDP"
@@ -45,16 +50,18 @@ class CandidatePair:
     n: Optional[int]  # None for the plane
     classes: tuple  # degree tuple on P2, (a, b) tuples on F_n
 
+    @cached_property
+    def pair(self) -> LogPair:
+        """The log pair with boundary C1, C2, ... in `classes` order, built once."""
+        if self.n is None:
+            surface, coords = projective_plane(), [(d,) for d in self.classes]
+        else:
+            surface, coords = hirzebruch(self.n), self.classes
+        return make_pair(surface, [(f"C{i + 1}", ab) for i, ab in enumerate(coords)])
+
 
 def build_pair(c: CandidatePair) -> LogPair:
-    labels = [f"C{i + 1}" for i in range(len(c.classes))]
-    if c.n is None:
-        surface = projective_plane()
-        boundary = [(lab, (d,)) for lab, d in zip(labels, c.classes)]
-    else:
-        surface = hirzebruch(c.n)
-        boundary = [(lab, ab) for lab, ab in zip(labels, c.classes)]
-    return make_pair(surface, boundary)
+    return c.pair
 
 
 # ---------------------------------------------------------------------------
@@ -62,21 +69,12 @@ def build_pair(c: CandidatePair) -> LogPair:
 
 
 def component_classes(n: int, max_a: int = 2, max_b: Optional[int] = None) -> list[tuple[int, int]]:
-    """Classes of smooth irreducible curves usable as boundary components.
-
-    Z_n and the fiber class, plus a >= 1 with b >= n*a; on F_0 the
-    degenerate multiples of a ruling (a >= 2 with b = 0, and swaps) carry
-    no irreducible member and are excluded.
-    """
+    """Classes aZ + bF of the box a <= max_a, b <= max_b (default n + 2)
+    with a smooth irreducible member (`fn_irreducible_admissible`), sorted."""
     if max_b is None:
         max_b = n + 2
-    out = [(1, 0), (0, 1)]
-    for a in range(1, max_a + 1):
-        lo = max(n * a, 1)
-        for b in range(lo, max_b + 1):
-            if (a, b) != (1, 0):
-                out.append((a, b))
-    return sorted(set(out))
+    box = itertools.product(range(max_a + 1), range(max_b + 1))
+    return [ab for ab in box if ab != (0, 0) and fn_irreducible_admissible(*ab, n)]
 
 
 def candidate_multisets(
@@ -208,16 +206,11 @@ def _table(n: Optional[int], rows) -> dict:
 
 def match_label(c: CandidatePair) -> FamilyLabel:
     """The unique family containing an asymptotically log del Pezzo candidate."""
-    label, _ = _match(c)
-    return label
-
-
-def _match(c: CandidatePair) -> tuple[FamilyLabel, tuple]:
     table = _table(c.n, _P2_RANK2 if c.n is None else _rank2_rows(c.n))
     key = swap_canonical(c.n, c.classes)
     if key not in table:
         raise LookupError(f"no rank-2 family matches {c.surface} boundary {c.classes}")
-    return table[key]
+    return table[key][0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +236,13 @@ def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair
         table = _table(n, rows)
         found = []
         for key in dict.fromkeys(swap_canonical(n, ms) for ms in candidates):
-            if accept(build_pair(CandidatePair(surface, n, key))) is not True:
+            label, presentation = table.get(key, (None, key))
+            cand = CandidatePair(surface, n, presentation)
+            if accept(cand.pair) is not True:
                 continue
-            if key not in table:
+            if label is None:
                 raise LookupError(f"no family matches {surface} boundary {key}")
-            label, presentation = table[key]
-            found.append((CandidatePair(surface, n, presentation), label))
+            found.append((cand, label))
         if n is not None:
             found.sort(key=lambda row: (row[1].text, row[0].classes))
         out += found
@@ -259,7 +253,7 @@ def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, s
     """All asymptotically log del Pezzo boundaries on the plane and on F_n,
     n <= n_max, each labelled with its family and positivity strength."""
     return [
-        (c, label, _strength(build_pair(c)))
+        (c, label, _strength(c.pair))
         for c, label in _enumerate(is_aldp, _P2_RANK2, _rank2_rows, n_max)
     ]
 

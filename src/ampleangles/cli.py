@@ -88,15 +88,13 @@ def _print_quadratic(report: angles.QuadraticReport, out) -> None:
 
 @dataclass
 class RunReport:
-    """Everything a check run computed; rendering excludes the timing so the
-    stdout report is byte-identical across runs (timing goes to stderr)."""
+    """Everything a check run computed, rendered byte-identically across runs."""
 
     echo: str
     pair: LogPair
     verdicts: dict
     body: angles.AABody
     quadratic: Optional[angles.QuadraticReport]
-    elapsed: float
 
     @property
     def exit_code(self) -> int:
@@ -117,7 +115,6 @@ class RunReport:
 
 
 def run_report(p: LogPair, echo: str) -> RunReport:
-    started = time.perf_counter()
     if isinstance(p.surface.provenance, BlowUp):
         body, quadratic = angles.aa_outer_blowup(p, grid_denominator=_grid_denom())
     else:
@@ -129,7 +126,7 @@ def run_report(p: LogPair, echo: str) -> RunReport:
         "asymptotically log del Pezzo": angles._aldp_verdict(body),
         "minimal": is_minimal(p),
     }
-    return RunReport(echo, p, verdicts, body, quadratic, time.perf_counter() - started)
+    return RunReport(echo, p, verdicts, body, quadratic)
 
 
 def cmd_check(args) -> int:
@@ -228,7 +225,7 @@ def cmd_classify(args) -> int:
         return 0
     for cand, label, strength in classify.enumerate_rank2(args.n_max):
         n_col = "-" if cand.n is None else str(cand.n)
-        body = angles.aa_halfspaces_rank_le2(classify.build_pair(cand))
+        body = angles.aa_halfspaces_rank_le2(cand.pair)
         body_col = "; ".join(pt.canonical_lines(body.closed_hull))
         print(
             "\t".join(

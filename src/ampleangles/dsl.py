@@ -39,6 +39,7 @@ class BlowUpStep:
     target: str
     id: str
     fiber: Optional[str] = None  # shared-ruling tag for smooth centers
+    line_no: int = 0  # spec line the step came from
 
     def __post_init__(self):
         if self.fiber is not None and self.op != "smooth":
@@ -51,16 +52,20 @@ class PairScript:
     steps: tuple[BlowUpStep, ...]
 
     def apply(self) -> list[LogPair]:
-        """The pair after each step (index 0 is the base)."""
+        """The pair after each step (index 0 is the base); a refused step
+        raises SpecParseError on its line."""
         out = [self.base]
         for step in self.steps:
             current = out[-1]
-            if step.op == "smooth":
-                out.append(
-                    blow_up_smooth_point(current, step.target, step.id, fiber_tag=step.fiber)
-                )
-            else:
-                out.append(blow_up_node(current, step.target, step.id))
+            try:
+                if step.op == "smooth":
+                    out.append(
+                        blow_up_smooth_point(current, step.target, step.id, fiber_tag=step.fiber)
+                    )
+                else:
+                    out.append(blow_up_node(current, step.target, step.id))
+            except ValueError as exc:
+                raise SpecParseError(step.line_no, str(exc)) from None
         return out
 
     @property
@@ -73,6 +78,7 @@ def parse_pair_spec(text: str) -> PairScript:
     is_plane = False
     n = 0
     components: list[tuple[str, tuple[int, ...]]] = []
+    component_lines: list[int] = []
     node_lines: list[tuple[int, str, str, str, Optional[str]]] = []
     steps: list[BlowUpStep] = []
 
@@ -120,6 +126,7 @@ def parse_pair_spec(text: str) -> PairScript:
                     line_no, f"class {' '.join(toks[2:])} on {where} has no irreducible member"
                 )
             components.append((label, coords))
+            component_lines.append(line_no)
         elif kind == "node":
             if len(toks) not in (4, 5):
                 raise SpecParseError(line_no, "node takes an id and two component labels")
@@ -137,7 +144,7 @@ def parse_pair_spec(text: str) -> PairScript:
                 if toks[1] != "smooth" or not toks[4].startswith("fiber="):
                     raise SpecParseError(line_no, f"bad blowup attribute {toks[4]!r}")
                 fiber = toks[4][len("fiber="):]
-            steps.append(BlowUpStep(toks[1], toks[2], toks[3], fiber=fiber))
+            steps.append(BlowUpStep(toks[1], toks[2], toks[3], fiber=fiber, line_no=line_no))
         else:
             raise SpecParseError(line_no, f"unknown directive {kind!r}")
 
@@ -154,12 +161,28 @@ def parse_pair_spec(text: str) -> PairScript:
             missing = next((l for l in (l1, l2) if l not in labels), None)
             if missing is not None:
                 raise SpecParseError(line_no, f"node references unknown component {missing!r}")
-            nodes.append(NodeRecord(node_id, (labels.index(l1), labels.index(l2)), on_fiber_of=fiber))
+            incident = (labels.index(l1), labels.index(l2))
+            try:
+                nodes.append(NodeRecord(node_id, incident, on_fiber_of=fiber))
+            except ValueError as exc:
+                raise SpecParseError(line_no, str(exc)) from None
     try:
         base = make_pair(surface, components, nodes=nodes)
     except ValueError as exc:
-        raise SpecParseError(0, str(exc)) from None
+        line_no = _refused_line(surface, components, component_lines, node_lines)
+        raise SpecParseError(line_no, str(exc)) from None
     return PairScript(base, tuple(steps))
+
+
+def _refused_line(surface, components, component_lines, node_lines) -> int:
+    """The line to blame for a refused base pair: the first component line
+    whose boundary prefix `make_pair` refuses, else the first node line."""
+    for k, line_no in enumerate(component_lines, start=1):
+        try:
+            make_pair(surface, components[:k])
+        except ValueError:
+            return line_no
+    return node_lines[0][0]
 
 
 def _irreducible(coords: tuple[int, ...], is_plane: bool, n: int) -> bool:

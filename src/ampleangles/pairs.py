@@ -24,6 +24,7 @@ these feed the outer ampleness approximation and minimality tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -137,15 +138,14 @@ def _sorted_nodes(nodes) -> tuple[NodeRecord, ...]:
     return tuple(sorted(nodes, key=lambda nd: (nd.incident, nd.id)))
 
 
-def _auto_nodes(labels, classes) -> tuple[NodeRecord, ...]:
+def _auto_nodes(labels, meet) -> tuple[NodeRecord, ...]:
     out = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            k = intersect(classes[i], classes[j])
-            if k.denominator != 1:
-                raise ValueError("cannot autogenerate nodes for non-integral intersections")
-            for m in range(int(k)):
-                out.append(NodeRecord(f"{labels[i]}.{labels[j]}.{m + 1}", (i, j)))
+    for (i, j), k in meet.items():
+        if i == j:
+            continue
+        if k.denominator != 1:
+            raise ValueError("cannot autogenerate nodes for non-integral intersections")
+        out += [NodeRecord(f"{labels[i]}.{labels[j]}.{m + 1}", (i, j)) for m in range(int(k))]
     return _sorted_nodes(out)
 
 
@@ -163,23 +163,23 @@ def make_pair(
     if len(set(labels)) != len(labels):
         raise ValueError("boundary labels must be distinct")
     classes = tuple(surface.divisor(coeffs) for _, coeffs in boundary)
+    # C_i.C_j for i <= j, each computed once; every check below reads it
+    r = len(classes)
+    meet = {(i, j): intersect(classes[i], classes[j]) for i in range(r) for j in range(i, r)}
     seen = {}
     for idx, c in enumerate(classes):
-        if intersect(c, c) < 0:
+        if meet[idx, idx] < 0:
             if c.coeffs in seen:
                 raise ValueError(
                     "a class with negative self-intersection has a unique member; "
                     f"components {seen[c.coeffs]!r} and {labels[idx]!r} collide"
                 )
             seen[c.coeffs] = labels[idx]
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if intersect(classes[i], classes[j]) < 0:
-                raise ValueError(
-                    f"components {labels[i]!r}, {labels[j]!r} have negative intersection"
-                )
+    for (i, j), k in meet.items():
+        if i != j and k < 0:
+            raise ValueError(f"components {labels[i]!r}, {labels[j]!r} have negative intersection")
     if nodes is None:
-        node_tuple = _auto_nodes(labels, classes)
+        node_tuple = _auto_nodes(labels, meet)
     else:
         node_tuple = _sorted_nodes(nodes)
         ids = [nd.id for nd in node_tuple]
@@ -190,15 +190,13 @@ def make_pair(
                 raise ValueError(f"node {nd.id!r} references a missing component")
             if nd.on_fiber_of is not None and not _is_hirzebruch_rooted(surface):
                 raise ValueError("fiber tags only make sense on F_n-rooted surfaces")
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                want = intersect(classes[i], classes[j])
-                got = sum(1 for nd in node_tuple if nd.incident == (i, j))
-                if want != got:
-                    raise ValueError(
-                        f"components {labels[i]!r}, {labels[j]!r} meet {want} times "
-                        f"but {got} nodes are declared"
-                    )
+        declared = Counter(nd.incident for nd in node_tuple)
+        for (i, j), want in meet.items():
+            if i != j and want != declared[i, j]:
+                raise ValueError(
+                    f"components {labels[i]!r}, {labels[j]!r} meet {want} times "
+                    f"but {declared[i, j]} nodes are declared"
+                )
     return LogPair(surface, labels, classes, node_tuple, tuple(tracked), tuple(history))
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from ampleangles import angles as an
 from ampleangles import classify as cl
+from ampleangles import cli
 from ampleangles import pairs as pr
 from _util import MAEDA_P2, P2_TABLE, fn_table, maeda_fn_table
 
@@ -144,6 +145,27 @@ def test_rank2_brute_force_box_oracle():
             sum_b = sum(b for _, b in key)
             assert sum_a <= 2 and sum_b <= n + 2, f"survivor outside box at n={n}: {key}"
             assert key in inside
+
+
+def test_classify_builds_each_candidate_once(monkeypatch, capsys):
+    """One make_pair per distinct candidate key: the acceptance test, the
+    strength and the printed body share the candidate's pair."""
+    n_max = 3
+    keys = len({cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})
+    for n in range(n_max + 1):
+        keys += len({cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n)})
+    calls = []
+
+    def counting_make_pair(*args, **kwargs):
+        calls.append(args)
+        return pr.make_pair(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "make_pair", counting_make_pair)
+    for mode in ("maeda", "rank2"):
+        calls.clear()
+        assert cli.main(["classify", "--mode", mode, "--n-max", str(n_max)]) == 0
+        capsys.readouterr()
+        assert len(calls) == keys, mode
 
 
 def test_component_classes_exclude_reducible_multiples():

@@ -118,6 +118,30 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
         dsl.parse_pair_spec(f"surface {surface}\ncomponent B {coords}\n")
 
 
+def test_spec_errors_after_parsing_name_their_line(tmp_path, capsys):
+    """Refusals of the base pair and of blow-up steps point at a spec line."""
+    cases = [
+        # a second Z_1: the prefix Z, Y is the first one refused
+        ("surface F 1\ncomponent Z 1 0\ncomponent Y 1 0\n", 3),
+        # Z.C = 0 on F_1, but two nodes are declared: the first node line
+        ("surface F 1\ncomponent Z 1 0\ncomponent C 1 1\nnode a Z C\nnode b Z C\n", 4),
+        ("surface F 1\ncomponent Z 1 0\nnode a Z Z\n", 3),
+        ("surface F 1\ncomponent Z 1 0\ncomponent F1 0 1\nblowup node nope E1\n", 4),
+        # a repeated fresh name: the second step's line
+        (
+            "surface F 1\ncomponent Z 1 0\ncomponent F1 0 1\n"
+            "blowup node Z.F1.1 E1\nblowup node Z.E1.1 E1\n",
+            5,
+        ),
+    ]
+    spec = tmp_path / "bad.pair"
+    for text, line_no in cases:
+        spec.write_text(text)
+        for command in ("check", "blowup"):
+            assert cli.main([command, str(spec)]) == 1
+            assert capsys.readouterr().err.startswith(f"input error: line {line_no}: ")
+
+
 def test_parse_explicit_nodes_and_fiber_tags():
     text = (
         "surface F 1\n"

@@ -67,15 +67,50 @@ def test_is_anticanonical():
 
 
 def test_make_pair_validation():
-    with pytest.raises(ValueError):
-        pr.make_pair(g.hirzebruch(2), [("Z1", (1, 0)), ("Z2", (1, 0))])  # unique curve
-    with pytest.raises(ValueError):
-        pr.make_pair(g.hirzebruch(2), [("Z", (1, 0)), ("C", (1, 1))])  # Z.C = -1
-    with pytest.raises(ValueError):
-        pr.make_pair(g.hirzebruch(1), [])
-    # explicit nodes must match intersection counts
-    with pytest.raises(ValueError):
-        pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("F", (0, 1))], nodes=[])
+    """Each refusal of make_pair, with its exact text."""
+    f1, f2 = g.hirzebruch(1), g.hirzebruch(2)
+    zf = [("Z", (1, 0)), ("F", (0, 1))]
+    refusals = [
+        ((f1, []), {}, "boundary must be non-empty"),
+        ((f1, [("Z", (1, 0)), ("Z", (0, 1))]), {}, "boundary labels must be distinct"),
+        (
+            (f2, [("Z1", (1, 0)), ("Z2", (1, 0))]),
+            {},
+            "a class with negative self-intersection has a unique member; "
+            "components 'Z1' and 'Z2' collide",
+        ),
+        # the collision check runs before the negative-intersection check
+        (
+            (f2, [("Z1", (1, 0)), ("C", (1, 1)), ("Z2", (1, 0))]),
+            {},
+            "a class with negative self-intersection has a unique member; "
+            "components 'Z1' and 'Z2' collide",
+        ),
+        # Z.C = -1
+        ((f2, [("Z", (1, 0)), ("C", (1, 1))]), {}, "components 'Z', 'C' have negative intersection"),
+        (
+            (g.projective_plane(), [("A", (F(1, 2),)), ("B", (1,))]),
+            {},
+            "cannot autogenerate nodes for non-integral intersections",
+        ),
+        (
+            (f1, zf),
+            {"nodes": [pr.NodeRecord("x", (0, 1)), pr.NodeRecord("x", (0, 1))]},
+            "node ids must be distinct",
+        ),
+        ((f1, zf), {"nodes": [pr.NodeRecord("x", (0, 2))]}, "node 'x' references a missing component"),
+        (
+            (g.projective_plane(), [("A", (1,)), ("B", (1,))]),
+            {"nodes": [pr.NodeRecord("x", (0, 1), on_fiber_of="f")]},
+            "fiber tags only make sense on F_n-rooted surfaces",
+        ),
+        # explicit nodes must match intersection counts
+        ((f1, zf), {"nodes": []}, "components 'Z', 'F' meet 1 times but 0 nodes are declared"),
+    ]
+    for args, kwargs, text in refusals:
+        with pytest.raises(ValueError) as err:
+            pr.make_pair(*args, **kwargs)
+        assert str(err.value) == text
 
 
 def test_angle_vector():
