@@ -2,15 +2,14 @@
 
 For a pair (S, C = sum C_i) the body of ample angles is the set of
 beta in the open unit cube making  -K - sum (1 - beta_i) C_i  ample.
-On the plane and on F_n the ampleness conditions are finitely many
-affine inequalities in beta, so the body is an exact rational
-polyhedron; its closure is the weakened system.
-
-Three constructions are provided:
-  * direct halfspaces from the rank-<=2 ampleness criteria,
-  * the preimage of a nef cone under the affine class map beta -> [adjoint(beta)],
-  * an outer approximation for blow-up surfaces from the tracked curve
-    list, together with a report on the self-intersection quadratic.
+One builder writes the strict rows adjoint(beta).w > 0, one per dual
+vector w: the nef-cone normals on the plane and F_n, where the body is
+an exact rational polyhedron whose closure is the weakened system; and
+M.t for every boundary class and tracked curve t of a blow-up (M the
+intersection matrix), where it is an outer approximation, reported with
+the sign of the self-intersection quadratic on a grid.  The preimage of
+a nef cone under the class map beta -> [adjoint(beta)] gives the exact
+body a second way.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -34,8 +33,6 @@ from .geometry import (
     UNSUPPORTED,
     BlowUp,
     DivisorClass,
-    Hirzebruch,
-    ProjectivePlane,
     Rat,
     _ZERO,
     _fraction,
@@ -44,7 +41,7 @@ from .geometry import (
     is_ample,
     nef_cone,
 )
-from .pairs import AngleVector, LogAdjointFamily, LogPair, log_adjoint
+from .pairs import AngleVector, LogPair, log_adjoint
 
 EXACT = "exact"
 OUTER = "outer"
@@ -64,58 +61,59 @@ class AABody:
     def serialize(self) -> str:
         return self.exactness + "\n" + pt.canonical_text(self.closed_hull)
 
-
-def _adjoint_coordinate_forms(family: LogAdjointFamily) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """Each surface-basis coordinate of the adjoint as (offset, beta-coefficients)."""
-    rank = family.constant.surface.rank
-    r = len(family.increments)
-    return [
-        (family.constant.coeffs[k], tuple(family.increments[i].coeffs[k] for i in range(r)))
-        for k in range(rank)
-    ]
+    @property
+    def aldp(self):
+        """The ALdP verdict read off the body: the open part is non-empty and
+        the origin lies in its closure.  UNKNOWN when the body is only outer."""
+        if not self.exact:
+            return UNKNOWN
+        # closure is canonical_empty, which contains no point, exactly when the
+        # open part is infeasible, so the one membership test decides both
+        return pt.contains(self.closed_hull, [0] * self.closed_hull.dim)
 
 
 def class_map(p: LogPair) -> pt.AffineMap:
     """The affine map from angles to adjoint class coordinates."""
     family = log_adjoint(p)
-    forms = _adjoint_coordinate_forms(family)
-    return pt.affine_map([list(coeffs) for _, coeffs in forms], [off for off, _ in forms])
+    matrix = [[inc.coeffs[k] for inc in family.increments] for k in range(p.surface.rank)]
+    return pt.affine_map(matrix, family.constant.coeffs)
 
 
-def _ample_halfspaces(p: LogPair) -> list[pt.HalfSpace]:
-    """Ampleness of the adjoint family as strict affine constraints on beta (rank <= 2)."""
-    prov = p.surface.provenance
-    forms = _adjoint_coordinate_forms(log_adjoint(p))
-    if isinstance(prov, ProjectivePlane):
-        off, coeffs = forms[0]
-        return [pt.halfspace(coeffs, off, True)]
-    if isinstance(prov, Hirzebruch):
-        n = prov.n
-        (off_a, ca), (off_b, cb) = forms
-        return [
-            pt.halfspace(ca, off_a, True),
-            pt.halfspace([y - n * x for x, y in zip(ca, cb)], off_b - n * off_a, True),
-        ]
-    raise ValueError(_RANK_LE2_ONLY)
+def _positivity_rows(p: LogPair) -> tuple[list[pt.HalfSpace], str]:
+    """The strict rows adjoint(beta).w > 0, one per dual vector w, and
+    their exactness: w runs over the nef-cone normals on the plane and F_n
+    (ampleness, exact) and over M.t for the boundary classes and tracked
+    curves t of a blow-up (adjoint.t > 0, necessary only).  The rows are
+    den times the rational rows, computed on the family's integer form."""
+    s = p.surface
+    if isinstance(s.provenance, BlowUp):
+        curves = [c.coeffs for c in p.classes] + [tc.coeffs for tc in p.tracked]
+        duals = [[sum(map(mul, row, t)) for row in s.intersection_matrix] for t in curves]
+        exactness = OUTER
+    else:
+        duals, exactness = nef_cone(s), EXACT
+    _, constant, increments = log_adjoint(p).integer_form
+    rows = [
+        pt.halfspace([sum(map(mul, inc, w)) for inc in increments], sum(map(mul, constant, w)), True)
+        for w in duals
+    ]
+    return rows, exactness
 
 
-def _body(r: int, constraints: list[pt.HalfSpace], exactness: str) -> AABody:
-    """The strict constraints cut down to the open cube, with their closure."""
-    open_part = pt.polytope(r, constraints + pt.cube_halfspaces(r, strict=True))
+def aa_body(p: LogPair) -> AABody:
+    """The positivity rows cut down to the open cube, with their closure:
+    the exact body on the plane and F_n; on a blow-up, the outer body of
+    `aa_outer_blowup` without its quadratic report."""
+    rows, exactness = _positivity_rows(p)
+    open_part = pt.polytope(p.r, rows + pt.cube_halfspaces(p.r, strict=True))
     return AABody(open_part, pt.closure(open_part), exactness)
 
 
 def aa_halfspaces_rank_le2(p: LogPair) -> AABody:
     """Exact body of ample angles for pairs on the plane or a Hirzebruch surface."""
-    return _body(p.r, _ample_halfspaces(p), EXACT)
-
-
-def aa_body(p: LogPair) -> AABody:
-    """The exact body on the plane and F_n; on a blow-up, the outer body of
-    `aa_outer_blowup` without its quadratic report."""
     if isinstance(p.surface.provenance, BlowUp):
-        return _outer_body(p)
-    return aa_halfspaces_rank_le2(p)
+        raise ValueError(_RANK_LE2_ONLY)
+    return aa_body(p)
 
 
 def is_aldp(p: LogPair):
@@ -123,16 +121,7 @@ def is_aldp(p: LogPair):
     origin lies in its closure.  UNKNOWN when only an outer body exists."""
     if isinstance(p.surface.provenance, BlowUp):
         return UNKNOWN
-    return _aldp_verdict(aa_halfspaces_rank_le2(p))
-
-
-def _aldp_verdict(body: AABody):
-    """The ALdP verdict read off a body: UNKNOWN when it is only outer."""
-    if not body.exact:
-        return UNKNOWN
-    # closure is canonical_empty, which contains no point, exactly when the
-    # open part is infeasible, so the one membership test decides both
-    return pt.contains(body.closed_hull, [0] * body.closed_hull.dim)
+    return aa_halfspaces_rank_le2(p).aldp
 
 
 def is_strongly_aldp(p: LogPair):
@@ -144,7 +133,7 @@ def is_strongly_aldp(p: LogPair):
     """
     if isinstance(p.surface.provenance, BlowUp):
         return UNKNOWN
-    for hs in _ample_halfspaces(p):
+    for hs in _positivity_rows(p)[0]:
         c, d = hs.offset, hs.normal
         if c > 0:
             continue
@@ -243,25 +232,6 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter
     return signs
 
 
-def _tracked_constraints(p: LogPair) -> list[pt.HalfSpace]:
-    """Positivity of the adjoint on every tracked curve, as strict constraints."""
-    family = log_adjoint(p)
-    curves = [c for c in p.classes]
-    curves += [p.surface.divisor(tc.coeffs) for tc in p.tracked]
-    out = []
-    for t in curves:
-        offset = intersect(family.constant, t)
-        normal = [intersect(inc, t) for inc in family.increments]
-        out.append(pt.halfspace(normal, offset, True))
-    return out
-
-
-def _outer_body(p: LogPair) -> AABody:
-    if not isinstance(p.surface.provenance, BlowUp):
-        raise ValueError("outer approximation applies to blow-up surfaces only")
-    return _body(p.r, _tracked_constraints(p), OUTER)
-
-
 def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
     """Outer approximation of the body on a blow-up surface.
 
@@ -270,8 +240,10 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     result.  The self-intersection quadratic is evaluated on a grid of the
     linear body and reported alongside.
     """
+    if not isinstance(p.surface.provenance, BlowUp):
+        raise ValueError("outer approximation applies to blow-up surfaces only")
     family = log_adjoint(p)
-    body = _outer_body(p)
+    body = aa_body(p)
     const = intersect(family.constant, family.constant)
     linear = tuple(2 * intersect(family.constant, inc) for inc in family.increments)
     quad = tuple(
@@ -335,7 +307,7 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     r = p.r
     if len(gamma.entries) != r:
         raise ValueError("gamma length must match the number of boundary components")
-    if not isinstance(p.surface.provenance, (ProjectivePlane, Hirzebruch)):
+    if isinstance(p.surface.provenance, BlowUp):
         raise ValueError(_RANK_LE2_ONLY)
     family = log_adjoint(p)
     den, constant, increments = family.integer_form

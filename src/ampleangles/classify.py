@@ -11,9 +11,10 @@ F_0 carries the ruling swap (a, b) <-> (b, a); candidates are
 deduplicated up to boundary reordering and this swap, and matched to
 the families phrased in (p, q)-curve language.
 
-Each candidate owns its pair (`CandidatePair.pair`), built once in its
-family's presentation (key order when the table lacks it); reordering
-the components or swapping the F_0 rulings changes no verdict.
+Each candidate owns its pair (`CandidatePair.pair`) and its exact body
+(`CandidatePair.body`), each built once in its family's presentation
+(key order when the table lacks it); reordering the components or
+swapping the F_0 rulings changes no verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .angles import is_aldp, is_log_dp, is_strongly_aldp
+from .angles import AABody, aa_halfspaces_rank_le2, is_log_dp, is_strongly_aldp
 from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
 from .pairs import LogPair, make_pair
 
@@ -58,6 +59,11 @@ class CandidatePair:
         else:
             surface, coords = hirzebruch(self.n), self.classes
         return make_pair(surface, [(f"C{i + 1}", ab) for i, ab in enumerate(coords)])
+
+    @cached_property
+    def body(self) -> AABody:
+        """The exact body of ample angles of `pair`, closed once."""
+        return aa_halfspaces_rank_le2(self.pair)
 
 
 def build_pair(c: CandidatePair) -> LogPair:
@@ -238,7 +244,7 @@ def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair
         for key in dict.fromkeys(swap_canonical(n, ms) for ms in candidates):
             label, presentation = table.get(key, (None, key))
             cand = CandidatePair(surface, n, presentation)
-            if accept(cand.pair) is not True:
+            if accept(cand) is not True:
                 continue
             if label is None:
                 raise LookupError(f"no family matches {surface} boundary {key}")
@@ -254,10 +260,10 @@ def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, s
     n <= n_max, each labelled with its family and positivity strength."""
     return [
         (c, label, _strength(c.pair))
-        for c, label in _enumerate(is_aldp, _P2_RANK2, _rank2_rows, n_max)
+        for c, label in _enumerate(lambda c: c.body.aldp, _P2_RANK2, _rank2_rows, n_max)
     ]
 
 
 def enumerate_maeda(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel]]:
     """All log del Pezzo boundaries on the plane and on F_n, n <= n_max."""
-    return _enumerate(is_log_dp, _P2_MAEDA, _maeda_rows, n_max)
+    return _enumerate(lambda c: is_log_dp(c.pair), _P2_MAEDA, _maeda_rows, n_max)

@@ -7,11 +7,12 @@ Subcommands:
     blowup FILE                       per-step lattice dump, outer body,
                                       self-intersection quadratic report
 
-Exit codes: 0 computed (any verdict), 1 input error, 2 a verdict came
-back unknown/unsupported, 3 internal error (a failed self-check or a
+Exit codes: 0 computed (any verdict) or --help, 1 input error (a bad
+spec, file or option, usage errors included), 2 a verdict came back
+unknown/unsupported, 3 internal error (a failed self-check or a
 family-table miss: a bug, not bad input).  Reports are deterministic;
-timing goes to stderr only.  AA_GRID_DENOM overrides the quadratic-report
-grid density.
+timing goes to stderr only.  `classify` prints each rank-2 row's body
+from the closure its acceptance test already computed.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ def _fmt_verdict(v) -> str:
     if v is False:
         return "no"
     return repr(v).lower()
-
-
-def _grid_denom() -> int:
-    raw = os.environ.get("AA_GRID_DENOM", "16")
-    try:
-        denom = int(raw)
-    except ValueError:
-        raise SystemExit(f"bad AA_GRID_DENOM value {raw!r}")
-    if denom < 2:
-        raise SystemExit("AA_GRID_DENOM must be at least 2")
-    return denom
 
 
 def _print_body(exactness: str, closed: pt.HPolytope, out) -> None:
@@ -116,14 +106,14 @@ class RunReport:
 
 def run_report(p: LogPair, echo: str) -> RunReport:
     if isinstance(p.surface.provenance, BlowUp):
-        body, quadratic = angles.aa_outer_blowup(p, grid_denominator=_grid_denom())
+        body, quadratic = angles.aa_outer_blowup(p)
     else:
         body, quadratic = angles.aa_body(p), None
     verdicts = {
         "log del Pezzo": angles.is_log_dp(p),
         "strongly asymptotically log del Pezzo": angles.is_strongly_aldp(p),
         # the printed body decides ALdP, as `angles.is_aldp` would
-        "asymptotically log del Pezzo": angles._aldp_verdict(body),
+        "asymptotically log del Pezzo": body.aldp,
         "minimal": is_minimal(p),
     }
     return RunReport(echo, p, verdicts, body, quadratic)
@@ -218,6 +208,8 @@ def _classes_column(c: classify.CandidatePair) -> str:
 
 
 def cmd_classify(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
     if args.mode == "maeda":
         for cand, label in classify.enumerate_maeda(args.n_max):
             n_col = "-" if cand.n is None else str(cand.n)
@@ -225,8 +217,7 @@ def cmd_classify(args) -> int:
         return 0
     for cand, label, strength in classify.enumerate_rank2(args.n_max):
         n_col = "-" if cand.n is None else str(cand.n)
-        body = angles.aa_halfspaces_rank_le2(cand.pair)
-        body_col = "; ".join(pt.canonical_lines(body.closed_hull))
+        body_col = "; ".join(pt.canonical_lines(cand.body.closed_hull))
         print(
             "\t".join(
                 [n_col, cand.surface, _classes_column(cand), label.text, strength, body_col]
@@ -235,8 +226,17 @@ def cmd_classify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as input errors do:
+    argparse's own 2 is this program's "verdict unknown"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ample-angles",
         description="Exact bodies of ample angles on rational surfaces",
     )

@@ -400,6 +400,8 @@ def blow_up_smooth_point(
         raise ValueError("component index out of range")
     if any(nd.id == point_tag for nd in p.nodes):
         raise ValueError(f"{point_tag!r} names a node; the smooth locus excludes nodes")
+    if point_tag in p.labels:
+        raise ValueError(f"boundary label {point_tag!r} already in use")
     surface = blow_up(p.surface, point_tag, f"smooth:{p.labels[idx]}:{point_tag}")
     new_classes = []
     for i, c in enumerate(p.classes):

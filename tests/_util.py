@@ -5,8 +5,8 @@ from itertools import combinations, product
 from math import gcd
 
 from ampleangles.angles import ReparamData
-from ampleangles.geometry import Hirzebruch, ProjectivePlane
-from ampleangles.polytope import affine_map
+from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
+from ampleangles.polytope import affine_map, halfspace
 
 F = Fraction
 
@@ -37,6 +37,52 @@ def direct_ample_p2(boundary, beta):
     """Ampleness of the log adjoint on the plane by degree positivity."""
     (d,) = adjoint_coeffs((3,), boundary, beta)
     return d > 0
+
+
+def _adjoint_parts(p):
+    """(constant, increments) of -K - sum (1 - beta_i) C_i on coefficient
+    tuples: the constant is -K - sum C_i, the increments are the C_i."""
+    increments = [tuple(F(c) for c in cls.coeffs) for cls in p.classes]
+    minus_k = [-c for c in p.surface.canonical]
+    return adjoint_coeffs(minus_k, increments, [0] * p.r), increments
+
+
+def _pairing(matrix, a, b):
+    return sum(F(x) * m * F(y) for x, row in zip(a, matrix) for m, y in zip(row, b))
+
+
+def tracked_curve_rows(p):
+    """Positivity of the adjoint on every boundary class and tracked curve
+    of a blow-up, adjoint(beta).t > 0, intersected in Fractions on the
+    coefficient tuples: an oracle for the library's outer rows."""
+    m = p.surface.intersection_matrix
+    constant, increments = _adjoint_parts(p)
+    curves = increments + [tc.coeffs for tc in p.tracked]
+    return [
+        halfspace([_pairing(m, inc, t) for inc in increments], _pairing(m, constant, t), True)
+        for t in curves
+    ]
+
+
+def explicit_ample_rows(p):
+    """Ampleness of the adjoint as strict rows in beta, written out per
+    surface: degree > 0 on the plane; a > 0 and b - n.a > 0 for aZ + bF
+    on F_n.  An oracle for the library's exact rows."""
+    constant, increments = _adjoint_parts(p)
+    rows = [halfspace([c[0] for c in increments], constant[0], True)]
+    prov = p.surface.provenance
+    if isinstance(prov, Hirzebruch):
+        n = prov.n
+        normal = [c[1] - n * c[0] for c in increments]
+        rows.append(halfspace(normal, constant[1] - n * constant[0], True))
+    return rows
+
+
+def oracle_rows(p):
+    """The oracle rows for the body of p: outer on a blow-up, else exact."""
+    if isinstance(p.surface.provenance, BlowUp):
+        return tracked_curve_rows(p)
+    return explicit_ample_rows(p)
 
 
 def _scaled(normal, offset, strict):

@@ -19,6 +19,7 @@ from _util import (
     fraction_compose,
     fraction_reparam,
     grid,
+    oracle_rows,
 )
 
 
@@ -505,3 +506,62 @@ def test_serialize_has_exactness_tag():
     body = an.aa_halfspaces_rank_le2(fn_pair(1, [(1, 0), (1, 3)]))
     text = body.serialize()
     assert text.splitlines()[0] == "exact"
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def assert_body_matches_oracle(p, body):
+    """The body against one built from the oracle rows: the same exactness,
+    open part and closure in canonical text, and the same strength verdict."""
+    rows = oracle_rows(p)
+    open_part = pt.polytope(p.r, rows + pt.cube_halfspaces(p.r, strict=True))
+    blown_up = isinstance(p.surface.provenance, g.BlowUp)
+    assert body.exactness == (an.OUTER if blown_up else an.EXACT)
+    assert pt.canonical_text(body.open_part) == pt.canonical_text(open_part)
+    assert pt.canonical_text(body.closed_hull) == pt.canonical_text(pt.closure(open_part))
+    if not blown_up:
+        strong = all(
+            hs.offset > 0 or (hs.offset == 0 and min(hs.normal) >= 0 and max(hs.normal) > 0)
+            for hs in rows
+        )
+        assert an.is_strongly_aldp(p) is strong
+
+
+def test_bodies_match_oracle_rows_on_spec_files():
+    paths = sorted(SAMPLES.glob("*.pair")) + sorted((REPO / "perfbench" / "inputs").glob("*.pair"))
+    assert len(paths) >= 6
+    for path in paths:
+        p = dsl.load_pair_spec(str(path)).final
+        assert_body_matches_oracle(p, an.aa_body(p))
+
+
+def test_bodies_match_oracle_rows_on_seeded_blowup_scripts():
+    bases = [
+        lambda: fn_pair(1, [(1, 0), (0, 1)]),
+        lambda: fn_pair(1, [(1, 0), (1, 3)]),
+        lambda: fn_pair(2, [(1, 0), (0, 1), (1, 2)]),
+        lambda: fn_pair(0, [(1, 1), (1, 1)]),
+        lambda: p2_pair([2, 1]),
+    ]
+    rng = random.Random(808)
+    for _ in range(30):
+        p = rng.choice(bases)()
+        for step in range(rng.randint(1, 3)):
+            moves = [("smooth", lab) for lab in p.labels] + [("node", nd.id) for nd in p.nodes]
+            op, target = rng.choice(moves)
+            blow = pr.blow_up_smooth_point if op == "smooth" else pr.blow_up_node
+            p = blow(p, target, f"e{step}")
+        assert_body_matches_oracle(p, an.aa_body(p))
+        assert_body_matches_oracle(p, an.aa_outer_blowup(p, grid_denominator=2)[0])
+
+
+def test_bodies_match_oracle_rows_on_classify_candidates():
+    candidates = [cl.CandidatePair("P2", None, key) for key in cl.p2_degree_multisets()]
+    for n in range(4):
+        keys = dict.fromkeys(cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n))
+        candidates += [cl.CandidatePair(f"F{n}", n, key) for key in keys]
+    assert len(candidates) == 89  # 6 on the plane, 83 on F_0, ..., F_3
+    for cand in candidates:
+        assert_body_matches_oracle(cand.pair, cand.body)
+        assert cand.body.aldp is an.is_aldp(cand.pair)

@@ -6,6 +6,7 @@ from ampleangles import angles as an
 from ampleangles import classify as cl
 from ampleangles import cli
 from ampleangles import pairs as pr
+from ampleangles import polytope as pt
 from _util import MAEDA_P2, P2_TABLE, fn_table, maeda_fn_table
 
 
@@ -148,24 +149,33 @@ def test_rank2_brute_force_box_oracle():
 
 
 def test_classify_builds_each_candidate_once(monkeypatch, capsys):
-    """One make_pair per distinct candidate key: the acceptance test, the
-    strength and the printed body share the candidate's pair."""
+    """One make_pair per distinct candidate key, and in rank2 mode one
+    closure: the acceptance test, the strength and the printed body share
+    the candidate's pair and body."""
     n_max = 3
     keys = len({cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})
     for n in range(n_max + 1):
         keys += len({cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n)})
-    calls = []
+    pairs, closures = [], []
 
     def counting_make_pair(*args, **kwargs):
-        calls.append(args)
+        pairs.append(args)
         return pr.make_pair(*args, **kwargs)
 
+    def counting_closure(p):
+        closures.append(p)
+        return closure(p)
+
+    closure = pt.closure
     monkeypatch.setattr(cl, "make_pair", counting_make_pair)
-    for mode in ("maeda", "rank2"):
-        calls.clear()
+    monkeypatch.setattr(pt, "closure", counting_closure)
+    for mode, closed in (("maeda", 0), ("rank2", keys)):
+        pairs.clear()
+        closures.clear()
         assert cli.main(["classify", "--mode", mode, "--n-max", str(n_max)]) == 0
         capsys.readouterr()
-        assert len(calls) == keys, mode
+        assert len(pairs) == keys, mode
+        assert len(closures) == closed, mode
 
 
 def test_component_classes_exclude_reducible_multiples():

@@ -50,20 +50,13 @@ component C 2 4
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(ampleangles.__file__)))
 
 
-def run_cli(args, cwd, env=None):
-    """Run ``python -m ampleangles.cli`` in ``cwd``; ``env`` entries override.
-
-    AA_GRID_DENOM is not inherited from the caller's shell, so the CLI's
-    default grid is what a test sees unless it passes the variable itself.
-    """
+def run_cli(args, cwd):
+    """Run ``python -m ampleangles.cli`` in ``cwd``."""
     full_env = dict(os.environ)
-    full_env.pop("AA_GRID_DENOM", None)
     inherited = full_env.get("PYTHONPATH")
     full_env["PYTHONPATH"] = (
         PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
     )
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "ampleangles.cli", *args],
         capture_output=True,
@@ -323,7 +316,7 @@ def test_aa_empty_outer_body(monkeypatch, capsys):
     assert "self-intersection quadratic" not in out
 
 
-def test_check_chain_r7_scaling(tmp_path, monkeypatch, capsys):
+def test_check_chain_r7_scaling(tmp_path, capsys):
     """Scaling guard on the infinitely-near chain series (F_1 with Z + F,
     node blow-ups repeated on Z): check on r = 7 stays inside 10 s, and
     every printed vertex is a vertex of the printed closure."""
@@ -331,7 +324,6 @@ def test_check_chain_r7_scaling(tmp_path, monkeypatch, capsys):
     lines += [f"blowup node Z.E{i - 1}.1 E{i}" for i in range(2, 6)]
     spec = tmp_path / "chain-r7.pair"
     spec.write_text("\n".join(lines) + "\n")
-    monkeypatch.delenv("AA_GRID_DENOM", raising=False)
     started = time.perf_counter()
     code = cli.main(["check", str(spec)])
     elapsed = time.perf_counter() - started
@@ -419,9 +411,33 @@ def test_shipped_samples_load_and_run():
         assert out.returncode == code, name
 
 
-def test_grid_denominator_env(specs):
-    fine = run_cli(["blowup", "blow.pair"], cwd=specs, env={"AA_GRID_DENOM": "4"})
-    default = run_cli(["blowup", "blow.pair"], cwd=specs)
-    assert "1/4 grid" in fine.stdout
-    assert "1/16 grid" not in fine.stdout
-    assert "1/16 grid" in default.stdout
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify"], "the following arguments are required: --mode"),
+        (["classify", "--mode", "rank2", "--n-max", "x"], "invalid int value: 'x'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["classify", "--mode", "rank2", "--n-max", "-3"], "input error: --n-max must be at least 0"),
+    ],
+)
+def test_usage_errors_exit_1(specs, args, message):
+    """A usage error is an input error, not the "verdict unknown" code 2."""
+    out = run_cli(args, cwd=specs)
+    assert out.returncode == 1, out.stderr
+    assert message in out.stderr
+    assert out.stdout == ""
+
+
+def test_help_exits_0(specs):
+    out = run_cli(["--help"], cwd=specs)
+    assert out.returncode == 0
+    assert "usage: ample-angles" in out.stdout
+
+
+def test_smooth_blowup_refuses_a_boundary_label(specs):
+    """A smooth blow-up named after a boundary component would make the
+    script impossible to unwind, so it is refused on its line."""
+    (specs / "ll.pair").write_text("surface P2\ncomponent L 1\ncomponent M 1\nblowup smooth L L\n")
+    out = run_cli(["check", "ll.pair"], cwd=specs)
+    assert out.returncode == 1
+    assert "input error: line 4: boundary label 'L' already in use" in out.stderr
