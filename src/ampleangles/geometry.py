@@ -7,7 +7,10 @@ Hirzebruch surfaces F_n (basis Z, F with Z^2 = -n, F^2 = 0, Z.F = 1).
 Blow-ups append an exceptional basis vector E with E^2 = -1.
 
 All coefficients are exact: `fractions.Fraction` for divisor classes,
-plain ints for the lattice data.
+plain ints for the lattice data.  Intersection numbers are computed on
+integers: each class caches its coefficients as integer numerators over
+their least common denominator, `intersect` pairs the numerators through
+the integer intersection matrix and returns the exact `Fraction`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence, Union
 
 
@@ -131,6 +136,13 @@ class DivisorClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(k, den): the coefficients as integer numerators k over their
+        least common denominator den.  Cached: the class is immutable."""
+        k, den = _integer_point(self.coeffs)
+        return tuple(k), den
+
     def __repr__(self) -> str:
         terms = [f"{c}*{l}" for c, l in zip(self.coeffs, self.surface.basis_labels) if c != 0]
         return " + ".join(terms) if terms else "0"
@@ -155,7 +167,7 @@ def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
 
 
 def _same_surface(a: DivisorClass, b: DivisorClass) -> None:
-    if a.surface != b.surface:
+    if a.surface is not b.surface and a.surface != b.surface:
         raise ValueError("divisor classes live on different surfaces")
 
 
@@ -186,16 +198,17 @@ def blow_up(s: SurfaceModel, exc_label: str, center: str) -> SurfaceModel:
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Intersection number a.b, bilinear extension of the lattice pairing."""
+    """Intersection number a.b, bilinear extension of the lattice pairing:
+    ka.M.kb over da.db on the integer forms (k, d) of the two classes and
+    the integer matrix M, returned as an exact Fraction."""
     _same_surface(a, b)
-    m = a.surface.intersection_matrix
-    total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = m[i]
-        total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj != 0)
-    return total
+    ka, da = a.integer_form
+    kb, db = b.integer_form
+    total = 0
+    for x, row in zip(ka, a.surface.intersection_matrix):
+        if x:
+            total += x * sum(map(mul, row, kb))
+    return Fraction(total, da * db)
 
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:

@@ -361,7 +361,9 @@ def _track_fiber(
         return
     tag = fiber_tag or f"{_FIBER_SEQ}:{exc_label}"
     for pos, tc in enumerate(tracked):
-        if tc.kind == "fiber" and tc.tag == tag:
+        if tc.tag == tag:
+            if tc.kind != "fiber":
+                raise ValueError(f"fiber tag {tag!r} names a tracked {tc.kind} curve")
             coeffs = tc.coeffs[:-1] + (tc.coeffs[-1] - 1,)
             tracked[pos] = TrackedCurve("fiber", tag, coeffs)
             return
@@ -370,6 +372,12 @@ def _track_fiber(
     coeffs[1] = Fraction(1)
     coeffs[-1] = Fraction(-1)
     tracked.append(TrackedCurve("fiber", tag, tuple(coeffs)))
+
+
+def _is_tracked(p: LogPair, tag: str) -> bool:
+    """Whether a tracked curve of p already carries the tag; `contract`
+    resolves a tag to one curve, so tags must stay unique."""
+    return any(tc.tag == tag for tc in p.tracked)
 
 
 def _validate_tracked_fibers(result: LogPair) -> None:
@@ -402,6 +410,8 @@ def blow_up_smooth_point(
         raise ValueError(f"{point_tag!r} names a node; the smooth locus excludes nodes")
     if point_tag in p.labels:
         raise ValueError(f"boundary label {point_tag!r} already in use")
+    if point_tag == fiber_tag or _is_tracked(p, point_tag):
+        raise ValueError(f"tracked-curve tag {point_tag!r} already in use")
     surface = blow_up(p.surface, point_tag, f"smooth:{p.labels[idx]}:{point_tag}")
     new_classes = []
     for i, c in enumerate(p.classes):
@@ -436,6 +446,8 @@ def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> L
     label = exc_label or f"E.{node_id}"
     if label in p.labels:
         raise ValueError(f"boundary label {label!r} already in use")
+    if _is_tracked(p, label):
+        raise ValueError(f"tracked-curve tag {label!r} already in use")
     surface = blow_up(p.surface, label, f"node:{node_id}")
     new_classes = [
         surface.divisor(_extend(c.coeffs, -1 if k in (i, j) else 0))

@@ -47,8 +47,17 @@ def _adjoint_parts(p):
     return adjoint_coeffs(minus_k, increments, [0] * p.r), increments
 
 
-def _pairing(matrix, a, b):
-    return sum(F(x) * m * F(y) for x, row in zip(a, matrix) for m, y in zip(row, b))
+def fraction_intersect(matrix, a, b):
+    """a.b for plain coefficient lists a, b and the lattice matrix, summed
+    in Fractions term by term: an oracle for the library's integer
+    `intersect`."""
+    total = F(0)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        row = matrix[i]
+        total += F(ai) * sum(row[j] * F(bj) for j, bj in enumerate(b) if bj != 0)
+    return total
 
 
 def tracked_curve_rows(p):
@@ -59,7 +68,11 @@ def tracked_curve_rows(p):
     constant, increments = _adjoint_parts(p)
     curves = increments + [tc.coeffs for tc in p.tracked]
     return [
-        halfspace([_pairing(m, inc, t) for inc in increments], _pairing(m, constant, t), True)
+        halfspace(
+            [fraction_intersect(m, inc, t) for inc in increments],
+            fraction_intersect(m, constant, t),
+            True,
+        )
         for t in curves
     ]
 

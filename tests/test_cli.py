@@ -171,6 +171,21 @@ def test_parse_blowup_fiber_tags_and_shared_fiber_script(tmp_path):
         dsl.parse_pair_spec("surface F 1\ncomponent Z 1 0\ncomponent F1 0 1\nblowup node Z.F1.1 E1 fiber=f\n")
 
 
+def test_blowup_refuses_a_tracked_tag(tmp_path):
+    """A blow-up that would reuse a tracked-curve tag is refused on its line."""
+    head = "surface F 1\ncomponent Z 1 0\ncomponent C 1 1\n"
+    cases = [
+        (head + "blowup smooth C f fiber=f\n", 4, "tracked-curve tag 'f' already in use"),
+        (head + "blowup smooth C e1 fiber=g\nblowup smooth C g\n", 5, "tracked-curve tag 'g' already in use"),
+    ]
+    for text, line_no, message in cases:
+        (tmp_path / "tag.pair").write_text(text)
+        for command in ("check", "blowup"):
+            out = run_cli([command, "tag.pair"], cwd=tmp_path)
+            assert out.returncode == 1, out.stderr
+            assert f"input error: line {line_no}: {message}" in out.stderr
+
+
 def test_check_positive_and_negative_verdicts(tmp_path):
     (tmp_path / "line.pair").write_text(P2LINE)
     out = run_cli(["check", "line.pair"], cwd=tmp_path)

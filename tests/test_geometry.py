@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampleangles import geometry as g
+from _util import fraction_intersect
 
 F = Fraction
 
@@ -44,6 +46,56 @@ def test_intersect_surface_mismatch():
     b = g.hirzebruch(1).divisor([1, 0])
     with pytest.raises(ValueError):
         g.intersect(a, b)
+    # the surface check runs before either integer form is built
+    assert "integer_form" not in vars(a) and "integer_form" not in vars(b)
+    # equal surfaces built separately still pair
+    assert g.intersect(g.hirzebruch(2).divisor([1, 0]), g.hirzebruch(2).divisor([1, 0])) == -2
+
+
+def _oracle_surfaces():
+    """P2, F_0..F_6, and chains of point blow-ups of each up to rank 8."""
+    roots = [g.projective_plane()] + [g.hirzebruch(n) for n in range(7)]
+    for s in roots:
+        yield s
+        for k in range(8 - s.rank):
+            s = g.blow_up(s, f"E{k}", f"p{k}")
+            yield s
+
+
+def _random_coeff(rng):
+    """Zero a third of the time, else num/den with den in 1..12, either sign."""
+    if rng.random() < 1 / 3:
+        return 0
+    return F(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def test_intersect_matches_fraction_oracle():
+    rng = random.Random(20200)
+    for s in _oracle_surfaces():
+        classes = [s.divisor([_random_coeff(rng) for _ in range(s.rank)]) for _ in range(5)]
+        classes += [s.divisor([0] * s.rank), s.minus_k(), s.basis_vector(s.rank - 1)]
+        expected = {
+            (i, j): fraction_intersect(s.intersection_matrix, a.coeffs, b.coeffs)
+            for i, a in enumerate(classes)
+            for j, b in enumerate(classes)
+        }
+        for _ in range(2):  # the second round reads the cached integer forms
+            for (i, j), want in expected.items():
+                got = g.intersect(classes[i], classes[j])
+                assert type(got) is Fraction
+                assert got == want, (s, classes[i], classes[j])
+
+
+def test_integer_form_cache_keeps_identity():
+    s = g.blow_up(g.hirzebruch(2), "E", "p")
+    d = s.divisor([F(1, 2), F(-3, 4), 0])
+    twin = s.divisor([F(1, 2), F(-3, 4), 0])
+    before = (repr(d), hash(d))
+    g.intersect(d, d)
+    assert vars(d)["integer_form"] == ((2, -3, 0), 4)
+    assert "integer_form" not in vars(twin)
+    assert d == twin and twin == d
+    assert (repr(d), hash(d)) == before == (repr(twin), hash(twin))
 
 
 def test_canonical_class_blowup():

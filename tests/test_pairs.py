@@ -281,6 +281,28 @@ def test_fiber_tracking_merges_shared_tags():
     assert len(fiber) == 1 and fiber[0].coeffs == (F(0), F(1), F(-1), F(-1))
 
 
+def test_blowups_refuse_a_tracked_tag():
+    # contract resolves a tag to the first tracked curve carrying it, so a
+    # blow-up may not give a second tracked curve an existing tag
+    p = pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("C", (1, 1))])
+    with pytest.raises(ValueError, match="tracked-curve tag 'f' already in use"):
+        pr.blow_up_smooth_point(p, "C", "f", fiber_tag="f")
+    up = pr.blow_up_smooth_point(p, "C", "e1", fiber_tag="g")
+    with pytest.raises(ValueError, match="tracked-curve tag 'g' already in use"):
+        pr.blow_up_smooth_point(up, "C", "g")
+    with pytest.raises(ValueError, match="fiber tag 'e1' names a tracked exceptional curve"):
+        pr.blow_up_smooth_point(up, "C", "x", fiber_tag="e1")
+    q = pr.make_pair(g.hirzebruch(0), [("A", (1, 0)), ("B", (0, 1)), ("C", (1, 1))])
+    up = pr.blow_up_smooth_point(q, "C", "e1", fiber_tag="g")
+    with pytest.raises(ValueError, match="tracked-curve tag 'g' already in use"):
+        pr.blow_up_node(up, "A.B.1", "g")
+    # a fresh tag keeps every tracked curve contractible by its tag
+    up = pr.blow_up_smooth_point(p, "C", "e", fiber_tag="f")
+    assert sorted(tc.tag for tc in up.tracked) == ["e", "f"]
+    down, _ = pr.contract(up, "e")
+    assert down.classes == p.classes
+
+
 def test_fiber_tracking_skips_boundary_fibers():
     up = pr.blow_up_node(zf_pair(), "Z.F.1", "E")
     assert all(tc.kind != "fiber" for tc in up.tracked)
