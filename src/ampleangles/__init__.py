@@ -5,7 +5,6 @@ from .geometry import (
     UNSUPPORTED,
     DivisorClass,
     SurfaceModel,
-    canonical_class,
     fn_irreducible_admissible,
     fn_is_ample,
     fn_is_nef,

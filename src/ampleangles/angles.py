@@ -2,14 +2,15 @@
 
 For a pair (S, C = sum C_i) the body of ample angles is the set of
 beta in the open unit cube making  -K - sum (1 - beta_i) C_i  ample.
-One builder writes the strict rows adjoint(beta).w > 0, one per dual
-vector w: the nef-cone normals on the plane and F_n, where the body is
-an exact rational polyhedron whose closure is the weakened system; and
-M.t for every boundary class and tracked curve t of a blow-up (M the
-intersection matrix), where it is an outer approximation, reported with
-the sign of the self-intersection quadratic on a grid.  The preimage of
-a nef cone under the class map beta -> [adjoint(beta)] gives the exact
-body a second way.
+One builder, `aa_body`, writes the strict rows adjoint(beta).w > 0, one
+per dual vector w: the nef-cone normals on the plane and F_n, where the
+body is an exact rational polyhedron whose closure is the weakened
+system; and M.t for every boundary class and tracked curve t of a
+blow-up (M the intersection matrix), where it is an outer approximation,
+reported with the sign of the self-intersection quadratic on a grid.
+The ALdP and strong ALdP verdicts are read off an exact body's rows and
+closure.  The preimage of a nef cone under the class map
+beta -> [adjoint(beta)] gives the exact body a second way.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -23,9 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import polytope as pt
 from .geometry import (
@@ -71,6 +71,20 @@ class AABody:
         # open part is infeasible, so the one membership test decides both
         return pt.contains(self.closed_hull, [0] * self.closed_hull.dim)
 
+    @property
+    def strongly_aldp(self):
+        """Ampleness on a whole semi-open sub-cube (0, eps]^r, read off the
+        open part.  A row c + d.beta > 0 holds on (0, eps]^r for some
+        eps > 0 iff c > 0, or c = 0 with d componentwise >= 0 and d != 0;
+        the cube faces always pass, and a positive row scale keeps every
+        sign.  UNKNOWN when the body is only outer."""
+        if not self.exact:
+            return UNKNOWN
+        return all(
+            c > 0 or (c == 0 and all(x >= 0 for x in d) and any(x > 0 for x in d))
+            for d, c, _ in self.open_part.integer_rows
+        )
+
 
 def class_map(p: LogPair) -> pt.AffineMap:
     """The affine map from angles to adjoint class coordinates."""
@@ -79,12 +93,14 @@ def class_map(p: LogPair) -> pt.AffineMap:
     return pt.affine_map(matrix, family.constant.coeffs)
 
 
-def _positivity_rows(p: LogPair) -> tuple[list[pt.HalfSpace], str]:
-    """The strict rows adjoint(beta).w > 0, one per dual vector w, and
-    their exactness: w runs over the nef-cone normals on the plane and F_n
-    (ampleness, exact) and over M.t for the boundary classes and tracked
-    curves t of a blow-up (adjoint.t > 0, necessary only).  The rows are
-    den times the rational rows, computed on the family's integer form."""
+def aa_body(p: LogPair) -> AABody:
+    """The strict rows adjoint(beta).w > 0, one per dual vector w, cut down
+    to the open cube, with their closure.  w runs over the nef-cone normals
+    on the plane and F_n (ampleness: the exact body) and over M.t for the
+    boundary classes and tracked curves t of a blow-up (adjoint.t > 0,
+    necessary only: the outer body of `aa_outer_blowup` without its
+    quadratic report).  The rows are den times the rational rows, computed
+    on the family's integer form."""
     s = p.surface
     if isinstance(s.provenance, BlowUp):
         curves = [c.coeffs for c in p.classes] + [tc.coeffs for tc in p.tracked]
@@ -97,14 +113,6 @@ def _positivity_rows(p: LogPair) -> tuple[list[pt.HalfSpace], str]:
         pt.halfspace([sum(map(mul, inc, w)) for inc in increments], sum(map(mul, constant, w)), True)
         for w in duals
     ]
-    return rows, exactness
-
-
-def aa_body(p: LogPair) -> AABody:
-    """The positivity rows cut down to the open cube, with their closure:
-    the exact body on the plane and F_n; on a blow-up, the outer body of
-    `aa_outer_blowup` without its quadratic report."""
-    rows, exactness = _positivity_rows(p)
     open_part = pt.polytope(p.r, rows + pt.cube_halfspaces(p.r, strict=True))
     return AABody(open_part, pt.closure(open_part), exactness)
 
@@ -125,22 +133,11 @@ def is_aldp(p: LogPair):
 
 
 def is_strongly_aldp(p: LogPair):
-    """Ampleness on a whole semi-open sub-cube (0, eps]^r.
-
-    An affine form c + d.beta is positive on (0, eps]^r for some eps > 0
-    iff c > 0, or c = 0 with d componentwise >= 0 and d != 0; the cube
-    faces themselves are exempt.
-    """
+    """Ampleness on a whole semi-open sub-cube (0, eps]^r (see
+    `AABody.strongly_aldp`).  UNKNOWN when only an outer body exists."""
     if isinstance(p.surface.provenance, BlowUp):
         return UNKNOWN
-    for hs in _positivity_rows(p)[0]:
-        c, d = hs.offset, hs.normal
-        if c > 0:
-            continue
-        if c == 0 and all(x >= 0 for x in d) and any(x > 0 for x in d):
-            continue
-        return False
-    return True
+    return aa_halfspaces_rank_le2(p).strongly_aldp
 
 
 def is_log_dp(p: LogPair):
@@ -155,18 +152,12 @@ def is_log_dp(p: LogPair):
 # Nef-cone preimage construction
 
 
-def aa_via_nef(p: LogPair, nef: Optional[pt.HPolytope] = None, nef_exact: bool = True) -> AABody:
+def aa_via_nef(p: LogPair) -> AABody:
     """Closure of the body as [0,1]^r intersected with the preimage of the
-    nef cone under the class map; built-in cones for the plane and F_n."""
-    if nef is None:
-        normals = nef_cone(p.surface)  # raises on blow-ups
-        nef = pt.polytope(p.surface.rank, [pt.halfspace(nm, 0, False) for nm in normals])
-    if nef.dim != p.surface.rank:
-        raise ValueError("nef cone dimension must match the surface rank")
-    if any(hs.strict or hs.offset != 0 for hs in nef.halfspaces):
-        raise ValueError("a nef cone is a closed cone: weak halfspaces through 0")
-    phi = class_map(p)
-    pulled = pt.affine_preimage(phi, nef).halfspaces
+    nef cone under the class map, for the plane and F_n."""
+    normals = nef_cone(p.surface)  # raises on blow-ups
+    nef = pt.polytope(p.surface.rank, [pt.halfspace(nm, 0, False) for nm in normals])
+    pulled = pt.affine_preimage(class_map(p), nef).halfspaces
     closed = pt.polytope(
         p.r, pulled + tuple(pt.cube_halfspaces(p.r, strict=False))
     )
@@ -175,7 +166,7 @@ def aa_via_nef(p: LogPair, nef: Optional[pt.HPolytope] = None, nef_exact: bool =
         tuple(hs.strictened() for hs in pulled)
         + tuple(pt.cube_halfspaces(p.r, strict=True)),
     )
-    return AABody(open_part, closed, EXACT if nef_exact else OUTER)
+    return AABody(open_part, closed, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +211,11 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter
     The sign of q(k/denom) is the sign of the integer lcm.denom^2.q(k/denom),
     lcm being that of q's coefficient denominators.
     """
-    coeffs = [constant, *linear, *(c for row in quadratic for c in row)]
-    scale = lcm(*(c.denominator for c in coeffs))
-    c0 = int(constant * scale) * denom * denom
-    c1 = [int(c * scale) * denom for c in linear]
-    c2 = [[int(c * scale) for c in row] for row in quadratic]
+    r = len(linear)
+    nums, _ = _integer_point([constant, *linear, *(c for row in quadratic for c in row)])
+    c0 = nums[0] * denom * denom
+    c1 = [v * denom for v in nums[1 : r + 1]]
+    c2 = [nums[r + 1 + i * r : r + 1 + (i + 1) * r] for i in range(r)]
     signs = Counter()
     for k in points:
         q = c0 + sum(ki * (li + sum(map(mul, row, k))) for ki, li, row in zip(k, c1, c2))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .angles import AABody, aa_halfspaces_rank_le2, is_log_dp, is_strongly_aldp
+from .angles import AABody, aa_halfspaces_rank_le2, is_log_dp
 from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
 from .pairs import LogPair, make_pair
 
@@ -223,10 +223,10 @@ def match_label(c: CandidatePair) -> FamilyLabel:
 # Enumerators
 
 
-def _strength(p: LogPair) -> str:
-    if is_log_dp(p) is True:
+def _strength(c: CandidatePair) -> str:
+    if is_log_dp(c.pair) is True:
         return LOG_DP
-    return STRONG if is_strongly_aldp(p) is True else NOT_STRONG
+    return STRONG if c.body.strongly_aldp is True else NOT_STRONG
 
 
 def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair, FamilyLabel]]:
@@ -259,7 +259,7 @@ def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, s
     """All asymptotically log del Pezzo boundaries on the plane and on F_n,
     n <= n_max, each labelled with its family and positivity strength."""
     return [
-        (c, label, _strength(c.pair))
+        (c, label, _strength(c))
         for c, label in _enumerate(lambda c: c.body.aldp, _P2_RANK2, _rank2_rows, n_max)
     ]
 

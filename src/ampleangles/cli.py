@@ -111,8 +111,8 @@ def run_report(p: LogPair, echo: str) -> RunReport:
         body, quadratic = angles.aa_body(p), None
     verdicts = {
         "log del Pezzo": angles.is_log_dp(p),
-        "strongly asymptotically log del Pezzo": angles.is_strongly_aldp(p),
-        # the printed body decides ALdP, as `angles.is_aldp` would
+        # the printed body decides both ALdP verdicts, as `angles.is_*aldp` would
+        "strongly asymptotically log del Pezzo": body.strongly_aldp,
         "asymptotically log del Pezzo": body.aldp,
         "minimal": is_minimal(p),
     }

@@ -133,9 +133,6 @@ class DivisorClass:
 
     __mul__ = __rmul__
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     @cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(k, den): the coefficients as integer numerators k over their
@@ -159,11 +156,12 @@ def _fraction(num: int, den: int) -> Fraction:
 def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
     """x as (k, den): integer numerators k over den, the least common
     denominator of the entries, so that x = k/den."""
-    values = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    ratios = [(v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio() for v in x]
     den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in values], den
+    for _, q in ratios:
+        if q != 1:
+            den = den * q // gcd(den, q)
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _same_surface(a: DivisorClass, b: DivisorClass) -> None:
@@ -209,10 +207,6 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
         if x:
             total += x * sum(map(mul, row, kb))
     return Fraction(total, da * db)
-
-
-def canonical_class(s: SurfaceModel) -> DivisorClass:
-    return s.canonical_class()
 
 
 def fn_is_ample(a: Rat, b: Rat, n: int) -> bool:

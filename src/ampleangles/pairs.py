@@ -5,7 +5,9 @@ records (one node per transverse intersection point, so the count of
 nodes joining components i and j always equals C_i.C_j).  Simple normal
 crossings is structural: tangencies are unrepresentable.
 
-Blow-ups come in two flavours:
+Blow-ups come in two flavours of one step (`_blow_up`: proper transforms
+of the components through the center, pulled-back tracked curves, the
+fiber through the center):
   * smooth-point blow-up: the named component is replaced by its proper
     transform, the exceptional curve stays out of the boundary;
   * node blow-up: both incident components are replaced by proper
@@ -28,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .geometry import (
@@ -245,9 +246,10 @@ class LogAdjointFamily:
     def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(den, constant, increments): the coefficients as integer numerators
         over den, the least common denominator of all of them."""
+        n = self.constant.surface.rank
         classes = (self.constant, *self.increments)
-        den = lcm(*(c.denominator for cls in classes for c in cls.coeffs))
-        nums = [tuple(c.numerator * (den // c.denominator) for c in cls.coeffs) for cls in classes]
+        k, den = _integer_point([c for cls in classes for c in cls.coeffs])
+        nums = [tuple(k[i * n : (i + 1) * n]) for i in range(len(classes))]
         return den, nums[0], tuple(nums[1:])
 
 
@@ -324,19 +326,6 @@ def _extend(coeffs: tuple[Fraction, ...], last: int) -> tuple[Fraction, ...]:
     return coeffs + (Fraction(last),)
 
 
-def _is_fiber_like(p: LogPair, idx: int) -> bool:
-    """Whether component idx is a fiber of the root ruling or one of its transforms."""
-    if not _is_hirzebruch_rooted(p.surface):
-        return False
-    root = p.classes[idx].coeffs[:2]
-    return root == (Fraction(0), Fraction(1))
-
-
-def _root_part_zero(p: LogPair, idx: int) -> bool:
-    rr = 1 if isinstance(_root(p.surface), ProjectivePlane) else 2
-    return all(c == 0 for c in p.classes[idx].coeffs[:rr])
-
-
 def _track_fiber(
     p: LogPair,
     tracked: list[TrackedCurve],
@@ -355,9 +344,8 @@ def _track_fiber(
     """
     if not _is_hirzebruch_rooted(p.surface):
         return
-    if any(_is_fiber_like(p, i) for i in incident):
-        return
-    if any(_root_part_zero(p, i) for i in incident):
+    # root part (0, 1): a fiber or its transform; (0, 0): an exceptional curve
+    if any(p.classes[i].coeffs[:2] in ((0, 1), (0, 0)) for i in incident):
         return
     tag = fiber_tag or f"{_FIBER_SEQ}:{exc_label}"
     for pos, tc in enumerate(tracked):
@@ -395,6 +383,36 @@ def _validate_tracked_fibers(result: LogPair) -> None:
                 )
 
 
+def _blow_up(
+    p: LogPair,
+    label: str,
+    center: str,
+    hit: Sequence[int],
+    fiber_tag: Optional[str],
+    event: BlowUpEvent,
+    nodes: Optional[Sequence[NodeRecord]] = None,
+) -> LogPair:
+    """The blow-up step of both flavours: the hit components become proper
+    transforms (pullback - E), the tracked curves are pulled back and the
+    fiber through the center is tracked.  With `nodes` (the new node list)
+    E joins the boundary; without, E is tracked as an exceptional curve."""
+    surface = blow_up(p.surface, label, center)
+    classes = tuple(
+        surface.divisor(_extend(c.coeffs, -1 if i in hit else 0)) for i, c in enumerate(p.classes)
+    )
+    tracked = [replace(tc, coeffs=_extend(tc.coeffs, 0)) for tc in p.tracked]
+    _track_fiber(p, tracked, hit, fiber_tag, label)
+    e = surface.basis_vector(surface.rank - 1)
+    if nodes is None:
+        labels, nodes = p.labels, p.nodes
+        tracked.append(TrackedCurve("exceptional", label, e.coeffs))
+    else:
+        labels, classes, nodes = p.labels + (label,), classes + (e,), _sorted_nodes(nodes)
+    result = LogPair(surface, labels, classes, nodes, tuple(tracked), p.history + (event,))
+    _validate_tracked_fibers(result)
+    return result
+
+
 def blow_up_smooth_point(
     p: LogPair, component: Union[int, str], point_tag: str, fiber_tag: Optional[str] = None
 ) -> LogPair:
@@ -412,26 +430,11 @@ def blow_up_smooth_point(
         raise ValueError(f"boundary label {point_tag!r} already in use")
     if point_tag == fiber_tag or _is_tracked(p, point_tag):
         raise ValueError(f"tracked-curve tag {point_tag!r} already in use")
-    surface = blow_up(p.surface, point_tag, f"smooth:{p.labels[idx]}:{point_tag}")
-    new_classes = []
-    for i, c in enumerate(p.classes):
-        new_classes.append(surface.divisor(_extend(c.coeffs, -1 if i == idx else 0)))
-    tracked = [replace(tc, coeffs=_extend(tc.coeffs, 0)) for tc in p.tracked]
-    _track_fiber(p, tracked, [idx], fiber_tag, point_tag)
-    tracked.append(
-        TrackedCurve("exceptional", point_tag, surface.basis_vector(surface.rank - 1).coeffs)
-    )
-    event = BlowUpEvent(point_tag, "smooth", p.labels[idx])
-    result = LogPair(
-        surface,
-        p.labels,
-        tuple(new_classes),
-        p.nodes,
-        tuple(tracked),
-        p.history + (event,),
-    )
-    _validate_tracked_fibers(result)
-    return result
+    if fiber_tag is not None and not _is_hirzebruch_rooted(p.surface):
+        raise ValueError("fiber tags only make sense on F_n-rooted surfaces")
+    target = p.labels[idx]
+    event = BlowUpEvent(point_tag, "smooth", target)
+    return _blow_up(p, point_tag, f"smooth:{target}:{point_tag}", [idx], fiber_tag, event)
 
 
 def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> LogPair:
@@ -448,29 +451,11 @@ def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> L
         raise ValueError(f"boundary label {label!r} already in use")
     if _is_tracked(p, label):
         raise ValueError(f"tracked-curve tag {label!r} already in use")
-    surface = blow_up(p.surface, label, f"node:{node_id}")
-    new_classes = [
-        surface.divisor(_extend(c.coeffs, -1 if k in (i, j) else 0))
-        for k, c in enumerate(p.classes)
-    ]
-    new_classes.append(surface.basis_vector(surface.rank - 1))
-    e_idx = p.r
     nodes = [other for other in p.nodes if other.id != node_id]
-    nodes.append(NodeRecord(f"{p.labels[i]}.{label}.1", (i, e_idx)))
-    nodes.append(NodeRecord(f"{p.labels[j]}.{label}.1", (j, e_idx)))
-    tracked = [replace(tc, coeffs=_extend(tc.coeffs, 0)) for tc in p.tracked]
-    _track_fiber(p, tracked, [i, j], nd.on_fiber_of, label)
+    nodes.append(NodeRecord(f"{p.labels[i]}.{label}.1", (i, p.r)))
+    nodes.append(NodeRecord(f"{p.labels[j]}.{label}.1", (j, p.r)))
     event = BlowUpEvent(label, "node", node_id, restore_node=nd)
-    result = LogPair(
-        surface,
-        p.labels + (label,),
-        tuple(new_classes),
-        _sorted_nodes(nodes),
-        tuple(tracked),
-        p.history + (event,),
-    )
-    _validate_tracked_fibers(result)
-    return result
+    return _blow_up(p, label, f"node:{node_id}", [i, j], nd.on_fiber_of, event, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -517,25 +502,19 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
         )
 
     parent = p.surface.provenance.parent
-    hits = [
-        (i, intersect(p.classes[i], curve))
-        for i in range(p.r)
-        if (boundary_idx is None or i != boundary_idx) and intersect(p.classes[i], curve) != 0
-    ]
+    meets = ((i, intersect(c, curve)) for i, c in enumerate(p.classes) if i != boundary_idx)
+    hits = [(i, v) for i, v in meets if v]
     if any(v != 1 for _, v in hits):
         raise ValueError("unsupported incidence pattern: non-transverse meeting")
 
-    def push(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return coeffs[:-1]
-
     last_event = p.history[-1] if p.history else None
-    new_history = p.history[:-1] if last_event is not None else ()
+    new_history = p.history[:-1]
 
     new_tracked = []
     for tc in p.tracked:
         if tracked_tag is not None and tc.tag == tracked_tag:
             continue  # the contracted curve itself
-        coeffs = push(tc.coeffs)
+        coeffs = tc.coeffs[:-1]
         if tc.kind == "fiber" and list(coeffs[2:]) == [0] * (len(coeffs) - 2):
             continue  # reverted to a plain fiber: nothing left to track
         new_tracked.append(replace(tc, coeffs=coeffs))
@@ -544,9 +523,7 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
         # pattern: away from C (no hits) or one transverse point (one hit)
         if len(hits) > 1:
             raise ValueError("unsupported incidence pattern: meets C more than once")
-        new_classes = tuple(
-            parent.divisor(push(c.coeffs)) for c in p.classes
-        )
+        new_classes = tuple(parent.divisor(c.coeffs[:-1]) for c in p.classes)
         result = LogPair(parent, p.labels, new_classes, p.nodes, tuple(new_tracked), new_history)
         if not hits:
             residual: AffineForm = (Fraction(1), tuple(Fraction(0) for _ in range(p.r)))
@@ -567,7 +544,7 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
     k = boundary_idx
     keep = [t for t in range(p.r) if t != k]
     new_labels = tuple(p.labels[t] for t in keep)
-    new_classes = tuple(parent.divisor(push(p.classes[t].coeffs)) for t in keep)
+    new_classes = tuple(parent.divisor(p.classes[t].coeffs[:-1]) for t in keep)
     remap = {t: pos for pos, t in enumerate(keep)}
     new_nodes = []
     for nd in p.nodes:

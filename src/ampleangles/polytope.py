@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -72,7 +72,6 @@ class HPolytope:
 class VPolytope:
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
-    rays: tuple[tuple[Fraction, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,9 @@ class AffineMap:
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
         """(matrix, translation, den): the entries as integer numerators over
         den, the least common denominator of all of them."""
-        entries = [v for row in self.matrix for v in row] + list(self.translation)
-        den = lcm(*(v.denominator for v in entries))
-        return (
-            tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.matrix),
-            tuple(v.numerator * (den // v.denominator) for v in self.translation),
-            den,
-        )
+        n, m = self.domain_dim, self.codomain_dim
+        k, den = _integer_point([v for row in self.matrix for v in row] + list(self.translation))
+        return tuple(tuple(k[i * n : (i + 1) * n]) for i in range(m)), tuple(k[m * n :]), den
 
     def apply(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         """The image of x, computed on the integer form against x = k/xden."""
@@ -189,11 +184,7 @@ def intersection(p: HPolytope, q: HPolytope) -> HPolytope:
 
 def _normalize_row(normal: tuple[Fraction, ...], offset: Fraction, strict: bool):
     """Scale by a positive rational so entries are coprime integers."""
-    nums = (*normal, offset)
-    den = 1
-    for v in nums:  # on these short rows a loop beats math.lcm(*...)
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [v.numerator * (den // v.denominator) for v in nums]
+    ints, _ = _integer_point((*normal, offset))
     g = gcd(*ints) or 1  # an all-zero row stays as it is
     ints = [v // g for v in ints]
     return tuple(ints[:-1]), ints[-1], strict
@@ -360,11 +351,7 @@ def _simplicial_cone(rows: list[tuple[int, ...]]):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    rays = []
-    for k in range(n):
-        column = [a[r][n + k] for r in range(n)]
-        den = lcm(*(v.denominator for v in column))
-        rays.append(_primitive([v.numerator * (den // v.denominator) for v in column]))
+    rays = [_primitive(_integer_point([a[r][n + k] for r in range(n)])[0]) for k in range(n)]
     return basis, rays
 
 

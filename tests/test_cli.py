@@ -172,11 +172,17 @@ def test_parse_blowup_fiber_tags_and_shared_fiber_script(tmp_path):
 
 
 def test_blowup_refuses_a_tracked_tag(tmp_path):
-    """A blow-up that would reuse a tracked-curve tag is refused on its line."""
+    """A blow-up that would reuse a tracked-curve tag, or tag a fiber on a
+    surface with no ruling, is refused on its line."""
     head = "surface F 1\ncomponent Z 1 0\ncomponent C 1 1\n"
     cases = [
         (head + "blowup smooth C f fiber=f\n", 4, "tracked-curve tag 'f' already in use"),
         (head + "blowup smooth C e1 fiber=g\nblowup smooth C g\n", 5, "tracked-curve tag 'g' already in use"),
+        (
+            "surface P2\ncomponent L 1\ncomponent Q 2\nblowup smooth L q fiber=f\n",
+            4,
+            "fiber tags only make sense on F_n-rooted surfaces",
+        ),
     ]
     for text, line_no, message in cases:
         (tmp_path / "tag.pair").write_text(text)

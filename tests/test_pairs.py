@@ -303,6 +303,18 @@ def test_blowups_refuse_a_tracked_tag():
     assert down.classes == p.classes
 
 
+def test_plane_smooth_blowup_refuses_a_fiber_tag():
+    # the plane has no ruling to tag, as make_pair says of a tagged node
+    p = pr.make_pair(g.projective_plane(), [("L", (1,)), ("Q", (2,))])
+    for pair in (p, pr.blow_up_smooth_point(p, "Q", "e1")):
+        with pytest.raises(ValueError) as err:
+            pr.blow_up_smooth_point(pair, "L", "q", fiber_tag="f")
+        assert str(err.value) == "fiber tags only make sense on F_n-rooted surfaces"
+    # the refusals that come first keep their texts
+    with pytest.raises(ValueError, match="tracked-curve tag 'f' already in use"):
+        pr.blow_up_smooth_point(p, "L", "f", fiber_tag="f")
+
+
 def test_fiber_tracking_skips_boundary_fibers():
     up = pr.blow_up_node(zf_pair(), "Z.F.1", "E")
     assert all(tc.kind != "fiber" for tc in up.tracked)
