@@ -33,7 +33,6 @@ from .angles import (
     AABody,
     aa_halfspaces_rank_le2,
     aa_outer_blowup,
-    aa_via_nef,
     eta,
     is_aldp,
     is_log_dp,

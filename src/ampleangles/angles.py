@@ -8,9 +8,9 @@ body is an exact rational polyhedron whose closure is the weakened
 system; and M.t for every boundary class and tracked curve t of a
 blow-up (M the intersection matrix), where it is an outer approximation,
 reported with the sign of the self-intersection quadratic on a grid.
-The ALdP and strong ALdP verdicts are read off an exact body's rows and
-closure.  The preimage of a nef cone under the class map
-beta -> [adjoint(beta)] gives the exact body a second way.
+The rows are integer rows from the start, read off the family's integer
+form, and the polytope is those rows.  The ALdP and strong ALdP verdicts
+are read off an exact body's rows and closure.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -86,34 +86,30 @@ class AABody:
         )
 
 
-def class_map(p: LogPair) -> pt.AffineMap:
-    """The affine map from angles to adjoint class coordinates."""
-    family = log_adjoint(p)
-    matrix = [[inc.coeffs[k] for inc in family.increments] for k in range(p.surface.rank)]
-    return pt.affine_map(matrix, family.constant.coeffs)
-
-
 def aa_body(p: LogPair) -> AABody:
     """The strict rows adjoint(beta).w > 0, one per dual vector w, cut down
     to the open cube, with their closure.  w runs over the nef-cone normals
     on the plane and F_n (ampleness: the exact body) and over M.t for the
     boundary classes and tracked curves t of a blow-up (adjoint.t > 0,
     necessary only: the outer body of `aa_outer_blowup` without its
-    quadratic report).  The rows are den times the rational rows, computed
-    on the family's integer form."""
+    quadratic report).  The rows are integer rows: the family's integer
+    form against w, and on a blow-up w = M.t from the integer numerators
+    of t.  Each is a positive multiple of the rational row, which leaves
+    the polytope as it is."""
     s = p.surface
     if isinstance(s.provenance, BlowUp):
-        curves = [c.coeffs for c in p.classes] + [tc.coeffs for tc in p.tracked]
+        curves = [c.integer_form[0] for c in p.classes]
+        curves += [_integer_point(tc.coeffs)[0] for tc in p.tracked]
         duals = [[sum(map(mul, row, t)) for row in s.intersection_matrix] for t in curves]
         exactness = OUTER
     else:
         duals, exactness = nef_cone(s), EXACT
     _, constant, increments = log_adjoint(p).integer_form
     rows = [
-        pt.halfspace([sum(map(mul, inc, w)) for inc in increments], sum(map(mul, constant, w)), True)
+        (tuple(sum(map(mul, inc, w)) for inc in increments), sum(map(mul, constant, w)), True)
         for w in duals
     ]
-    open_part = pt.polytope(p.r, rows + pt.cube_halfspaces(p.r, strict=True))
+    open_part = pt.integer_polytope(p.r, [*rows, *pt.cube_rows(p.r, True)])
     return AABody(open_part, pt.closure(open_part), exactness)
 
 
@@ -146,27 +142,6 @@ def is_log_dp(p: LogPair):
     Propagates UNSUPPORTED from the exact-ampleness test on blow-ups.
     """
     return is_ample(p.surface, log_adjoint(p).at([0] * p.r))
-
-
-# ---------------------------------------------------------------------------
-# Nef-cone preimage construction
-
-
-def aa_via_nef(p: LogPair) -> AABody:
-    """Closure of the body as [0,1]^r intersected with the preimage of the
-    nef cone under the class map, for the plane and F_n."""
-    normals = nef_cone(p.surface)  # raises on blow-ups
-    nef = pt.polytope(p.surface.rank, [pt.halfspace(nm, 0, False) for nm in normals])
-    pulled = pt.affine_preimage(class_map(p), nef).halfspaces
-    closed = pt.polytope(
-        p.r, pulled + tuple(pt.cube_halfspaces(p.r, strict=False))
-    )
-    open_part = pt.polytope(
-        p.r,
-        tuple(hs.strictened() for hs in pulled)
-        + tuple(pt.cube_halfspaces(p.r, strict=True)),
-    )
-    return AABody(open_part, closed, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +307,9 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     # f_i(0) = t_i/(hn.d) and f_i(1) = (t_i + hd.d)/(hn.d)
     if any(t < 0 or t + hd * d > hn * d for t in t_num):
         raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
-    # invertibility
-    if not f.compose(f_inv).is_identity() or not f_inv.compose(f).is_identity():
+    # invertibility: f after f_inv and f_inv after f, on the integer forms
+    fi, gi = f.integer_form, f_inv.integer_form
+    if not pt._is_identity(pt._compose(fi, gi, r)) or not pt._is_identity(pt._compose(gi, fi, r)):
         raise RuntimeError("angle substitution is not an exact inverse pair")
 
     return ReparamData(gamma, h, a_class, f, f_inv)

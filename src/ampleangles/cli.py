@@ -18,6 +18,7 @@ from the closure its acceptance test already computed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -235,7 +236,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it as it was."""
     parser = _Parser(
         prog="ample-angles",
         description="Exact bodies of ample angles on rational surfaces",

@@ -1,22 +1,27 @@
 """Exact rational polyhedra in angle space.
 
-H-representations mix strict and weak halfspaces (ampleness is an open
-condition, cube faces are closed).  Feasibility is decided by
-Fourier-Motzkin elimination over the gcd-normalized integer rows, with
-strictness combined by OR; infeasibility certificates are rebuilt from
-the provenance of the violated row.  Vertex enumeration is the double
-description method over the same integer rows; Fourier-Motzkin enters it
-only when the normals have rank below the dimension.  Grid scans test
-those integer rows against integer points, and affine maps apply and
-compose on cached integer forms.  Everything is exact, over
-`fractions.Fraction` and `int`; there is no floating-point mode.
+A polytope is its rows: (normal, offset, strict) with coprime integer
+entries, the set of x with normal.x + offset > 0 (strict) or >= 0
+(weak).  Ampleness is an open condition and cube faces are closed, so
+the rows mix both kinds.  `integer_polytope` builds a polytope from
+integer rows, scaling each by its gcd once; `polytope` is the entry for
+rational data, the `HalfSpace`s a caller writes, and keeps them as that
+polytope's `halfspaces` for certificates.  Feasibility is decided by
+Fourier-Motzkin elimination over the rows, with strictness combined by
+OR; infeasibility certificates are rebuilt from the provenance of the
+violated row.  Vertex enumeration is the double description method over
+the same rows; Fourier-Motzkin enters it only when the normals have
+rank below the dimension.  Closures, sections, grid scans and the
+canonical text all work on the rows, and affine maps apply and compose
+on cached integer forms.  Everything is exact, over `fractions.Fraction`
+and `int`; there is no floating-point mode.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -25,9 +30,13 @@ from typing import Iterable, Optional, Sequence
 from .geometry import Rat, _fraction, _integer_point
 
 
+Row = tuple[tuple[int, ...], int, bool]
+
+
 @dataclass(frozen=True)
 class HalfSpace:
-    """The set normal.x + offset > 0 (strict) or >= 0 (weak)."""
+    """The set normal.x + offset > 0 (strict) or >= 0 (weak), in rational
+    coefficients: the form a caller writes rows in."""
 
     normal: tuple[Fraction, ...]
     offset: Fraction
@@ -40,12 +49,6 @@ class HalfSpace:
         v = self.evaluate(x)
         return v > 0 if self.strict else v >= 0
 
-    def weakened(self) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset, False)
-
-    def strictened(self) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset, True)
-
 
 def halfspace(normal: Sequence[Rat], offset: Rat, strict: bool) -> HalfSpace:
     return HalfSpace(tuple(Fraction(c) for c in normal), Fraction(offset), strict)
@@ -53,25 +56,62 @@ def halfspace(normal: Sequence[Rat], offset: Rat, strict: bool) -> HalfSpace:
 
 @dataclass(frozen=True)
 class HPolytope:
+    """The rows (normal, offset, strict), integers divided by their gcd,
+    are the polytope: equality compares them.  `source` holds the caller's
+    rational rows when `polytope` built it, one per integer row."""
+
     dim: int
-    halfspaces: tuple[HalfSpace, ...]
+    integer_rows: tuple[Row, ...]
+    source: Optional[tuple[HalfSpace, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for hs in self.halfspaces:
-            if len(hs.normal) != self.dim:
-                raise ValueError("halfspace dimension mismatch")
+        if any(len(normal) != self.dim for normal, _, _ in self.integer_rows):
+            raise ValueError("halfspace dimension mismatch")
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
-        """The halfspaces as (normal, offset, strict), each scaled by a
-        positive rational to coprime integers (see `_normalize_row`)."""
-        return tuple(_normalize_row(hs.normal, hs.offset, hs.strict) for hs in self.halfspaces)
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        """The rows as `HalfSpace`s: the caller's own when given, else a
+        Fraction view of the integer rows."""
+        if self.source is not None:
+            return self.source
+        return tuple(
+            HalfSpace(tuple(map(Fraction, normal)), Fraction(offset), strict)
+            for normal, offset, strict in self.integer_rows
+        )
 
 
 @dataclass(frozen=True)
 class VPolytope:
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
+
+
+def _compose(outer, inner, cols: int):
+    """outer after inner on integer forms (matrix, translation, den), cols
+    being inner's domain dimension: over den1.den2 the matrix is M1.M2 and
+    the translation M1.t2 + den2.t1.  Zero entries of outer are skipped."""
+    m1, t1, den1 = outer
+    m2, t2, den2 = inner
+    rows, trans = [], []
+    for row, t in zip(m1, t1):
+        nums, shift = [0] * cols, den2 * t
+        for a, inner_row, inner_t in zip(row, m2, t2):
+            if a:
+                nums = [v + a * w for v, w in zip(nums, inner_row)]
+                shift += a * inner_t
+        rows.append(tuple(nums))
+        trans.append(shift)
+    return tuple(rows), tuple(trans), den1 * den2
+
+
+def _is_identity(form) -> bool:
+    """Whether an integer form (matrix, translation, den) is the identity."""
+    matrix, translation, den = form
+    n = len(matrix)
+    return not any(translation) and all(
+        len(row) == n and all(v == (den if i == j else 0) for j, v in enumerate(row))
+        for i, row in enumerate(matrix)
+    )
 
 
 @dataclass(frozen=True)
@@ -113,32 +153,17 @@ class AffineMap:
         )
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner, computed on the integer forms: over den1.den2 the
-        matrix is M1.M2 and the translation M1.t2 + den2.t1.  Zero entries of
-        self are skipped."""
+        """self after inner, computed on the integer forms."""
         if inner.codomain_dim != self.domain_dim:
             raise ValueError("composition dimension mismatch")
-        m1, t1, den1 = self.integer_form
-        m2, t2, den2 = inner.integer_form
-        den = den1 * den2
-        rows, trans = [], []
-        for row, t in zip(m1, t1):
-            nums, shift = [0] * inner.domain_dim, den2 * t
-            for a, inner_row, inner_t in zip(row, m2, t2):
-                if a:
-                    nums = [v + a * w for v, w in zip(nums, inner_row)]
-                    shift += a * inner_t
-            rows.append(tuple(_fraction(v, den) for v in nums))
-            trans.append(_fraction(shift, den))
-        return AffineMap(tuple(rows), tuple(trans))
+        rows, trans, den = _compose(self.integer_form, inner.integer_form, inner.domain_dim)
+        return AffineMap(
+            tuple(tuple(_fraction(v, den) for v in row) for row in rows),
+            tuple(_fraction(t, den) for t in trans),
+        )
 
     def is_identity(self) -> bool:
-        n = self.domain_dim
-        if self.codomain_dim != n or any(t != 0 for t in self.translation):
-            return False
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
+        return _is_identity(self.integer_form)
 
 
 def affine_map(matrix: Sequence[Sequence[Rat]], translation: Sequence[Rat]) -> AffineMap:
@@ -148,46 +173,51 @@ def affine_map(matrix: Sequence[Sequence[Rat]], translation: Sequence[Rat]) -> A
     )
 
 
-def identity_map(dim: int) -> AffineMap:
-    return affine_map([[1 if i == j else 0 for j in range(dim)] for i in range(dim)], [0] * dim)
+def _normalize(normal: Sequence[int], offset: int, strict: bool) -> Row:
+    """The integer row divided by the gcd of its entries; an all-zero row
+    stays as it is."""
+    g = gcd(offset, *normal)
+    if g > 1:
+        return tuple(c // g for c in normal), offset // g, strict
+    return tuple(normal), offset, strict
+
+
+def integer_polytope(dim: int, rows: Iterable[tuple[Sequence[int], int, bool]]) -> HPolytope:
+    """The polytope of integer rows (normal, offset, strict), each scaled
+    once to coprime entries."""
+    return HPolytope(dim, tuple(_normalize(*row) for row in rows))
 
 
 def polytope(dim: int, halfspaces: Iterable[HalfSpace]) -> HPolytope:
-    return HPolytope(dim, tuple(halfspaces))
+    """The polytope of rational rows: each is scaled by a positive rational
+    to coprime integers, and the rows themselves stay its `halfspaces`."""
+    source = tuple(halfspaces)
+    rows = []
+    for hs in source:
+        ints, _ = _integer_point((*hs.normal, hs.offset))
+        rows.append(_normalize(ints[:-1], ints[-1], hs.strict))
+    return HPolytope(dim, tuple(rows), source)
 
 
 def canonical_empty(dim: int) -> HPolytope:
     """The canonical empty polytope: the single unsatisfiable constraint -1 >= 0."""
-    return polytope(dim, [halfspace([0] * dim, -1, False)])
+    return HPolytope(dim, (((0,) * dim, -1, False),))
 
 
-def cube_halfspaces(dim: int, strict: bool) -> list[HalfSpace]:
-    """Faces of [0,1]^dim: x_i >= 0 and 1 - x_i >= 0 (strict variants for (0,1)^dim)."""
+@lru_cache(maxsize=None)
+def cube_rows(dim: int, strict: bool) -> tuple[Row, ...]:
+    """Faces of [0,1]^dim as integer rows: x_i >= 0 and 1 - x_i >= 0
+    (strict variants for (0,1)^dim)."""
     out = []
     for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        out.append(halfspace(e, 0, strict))
-        out.append(halfspace([-c for c in e], 1, strict))
-    return out
-
-
-def intersection(p: HPolytope, q: HPolytope) -> HPolytope:
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    return polytope(p.dim, p.halfspaces + q.halfspaces)
+        e = tuple(int(i == j) for j in range(dim))
+        out.append((e, 0, strict))
+        out.append((tuple(-c for c in e), 1, strict))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Feasibility via Fourier-Motzkin elimination
-
-
-def _normalize_row(normal: tuple[Fraction, ...], offset: Fraction, strict: bool):
-    """Scale by a positive rational so entries are coprime integers."""
-    ints, _ = _integer_point((*normal, offset))
-    g = gcd(*ints) or 1  # an all-zero row stays as it is
-    ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1], strict
 
 
 def _eliminate(p: HPolytope):
@@ -288,7 +318,8 @@ def verify_certificate(p: HPolytope, cert: tuple[Fraction, ...]) -> bool:
 
 
 def closure(p: HPolytope) -> HPolytope:
-    """Topological closure: empty if infeasible, otherwise all strict flags cleared.
+    """Topological closure: empty if infeasible, otherwise the same rows with
+    every strict flag cleared.
 
     For a feasible mixed system the weakened system equals the closure:
     any point of the weakened system is a limit of segment points toward
@@ -296,7 +327,7 @@ def closure(p: HPolytope) -> HPolytope:
     """
     if not is_feasible(p):
         return canonical_empty(p.dim)
-    return polytope(p.dim, [hs.weakened() for hs in p.halfspaces])
+    return HPolytope(p.dim, tuple((normal, offset, False) for normal, offset, _ in p.integer_rows))
 
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
@@ -417,7 +448,7 @@ def vertices(p: HPolytope) -> VPolytope:
     the cone is not pointed: the system is empty or contains a line, and
     only then does Fourier-Motzkin feasibility decide which.
     """
-    if any(hs.strict for hs in p.halfspaces):
+    if any(strict for _, _, strict in p.integer_rows):
         raise ValueError("vertex enumeration requires a closed (weak) system")
     dim = p.dim
     rows = dict.fromkeys(normal + (offset,) for normal, offset, _ in p.integer_rows)
@@ -458,54 +489,23 @@ def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Affine operations
-
-
-def affine_preimage(m: AffineMap, p: HPolytope) -> HPolytope:
-    """Pull halfspaces back through x = m(beta): normal' = M^T.normal,
-    offset' = normal.translation + offset; strictness preserved."""
-    if m.codomain_dim != p.dim:
-        raise ValueError("map codomain must match polytope dimension")
-    out = []
-    for hs in p.halfspaces:
-        normal = tuple(
-            sum(hs.normal[i] * m.matrix[i][j] for i in range(m.codomain_dim))
-            for j in range(m.domain_dim)
-        )
-        offset = sum(n * t for n, t in zip(hs.normal, m.translation)) + hs.offset
-        out.append(HalfSpace(normal, offset, hs.strict))
-    return polytope(m.domain_dim, out)
+# Sections
 
 
 def substitute(p: HPolytope, index: int, value: Rat) -> HPolytope:
-    """Section of p by the hyperplane x_index = value (0-based index)."""
+    """Section of p by the hyperplane x_index = value (0-based index): with
+    value = k/den each row becomes den.normal' . x' + den.offset + k.normal_index."""
     if not 0 <= index < p.dim:
         raise ValueError("substitution index out of range")
-    v = Fraction(value)
-    out = []
-    for hs in p.halfspaces:
-        normal = hs.normal[:index] + hs.normal[index + 1 :]
-        offset = hs.offset + hs.normal[index] * v
-        out.append(HalfSpace(normal, offset, hs.strict))
-    return polytope(p.dim - 1, out)
-
-
-def remove_redundant(p: HPolytope) -> HPolytope:
-    """Greedy minimal H-representation defining the same set."""
-    kept = list(p.halfspaces)
-    i = 0
-    while i < len(kept):
-        hs = kept[i]
-        rest = kept[:i] + kept[i + 1 :]
-        # hs is redundant iff rest cannot violate it
-        negation = HalfSpace(
-            tuple(-c for c in hs.normal), -hs.offset, not hs.strict
-        )
-        if not is_feasible(polytope(p.dim, rest + [negation])):
-            kept = rest
-        else:
-            i += 1
-    return polytope(p.dim, kept)
+    k, den = Fraction(value).as_integer_ratio()
+    return integer_polytope(
+        p.dim - 1,
+        [
+            (tuple(den * c for c in normal[:index] + normal[index + 1 :]),
+             den * offset + k * normal[index], strict)
+            for normal, offset, strict in p.integer_rows
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +527,3 @@ def canonical_lines(p: HPolytope) -> list[str]:
 
 def canonical_text(p: HPolytope) -> str:
     return "\n".join(canonical_lines(p))
-
-
-def parse_canonical(text: str, dim: int) -> HPolytope:
-    """Inverse of canonical_text, for round-trip checks."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        body, rel = line.split("|")
-        coeffs = [Fraction(tok) for tok in body.split()]
-        parts = rel.split()
-        if len(parts) != 3 or parts[2] != "0" or parts[1] not in (">", ">="):
-            raise ValueError(f"bad canonical constraint line: {line!r}")
-        if len(coeffs) != dim:
-            raise ValueError(f"constraint dimension mismatch in line: {line!r}")
-        out.append(halfspace(coeffs, Fraction(parts[0]), parts[1] == ">"))
-    return polytope(dim, out)

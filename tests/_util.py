@@ -4,9 +4,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from ampleangles.angles import ReparamData
+from ampleangles.angles import EXACT, AABody, ReparamData
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
-from ampleangles.polytope import affine_map, halfspace
+from ampleangles.polytope import HalfSpace, affine_map, halfspace, polytope
 
 F = Fraction
 
@@ -130,6 +130,111 @@ def fm_is_feasible(p):
             rest.add(_scaled(normal, cl / al + cu / au, sl or su))
         rows = rest
     return all(offset > 0 if strict else offset >= 0 for _, offset, strict in rows)
+
+
+# ---------------------------------------------------------------------------
+# Rational polytope oracles: HalfSpace rows in plain Fractions
+
+
+def cube_halfspaces(dim, strict):
+    """Faces of [0,1]^dim: x_i >= 0 and 1 - x_i >= 0 (strict for (0,1)^dim)."""
+    out = []
+    for i in range(dim):
+        e = [int(i == j) for j in range(dim)]
+        out += [halfspace(e, 0, strict), halfspace([-c for c in e], 1, strict)]
+    return out
+
+
+def intersection(p, q):
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
+    return polytope(p.dim, p.halfspaces + q.halfspaces)
+
+
+def identity_map(dim):
+    return affine_map([[int(i == j) for j in range(dim)] for i in range(dim)], [0] * dim)
+
+
+def affine_preimage(m, p):
+    """Pull halfspaces back through x = m(beta): normal' = M^T.normal,
+    offset' = normal.translation + offset; strictness preserved."""
+    if m.codomain_dim != p.dim:
+        raise ValueError("map codomain must match polytope dimension")
+    out = []
+    for hs in p.halfspaces:
+        normal = tuple(
+            sum((hs.normal[i] * m.matrix[i][j] for i in range(m.codomain_dim)), F(0))
+            for j in range(m.domain_dim)
+        )
+        offset = sum((n * t for n, t in zip(hs.normal, m.translation)), F(0)) + hs.offset
+        out.append(HalfSpace(normal, offset, hs.strict))
+    return polytope(m.domain_dim, out)
+
+
+def remove_redundant(p):
+    """Greedy minimal H-representation defining the same set: a row is
+    dropped when the others with its negation are infeasible, decided by
+    the Fraction oracle `fm_is_feasible`."""
+    kept = list(p.halfspaces)
+    i = 0
+    while i < len(kept):
+        hs = kept[i]
+        rest = kept[:i] + kept[i + 1 :]
+        negation = HalfSpace(tuple(-c for c in hs.normal), -hs.offset, not hs.strict)
+        if not fm_is_feasible(polytope(p.dim, rest + [negation])):
+            kept = rest
+        else:
+            i += 1
+    return polytope(p.dim, kept)
+
+
+def parse_canonical(text, dim):
+    """Inverse of canonical_text, for round-trip checks."""
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        body, rel = line.split("|")
+        coeffs = [F(tok) for tok in body.split()]
+        parts = rel.split()
+        if len(parts) != 3 or parts[2] != "0" or parts[1] not in (">", ">="):
+            raise ValueError(f"bad canonical constraint line: {line!r}")
+        if len(coeffs) != dim:
+            raise ValueError(f"constraint dimension mismatch in line: {line!r}")
+        out.append(halfspace(coeffs, F(parts[0]), parts[1] == ">"))
+    return polytope(dim, out)
+
+
+def class_map(p):
+    """The affine map from angles to adjoint class coordinates, from the
+    coefficient tuples of the boundary."""
+    constant, increments = _adjoint_parts(p)
+    matrix = [[inc[k] for inc in increments] for k in range(p.surface.rank)]
+    return affine_map(matrix, constant)
+
+
+def _nef_normals(p):
+    """Normals of the nef cone in basis coordinates, written out per surface:
+    d >= 0 on the plane; a >= 0 and b - n.a >= 0 for aZ + bF on F_n."""
+    prov = p.surface.provenance
+    if isinstance(prov, ProjectivePlane):
+        return [(1,)]
+    if isinstance(prov, Hirzebruch):
+        return [(1, 0), (-prov.n, 1)]
+    raise ValueError("built-in nef cones exist only for the plane and Hirzebruch surfaces")
+
+
+def aa_via_nef(p):
+    """The body as [0,1]^r intersected with the preimage of the nef cone
+    under the class map, for the plane and F_n: the closure weak, the open
+    part with the pulled-back rows and the cube strict."""
+    nef = polytope(p.surface.rank, [halfspace(nm, 0, False) for nm in _nef_normals(p)])
+    pulled = affine_preimage(class_map(p), nef).halfspaces
+    closed = polytope(p.r, pulled + tuple(cube_halfspaces(p.r, False)))
+    strict = tuple(HalfSpace(hs.normal, hs.offset, True) for hs in pulled)
+    open_part = polytope(p.r, strict + tuple(cube_halfspaces(p.r, True)))
+    return AABody(open_part, closed, EXACT)
 
 
 def _product(outer, inner):

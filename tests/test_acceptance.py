@@ -17,12 +17,15 @@ from _util import (
     F,
     MAEDA_P2,
     P2_TABLE,
+    aa_via_nef,
     brute_force_vertices,
+    cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
     fn_table,
     grid,
     maeda_fn_table,
+    remove_redundant,
 )
 
 
@@ -99,7 +102,7 @@ def test_criterion_2_rank2_golden(capsys):
 
 
 def _minimal(p):
-    return pt.canonical_text(pt.remove_redundant(p))
+    return pt.canonical_text(remove_redundant(p))
 
 
 def test_criterion_3_aa_bodies():
@@ -119,7 +122,7 @@ def test_criterion_3_aa_bodies():
                 r = len(classes)
                 want = pt.polytope(
                     r,
-                    pt.cube_halfspaces(r, strict=False)
+                    cube_halfspaces(r, strict=False)
                     + [pt.halfspace(normal, 0, False)],
                 )
                 assert _minimal(body.closed_hull) == _minimal(want)
@@ -177,7 +180,7 @@ def test_criterion_5_nef_preimage_equivalence():
         for cand, _, _ in cl.enumerate_rank2(12):
             p = cl.build_pair(cand)
             direct = pt.closure(an.aa_halfspaces_rank_le2(p).open_part)
-            via = an.aa_via_nef(p).closed_hull
+            via = aa_via_nef(p).closed_hull
             assert pt.canonical_text(direct) == pt.canonical_text(via)
             count += 1
         crit.detail = f"{count} survivors, n<=12"

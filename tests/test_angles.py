@@ -13,6 +13,9 @@ from ampleangles import polytope as pt
 from _util import (
     F,
     P2_TABLE,
+    aa_via_nef,
+    class_map,
+    cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
     fn_table,
@@ -20,6 +23,7 @@ from _util import (
     fraction_reparam,
     grid,
     oracle_rows,
+    remove_redundant,
 )
 
 
@@ -35,11 +39,11 @@ def p2_pair(degrees):
 
 
 def minimal_canonical(p: pt.HPolytope) -> str:
-    return pt.canonical_text(pt.remove_redundant(p))
+    return pt.canonical_text(remove_redundant(p))
 
 
 def expected_body(r, extra_normals_offsets, strict=True):
-    rows = pt.cube_halfspaces(r, strict=strict)
+    rows = cube_halfspaces(r, strict=strict)
     rows += [pt.halfspace(nm, off, strict) for nm, off in extra_normals_offsets]
     return pt.polytope(r, rows)
 
@@ -82,7 +86,7 @@ def test_p2_body():
     body = an.aa_halfspaces_rank_le2(p2_pair([1]))
     # 2 + b1 > 0 is vacuous in the cube
     assert minimal_canonical(body.open_part) == minimal_canonical(
-        pt.polytope(1, pt.cube_halfspaces(1, strict=True))
+        pt.polytope(1, cube_halfspaces(1, strict=True))
     )
 
 
@@ -296,21 +300,24 @@ def test_reparam_checks_fire(monkeypatch):
     monkeypatch.undo()
 
     # the inverse check, on each side: f after f_inv, then f_inv after f,
-    # composed with the translation dropped
-    real = pt.AffineMap.compose
+    # each an integer composition of the maps' integer forms; the broken one
+    # keeps inner's translation (over den1.den2) in place of the composed one
+    real = pt._compose
     for broken_call in (0, 1):
         calls.clear()
 
-        def compose(m, inner):
-            calls.append(m)
-            product = real(m, inner)
+        def compose(outer, inner, cols):
+            calls.append(outer)
+            rows, trans, den = real(outer, inner, cols)
             if len(calls) - 1 != broken_call:
-                return product
-            return pt.AffineMap(product.matrix, inner.translation)
+                return rows, trans, den
+            return rows, tuple(outer[2] * t for t in inner[1]), den
 
-        monkeypatch.setattr(pt.AffineMap, "compose", compose)
+        monkeypatch.setattr(pt, "_compose", compose)
         with pytest.raises(RuntimeError, match="not an exact inverse pair"):
             an.reparam(p, gamma)
+        # the first composition passed before the second one failed
+        assert len(calls) == broken_call + 1
         monkeypatch.undo()
     assert an.reparam(p, gamma) == fraction_reparam(p, gamma)
 
@@ -323,7 +330,7 @@ def test_aa_via_nef_matches_direct():
         p2_pair([2, 1]),
     ]
     for p in cases:
-        via = an.aa_via_nef(p)
+        via = aa_via_nef(p)
         direct = an.aa_halfspaces_rank_le2(p)
         assert pt.canonical_text(via.closed_hull) == pt.canonical_text(
             pt.closure(direct.open_part)
@@ -335,14 +342,14 @@ def test_aa_via_nef_matches_direct():
 
 def test_class_map_at_one_is_minus_k():
     for p in (fn_pair(3, [(1, 0), (0, 1)]), p2_pair([1, 1])):
-        phi = an.class_map(p)
+        phi = class_map(p)
         assert phi.apply([F(1)] * p.r) == p.surface.minus_k().coeffs
 
 
 def test_p2_line_nef_preimage_is_cube():
-    body = an.aa_via_nef(p2_pair([1]))
+    body = aa_via_nef(p2_pair([1]))
     assert minimal_canonical(body.closed_hull) == minimal_canonical(
-        pt.polytope(1, pt.cube_halfspaces(1, strict=False))
+        pt.polytope(1, cube_halfspaces(1, strict=False))
     )
 
 
@@ -491,7 +498,7 @@ def test_non_strong_body_constraint_is_irredundant():
     # the single non-cube inequality genuinely cuts the cube for n >= 1
     for n in (1, 2, 5, 12):
         body = an.aa_halfspaces_rank_le2(fn_pair(n, [(1, 0), (1, n + 2)]))
-        reduced = pt.remove_redundant(body.closed_hull)
+        reduced = remove_redundant(body.closed_hull)
         want = pt.canonical_lines(pt.polytope(2, [pt.halfspace([-n, 2], 0, False)]))[0]
         assert want in pt.canonical_lines(reduced)
 
@@ -510,7 +517,7 @@ def assert_body_matches_oracle(p, body):
     open part and closure in canonical text, and the same strength verdict
     from `is_strongly_aldp` and from the body itself."""
     rows = oracle_rows(p)
-    open_part = pt.polytope(p.r, rows + pt.cube_halfspaces(p.r, strict=True))
+    open_part = pt.polytope(p.r, rows + cube_halfspaces(p.r, strict=True))
     blown_up = isinstance(p.surface.provenance, g.BlowUp)
     assert body.exactness == (an.OUTER if blown_up else an.EXACT)
     assert pt.canonical_text(body.open_part) == pt.canonical_text(open_part)

@@ -10,7 +10,7 @@ import ampleangles
 from ampleangles import angles, classify, cli, dsl
 from ampleangles import polytope as pt
 from ampleangles.pairs import is_minimal
-from _util import verify_printed_vertices
+from _util import P2_TABLE, fn_table, parse_canonical, verify_printed_vertices
 
 FIG1 = """\
 surface F 1
@@ -308,7 +308,7 @@ def test_aa_canonical_form_is_fixed_point(specs):
         if not line.startswith("  "):
             break
         constraint_lines.append(line.strip())
-    reparsed = pt.parse_canonical("\n".join(constraint_lines), 2)
+    reparsed = parse_canonical("\n".join(constraint_lines), 2)
     assert pt.canonical_lines(reparsed) == constraint_lines
     assert "  (1, 1/2)" in lines
 
@@ -447,6 +447,28 @@ def test_usage_errors_exit_1(specs, args, message):
     assert out.returncode == 1, out.stderr
     assert message in out.stderr
     assert out.stdout == ""
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; calls in any order, usage
+    errors among them, print what a fresh parser would."""
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["classify", "--mode", "maeda", "--n-max", "1"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    for args, message in (
+        (["classify"], "the following arguments are required: --mode"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.main(["classify", "--mode", "rank2", "--n-max", "0"]) == 0
+    assert capsys.readouterr().out.count("\n") == len(P2_TABLE) + len(fn_table(0))
 
 
 def test_help_exits_0(specs):

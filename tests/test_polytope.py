@@ -1,15 +1,27 @@
 import random
+from math import gcd
 
 import pytest
 
 from ampleangles import polytope as pt
-from _util import F, brute_force_vertices, fm_is_feasible, hull_2d
+from _util import (
+    F,
+    affine_preimage,
+    brute_force_vertices,
+    cube_halfspaces,
+    fm_is_feasible,
+    hull_2d,
+    identity_map,
+    intersection,
+    parse_canonical,
+    remove_redundant,
+)
 
 
 def figure1_open():
     # 0 < beta < 1 together with 2*b2 - b1 > 0
     return pt.polytope(
-        2, pt.cube_halfspaces(2, strict=True) + [pt.halfspace([-1, 2], 0, True)]
+        2, cube_halfspaces(2, strict=True) + [pt.halfspace([-1, 2], 0, True)]
     )
 
 
@@ -17,7 +29,7 @@ def test_feasibility_examples():
     assert not pt.is_feasible(
         pt.polytope(1, [pt.halfspace([1], 0, True), pt.halfspace([-1], 0, True)])
     )
-    assert pt.is_feasible(pt.polytope(2, pt.cube_halfspaces(2, strict=True)))
+    assert pt.is_feasible(pt.polytope(2, cube_halfspaces(2, strict=True)))
     assert pt.is_feasible(figure1_open())
 
 
@@ -44,7 +56,7 @@ def test_contains():
     closed = pt.closure(figure1_open())
     assert pt.contains(closed, [0, 0])
     assert not pt.contains(closed, [1, F(1, 4)])
-    open_square = pt.polytope(2, pt.cube_halfspaces(2, strict=True))
+    open_square = pt.polytope(2, cube_halfspaces(2, strict=True))
     assert not pt.contains(open_square, [0, 0])
     with pytest.raises(ValueError):
         pt.contains(closed, [0, 0, 0])
@@ -59,7 +71,7 @@ def test_vertices_figure1_against_brute_force():
 
 
 def test_vertices_unit_square_and_point():
-    square = pt.polytope(2, pt.cube_halfspaces(2, strict=False))
+    square = pt.polytope(2, cube_halfspaces(2, strict=False))
     assert set(pt.vertices(square).vertices) == {
         (F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))
     }
@@ -103,7 +115,7 @@ def _bounded_system(rng, dim, kind):
             nm, _ = _random_row(rng, dim)
             rows.append((nm, -sum(a * x for a, x in zip(nm, v))))
     else:
-        rows = [(tuple(hs.normal), hs.offset) for hs in pt.cube_halfspaces(dim, strict=False)]
+        rows = [(tuple(hs.normal), hs.offset) for hs in cube_halfspaces(dim, strict=False)]
     if kind == "corner" and dim:
         # hyperplanes through a cube corner, oriented to keep the centre:
         # the corner becomes a degenerate vertex
@@ -152,32 +164,32 @@ def test_vertices_double_description_against_brute_force():
 def test_affine_preimage():
     p = pt.polytope(1, [pt.halfspace([1], 0, False)])
     m = pt.affine_map([[2]], [-1])  # x = 2b - 1
-    pre = pt.affine_preimage(m, p)
+    pre = affine_preimage(m, p)
     assert pt.canonical_lines(pre) == ["2 | -1 >= 0"]
-    ident = pt.identity_map(2)
+    ident = identity_map(2)
     body = pt.closure(figure1_open())
-    assert pt.canonical_text(pt.affine_preimage(ident, body)) == pt.canonical_text(body)
+    assert pt.canonical_text(affine_preimage(ident, body)) == pt.canonical_text(body)
 
 
 def test_affine_preimage_commutes_with_intersection():
     m = pt.affine_map([[1, 1], [1, -1]], [0, F(1, 2)])
     p = pt.polytope(2, [pt.halfspace([1, 0], 0, False), pt.halfspace([0, 1], -1, True)])
     q = pt.polytope(2, [pt.halfspace([1, 1], 2, False)])
-    lhs = pt.affine_preimage(m, pt.intersection(p, q))
-    rhs = pt.intersection(pt.affine_preimage(m, p), pt.affine_preimage(m, q))
+    lhs = affine_preimage(m, intersection(p, q))
+    rhs = intersection(affine_preimage(m, p), affine_preimage(m, q))
     assert pt.canonical_text(lhs) == pt.canonical_text(rhs)
 
 
 def test_remove_redundant():
     p = pt.polytope(1, [pt.halfspace([1], 0, False), pt.halfspace([1], 1, False)])
-    assert pt.canonical_lines(pt.remove_redundant(p)) == ["1 | 0 >= 0"]
+    assert pt.canonical_lines(remove_redundant(p)) == ["1 | 0 >= 0"]
     # a tighter halfspace dominates two cube faces
     q = pt.polytope(
         2,
-        pt.cube_halfspaces(2, strict=False)
+        cube_halfspaces(2, strict=False)
         + [pt.halfspace([-1, 0], F(1, 2), False)],
     )
-    reduced = pt.remove_redundant(q)
+    reduced = remove_redundant(q)
     assert "-1 0 | 1 >= 0" not in pt.canonical_lines(reduced)
     assert "-2 0 | 1 >= 0" in pt.canonical_lines(reduced)
 
@@ -195,19 +207,19 @@ def _hull_round_trip(closed):
     facets agree with the minimal representation of the input."""
     verts = pt.vertices(closed).vertices
     hull = pt.polytope(2, [pt.halfspace(nm, c, False) for nm, c in hull_2d(verts)])
-    assert pt.canonical_lines(hull) == pt.canonical_lines(pt.remove_redundant(closed))
+    assert pt.canonical_lines(hull) == pt.canonical_lines(remove_redundant(closed))
     for v in verts:
         assert pt.contains(hull, v)
 
 
 def test_vertex_hull_round_trip():
     _hull_round_trip(pt.closure(figure1_open()))
-    _hull_round_trip(pt.polytope(2, pt.cube_halfspaces(2, strict=False)))
+    _hull_round_trip(pt.polytope(2, cube_halfspaces(2, strict=False)))
     rng = random.Random(5)
     done = 0
     while done < 25:
         system = _random_system(rng, 2)
-        weak = pt.polytope(2, [hs.weakened() for hs in system.halfspaces])
+        weak = pt.polytope(2, [pt.HalfSpace(hs.normal, hs.offset, False) for hs in system.halfspaces])
         verts = pt.vertices(weak).vertices if pt.is_feasible(weak) else ()
         if len(verts) < 3:
             continue  # hull oracle needs a full-dimensional polygon
@@ -218,7 +230,7 @@ def test_vertex_hull_round_trip():
 def test_canonical_text_round_trip():
     body = pt.closure(figure1_open())
     text = pt.canonical_text(body)
-    reparsed = pt.parse_canonical(text, 2)
+    reparsed = parse_canonical(text, 2)
     assert pt.canonical_text(reparsed) == text
 
 
@@ -233,7 +245,7 @@ def _random_system(rng, dim):
     for _ in range(rng.randint(1, 4)):
         normal = [rng.randint(-3, 3) for _ in range(dim)]
         rows.append(pt.halfspace(normal, rng.randint(-2, 2), rng.random() < 0.5))
-    return pt.polytope(dim, pt.cube_halfspaces(dim, strict=False) + rows)
+    return pt.polytope(dim, cube_halfspaces(dim, strict=False) + rows)
 
 
 def _degenerate_system(rng, dim):
@@ -301,3 +313,84 @@ def test_feasibility_agrees_with_grid_search():
             # substitution re-verifies the certificate and refutes infeasibility
             assert feasible
             assert all(hs.holds(grid_hit) for hs in system.halfspaces)
+
+
+def _integer_rows_of(halfspaces, rng):
+    """Each rational row times its least common denominator and a random
+    positive integer: integer rows, mostly not gcd-normalized."""
+    rows = []
+    for hs in halfspaces:
+        entries = (*hs.normal, hs.offset)
+        den = 1
+        for c in entries:
+            den = den * c.denominator // gcd(den, c.denominator)
+        scale = den * rng.randint(1, 4)
+        rows.append((tuple(int(c * scale) for c in hs.normal), int(hs.offset * scale), hs.strict))
+    return rows
+
+
+def test_integer_rows_match_rational_rows():
+    """`integer_polytope` on integer rows and `polytope` on the caller's
+    rational rows are the same polytope: rows, text, feasibility, closure."""
+    rng = random.Random(4242)
+    assert pt.integer_polytope(2, [((2, -4), 6, True), ((0, 0), 0, False)]).integer_rows == (
+        ((1, -2), 3, True), ((0, 0), 0, False)
+    )
+    for i in range(300):
+        dim = i % 6
+        rational = _degenerate_system(rng, dim)
+        integer = pt.integer_polytope(dim, _integer_rows_of(rational.halfspaces, rng))
+        assert integer.integer_rows == rational.integer_rows
+        assert integer == rational
+        assert pt.canonical_text(integer) == pt.canonical_text(rational)
+        assert pt.is_feasible(integer) == pt.is_feasible(rational)
+        assert pt.closure(integer) == pt.closure(rational)
+        assert pt.canonical_text(pt.closure(integer)) == pt.canonical_text(pt.closure(rational))
+        # the Fraction view of the integer rows is the rows themselves
+        assert [(hs.normal, hs.offset, hs.strict) for hs in integer.halfspaces] == [
+            (tuple(map(F, nm)), F(c), s) for nm, c, s in integer.integer_rows
+        ]
+
+
+def test_certificates_use_the_callers_rows():
+    """A polytope built from rational rows keeps them verbatim, and its
+    certificates verify against them, however the caller scaled them."""
+    rng = random.Random(31)
+    checked = 0
+    for i in range(300):
+        dim = i % 6
+        base = _degenerate_system(rng, dim)
+        rows = [
+            pt.HalfSpace(tuple(s * c for c in hs.normal), s * hs.offset, hs.strict)
+            for hs in base.halfspaces
+            for s in [F(rng.randint(1, 9), rng.randint(1, 9))]
+        ]
+        scaled = pt.polytope(dim, rows)
+        assert scaled.halfspaces == tuple(rows)
+        assert scaled == base
+        cert = pt.infeasibility_certificate(scaled)
+        assert (cert is None) == pt.is_feasible(base)
+        if cert is not None:
+            assert pt.verify_certificate(scaled, cert)
+            # the same multipliers on the caller's rows, checked by hand
+            assert all(sum(l * hs.normal[j] for l, hs in zip(cert, rows)) == 0 for j in range(dim))
+            # the certificate of the integer-built polytope verifies on its view
+            integer = pt.integer_polytope(dim, _integer_rows_of(rows, rng))
+            assert pt.verify_certificate(integer, pt.infeasibility_certificate(integer))
+            checked += 1
+    assert 60 < checked < 240
+
+
+def test_closure_is_canonical_empty_exactly_when_infeasible():
+    rng = random.Random(77)
+    empty = 0
+    for i in range(300):
+        dim = i % 6
+        system = _degenerate_system(rng, dim)
+        closed = pt.closure(system)
+        assert (closed == pt.canonical_empty(dim)) == (not fm_is_feasible(system))
+        if closed != pt.canonical_empty(dim):
+            # a feasible closure is the same rows, weak
+            assert closed.integer_rows == tuple((nm, c, False) for nm, c, _ in system.integer_rows)
+        empty += closed == pt.canonical_empty(dim)
+    assert 60 < empty < 240
