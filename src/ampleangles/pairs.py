@@ -14,9 +14,13 @@ fiber through the center):
     transforms and the exceptional curve joins the boundary (total
     transform), enabling infinitely-near chains through the new nodes.
 
-Contraction reverses these, restricted to the most recent exceptional
-basis class; it returns the residual angle coefficient picked up on the
-exceptional curve and verifies the pushforward identity exactly.
+Contraction (`contract`) is the one inverse step, restricted to the
+most recent exceptional basis class E: every class drops its E
+coordinate, the pair is rebuilt through `make_pair` (the node a total
+transform consumed is put back), and the pushforward identity is
+verified exactly.  Since Pic of the blow-up is the pullback of Pic plus
+Z.E, the residual angle coefficient on E is read off the E coordinate
+of the upstairs log adjoint family, for every incidence pattern alike.
 
 Besides the boundary, a pair tracks the classes of known irreducible
 curves produced by its construction (exceptional curves not in the
@@ -467,130 +471,89 @@ AffineForm = tuple[Fraction, tuple[Fraction, ...]]  # (constant, per-angle coeff
 def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
     """Contract a (-1)-curve named by boundary index/label or tracked-curve tag.
 
-    Only the most recent exceptional basis class is contractible (scripts
+    Only the most recent exceptional basis class E is contractible (scripts
     unwind in reverse construction order).  Supported incidence patterns:
     disjoint from C, meeting C transversally once, or a boundary component
     meeting exactly two other components once each.  Returns the new pair
     and the residual coefficient rho(beta) with
         adjoint_upstairs(beta) = pullback(adjoint_downstairs(beta')) - rho(beta) E.
-    The pushforward identity is verified as an exact class identity.
+    The upstairs basis is (pullback basis, E) and a pulled-back class has E
+    coordinate 0, so rho is minus the E coordinate of the upstairs family;
+    the pushforward identity, verified exactly, covers every other coordinate.
     """
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("contract requires a blow-up surface")
-    e_coeffs = p.surface.basis_vector(p.surface.rank - 1).coeffs
-    boundary_idx: Optional[int] = None
-    tracked_tag: Optional[str] = None
-    if isinstance(which, int) or (isinstance(which, str) and which in p.labels):
-        boundary_idx = p.component(which) if isinstance(which, str) else which
-        if not 0 <= boundary_idx < p.r:
+    k: Optional[int] = None  # the curve's boundary index, when it is a component
+    tag: Optional[str] = None  # its tracked tag otherwise
+    if isinstance(which, int) or which in p.labels:
+        k = p.component(which) if isinstance(which, str) else which
+        if not 0 <= k < p.r:
             raise ValueError("boundary index out of range")
-        curve = p.classes[boundary_idx]
+        curve = p.classes[k]
     else:
-        for tc in p.tracked:
-            if tc.tag == which:
-                tracked_tag = which
-                curve = p.surface.divisor(tc.coeffs)
-                break
-        else:
+        found = [tc for tc in p.tracked if tc.tag == which]
+        if not found:
             raise ValueError(f"{which!r} is neither a boundary label nor a tracked curve")
+        tag, curve = which, p.surface.divisor(found[0].coeffs)
     if intersect(curve, curve) != -1:
         raise ValueError("contraction requires a (-1)-curve")
-    if curve.coeffs != e_coeffs:
+    if curve.coeffs != p.surface.basis_vector(p.surface.rank - 1).coeffs:
         raise ValueError(
             "only the most recent exceptional curve is contractible; "
             "unwind blow-ups in reverse order"
         )
-
-    parent = p.surface.provenance.parent
-    meets = ((i, intersect(c, curve)) for i, c in enumerate(p.classes) if i != boundary_idx)
-    hits = [(i, v) for i, v in meets if v]
-    if any(v != 1 for _, v in hits):
+    keep = [t for t in range(p.r) if t != k]
+    meets = {t: intersect(p.classes[t], curve) for t in keep}
+    if any(v not in (0, 1) for v in meets.values()):
         raise ValueError("unsupported incidence pattern: non-transverse meeting")
-
-    last_event = p.history[-1] if p.history else None
-    new_history = p.history[:-1]
-
-    new_tracked = []
-    for tc in p.tracked:
-        if tracked_tag is not None and tc.tag == tracked_tag:
-            continue  # the contracted curve itself
-        coeffs = tc.coeffs[:-1]
-        if tc.kind == "fiber" and list(coeffs[2:]) == [0] * (len(coeffs) - 2):
-            continue  # reverted to a plain fiber: nothing left to track
-        new_tracked.append(replace(tc, coeffs=coeffs))
-
-    if boundary_idx is None:
-        # pattern: away from C (no hits) or one transverse point (one hit)
-        if len(hits) > 1:
-            raise ValueError("unsupported incidence pattern: meets C more than once")
-        new_classes = tuple(parent.divisor(c.coeffs[:-1]) for c in p.classes)
-        result = LogPair(parent, p.labels, new_classes, p.nodes, tuple(new_tracked), new_history)
-        if not hits:
-            residual: AffineForm = (Fraction(1), tuple(Fraction(0) for _ in range(p.r)))
-        else:
-            coeffs = [Fraction(0)] * p.r
-            coeffs[hits[0][0]] = Fraction(1)
-            residual = (Fraction(0), tuple(coeffs))
-        _verify_pushforward(p, result, keep=list(range(p.r)))
-        return result, residual
-
-    # pattern: boundary component meeting exactly two other components once each
-    if len(hits) != 2:
+    hits = [t for t, v in meets.items() if v]
+    if k is None and len(hits) > 1:
+        raise ValueError("unsupported incidence pattern: meets C more than once")
+    if k is not None and len(hits) != 2:
         raise ValueError(
             "unsupported incidence pattern: a boundary (-1)-curve must meet "
             "exactly two other components once each"
         )
-    (i, _), (j, _) = hits
-    k = boundary_idx
-    keep = [t for t in range(p.r) if t != k]
-    new_labels = tuple(p.labels[t] for t in keep)
-    new_classes = tuple(parent.divisor(p.classes[t].coeffs[:-1]) for t in keep)
+
     remap = {t: pos for pos, t in enumerate(keep)}
-    new_nodes = []
-    for nd in p.nodes:
-        if k in nd.incident:
-            continue
-        new_nodes.append(replace(nd, incident=(remap[nd.incident[0]], remap[nd.incident[1]])))
-    if (
-        last_event is not None
-        and last_event.kind == "node"
-        and last_event.exc_label == p.labels[k]
-        and last_event.restore_node is not None
-    ):
-        new_nodes.append(last_event.restore_node)
-    else:
-        used = {nd.id for nd in new_nodes}
-        m = 1
-        a, b = sorted((remap[i], remap[j]))
-        while f"{new_labels[a]}.{new_labels[b]}.{m}" in used:
-            m += 1
-        new_nodes.append(NodeRecord(f"{new_labels[a]}.{new_labels[b]}.{m}", (a, b)))
+    nodes = [
+        replace(nd, incident=(remap[nd.incident[0]], remap[nd.incident[1]]))
+        for nd in p.nodes
+        if k not in nd.incident
+    ]
+    if k is not None:
+        # E met the two hit components once each: put their node back
+        last = p.history[-1] if p.history else None
+        if last and last.kind == "node" and last.exc_label == p.labels[k] and last.restore_node:
+            nodes.append(last.restore_node)
+        else:
+            i, j = hits
+            used = {nd.id for nd in nodes}
+            m = 1
+            while f"{p.labels[i]}.{p.labels[j]}.{m}" in used:
+                m += 1
+            nodes.append(NodeRecord(f"{p.labels[i]}.{p.labels[j]}.{m}", (remap[i], remap[j])))
+    tracked = []
+    for tc in p.tracked:
+        coeffs = tc.coeffs[:-1]
+        if tc.tag == tag or (tc.kind == "fiber" and not any(coeffs[2:])):
+            continue  # the contracted curve, or a fiber transform back to a plain fiber
+        tracked.append(replace(tc, coeffs=coeffs))
     result = make_pair(
-        parent,
-        [(lab, cls.coeffs) for lab, cls in zip(new_labels, new_classes)],
-        nodes=new_nodes,
-        tracked=new_tracked,
-        history=new_history,
+        p.surface.provenance.parent,
+        [(p.labels[t], p.classes[t].coeffs[:-1]) for t in keep],
+        nodes=nodes,
+        tracked=tracked,
+        history=p.history[:-1],
     )
-    coeffs = [Fraction(0)] * p.r
-    coeffs[i] = Fraction(1)
-    coeffs[j] = Fraction(1)
-    coeffs[k] = Fraction(-1)
-    residual = (Fraction(0), tuple(coeffs))
-    _verify_pushforward(p, result, keep=keep)
-    return result, residual
 
-
-def _verify_pushforward(p: LogPair, result: LogPair, keep: list[int]) -> None:
-    """Exact identity: pushforward of the upstairs log adjoint equals the
-    downstairs log adjoint at the induced angles (constant and increments)."""
-    up = log_adjoint(p)
-    down = log_adjoint(result)
+    # the pushforward identity: the upstairs family less its E coordinate
+    up, down = log_adjoint(p), log_adjoint(result)
     if down.constant.coeffs != up.constant.coeffs[:-1]:
         raise AssertionError("pushforward identity failed on the constant class")
-    for pos, t in enumerate(keep):
-        if down.increments[pos].coeffs != up.increments[t].coeffs[:-1]:
-            raise AssertionError("pushforward identity failed on an increment class")
+    if any(d.coeffs != up.increments[t].coeffs[:-1] for d, t in zip(down.increments, keep)):
+        raise AssertionError("pushforward identity failed on an increment class")
+    return result, (-up.constant.coeffs[-1], tuple(-inc.coeffs[-1] for inc in up.increments))
 
 
 # ---------------------------------------------------------------------------

@@ -152,19 +152,6 @@ class AffineMap:
             for row, t in zip(matrix, translation)
         )
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner, computed on the integer forms."""
-        if inner.codomain_dim != self.domain_dim:
-            raise ValueError("composition dimension mismatch")
-        rows, trans, den = _compose(self.integer_form, inner.integer_form, inner.domain_dim)
-        return AffineMap(
-            tuple(tuple(_fraction(v, den) for v in row) for row in rows),
-            tuple(_fraction(t, den) for t in trans),
-        )
-
-    def is_identity(self) -> bool:
-        return _is_identity(self.integer_form)
-
 
 def affine_map(matrix: Sequence[Sequence[Rat]], translation: Sequence[Rat]) -> AffineMap:
     return AffineMap(

@@ -249,10 +249,10 @@ def _product(outer, inner):
     return matrix, trans
 
 
-def fraction_compose(outer, inner):
-    """AffineMap composition as a plain Fraction matrix product: an oracle
-    for the library's integer `compose`."""
-    return _product((outer.matrix, outer.translation), (inner.matrix, inner.translation))
+def affine_basis(r):
+    """e_1..e_r and 0: two affine maps on r coordinates that agree on these
+    points are equal."""
+    return [tuple(F(int(i == j)) for j in range(r)) for i in range(r)] + [(F(0),) * r]
 
 
 def fraction_reparam(p, gamma):

@@ -18,6 +18,7 @@ from _util import (
     MAEDA_P2,
     P2_TABLE,
     aa_via_nef,
+    affine_basis,
     brute_force_vertices,
     cube_halfspaces,
     direct_ample_fn,
@@ -142,15 +143,14 @@ def test_criterion_4_reparametrization():
             body = an.aa_halfspaces_rank_le2(p)
             fam = pr.log_adjoint(p)
             r = p.r
-            probes = [tuple(F(int(i == j)) for j in range(r)) for i in range(r)]
-            probes.append(tuple(F(0) for _ in range(r)))
+            probes = affine_basis(r)
             for gamma in grid(r, 8):
                 if not pt.contains(body.open_part, gamma):
                     continue
                 rd = an.reparam(p, pr.angles(gamma))
+                images = [rd.f.apply(beta) for beta in probes]
                 # identity (exact, affine in beta: spanning probes suffice)
-                for beta in probes:
-                    coeffs = rd.f.apply(beta)
+                for beta, coeffs in zip(probes, images):
                     rhs = p.surface.canonical_class() + rd.ample_part
                     for c, cls in zip(coeffs, p.classes):
                         rhs = rhs + c * cls
@@ -166,9 +166,10 @@ def test_criterion_4_reparametrization():
                 # coordinate value any vertex attains
                 for corner in ((F(0),) * r, (F(1),) * r):
                     assert all(0 <= c <= 1 for c in rd.f.apply(corner))
-                # exact inverse
-                assert rd.f.compose(rd.f_inv).is_identity()
-                assert rd.f_inv.compose(rd.f).is_identity()
+                # exact inverse: f_inv after f fixes the affine basis, so it is
+                # the identity; f maps r coordinates to r, so f after f_inv is too
+                assert rd.f.codomain_dim == r
+                assert [rd.f_inv.apply(y) for y in images] == probes
                 checked += 1
         assert checked > 1000
         crit.detail = f"{checked} gamma points"

@@ -182,6 +182,10 @@ def test_node_blowup_contract_round_trip():
     assert down == p
     # E meets components 0 and 1; the residual is b1 + b2 - b3 here
     assert residual == (F(0), (F(1), F(1), F(-1)))
+    # the consumed node comes back with its own id and fiber tag
+    tagged = pr.make_pair(p.surface, [("Z", (1, 0)), ("F", (0, 1))],
+                          nodes=[pr.NodeRecord("x", (0, 1), on_fiber_of="f")])
+    assert pr.contract(pr.blow_up_node(tagged, "x", "E"), "E") == (tagged, residual)
 
 
 def test_smooth_blowup_contract_round_trip():
@@ -218,16 +222,39 @@ def test_contract_residual_in_paper_ordering():
     assert [c.coeffs for c in down.classes] == [(F(1), F(0)), (F(0), F(1))]
 
 
+def _refusal(p, which):
+    with pytest.raises(ValueError) as err:
+        pr.contract(p, which)
+    return str(err.value)
+
+
 def test_contract_rejects_bad_inputs():
     p = zf_pair()
-    with pytest.raises(ValueError):
-        pr.contract(p, "Z")  # not a blow-up surface
+    assert _refusal(p, "Z") == "contract requires a blow-up surface"
     up = pr.blow_up_node(p, "Z.F.1", "E")
-    with pytest.raises(ValueError):
-        pr.contract(up, "Z")  # Z-transform has square -2, and is not last
-    two = pr.blow_up_node(up, "Z.E.1", "E2")
-    with pytest.raises(ValueError):
-        pr.contract(two, "E")  # only the most recent exceptional unwinds
+    # the Z-transform has square -2
+    assert _refusal(up, "Z") == "contraction requires a (-1)-curve"
+    assert _refusal(up, "nope") == "'nope' is neither a boundary label nor a tracked curve"
+    assert _refusal(up, 3) == "boundary index out of range"
+    assert _refusal(up, -1) == "boundary index out of range"
+    # the E-transform has square -2; q1 is a (-1)-curve, but not the last
+    assert _refusal(pr.blow_up_node(up, "Z.E.1", "E2"), "E") == "contraction requires a (-1)-curve"
+    two = pr.blow_up_smooth_point(pr.blow_up_smooth_point(p, "F", "q1"), "F", "q2")
+    assert _refusal(two, "q1") == (
+        "only the most recent exceptional curve is contractible; unwind blow-ups in reverse order"
+    )
+    # hand-built pairs on F_1 blown up once, E being the last basis class
+    surf = g.blow_up(g.hirzebruch(1), "E", "point")
+    e = pr.TrackedCurve("exceptional", "E", (F(0), F(0), F(1)))
+    tangent = pr.make_pair(surf, [("C", (1, 2, -2))], tracked=[e])  # C.E = 2
+    assert _refusal(tangent, "E") == "unsupported incidence pattern: non-transverse meeting"
+    two_hits = pr.make_pair(surf, [("Z", (1, 0, -1)), ("F", (0, 1, -1))], tracked=[e])
+    assert _refusal(two_hits, "E") == "unsupported incidence pattern: meets C more than once"
+    one_hit = pr.make_pair(surf, [("Z", (1, 0, -1)), ("E", (0, 0, 1))])
+    assert _refusal(one_hit, "E") == (
+        "unsupported incidence pattern: a boundary (-1)-curve must meet "
+        "exactly two other components once each"
+    )
 
 
 def test_is_minimal_rank_le2():
@@ -279,6 +306,18 @@ def test_fiber_tracking_merges_shared_tags():
     up = pr.blow_up_smooth_point(up, "C2", "q2", fiber_tag="f")
     fiber = [tc for tc in up.tracked if tc.kind == "fiber"]
     assert len(fiber) == 1 and fiber[0].coeffs == (F(0), F(1), F(-1), F(-1))
+    # unwinding q2 leaves the transform F - E1 of the fiber through q1
+    mid, residual = pr.contract(up, "q2")
+    assert residual == (F(0), (F(0), F(1)))  # q2 lies on C2 alone
+    assert [c.coeffs for c in mid.classes] == [(F(1), F(0), F(-1)), (F(1), F(2), F(0))]
+    assert [(tc.kind, tc.tag, tc.coeffs) for tc in mid.tracked] == [
+        ("fiber", "f", (F(0), F(1), F(-1))),
+        ("exceptional", "q1", (F(0), F(0), F(1))),
+    ]
+    # unwinding q1 reverts the fiber to a plain one, which is not tracked
+    down, residual = pr.contract(mid, "q1")
+    assert residual == (F(0), (F(1), F(0)))
+    assert down == p
 
 
 def test_blowups_refuse_a_tracked_tag():
