@@ -183,8 +183,12 @@ def _quadratic_value(constant, linear, quadratic, beta: Sequence[Rat]) -> Fracti
 def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter:
     """Counter of the signs (1, 0, -1) of q(k/denom) over integer points k.
 
-    The sign of q(k/denom) is the sign of the integer lcm.denom^2.q(k/denom),
-    lcm being that of q's coefficient denominators.
+    The sign of q(k/denom) is the sign of the integer Q = lcm.denom^2.q(k/denom),
+    lcm being that of q's coefficient denominators.  Along the last
+    coordinate x, Q = a + b.x + c.x^2 with a and b fixed by the other
+    coordinates; they are recomputed only when those change, which points
+    in lexicographic order (as `polytope.grid_points` yields them) seldom
+    do.  Points in any order give the same table.
     """
     r = len(linear)
     nums, _ = _integer_point([constant, *linear, *(c for row in quadratic for c in row)])
@@ -192,8 +196,22 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter
     c1 = [v * denom for v in nums[1 : r + 1]]
     c2 = [nums[r + 1 + i * r : r + 1 + (i + 1) * r] for i in range(r)]
     signs = Counter()
+    if not r:  # q is its constant: one sign for every point
+        for _ in points:
+            signs[(c0 > 0) - (c0 < 0)] += 1
+        return signs
+    last = r - 1
+    c = c2[last][last]
+    cross = [c2[i][last] + c2[last][i] for i in range(last)]
+    head = None
     for k in points:
-        q = c0 + sum(ki * (li + sum(map(mul, row, k))) for ki, li, row in zip(k, c1, c2))
+        if k[:last] != head:
+            head = k[:last]
+            # the terms of Q without x; zip stops each row at the prefix
+            a = c0 + sum(ki * (li + sum(map(mul, row, head))) for ki, li, row in zip(head, c1, c2))
+            b = c1[last] + sum(map(mul, cross, head))
+        x = k[last]
+        q = a + x * (b + c * x)
         signs[(q > 0) - (q < 0)] += 1
     return signs
 
@@ -203,11 +221,14 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
 
     Uses only the tracked curve list (boundary, exceptional history, fiber
     transforms through the centers), so the true body is contained in the
-    result.  The self-intersection quadratic is evaluated on a grid of the
-    linear body and reported alongside.
+    result.  The self-intersection quadratic is evaluated on the grid of
+    step 1/grid_denominator (at most 1/4 above r = 4) of the linear body
+    and reported alongside; the denominator must be at least 2.
     """
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("outer approximation applies to blow-up surfaces only")
+    if grid_denominator < 2:
+        raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
     family = log_adjoint(p)
     body = aa_body(p)
     const = intersect(family.constant, family.constant)

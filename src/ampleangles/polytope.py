@@ -11,15 +11,15 @@ Fourier-Motzkin elimination over the rows, with strictness combined by
 OR; infeasibility certificates are rebuilt from the provenance of the
 violated row.  Vertex enumeration is the double description method over
 the same rows; Fourier-Motzkin enters it only when the normals have
-rank below the dimension.  Closures, sections, grid scans and the
-canonical text all work on the rows, and affine maps apply and compose
-on cached integer forms.  Everything is exact, over `fractions.Fraction`
-and `int`; there is no floating-point mode.
+rank below the dimension.  Closures, sections, interval-pruned grid
+scans (which fix one coordinate at a time and visit only the grid points
+of the body) and the canonical text all work on the rows, and affine
+maps apply and compose on cached integer forms.  Everything is exact,
+over `fractions.Fraction` and `int`; there is no floating-point mode.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -455,24 +455,60 @@ def vertices(p: HPolytope) -> VPolytope:
 
 
 def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
-    """The integer points k of {1..denom-1}^dim with k/denom in p.
+    """The integer points k of {1..denom-1}^dim with k/denom in p, in
+    lexicographic order.
 
-    Each row is tested in integer form: normal.k + offset.denom is > 0
-    (strict) or >= 0 (weak) on the gcd-normalized row; the first failing
-    row rejects the point.
+    Each row holds at k when normal.k >= least, with least = strict -
+    offset.denom on the gcd-normalized row (an integer is > 0 iff it is
+    >= 1).  The scan fixes k_0, k_1, ... in turn and visits only values
+    that leave every row satisfiable on the rest of the box: with the
+    prefix's partial sum s and best, the largest value the remaining
+    terms can take, row c.k_j >= least - s - best bounds k_j from below
+    (c > 0) or above (c < 0).  The last coordinate's bounds are exact,
+    so every point the scan reaches is in p.
     """
-    tests = []
+    top = denom - 1
+    levels = [[] for _ in range(p.dim)]  # per coordinate: (row, c, least - best)
+    tested = 0
     for normal, offset, strict in p.integer_rows:
-        least = int(strict) - offset * denom  # an integer is > 0 iff it is >= 1
+        least = int(strict) - offset * denom
         # a row that holds at the minimizing corner of the box needs no test
-        if sum(c if c > 0 else c * (denom - 1) for c in normal) < least:
-            tests.append((normal, least))
-    for k in itertools.product(range(1, denom), repeat=p.dim):
-        for normal, least in tests:
-            if sum(map(mul, normal, k)) < least:
-                break
-        else:
-            yield k
+        if sum(c if c > 0 else c * top for c in normal) >= least:
+            continue
+        best = 0
+        for j in range(p.dim - 1, -1, -1):
+            c = normal[j]
+            if c:
+                levels[j].append((tested, c, least - best))
+                best += c * top if c > 0 else c
+        # a row that fails at the maximizing corner empties the box
+        if best < least:
+            return
+        tested += 1
+    if not p.dim:
+        yield ()
+        return
+    last = p.dim - 1
+
+    def scan(j, prefix, partial):
+        lo, hi = 1, top
+        for i, c, need in levels[j]:
+            need -= partial[i]  # c.k_j >= need
+            if c > 0:
+                lo = max(lo, -(-need // c))  # the ceiling of need / c
+            else:
+                hi = min(hi, need // c)  # the floor, as c < 0
+        if j == last:
+            for x in range(lo, hi + 1):
+                yield prefix + (x,)
+            return
+        for x in range(lo, hi + 1):
+            step = partial[:]
+            for i, c, _ in levels[j]:
+                step[i] += c * x
+            yield from scan(j + 1, prefix + (x,), step)
+
+    yield from scan(0, (), [0] * tested)
 
 
 # ---------------------------------------------------------------------------

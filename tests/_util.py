@@ -17,6 +17,21 @@ def grid(r, denom):
     return product(steps, repeat=r)
 
 
+def brute_force_grid_points(p, denom):
+    """The integer points k of {1..denom-1}^dim with k/denom in p, in
+    lexicographic order: every point of the box, tested against every
+    integer row (normal.k + offset.denom > 0 strict, >= 0 weak).  An oracle
+    for the library's pruned scan."""
+    return [
+        k
+        for k in product(range(1, denom), repeat=p.dim)
+        if all(
+            sum(c * x for c, x in zip(normal, k)) + offset * denom >= strict
+            for normal, offset, strict in p.integer_rows
+        )
+    ]
+
+
 def adjoint_coeffs(surface_minus_k, boundary, beta):
     """-K - sum (1-beta_i) C_i computed directly on coefficient tuples."""
     out = list(F(c) for c in surface_minus_k)

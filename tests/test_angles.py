@@ -15,6 +15,7 @@ from _util import (
     P2_TABLE,
     aa_via_nef,
     affine_basis,
+    brute_force_grid_points,
     class_map,
     cube_halfspaces,
     direct_ample_fn,
@@ -384,19 +385,31 @@ def test_outer_blowup_requires_blowup_surface():
         an.aa_outer_blowup(fn_pair(1, [(1, 0)]))
 
 
+def test_outer_blowup_rejects_grid_denominator_below_two():
+    up = pr.blow_up_node(fn_pair(1, [(1, 0), (0, 1)]), "C1.C2.1", "E")
+    for denom in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid denominator"):
+            an.aa_outer_blowup(up, grid_denominator=denom)
+    assert an.aa_outer_blowup(up, grid_denominator=2)[1].grid_denominator == 2
+
+
+def fiber_blowups(fiber_tag):
+    """F_2 with C1 + C2 + C3 + C4, blown up at a smooth point of C1 and one
+    of C4: on one fiber when both steps carry the same fiber tag, on
+    distinct fibers when it is None."""
+    base = fn_pair(2, [(1, 0), (0, 1), (0, 1), (1, 2)])
+    p = pr.blow_up_smooth_point(base, "C1", "q1", fiber_tag=fiber_tag)
+    return pr.blow_up_smooth_point(p, "C4", "q2", fiber_tag=fiber_tag)
+
+
 def test_outer_blowup_detects_shared_fiber_degeneration():
     # blowing both points of (fiber meets boundary) on one fiber leaves the
     # adjoint with zero intersection against the fiber transform for every
     # angle: the outer body must come back empty
-    base = fn_pair(2, [(1, 0), (0, 1), (0, 1), (1, 2)])
-    shared = pr.blow_up_smooth_point(base, "C1", "q1", fiber_tag="f")
-    shared = pr.blow_up_smooth_point(shared, "C4", "q2", fiber_tag="f")
-    body, _ = an.aa_outer_blowup(shared)
+    body, _ = an.aa_outer_blowup(fiber_blowups("f"))
     assert not pt.is_feasible(body.open_part)
     # distinct fibers through the two centers keep the body alive
-    generic = pr.blow_up_smooth_point(base, "C1", "q1")
-    generic = pr.blow_up_smooth_point(generic, "C4", "q2")
-    body2, _ = an.aa_outer_blowup(generic)
+    body2, _ = an.aa_outer_blowup(fiber_blowups(None))
     assert pt.is_feasible(body2.open_part)
 
 
@@ -426,8 +439,13 @@ def fraction_sign_table(p, open_part, denom):
 
 def test_quadratic_sign_table_against_fraction_scan():
     near = dsl.load_pair_spec(str(SAMPLES / "infinitely-near.pair")).final
-    # 16 and the odd 7 as given; r = 5 caps the grid at 1/4
-    for p, denom, used in ((near, 16, 16), (near, 7, 7), (chain_pair(5), 16, 4)):
+    # 16 and the odd 7 and 9 as given; r = 5 caps the grid at 1/4, and r = 6
+    # keeps the odd 3 below the cap
+    cases = (
+        (near, 16, 16), (near, 7, 7), (chain_pair(5), 16, 4), (chain_pair(6), 3, 3),
+        (fiber_blowups(None), 9, 9),
+    )
+    for p, denom, used in cases:
         body, report = an.aa_outer_blowup(p, grid_denominator=denom)
         assert report.grid_denominator == used
         got = (report.samples, report.positive, report.zero, report.negative)
@@ -437,6 +455,27 @@ def test_quadratic_sign_table_against_fraction_scan():
     assert report.samples == 0
 
 
+def test_grid_points_on_shipped_bodies():
+    """The pruned scan against the brute-force oracle, order included, on
+    the open body of every pair the samples build, at 1/7 and the CLI's
+    1/16, and of the r = 5..8 chains at 1/4 (the cap above r = 4) and, for
+    r <= 6, at 1/7.  The chains' open bodies are built from the oracle rows,
+    which skips the closure aa_body computes (seconds at r = 8)."""
+    bodies = []
+    for path in sorted(SAMPLES.glob("*.pair")):
+        for p in dsl.load_pair_spec(str(path)).apply():
+            bodies += [(an.aa_body(p).open_part, denom) for denom in (7, 16)]
+    for r in range(5, 9):
+        open_part = pt.polytope(r, oracle_rows(chain_pair(r)) + cube_halfspaces(r, strict=True))
+        bodies += [(open_part, denom) for denom in ((4, 7) if r <= 6 else (4,))]
+    hits = 0
+    for body, denom in bodies:
+        got = list(pt.grid_points(body, denom))
+        assert got == brute_force_grid_points(body, denom), (body.dim, denom)
+        hits += len(got)
+    assert len(bodies) == 22 and hits > 40_000
+
+
 def test_quadratic_signs_match_fraction_evaluation():
     # every sampled sign on the shipped pairs is positive, so the integer
     # form of q is checked on random rational quadratics as well
@@ -444,11 +483,13 @@ def test_quadratic_signs_match_fraction_evaluation():
     rand = lambda: F(rng.randint(-9, 9), rng.randint(1, 6))
     seen = Counter()
     for _ in range(40):
-        r, denom = rng.randint(1, 4), rng.choice([2, 3, 7, 16])
+        r, denom = rng.randint(0, 4), rng.choice([2, 3, 7, 16])
         linear = tuple(rand() for _ in range(r))
         upper = [[rand() for _ in range(r)] for _ in range(r)]
         quad = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(r)) for i in range(r))
         points = [tuple(rng.randint(1, denom - 1) for _ in range(r)) for _ in range(30)]
+        # a run in reverse lexicographic order, and repeated points
+        points += sorted(points[:10], reverse=True) + [points[0], points[1], points[0]]
 
         def q_without_constant(k):
             beta = [F(x, denom) for x in k]
@@ -456,12 +497,15 @@ def test_quadratic_signs_match_fraction_evaluation():
                 quad[i][j] * beta[i] * beta[j] for i in range(r) for j in range(r)
             )
 
-        const = -q_without_constant(points[0])  # q vanishes at the first point
+        # q vanishes at the first point; for r = 0, q is a random constant
+        const = -q_without_constant(points[0]) if r else rand()
         want = Counter()
         for k in points:
             q = const + q_without_constant(k)
             want[(q > 0) - (q < 0)] += 1
         assert an._quadratic_signs(const, linear, quad, denom, points) == want
+        # a single pass over an iterator gives the same table
+        assert an._quadratic_signs(const, linear, quad, denom, iter(points)) == want
         seen += want
     assert all(seen[s] > 40 for s in (1, 0, -1))
 

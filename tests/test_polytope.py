@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ from ampleangles import polytope as pt
 from _util import (
     F,
     affine_preimage,
+    brute_force_grid_points,
     brute_force_vertices,
     cube_halfspaces,
     fm_is_feasible,
@@ -313,6 +315,49 @@ def test_feasibility_agrees_with_grid_search():
             # substitution re-verifies the certificate and refutes infeasibility
             assert feasible
             assert all(hs.holds(grid_hit) for hs in system.halfspaces)
+
+
+def _grid_system(rng, dim, denom):
+    """Random mixed integer rows, most of them hyperplanes through a random
+    point of the closed box so that they cut it, and most turned to keep one
+    random grid point; sometimes the cube's faces, a duplicate row, or a
+    constant row that holds or fails everywhere."""
+    rows = []
+    span = max(denom, 2)
+    keep = [rng.randint(1, span - 1) for _ in range(dim)]
+    for _ in range(rng.randint(0, 5)):
+        normal = [rng.randint(-6, 6) if rng.random() < 0.75 else 0 for _ in range(dim)]
+        through = [rng.randint(0, span) for _ in range(dim)]
+        offset = -(sum(c * k for c, k in zip(normal, through)) // span) + rng.randint(-1, 1)
+        if sum(c * k for c, k in zip(normal, keep)) + offset * span < 0 and rng.random() < 0.8:
+            normal, offset = [-c for c in normal], -offset
+        rows.append((normal, offset, rng.random() < 0.5))
+    if rng.random() < 0.3:
+        rows += pt.cube_rows(dim, rng.random() < 0.5)
+    if rows and rng.random() < 0.2:
+        rows.append(rng.choice(rows))
+    if rng.random() < 0.1:
+        rows.append(((0,) * dim, rng.choice([-1, 0, 1]), rng.random() < 0.5))
+    rng.shuffle(rows)
+    return pt.integer_polytope(dim, rows)
+
+
+def test_grid_points_match_brute_force():
+    """The pruned scan yields exactly the brute-force points, in lexicographic
+    order.  Denominators whose box has more than 4 000 points are not drawn,
+    which keeps the oracle's full scan cheap."""
+    rng = random.Random(1313)
+    kinds = Counter()
+    for i in range(2000):
+        dim = i % 6
+        denom = rng.choice([d for d in (1, 2, 3, 4, 7, 16) if (d - 1) ** dim <= 4000])
+        system = _grid_system(rng, dim, denom)
+        got = list(pt.grid_points(system, denom))
+        assert got == brute_force_grid_points(system, denom), (denom, system.integer_rows)
+        box = max(denom - 1, 0) ** dim
+        kinds["empty" if not got else "full" if len(got) == box else "cut"] += 1
+    # the scan prunes some boxes whole, keeps some whole and cuts the rest
+    assert all(kinds[k] > 200 for k in ("empty", "full", "cut")), kinds
 
 
 def _integer_rows_of(halfspaces, rng):
