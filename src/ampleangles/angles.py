@@ -16,14 +16,16 @@ The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
 point gamma of the body, with the angle substitution realized by an
 invertible affine self-map of the cube.  It is built and checked in
-integer arithmetic over gamma's common denominator.
+integer arithmetic over gamma's common denominator: eta comes from the
+angles' numerators and denominators, and the self-map and its inverse
+are integer forms from the start, never built through Fractions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -34,7 +36,6 @@ from .geometry import (
     BlowUp,
     DivisorClass,
     Rat,
-    _ZERO,
     _fraction,
     _integer_point,
     intersect,
@@ -180,8 +181,9 @@ def _quadratic_value(constant, linear, quadratic, beta: Sequence[Rat]) -> Fracti
     return total
 
 
-def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter:
-    """Counter of the signs (1, 0, -1) of q(k/denom) over integer points k.
+def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> tuple[int, int, int]:
+    """How many integer points k give q(k/denom) a positive, zero and
+    negative sign, in that order.
 
     The sign of q(k/denom) is the sign of the integer Q = lcm.denom^2.q(k/denom),
     lcm being that of q's coefficient denominators.  Along the last
@@ -195,11 +197,11 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter
     c0 = nums[0] * denom * denom
     c1 = [v * denom for v in nums[1 : r + 1]]
     c2 = [nums[r + 1 + i * r : r + 1 + (i + 1) * r] for i in range(r)]
-    signs = Counter()
+    counts = [0, 0, 0]  # indexed by the sign: zero, positive, negative (at -1)
     if not r:  # q is its constant: one sign for every point
         for _ in points:
-            signs[(c0 > 0) - (c0 < 0)] += 1
-        return signs
+            counts[(c0 > 0) - (c0 < 0)] += 1
+        return counts[1], counts[0], counts[-1]
     last = r - 1
     c = c2[last][last]
     cross = [c2[i][last] + c2[last][i] for i in range(last)]
@@ -212,8 +214,8 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> Counter
             b = c1[last] + sum(map(mul, cross, head))
         x = k[last]
         q = a + x * (b + c * x)
-        signs[(q > 0) - (q < 0)] += 1
-    return signs
+        counts[(q > 0) - (q < 0)] += 1
+    return counts[1], counts[0], counts[-1]
 
 
 def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
@@ -240,12 +242,10 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     denom = grid_denominator if p.r <= 4 else min(grid_denominator, 4)
     # an empty closure means an infeasible open part: no grid point can pass
     if body.closed_hull == pt.canonical_empty(p.r):
-        signs = Counter()
+        signs = (0, 0, 0)
     else:
         signs = _quadratic_signs(const, linear, quad, denom, pt.grid_points(body.open_part, denom))
-    report = QuadraticReport(
-        const, linear, quad, denom, sum(signs.values()), signs[1], signs[0], signs[-1]
-    )
+    report = QuadraticReport(const, linear, quad, denom, sum(signs), *signs)
     return body, report
 
 
@@ -263,13 +263,14 @@ class ReparamData:
 
 
 def eta(gamma: AngleVector) -> Fraction:
-    """max over i of (1-gamma_i)/gamma_i and gamma_i/(1-gamma_i)."""
-    if not gamma.interior:
-        raise ValueError("eta requires every angle strictly between 0 and 1")
+    """max over i of (1-gamma_i)/gamma_i and gamma_i/(1-gamma_i), read off
+    the numerators and denominators of the angles."""
     best_num, best_den = 0, 1
     for g in gamma.entries:
         # g = k/d: the two ratios are (d-k)/k and k/(d-k); keep the larger
         k, d = g.numerator, g.denominator
+        if not 0 < k < d:
+            raise ValueError("eta requires every angle strictly between 0 and 1")
         num, den = (d - k, k) if d - k > k else (k, d - k)
         if num * best_den > best_num * den:
             best_num, best_den = num, den
@@ -309,17 +310,17 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     a_num = [s * v for v in x]
     a_class = DivisorClass(p.surface, tuple(_fraction(v, hn * d * den) for v in a_num))
     t_num = [hn * d - s * ki for ki in k]  # f's translation, over hn.d
-    f = _diagonal_map(Fraction(hd, hn), [_fraction(t, hn * d) for t in t_num])
-    f_inv = _diagonal_map(h, [_fraction(-t, hd * d) for t in t_num])
+    f = _diagonal_map(hd * d, t_num, hn * d)
+    f_inv = _diagonal_map(hn * d, [-t for t in t_num], hd * d)
 
     # (a) the adjoint identity, coefficientwise in the affine family:
-    # hn.d.den.(K + A + F(0)) = hd.d.den.constant, and h.f_ii = 1 so h.f_ii.C_i = C_i
+    # hn.d.den.(K + A + F(0)) = hd.d.den.constant, and eta.f_ii = 1 so eta.f_ii.C_i = C_i
     k_class = p.surface.canonical
     for j, (kj, aj, cj) in enumerate(zip(k_class, a_num, constant)):
         lhs = hn * d * den * kj + aj + sum(t * inc[j] for t, inc in zip(t_num, increments))
         if lhs != hd * d * cj:
             raise RuntimeError("reparametrization identity failed on the constant class")
-    if any(h * f.matrix[i][i] != 1 for i in range(r)):
+    if any(hn * row[i] != hd * f.den for i, row in enumerate(f.rows)):
         raise RuntimeError("reparametrization identity failed on an increment class")
     # (b) A is ample
     if is_ample(p.surface, a_class) is not True:
@@ -329,17 +330,23 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     if any(t < 0 or t + hd * d > hn * d for t in t_num):
         raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
     # invertibility: f after f_inv and f_inv after f, on the integer forms
-    fi, gi = f.integer_form, f_inv.integer_form
+    fi, gi = (f.rows, f.shift, f.den), (f_inv.rows, f_inv.shift, f_inv.den)
     if not pt._is_identity(pt._compose(fi, gi, r)) or not pt._is_identity(pt._compose(gi, fi, r)):
         raise RuntimeError("angle substitution is not an exact inverse pair")
 
     return ReparamData(gamma, h, a_class, f, f_inv)
 
 
-def _diagonal_map(diagonal: Fraction, translation: list[Fraction]) -> pt.AffineMap:
-    """x -> diagonal.x + translation, sharing one zero off the diagonal."""
-    r = len(translation)
+def _diagonal_map(diagonal: int, shift: Sequence[int], den: int) -> pt.AffineMap:
+    """x -> (diagonal.x + shift)/den on r >= 1 coordinates, for integers
+    and den > 0, as the integer form `AffineMap` keeps: the gcd of den,
+    the diagonal and the shift is divided out, which is the gcd of the
+    whole form as every entry off the diagonal is 0."""
+    g = gcd(den, diagonal, *shift)
+    diagonal //= g
+    zeros = (0,) * len(shift)
     return pt.AffineMap(
-        tuple(tuple(diagonal if i == j else _ZERO for j in range(r)) for i in range(r)),
-        tuple(translation),
+        tuple(zeros[:i] + (diagonal,) + zeros[i + 1 :] for i in range(len(shift))),
+        tuple(t // g for t in shift),
+        den // g,
     )

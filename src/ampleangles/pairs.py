@@ -89,16 +89,19 @@ class AngleVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(e < 0 or e > 1 for e in self.entries):
+        # a Fraction's denominator is positive, so 0 <= e <= 1 on its numerator
+        if not all(0 <= e.numerator <= e.denominator for e in self.entries):
             raise ValueError("angles must lie in [0, 1]")
 
     @property
     def interior(self) -> bool:
-        return all(0 < e < 1 for e in self.entries)
+        return all(0 < e.numerator < e.denominator for e in self.entries)
 
 
 def angles(values: Sequence[Rat]) -> AngleVector:
-    return AngleVector(tuple(Fraction(v) for v in values))
+    """The angle vector of the values, each kept as it is when it is already
+    a Fraction."""
+    return AngleVector(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values))
 
 
 @dataclass(frozen=True)

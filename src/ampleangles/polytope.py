@@ -13,9 +13,11 @@ violated row.  Vertex enumeration is the double description method over
 the same rows; Fourier-Motzkin enters it only when the normals have
 rank below the dimension.  Closures, sections, interval-pruned grid
 scans (which fix one coordinate at a time and visit only the grid points
-of the body) and the canonical text all work on the rows, and affine
-maps apply and compose on cached integer forms.  Everything is exact,
-over `fractions.Fraction` and `int`; there is no floating-point mode.
+of the body) and the canonical text all work on the rows.  An affine map
+is likewise its integer form, numerators over the least common
+denominator; it applies and composes on those integers, and its Fraction
+entries are cached views.  Everything is exact, over `fractions.Fraction`
+and `int`; there is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -116,48 +118,58 @@ def _is_identity(form) -> bool:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x |-> matrix.x + translation, with exact rational entries."""
+    """x |-> (rows.x + shift)/den: the map is its integer form, numerators
+    over den, the least common denominator of its entries, so equality
+    compares the exact map.  `affine_map` builds it from rational entries;
+    a builder from integers (`angles._diagonal_map`) divides out the gcd of
+    den and every entry and keeps den positive.  `matrix` and `translation`
+    are cached Fraction views of the entries."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    translation: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...]
+    shift: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if len(self.matrix) != len(self.translation):
+        if len(self.rows) != len(self.shift):
             raise ValueError("matrix rows must match translation length")
 
     @property
     def domain_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
+        return len(self.rows[0]) if self.rows else 0
 
     @property
     def codomain_dim(self) -> int:
-        return len(self.translation)
+        return len(self.shift)
 
     @cached_property
-    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-        """(matrix, translation, den): the entries as integer numerators over
-        den, the least common denominator of all of them."""
-        n, m = self.domain_dim, self.codomain_dim
-        k, den = _integer_point([v for row in self.matrix for v in row] + list(self.translation))
-        return tuple(tuple(k[i * n : (i + 1) * n]) for i in range(m)), tuple(k[m * n :]), den
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(_fraction(v, den) for v in row) for row in self.rows)
+
+    @cached_property
+    def translation(self) -> tuple[Fraction, ...]:
+        return tuple(_fraction(v, self.den) for v in self.shift)
 
     def apply(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         """The image of x, computed on the integer form against x = k/xden."""
         if len(x) != self.domain_dim:
             raise ValueError("point dimension mismatch")
-        matrix, translation, den = self.integer_form
         k, xden = _integer_point(x)
+        den = self.den * xden
         return tuple(
-            _fraction(sum(map(mul, row, k)) + t * xden, den * xden)
-            for row, t in zip(matrix, translation)
+            _fraction(sum(map(mul, row, k)) + t * xden, den) for row, t in zip(self.rows, self.shift)
         )
 
 
 def affine_map(matrix: Sequence[Sequence[Rat]], translation: Sequence[Rat]) -> AffineMap:
-    return AffineMap(
-        tuple(tuple(Fraction(c) for c in row) for row in matrix),
-        tuple(Fraction(c) for c in translation),
-    )
+    """x |-> matrix.x + translation for rational entries."""
+    k, den = _integer_point([*(v for row in matrix for v in row), *translation])
+    rows, start = [], 0
+    for row in matrix:
+        rows.append(tuple(k[start : start + len(row)]))
+        start += len(row)
+    # over the least common denominator the numerators are already coprime to den
+    return AffineMap(tuple(rows), tuple(k[start:]), den)
 
 
 def _normalize(normal: Sequence[int], offset: int, strict: bool) -> Row:

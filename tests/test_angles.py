@@ -134,6 +134,35 @@ def test_eta_examples():
         an.eta(pr.angles([F(1, 2), 1]))
 
 
+def test_eta_against_its_definition():
+    rng = random.Random(1806)
+    for _ in range(300):
+        r = rng.randint(1, 5)
+        dens = [rng.choice((2, 3, 7, 16, 97, rng.randint(2, 10**6))) for _ in range(r)]
+        gamma = [F(rng.randint(1, q - 1), q) for q in dens]
+        assert an.eta(pr.angles(gamma)) == max(max((1 - x) / x, x / (1 - x)) for x in gamma)
+    for gamma in ([F(0)], [F(1)], [F(1, 2), 0], [F(999_999, 10**6), 1]):
+        with pytest.raises(ValueError, match="eta requires every angle strictly between 0 and 1"):
+            an.eta(pr.angles(gamma))
+
+
+def test_diagonal_map_divides_out_the_gcd():
+    """The integer form of x -> (diagonal.x + shift)/den, scaled by any
+    positive integer, is the map affine_map builds from its Fractions."""
+    rng = random.Random(41)
+    for _ in range(300):
+        r, den = rng.randint(1, 5), rng.randint(1, 40)
+        diagonal, shift = rng.randint(-20, 20), [rng.randint(-30, 30) for _ in range(r)]
+        want = pt.affine_map(
+            [[F(diagonal, den) if i == j else 0 for j in range(r)] for i in range(r)],
+            [F(t, den) for t in shift],
+        )
+        scale = rng.randint(1, 50)
+        got = an._diagonal_map(scale * diagonal, [scale * t for t in shift], scale * den)
+        assert got == want and hash(got) == hash(want)
+        assert (got.rows, got.shift, got.den) == (want.rows, want.shift, want.den)
+
+
 def test_reparam_midpoint_is_identity():
     p = fn_pair(1, [(1, 0), (1, 3)])
     rd = an.reparam(p, pr.angles([F(1, 2), F(1, 2)]))
@@ -289,7 +318,7 @@ def test_reparam_checks_fire(monkeypatch):
 
     # (a) on the increments: f's diagonal doubled, so eta.f_ii is not 1
     real_diagonal = an._diagonal_map
-    monkeypatch.setattr(an, "_diagonal_map", lambda d, t: real_diagonal(2 * d, t))
+    monkeypatch.setattr(an, "_diagonal_map", lambda d, t, den: real_diagonal(2 * d, t, den))
     with pytest.raises(RuntimeError, match="identity failed on an increment class"):
         an.reparam(p, gamma)
     monkeypatch.undo()
@@ -503,9 +532,10 @@ def test_quadratic_signs_match_fraction_evaluation():
         for k in points:
             q = const + q_without_constant(k)
             want[(q > 0) - (q < 0)] += 1
-        assert an._quadratic_signs(const, linear, quad, denom, points) == want
+        table = (want[1], want[0], want[-1])
+        assert an._quadratic_signs(const, linear, quad, denom, points) == table
         # a single pass over an iterator gives the same table
-        assert an._quadratic_signs(const, linear, quad, denom, iter(points)) == want
+        assert an._quadratic_signs(const, linear, quad, denom, iter(points)) == table
         seen += want
     assert all(seen[s] > 40 for s in (1, 0, -1))
 

@@ -120,6 +120,18 @@ def test_angle_vector():
     assert not pr.angles([0, F(1, 2)]).interior
 
 
+def test_angle_vector_range():
+    assert pr.angles([0, 1, F(1, 7)]).entries == (0, 1, F(1, 7))
+    assert not pr.angles([F(1, 2), 1]).interior
+    for bad in ([F(-1, 7)], [F(1, 2), F(8, 7)], [-1], [2]):
+        with pytest.raises(ValueError, match=r"^angles must lie in \[0, 1\]$"):
+            pr.angles(bad)
+    # int entries are stored as Fractions; a Fraction entry is kept as it is
+    half = F(1, 2)
+    v = pr.angles([0, 1, half])
+    assert all(type(e) is F for e in v.entries) and v.entries[2] is half
+
+
 def test_blow_up_smooth_point():
     p = pr.make_pair(g.hirzebruch(0), [("Z0", (1, 0))])
     up = pr.blow_up_smooth_point(p, "Z0", "p1")
