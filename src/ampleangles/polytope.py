@@ -16,7 +16,7 @@ scans (which fix one coordinate at a time and visit only the grid points
 of the body) and the canonical text all work on the rows.  An affine map
 is likewise its integer form, numerators over the least common
 denominator; it applies and composes on those integers, and its Fraction
-entries are cached views.  Everything is exact, over `fractions.Fraction`
+entries are views built on each read.  Everything is exact, over `fractions.Fraction`
 and `int`; there is no floating-point mode.
 """
 
@@ -123,7 +123,8 @@ class AffineMap:
     compares the exact map.  `affine_map` builds it from rational entries;
     a builder from integers (`angles._diagonal_map`) divides out the gcd of
     den and every entry and keeps den positive.  `matrix` and `translation`
-    are cached Fraction views of the entries."""
+    are Fraction views of the entries, built on each read and not kept on
+    the map, so reading them leaves its size as it was."""
 
     rows: tuple[tuple[int, ...], ...]
     shift: tuple[int, ...]
@@ -141,12 +142,12 @@ class AffineMap:
     def codomain_dim(self) -> int:
         return len(self.shift)
 
-    @cached_property
+    @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self.den
         return tuple(tuple(_fraction(v, den) for v in row) for row in self.rows)
 
-    @cached_property
+    @property
     def translation(self) -> tuple[Fraction, ...]:
         return tuple(_fraction(v, self.den) for v in self.shift)
 

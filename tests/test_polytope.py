@@ -198,6 +198,8 @@ def test_affine_map_is_its_integer_form():
         assert m.matrix == tuple(map(tuple, matrix)) and m.translation == tuple(translation)
         assert all(type(v) is F for row in m.matrix for v in row)
         assert all(type(v) is F for v in m.translation)
+        # the views are built on each read and keep nothing alive on the map
+        assert set(vars(m)) == {"rows", "shift", "den"}
         # the same map from its views, and from ints where the entries are integral
         twin = pt.affine_map(m.matrix, m.translation)
         plain = pt.affine_map(
