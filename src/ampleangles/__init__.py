@@ -6,8 +6,6 @@ from .geometry import (
     DivisorClass,
     SurfaceModel,
     fn_irreducible_admissible,
-    fn_is_ample,
-    fn_is_nef,
     hirzebruch,
     intersect,
     is_ample,

@@ -7,10 +7,11 @@ per dual vector w: the nef-cone normals on the plane and F_n, where the
 body is an exact rational polyhedron whose closure is the weakened
 system; and M.t for every boundary class and tracked curve t of a
 blow-up (M the intersection matrix), where it is an outer approximation,
-reported with the sign of the self-intersection quadratic on a grid.
-The rows are integer rows from the start, read off the family's integer
-form, and the polytope is those rows.  The ALdP and strong ALdP verdicts
-are read off an exact body's rows and closure.
+reported with the sign of the self-intersection quadratic on a grid; the
+quadratic is the family's integer Gram matrix.  The rows are integer
+rows from the start, read off the family's integer form, and the
+polytope is those rows.  The ALdP and strong ALdP verdicts are read off
+an exact body's rows and closure.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -18,7 +19,9 @@ point gamma of the body, with the angle substitution realized by an
 invertible affine self-map of the cube.  It is built and checked in
 integer arithmetic over gamma's common denominator: eta comes from the
 angles' numerators and denominators, and the self-map and its inverse
-are integer forms from the start, never built through Fractions.
+are integer forms from the start, never built through Fractions.  Both
+ampleness tests (gamma in the body, A ample) run the nef-cone rule of
+`geometry` on integer numerators, the normals the body's rows come from.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .geometry import (
     UNSUPPORTED,
     BlowUp,
     DivisorClass,
-    Rat,
     _fraction,
     _integer_point,
-    intersect,
+    _is_ample_numerators,
+    intersect,  # unused here; perfbench/test_bench.py reads angles.intersect
     is_ample,
     nef_cone,
 )
@@ -142,7 +145,7 @@ def is_log_dp(p: LogPair):
 
     Propagates UNSUPPORTED from the exact-ampleness test on blow-ups.
     """
-    return is_ample(p.surface, log_adjoint(p).at([0] * p.r))
+    return is_ample(p.surface, log_adjoint(p).constant)
 
 
 # ---------------------------------------------------------------------------
@@ -167,36 +170,22 @@ class QuadraticReport:
     zero: int
     negative: int
 
-    def value(self, beta: Sequence[Rat]) -> Fraction:
-        return _quadratic_value(self.constant, self.linear, self.quadratic, beta)
 
-
-def _quadratic_value(constant, linear, quadratic, beta: Sequence[Rat]) -> Fraction:
-    b = [Fraction(x) for x in beta]
-    total = constant + sum(l * x for l, x in zip(linear, b))
-    for i, bi in enumerate(b):
-        if bi == 0:
-            continue
-        total += bi * sum(quadratic[i][j] * bj for j, bj in enumerate(b) if bj != 0)
-    return total
-
-
-def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> tuple[int, int, int]:
+def _quadratic_signs(gram, denom: int, points) -> tuple[int, int, int]:
     """How many integer points k give q(k/denom) a positive, zero and
-    negative sign, in that order.
+    negative sign, in that order, where q(beta) = v.G.v at v = (1, beta)
+    for the symmetric integer Gram matrix G = `gram`.
 
-    The sign of q(k/denom) is the sign of the integer Q = lcm.denom^2.q(k/denom),
-    lcm being that of q's coefficient denominators.  Along the last
-    coordinate x, Q = a + b.x + c.x^2 with a and b fixed by the other
-    coordinates; they are recomputed only when those change, which points
-    in lexicographic order (as `polytope.grid_points` yields them) seldom
-    do.  Points in any order give the same table.
+    The sign of q(k/denom) is the sign of the integer Q = denom^2.q(k/denom).
+    Along the last coordinate x, Q = a + b.x + c.x^2 with a and b fixed by
+    the other coordinates; they are recomputed only when those change, which
+    points in lexicographic order (as `polytope.grid_points` yields them)
+    seldom do.  Points in any order give the same table.
     """
-    r = len(linear)
-    nums, _ = _integer_point([constant, *linear, *(c for row in quadratic for c in row)])
-    c0 = nums[0] * denom * denom
-    c1 = [v * denom for v in nums[1 : r + 1]]
-    c2 = [nums[r + 1 + i * r : r + 1 + (i + 1) * r] for i in range(r)]
+    r = len(gram) - 1
+    c0 = gram[0][0] * denom * denom
+    c1 = [2 * denom * v for v in gram[0][1:]]
+    c2 = [row[1:] for row in gram[1:]]
     counts = [0, 0, 0]  # indexed by the sign: zero, positive, negative (at -1)
     if not r:  # q is its constant: one sign for every point
         for _ in points:
@@ -204,7 +193,7 @@ def _quadratic_signs(constant, linear, quadratic, denom: int, points) -> tuple[i
         return counts[1], counts[0], counts[-1]
     last = r - 1
     c = c2[last][last]
-    cross = [c2[i][last] + c2[last][i] for i in range(last)]
+    cross = [2 * v for v in c2[last][:last]]
     head = None
     for k in points:
         if k[:last] != head:
@@ -231,20 +220,24 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
         raise ValueError("outer approximation applies to blow-up surfaces only")
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
-    family = log_adjoint(p)
     body = aa_body(p)
-    const = intersect(family.constant, family.constant)
-    linear = tuple(2 * intersect(family.constant, inc) for inc in family.increments)
-    quad = tuple(
-        tuple(intersect(a, b) for b in family.increments) for a in family.increments
-    )
+    # the Gram matrix of (constant, increments): their integer numerators
+    # paired through the lattice matrix, so q(beta) = v.G.v / den^2 at v = (1, beta)
+    den, constant, increments = log_adjoint(p).integer_form
+    vectors = (constant, *increments)
+    duals = [[sum(map(mul, row, v)) for row in p.surface.intersection_matrix] for v in vectors]
+    gram = [[sum(map(mul, u, w)) for w in duals] for u in vectors]
+    scale = den * den
+    const = Fraction(gram[0][0], scale)
+    linear = tuple(Fraction(2 * v, scale) for v in gram[0][1:])
+    quad = tuple(tuple(Fraction(v, scale) for v in row[1:]) for row in gram[1:])
     # keep the sample count at desk scale for deep blow-ups
     denom = grid_denominator if p.r <= 4 else min(grid_denominator, 4)
     # an empty closure means an infeasible open part: no grid point can pass
     if body.closed_hull == pt.canonical_empty(p.r):
         signs = (0, 0, 0)
     else:
-        signs = _quadratic_signs(const, linear, quad, denom, pt.grid_points(body.open_part, denom))
+        signs = _quadratic_signs(gram, denom, pt.grid_points(body.open_part, denom))
     report = QuadraticReport(const, linear, quad, denom, sum(signs), *signs)
     return body, report
 
@@ -302,13 +295,12 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     k, d = _integer_point(gamma.entries)
     # X is a positive multiple of the adjoint at gamma, so ample exactly when it is
     x = family.integer_at(k, d)
-    if not all(0 < ki < d for ki in k) or is_ample(p.surface, p.surface.divisor(x)) is not True:
+    if not all(0 < ki < d for ki in k) or not _is_ample_numerators(p.surface, x):
         raise ValueError("gamma must lie in the open body of ample angles")
     h = eta(gamma)
     hn, hd = h.numerator, h.denominator
     s = hn + hd
     a_num = [s * v for v in x]
-    a_class = DivisorClass(p.surface, tuple(_fraction(v, hn * d * den) for v in a_num))
     t_num = [hn * d - s * ki for ki in k]  # f's translation, over hn.d
     f = _diagonal_map(hd * d, t_num, hn * d)
     f_inv = _diagonal_map(hn * d, [-t for t in t_num], hd * d)
@@ -322,8 +314,8 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
             raise RuntimeError("reparametrization identity failed on the constant class")
     if any(hn * row[i] != hd * f.den for i, row in enumerate(f.rows)):
         raise RuntimeError("reparametrization identity failed on an increment class")
-    # (b) A is ample
-    if is_ample(p.surface, a_class) is not True:
+    # (b) A is ample: a_num is a positive multiple of it
+    if not _is_ample_numerators(p.surface, a_num):
         raise RuntimeError("reparametrization produced a non-ample A")
     # (c) boundary coefficients stay within [0, 1] over the closed cube:
     # f_i(0) = t_i/(hn.d) and f_i(1) = (t_i + hd.d)/(hn.d)
@@ -334,6 +326,7 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     if not pt._is_identity(pt._compose(fi, gi, r)) or not pt._is_identity(pt._compose(gi, fi, r)):
         raise RuntimeError("angle substitution is not an exact inverse pair")
 
+    a_class = DivisorClass(p.surface, tuple(_fraction(v, hn * d * den) for v in a_num))
     return ReparamData(gamma, h, a_class, f, f_inv)
 
 

@@ -32,12 +32,8 @@ from .geometry import BlowUp, Tri
 from .pairs import LogPair, is_minimal, log_adjoint
 
 
-def _fmt_frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _fmt_point(pt_) -> str:
-    return "(" + ", ".join(_fmt_frac(c) for c in pt_) + ")"
+    return "(" + ", ".join(map(str, pt_)) + ")"
 
 
 def _fmt_verdict(v) -> str:
@@ -65,10 +61,10 @@ def _print_body(exactness: str, closed: pt.HPolytope, out) -> None:
 
 def _print_quadratic(report: angles.QuadraticReport, out) -> None:
     print("self-intersection quadratic (reported, not imposed):", file=out)
-    print(f"  constant: {_fmt_frac(report.constant)}", file=out)
-    print("  linear:   " + " ".join(_fmt_frac(c) for c in report.linear), file=out)
+    print(f"  constant: {report.constant}", file=out)
+    print("  linear:   " + " ".join(map(str, report.linear)), file=out)
     for row in report.quadratic:
-        print("  quad:     " + " ".join(_fmt_frac(c) for c in row), file=out)
+        print("  quad:     " + " ".join(map(str, row)), file=out)
     print(
         f"  sign table on 1/{report.grid_denominator} grid of the linear outer body: "
         f"{report.samples} samples, {report.positive} positive, "
@@ -178,7 +174,7 @@ def cmd_aa(args) -> int:
         axis_names.pop(idx - 1)
     print(f"pair: {args.file}")
     if slices:
-        fixed = ", ".join(f"b{i}={_fmt_frac(v)}" for i, v in sorted(slices))
+        fixed = ", ".join(f"b{i}={v}" for i, v in sorted(slices))
         print(f"section: {fixed}  (a section, not a projection)")
     _print_body(body.exactness, closed, sys.stdout)
     if args.svg:
@@ -189,7 +185,7 @@ def cmd_aa(args) -> int:
             )
         title = os.path.basename(args.file)
         if slices:
-            title += " section " + ",".join(f"b{i}={_fmt_frac(v)}" for i, v in sorted(slices))
+            title += " section " + ",".join(f"b{i}={v}" for i, v in sorted(slices))
         doc = svgfig.render_body(
             closed,
             axis_labels=(axis_names[0], axis_names[1]),

@@ -134,7 +134,7 @@ def parse_pair_spec(text: str) -> PairScript:
             if len(toks) == 5:
                 if not toks[4].startswith("fiber="):
                     raise SpecParseError(line_no, f"bad node attribute {toks[4]!r}")
-                fiber = toks[4][len("fiber="):]
+                fiber = _fiber_tag(line_no, toks[4])
             node_lines.append((line_no, toks[1], toks[2], toks[3], fiber))
         elif kind == "blowup":
             if len(toks) not in (4, 5) or toks[1] not in ("smooth", "node"):
@@ -143,7 +143,7 @@ def parse_pair_spec(text: str) -> PairScript:
             if len(toks) == 5:
                 if toks[1] != "smooth" or not toks[4].startswith("fiber="):
                     raise SpecParseError(line_no, f"bad blowup attribute {toks[4]!r}")
-                fiber = toks[4][len("fiber="):]
+                fiber = _fiber_tag(line_no, toks[4])
             steps.append(BlowUpStep(toks[1], toks[2], toks[3], fiber=fiber, line_no=line_no))
         else:
             raise SpecParseError(line_no, f"unknown directive {kind!r}")
@@ -172,6 +172,14 @@ def parse_pair_spec(text: str) -> PairScript:
         line_no = _refused_line(surface, components, component_lines, node_lines)
         raise SpecParseError(line_no, str(exc)) from None
     return PairScript(base, tuple(steps))
+
+
+def _fiber_tag(line_no: int, token: str) -> str:
+    """The tag of a `fiber=<tag>` token; an empty tag is refused."""
+    tag = token[len("fiber="):]
+    if not tag:
+        raise SpecParseError(line_no, "empty fiber tag")
+    return tag
 
 
 def _refused_line(surface, components, component_lines, node_lines) -> int:

@@ -11,6 +11,8 @@ plain ints for the lattice data.  Intersection numbers are computed on
 integers: each class caches its coefficients as integer numerators over
 their least common denominator, `intersect` pairs the numerators through
 the integer intersection matrix and returns the exact `Fraction`.
+Ampleness on the plane and F_n is one integer rule: the numerators are
+positive on every `nef_cone` normal (Kleiman's criterion).
 """
 
 from __future__ import annotations
@@ -209,16 +211,6 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
     return Fraction(total, da * db)
 
 
-def fn_is_ample(a: Rat, b: Rat, n: int) -> bool:
-    """Ampleness of aZ + bF on F_n: a > 0 and b > n*a."""
-    return a > 0 and b > n * a
-
-
-def fn_is_nef(a: Rat, b: Rat, n: int) -> bool:
-    """Nefness of aZ + bF on F_n: a >= 0 and b >= n*a."""
-    return a >= 0 and b >= n * a
-
-
 def fn_irreducible_admissible(a: int, b: int, n: int) -> bool:
     """Whether aZ + bF on F_n contains an irreducible curve: Z_n itself, the
     fiber F, or a >= 1 with b >= max(n*a, 1)."""
@@ -230,23 +222,30 @@ def fn_irreducible_admissible(a: int, b: int, n: int) -> bool:
 
 
 def is_ample(s: SurfaceModel, d: DivisorClass):
-    """Exact ampleness for the plane and F_n; UNSUPPORTED on blow-ups.
+    """Exact ampleness for the plane and F_n (Kleiman: positive on the
+    curves spanning the cone of curves, i.e. on every `nef_cone` normal);
+    UNSUPPORTED on blow-ups.
 
     On blow-up surfaces the Nakai-Moishezon curve list is infinite, so no
     exact answer is attempted here (see angles.aa_outer_blowup).
     """
     if d.surface != s:
         raise ValueError("class does not live on the given surface")
-    prov = s.provenance
-    if isinstance(prov, ProjectivePlane):
-        return d.coeffs[0] > 0
-    if isinstance(prov, Hirzebruch):
-        return fn_is_ample(d.coeffs[0], d.coeffs[1], prov.n)
-    return UNSUPPORTED
+    if isinstance(s.provenance, BlowUp):
+        return UNSUPPORTED
+    return _is_ample_numerators(s, d.integer_form[0])
+
+
+def _is_ample_numerators(s: SurfaceModel, k: Sequence[int]) -> bool:
+    """Ampleness on the plane or F_n of the class with coefficients k, or of
+    any positive multiple of it: k is positive on every nef-cone normal."""
+    return all(sum(map(mul, w, k)) > 0 for w in nef_cone(s))
 
 
 def nef_cone(s: SurfaceModel) -> tuple[tuple[int, ...], ...]:
-    """Normals of the nef cone in basis coordinates, for the plane and F_n only."""
+    """Normals of the nef cone in basis coordinates, for the plane and F_n
+    only: the rows M.c of the curves c spanning the cone of curves, H on the
+    plane and F, Z on F_n.  The one encoding of ampleness on these surfaces."""
     prov = s.provenance
     if isinstance(prov, ProjectivePlane):
         return ((1,),)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import polytope as pt
 
@@ -23,10 +22,6 @@ def _to_px(point) -> tuple[float, float]:
 def _escape(text: str) -> str:
     """Text as SVG character data: &, < and > become entities."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _ccw_order(verts):
@@ -78,7 +73,7 @@ def render_body(
         parts.append(f'<path d="{path} Z" fill="#9ecae1" fill-opacity="0.7" stroke="#08519c" stroke-width="2"/>')
         for v in verts:
             px, py = _to_px(v)
-            label = f"({_frac(v[0])}, {_frac(v[1])})"
+            label = f"({v[0]}, {v[1]})"
             lx = px + (10 if float(v[0]) < 0.5 else -10)
             ly = py + (-8 if float(v[1]) < 0.5 else 16)
             anchor = "start" if float(v[0]) < 0.5 else "end"

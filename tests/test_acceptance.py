@@ -160,7 +160,7 @@ def test_criterion_4_reparametrization():
                     assert rd.ample_part.coeffs[0] > 0
                 else:
                     a, b = rd.ample_part.coeffs
-                    assert g.fn_is_ample(a, b, cand.n)
+                    assert a > 0 and b > cand.n * a
                 # coefficient bounds at cube vertices: coefficient i is affine in
                 # beta_i alone, so the all-0 and all-1 corners realize every
                 # coordinate value any vertex attains

@@ -297,11 +297,11 @@ def test_reparam_checks_fire(monkeypatch):
     outside = pr.angles([F(7, 8), F(1, 8), F(1, 8)])
     calls = []
 
-    def ample_once(s, d):
-        calls.append(d)
-        return True if len(calls) == 1 else g.is_ample(s, d)
+    def ample_once(s, k):
+        calls.append(k)
+        return True if len(calls) == 1 else g._is_ample_numerators(s, k)
 
-    monkeypatch.setattr(an, "is_ample", ample_once)
+    monkeypatch.setattr(an, "_is_ample_numerators", ample_once)
     with pytest.raises(RuntimeError, match="non-ample A"):
         an.reparam(p, outside)
     monkeypatch.undo()
@@ -389,7 +389,8 @@ def test_outer_blowup_constraints():
     assert f"{coeffs} | {int(residual[0])} > 0" in lines
     # quadratic at beta = 1 is K^2
     k = up.surface.canonical_class()
-    assert report.value([1, 1, 1]) == g.intersect(k, k)
+    at_one = report.constant + sum(report.linear) + sum(map(sum, report.quadratic))
+    assert at_one == g.intersect(k, k)
 
 
 def test_outer_blowup_excludes_certified_non_ample_points():
@@ -507,35 +508,39 @@ def test_grid_points_on_shipped_bodies():
 
 def test_quadratic_signs_match_fraction_evaluation():
     # every sampled sign on the shipped pairs is positive, so the integer
-    # form of q is checked on random rational quadratics as well
+    # scan is checked on random symmetric integer Gram matrices as well
     rng = random.Random(31)
-    rand = lambda: F(rng.randint(-9, 9), rng.randint(1, 6))
     seen = Counter()
     for _ in range(40):
         r, denom = rng.randint(0, 4), rng.choice([2, 3, 7, 16])
-        linear = tuple(rand() for _ in range(r))
-        upper = [[rand() for _ in range(r)] for _ in range(r)]
-        quad = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(r)) for i in range(r))
+        upper = [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(r + 1)]
+        gram = [[upper[min(i, j)][max(i, j)] for j in range(r + 1)] for i in range(r + 1)]
         points = [tuple(rng.randint(1, denom - 1) for _ in range(r)) for _ in range(30)]
         # a run in reverse lexicographic order, and repeated points
         points += sorted(points[:10], reverse=True) + [points[0], points[1], points[0]]
 
-        def q_without_constant(k):
-            beta = [F(x, denom) for x in k]
-            return sum(l * b for l, b in zip(linear, beta)) + sum(
-                quad[i][j] * beta[i] * beta[j] for i in range(r) for j in range(r)
-            )
+        def q(k):
+            v = [F(1)] + [F(x, denom) for x in k]
+            return sum(gram[i][j] * v[i] * v[j] for i in range(r + 1) for j in range(r + 1))
 
-        # q vanishes at the first point; for r = 0, q is a random constant
-        const = -q_without_constant(points[0]) if r else rand()
+        if r:
+            # scale the rest of the form so that an integer constant makes
+            # q vanish at the first point; for r = 0, q is a random constant
+            for i in range(r + 1):
+                for j in range(r + 1):
+                    gram[i][j] *= denom * denom
+            gram[0][0] = 0
+            rest = q(points[0])
+            assert rest.denominator == 1
+            gram[0][0] = -rest.numerator
         want = Counter()
         for k in points:
-            q = const + q_without_constant(k)
-            want[(q > 0) - (q < 0)] += 1
+            value = q(k)
+            want[(value > 0) - (value < 0)] += 1
         table = (want[1], want[0], want[-1])
-        assert an._quadratic_signs(const, linear, quad, denom, points) == table
+        assert an._quadratic_signs(gram, denom, points) == table
         # a single pass over an iterator gives the same table
-        assert an._quadratic_signs(const, linear, quad, denom, iter(points)) == table
+        assert an._quadratic_signs(gram, denom, iter(points)) == table
         seen += want
     assert all(seen[s] > 40 for s in (1, 0, -1))
 

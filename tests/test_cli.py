@@ -173,7 +173,8 @@ def test_parse_blowup_fiber_tags_and_shared_fiber_script(tmp_path):
 
 def test_blowup_refuses_a_tracked_tag(tmp_path):
     """A blow-up that would reuse a tracked-curve tag, or tag a fiber on a
-    surface with no ruling, is refused on its line."""
+    surface with no ruling, and an empty fiber tag on a node or blow-up
+    line, are refused on their line."""
     head = "surface F 1\ncomponent Z 1 0\ncomponent C 1 1\n"
     cases = [
         (head + "blowup smooth C f fiber=f\n", 4, "tracked-curve tag 'f' already in use"),
@@ -183,6 +184,8 @@ def test_blowup_refuses_a_tracked_tag(tmp_path):
             4,
             "fiber tags only make sense on F_n-rooted surfaces",
         ),
+        ("surface F 1\ncomponent Z 1 0\ncomponent C 0 1\nnode a Z C fiber=\n", 4, "empty fiber tag"),
+        (head + "blowup smooth C e1 fiber=\nblowup smooth C e2 fiber=\n", 4, "empty fiber tag"),
     ]
     for text, line_no, message in cases:
         (tmp_path / "tag.pair").write_text(text)
