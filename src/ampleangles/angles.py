@@ -16,10 +16,13 @@ an exact body's rows and closure.
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
 point gamma of the body, with the angle substitution realized by an
-invertible affine self-map of the cube.  It is built and checked in
-integer arithmetic over gamma's common denominator: eta comes from the
-angles' numerators and denominators, and the self-map and its inverse
-are integer forms from the start, never built through Fractions.  Both
+invertible affine self-map of the cube.  As in the paper, each boundary
+coefficient of F(beta) depends on its own angle alone, so the self-map
+is coordinatewise, with slope 1/eta in every coordinate.  It is built
+and checked in integer arithmetic over gamma's common denominator: eta
+comes from the angles' numerators and denominators, the self-map and
+its inverse are integer forms from the start, never built through
+Fractions, and the inverse is checked one coordinate at a time.  Both
 ampleness tests (gamma in the body, A ample) run the nef-cone rule of
 `geometry` on integer numerators, the normals the body's rows come from.
 """
@@ -28,9 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
-from typing import Sequence
 
 from . import polytope as pt
 from .geometry import (
@@ -285,8 +286,7 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
         f(beta)_i  = (hd.d.beta_i + hn.d - s.k_i) / (hn.d)
         f_inv(x)_i = (hn.d.x_i - hn.d + s.k_i) / (hd.d)
     """
-    r = p.r
-    if len(gamma.entries) != r:
+    if len(gamma.entries) != p.r:
         raise ValueError("gamma length must match the number of boundary components")
     if isinstance(p.surface.provenance, BlowUp):
         raise ValueError(_RANK_LE2_ONLY)
@@ -302,17 +302,18 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     s = hn + hd
     a_num = [s * v for v in x]
     t_num = [hn * d - s * ki for ki in k]  # f's translation, over hn.d
-    f = _diagonal_map(hd * d, t_num, hn * d)
-    f_inv = _diagonal_map(hn * d, [-t for t in t_num], hd * d)
+    f = pt.AffineMap(hd * d, t_num, hn * d)
+    f_inv = pt.AffineMap(hn * d, [-t for t in t_num], hd * d)
 
     # (a) the adjoint identity, coefficientwise in the affine family:
-    # hn.d.den.(K + A + F(0)) = hd.d.den.constant, and eta.f_ii = 1 so eta.f_ii.C_i = C_i
+    # hn.d.den.(K + A + F(0)) = hd.d.den.constant, and eta.slope/den = 1 so that
+    # the beta_i part of eta.F(beta) is the increment beta_i.C_i
     k_class = p.surface.canonical
     for j, (kj, aj, cj) in enumerate(zip(k_class, a_num, constant)):
         lhs = hn * d * den * kj + aj + sum(t * inc[j] for t, inc in zip(t_num, increments))
         if lhs != hd * d * cj:
             raise RuntimeError("reparametrization identity failed on the constant class")
-    if any(hn * row[i] != hd * f.den for i, row in enumerate(f.rows)):
+    if hn * f.slope != hd * f.den:
         raise RuntimeError("reparametrization identity failed on an increment class")
     # (b) A is ample: a_num is a positive multiple of it
     if not _is_ample_numerators(p.surface, a_num):
@@ -321,25 +322,21 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     # f_i(0) = t_i/(hn.d) and f_i(1) = (t_i + hd.d)/(hn.d)
     if any(t < 0 or t + hd * d > hn * d for t in t_num):
         raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
-    # invertibility: f after f_inv and f_inv after f, on the integer forms
-    fi, gi = (f.rows, f.shift, f.den), (f_inv.rows, f_inv.shift, f_inv.den)
-    if not pt._is_identity(pt._compose(fi, gi, r)) or not pt._is_identity(pt._compose(gi, fi, r)):
+    # invertibility: f after f_inv and f_inv after f, per coordinate
+    if not _undoes(f, f_inv) or not _undoes(f_inv, f):
         raise RuntimeError("angle substitution is not an exact inverse pair")
 
     a_class = DivisorClass(p.surface, tuple(_fraction(v, hn * d * den) for v in a_num))
     return ReparamData(gamma, h, a_class, f, f_inv)
 
 
-def _diagonal_map(diagonal: int, shift: Sequence[int], den: int) -> pt.AffineMap:
-    """x -> (diagonal.x + shift)/den on r >= 1 coordinates, for integers
-    and den > 0, as the integer form `AffineMap` keeps: the gcd of den,
-    the diagonal and the shift is divided out, which is the gcd of the
-    whole form as every entry off the diagonal is 0."""
-    g = gcd(den, diagonal, *shift)
-    diagonal //= g
-    zeros = (0,) * len(shift)
-    return pt.AffineMap(
-        tuple(zeros[:i] + (diagonal,) + zeros[i + 1 :] for i in range(len(shift))),
-        tuple(t // g for t in shift),
-        den // g,
+def _undoes(outer: pt.AffineMap, inner: pt.AffineMap) -> bool:
+    """Whether outer after inner is the identity.  Over den.den' it sends
+    x_i to slope.slope'.x_i + slope.shift'_i + den'.shift_i (primes on
+    inner), so it is the identity exactly when slope.slope' = den.den' and
+    slope.shift'_i + den'.shift_i = 0 for every i."""
+    return (
+        outer.dim == inner.dim
+        and outer.slope * inner.slope == outer.den * inner.den
+        and all(outer.slope * t + inner.den * u == 0 for t, u in zip(inner.shift, outer.shift))
     )

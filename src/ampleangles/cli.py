@@ -9,10 +9,11 @@ Subcommands:
 
 Exit codes: 0 computed (any verdict) or --help, 1 input error (a bad
 spec, file or option, usage errors included), 2 a verdict came back
-unknown/unsupported, 3 internal error (a failed self-check or a
-family-table miss: a bug, not bad input).  Reports are deterministic;
-timing goes to stderr only.  `classify` prints each rank-2 row's body
-from the closure its acceptance test already computed.
+unknown/unsupported, 3 internal error (any other exception, such as a
+failed self-check, a family-table miss or a library ValueError: a bug,
+not bad input).  Reports are deterministic; timing goes to stderr only.
+`classify` prints each rank-2 row's body from the closure its
+acceptance test already computed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import angles, classify, polytope as pt, svgfig
-from .dsl import load_pair_spec
+from .dsl import InputError, load_pair_spec
 from .geometry import BlowUp, Tri
 from .pairs import LogPair, is_minimal, log_adjoint
 
@@ -206,7 +207,7 @@ def _classes_column(c: classify.CandidatePair) -> str:
 
 def cmd_classify(args) -> int:
     if args.n_max < 0:
-        raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
+        raise InputError(f"--n-max must be at least 0, got {args.n_max}")
     if args.mode == "maeda":
         for cand, label in classify.enumerate_maeda(args.n_max):
             n_col = "-" if cand.n is None else str(cand.n)
@@ -268,10 +269,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (OSError, ValueError) as exc:  # SpecParseError is a ValueError
+    except (InputError, OSError) as exc:  # SpecParseError is an InputError
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, AssertionError, LookupError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -26,7 +26,11 @@ from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
 from .pairs import LogPair, NodeRecord, blow_up_node, blow_up_smooth_point, make_pair
 
 
-class SpecParseError(ValueError):
+class InputError(ValueError):
+    """Bad input from outside the program: a spec, a file or an option."""
+
+
+class SpecParseError(InputError):
     def __init__(self, line_no: int, message: str):
         prefix = f"line {line_no}: " if line_no else ""
         super().__init__(prefix + message)
@@ -203,4 +207,8 @@ def _irreducible(coords: tuple[int, ...], is_plane: bool, n: int) -> bool:
 
 def load_pair_spec(path: str) -> PairScript:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_pair_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecParseError(0, f"spec is not UTF-8 text: {exc.reason}") from None
+    return parse_pair_spec(text)

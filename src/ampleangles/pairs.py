@@ -44,7 +44,6 @@ from .geometry import (
     ProjectivePlane,
     Rat,
     SurfaceModel,
-    _fraction,
     _integer_point,
     blow_up,
     intersect,
@@ -230,17 +229,6 @@ class LogAdjointFamily:
 
     constant: DivisorClass
     increments: tuple[DivisorClass, ...]
-
-    def at(self, beta: Union[AngleVector, Sequence[Rat]]) -> DivisorClass:
-        """The class at beta, computed on the integer form."""
-        values = beta.entries if isinstance(beta, AngleVector) else beta
-        if len(values) != len(self.increments):
-            raise ValueError("angle vector length mismatch")
-        k, bden = _integer_point(values)
-        scale = self.integer_form[0] * bden
-        return DivisorClass(
-            self.constant.surface, tuple(_fraction(v, scale) for v in self.integer_at(k, bden))
-        )
 
     def integer_at(self, k: Sequence[int], d: int) -> list[int]:
         """d.den times the class at beta = k/d (den from `integer_form`), as

@@ -14,10 +14,11 @@ the same rows; Fourier-Motzkin enters it only when the normals have
 rank below the dimension.  Closures, sections, interval-pruned grid
 scans (which fix one coordinate at a time and visit only the grid points
 of the body) and the canonical text all work on the rows.  An affine map
-is likewise its integer form, numerators over the least common
-denominator; it applies and composes on those integers, and its Fraction
-entries are views built on each read.  Everything is exact, over `fractions.Fraction`
-and `int`; there is no floating-point mode.
+is the coordinatewise substitution x_i -> (slope.x_i + shift_i)/den,
+kept as those integers in lowest terms; it applies on them, and its
+Fraction matrix and translation are views built on each read.
+Everything is exact, over `fractions.Fraction` and `int`; there is no
+floating-point mode.
 """
 
 from __future__ import annotations
@@ -88,64 +89,39 @@ class VPolytope:
     vertices: tuple[tuple[Fraction, ...], ...]
 
 
-def _compose(outer, inner, cols: int):
-    """outer after inner on integer forms (matrix, translation, den), cols
-    being inner's domain dimension: over den1.den2 the matrix is M1.M2 and
-    the translation M1.t2 + den2.t1.  Zero entries of outer are skipped."""
-    m1, t1, den1 = outer
-    m2, t2, den2 = inner
-    rows, trans = [], []
-    for row, t in zip(m1, t1):
-        nums, shift = [0] * cols, den2 * t
-        for a, inner_row, inner_t in zip(row, m2, t2):
-            if a:
-                nums = [v + a * w for v, w in zip(nums, inner_row)]
-                shift += a * inner_t
-        rows.append(tuple(nums))
-        trans.append(shift)
-    return tuple(rows), tuple(trans), den1 * den2
-
-
-def _is_identity(form) -> bool:
-    """Whether an integer form (matrix, translation, den) is the identity."""
-    matrix, translation, den = form
-    n = len(matrix)
-    return not any(translation) and all(
-        len(row) == n and all(v == (den if i == j else 0) for j, v in enumerate(row))
-        for i, row in enumerate(matrix)
-    )
-
-
 @dataclass(frozen=True)
 class AffineMap:
-    """x |-> (rows.x + shift)/den: the map is its integer form, numerators
-    over den, the least common denominator of its entries, so equality
-    compares the exact map.  `affine_map` builds it from rational entries;
-    a builder from integers (`angles._diagonal_map`) divides out the gcd of
-    den and every entry and keeps den positive.  `matrix` and `translation`
-    are Fraction views of the entries, built on each read and not kept on
-    the map, so reading them leaves its size as it was."""
+    """x |-> (slope.x + shift)/den, coordinate by coordinate: x_i goes to
+    (slope.x_i + shift_i)/den, with one slope for every coordinate.  The
+    map is its integer form: the constructor divides out the gcd of den,
+    slope and shift and makes den positive, so equality compares the exact
+    map.  `matrix` (the dense diagonal) and `translation` are Fraction
+    views, built on each read and not kept on the map."""
 
-    rows: tuple[tuple[int, ...], ...]
+    slope: int
     shift: tuple[int, ...]
     den: int
 
     def __post_init__(self):
-        if len(self.rows) != len(self.shift):
-            raise ValueError("matrix rows must match translation length")
+        if self.den == 0:
+            raise ValueError("affine map denominator must be nonzero")
+        g = gcd(self.den, self.slope, *self.shift)
+        if self.den < 0:
+            g = -g
+        object.__setattr__(self, "slope", self.slope // g)
+        object.__setattr__(self, "shift", tuple(t // g for t in self.shift))
+        object.__setattr__(self, "den", self.den // g)
 
     @property
-    def domain_dim(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def codomain_dim(self) -> int:
+    def dim(self) -> int:
         return len(self.shift)
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        den = self.den
-        return tuple(tuple(_fraction(v, den) for v in row) for row in self.rows)
+        r = self.dim
+        return tuple(
+            tuple(_fraction(self.slope if i == j else 0, self.den) for j in range(r)) for i in range(r)
+        )
 
     @property
     def translation(self) -> tuple[Fraction, ...]:
@@ -153,24 +129,11 @@ class AffineMap:
 
     def apply(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         """The image of x, computed on the integer form against x = k/xden."""
-        if len(x) != self.domain_dim:
+        if len(x) != self.dim:
             raise ValueError("point dimension mismatch")
         k, xden = _integer_point(x)
         den = self.den * xden
-        return tuple(
-            _fraction(sum(map(mul, row, k)) + t * xden, den) for row, t in zip(self.rows, self.shift)
-        )
-
-
-def affine_map(matrix: Sequence[Sequence[Rat]], translation: Sequence[Rat]) -> AffineMap:
-    """x |-> matrix.x + translation for rational entries."""
-    k, den = _integer_point([*(v for row in matrix for v in row), *translation])
-    rows, start = [], 0
-    for row in matrix:
-        rows.append(tuple(k[start : start + len(row)]))
-        start += len(row)
-    # over the least common denominator the numerators are already coprime to den
-    return AffineMap(tuple(rows), tuple(k[start:]), den)
+        return tuple(_fraction(self.slope * v + t * xden, den) for v, t in zip(k, self.shift))
 
 
 def _normalize(normal: Sequence[int], offset: int, strict: bool) -> Row:

@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
-from ampleangles.angles import EXACT, AABody, ReparamData
+from ampleangles.angles import EXACT, AABody
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
-from ampleangles.polytope import HalfSpace, affine_map, halfspace, polytope
+from ampleangles.polytope import HalfSpace, halfspace, polytope
 
 F = Fraction
 
@@ -52,6 +52,16 @@ def direct_ample_p2(boundary, beta):
     """Ampleness of the log adjoint on the plane by degree positivity."""
     (d,) = adjoint_coeffs((3,), boundary, beta)
     return d > 0
+
+
+def family_at(family, beta):
+    """The class of a log adjoint family at rational beta, through
+    `integer_at`, the integer form `reparam` evaluates: with beta = k/d the
+    class is integer_at(k, d) over d.den."""
+    beta = [F(b) for b in beta]
+    d = lcm(*(b.denominator for b in beta))
+    nums = family.integer_at([b.numerator * (d // b.denominator) for b in beta], d)
+    return family.constant.surface.divisor([F(v, d * family.integer_form[0]) for v in nums])
 
 
 def _adjoint_parts(p):
@@ -166,24 +176,32 @@ def intersection(p, q):
     return polytope(p.dim, p.halfspaces + q.halfspaces)
 
 
+# An affine map here is a (matrix, translation) pair of plain Fractions.
+
+
 def identity_map(dim):
-    return affine_map([[int(i == j) for j in range(dim)] for i in range(dim)], [0] * dim)
+    return tuple(tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)), (F(0),) * dim
+
+
+def affine_apply(m, x):
+    """matrix.x + translation, in Fractions."""
+    matrix, translation = m
+    return tuple(sum((a * F(b) for a, b in zip(row, x)), F(t)) for row, t in zip(matrix, translation))
 
 
 def affine_preimage(m, p):
     """Pull halfspaces back through x = m(beta): normal' = M^T.normal,
     offset' = normal.translation + offset; strictness preserved."""
-    if m.codomain_dim != p.dim:
+    matrix, translation = m
+    if len(matrix) != p.dim:
         raise ValueError("map codomain must match polytope dimension")
+    cols = len(matrix[0]) if matrix else 0
     out = []
     for hs in p.halfspaces:
-        normal = tuple(
-            sum((hs.normal[i] * m.matrix[i][j] for i in range(m.codomain_dim)), F(0))
-            for j in range(m.domain_dim)
-        )
-        offset = sum((n * t for n, t in zip(hs.normal, m.translation)), F(0)) + hs.offset
+        normal = tuple(sum((a * F(row[j]) for a, row in zip(hs.normal, matrix)), F(0)) for j in range(cols))
+        offset = sum((a * F(t) for a, t in zip(hs.normal, translation)), F(0)) + hs.offset
         out.append(HalfSpace(normal, offset, hs.strict))
-    return polytope(m.domain_dim, out)
+    return polytope(cols, out)
 
 
 def remove_redundant(p):
@@ -225,8 +243,7 @@ def class_map(p):
     """The affine map from angles to adjoint class coordinates, from the
     coefficient tuples of the boundary."""
     constant, increments = _adjoint_parts(p)
-    matrix = [[inc[k] for inc in increments] for k in range(p.surface.rank)]
-    return affine_map(matrix, constant)
+    return tuple(tuple(inc[k] for inc in increments) for k in range(p.surface.rank)), tuple(constant)
 
 
 def _nef_normals(p):
@@ -252,8 +269,8 @@ def aa_via_nef(p):
     return AABody(open_part, closed, EXACT)
 
 
-def _product(outer, inner):
-    """outer after inner for (matrix, translation) pairs of plain Fractions."""
+def affine_product(outer, inner):
+    """outer after inner for (matrix, translation) pairs."""
     (m1, t1), (m2, t2) = outer, inner
     cols = len(m2[0]) if m2 else 0
     matrix = tuple(
@@ -273,7 +290,9 @@ def affine_basis(r):
 def fraction_reparam(p, gamma):
     """The reparametrization at gamma and its checks, all in plain Fractions
     on coefficient lists: an oracle for the library's integer `reparam`.
-    Raises the ValueError and RuntimeError texts the library raises."""
+    Returns (gamma, eta, A, f, f_inv), the maps as dense (matrix,
+    translation) pairs, the views of the library's maps.  Raises the
+    ValueError and RuntimeError texts the library raises."""
     r, g = p.r, gamma.entries
     if len(g) != r:
         raise ValueError("gamma length must match the number of boundary components")
@@ -295,8 +314,9 @@ def fraction_reparam(p, gamma):
     h = max(max((1 - x) / x, x / (1 - x)) for x in g)
     scale = (1 + h) / h
     a = [-scale * c for c in k_plus_weighted([1 - x for x in g])]
-    f = ([[1 / h if i == j else F(0) for j in range(r)] for i in range(r)], [1 - scale * x for x in g])
-    f_inv = ([[h if i == j else F(0) for j in range(r)] for i in range(r)], [-h + (1 + h) * x for x in g])
+    diagonal = lambda v: tuple(tuple(v if i == j else F(0) for j in range(r)) for i in range(r))
+    f = (diagonal(1 / h), tuple(1 - scale * x for x in g))
+    f_inv = (diagonal(h), tuple(-h + (1 + h) * x for x in g))
 
     constant = [-c for c in k_plus_weighted([1] * r)]  # -K - sum C_i
     if [h * (c + aj) for c, aj in zip(k_plus_weighted(f[1]), a)] != constant:
@@ -308,10 +328,10 @@ def fraction_reparam(p, gamma):
         raise RuntimeError("reparametrization produced a non-ample A")
     if any(f[1][i] < 0 or f[1][i] + f[0][i][i] > 1 for i in range(r)):
         raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
-    identity = (tuple(tuple(F(int(i == j)) for j in range(r)) for i in range(r)), (F(0),) * r)
-    if _product(f, f_inv) != identity or _product(f_inv, f) != identity:
+    identity = identity_map(r)
+    if affine_product(f, f_inv) != identity or affine_product(f_inv, f) != identity:
         raise RuntimeError("angle substitution is not an exact inverse pair")
-    return ReparamData(gamma, h, p.surface.divisor(a), affine_map(*f), affine_map(*f_inv))
+    return gamma, h, p.surface.divisor(a), f, f_inv
 
 
 def _solve(rows):

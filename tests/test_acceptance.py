@@ -23,6 +23,7 @@ from _util import (
     cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
+    family_at,
     fn_table,
     grid,
     maeda_fn_table,
@@ -154,7 +155,7 @@ def test_criterion_4_reparametrization():
                     rhs = p.surface.canonical_class() + rd.ample_part
                     for c, cls in zip(coeffs, p.classes):
                         rhs = rhs + c * cls
-                    assert (rd.eta * rhs).coeffs == fam.at(beta).coeffs
+                    assert (rd.eta * rhs).coeffs == family_at(fam, beta).coeffs
                 # A ample, by the direct criteria
                 if cand.n is None:
                     assert rd.ample_part.coeffs[0] > 0
@@ -168,7 +169,7 @@ def test_criterion_4_reparametrization():
                     assert all(0 <= c <= 1 for c in rd.f.apply(corner))
                 # exact inverse: f_inv after f fixes the affine basis, so it is
                 # the identity; f maps r coordinates to r, so f after f_inv is too
-                assert rd.f.codomain_dim == r
+                assert rd.f.dim == r
                 assert [rd.f_inv.apply(y) for y in images] == probes
                 checked += 1
         assert checked > 1000
@@ -235,8 +236,8 @@ def _verify_residual(pair, down, residual, dropped_angle, rng):
     for _ in range(2):
         beta = [F(rng.randint(1, 7), 8) for _ in range(pair.r)]
         induced = [b for i, b in enumerate(beta) if i != dropped_angle]
-        up = up_fam.at(beta).coeffs
-        dn = down_fam.at(induced).coeffs
+        up = family_at(up_fam, beta).coeffs
+        dn = family_at(down_fam, induced).coeffs
         rho = const + sum(c * b for c, b in zip(coeffs, beta))
         assert up[:-1] == dn
         assert up[-1] == -rho

@@ -1,6 +1,7 @@
 import pathlib
 import random
 from collections import Counter
+from math import gcd, lcm
 
 import pytest
 
@@ -14,15 +15,19 @@ from _util import (
     F,
     P2_TABLE,
     aa_via_nef,
+    affine_apply,
     affine_basis,
+    affine_product,
     brute_force_grid_points,
     class_map,
     cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
+    family_at,
     fn_table,
     fraction_reparam,
     grid,
+    identity_map,
     oracle_rows,
     remove_redundant,
 )
@@ -146,21 +151,53 @@ def test_eta_against_its_definition():
             an.eta(pr.angles(gamma))
 
 
-def test_diagonal_map_divides_out_the_gcd():
-    """The integer form of x -> (diagonal.x + shift)/den, scaled by any
-    positive integer, is the map affine_map builds from its Fractions."""
+def test_affine_map_canonical_form_and_inverse_check():
+    """AffineMap x_i -> (slope.x_i + shift_i)/den is its integer form in
+    lowest terms with den > 0, so scaling it by 1..50 or by -1 gives the
+    same map; its views are Fractions and apply agrees with them; and
+    `_undoes` agrees with dense Fraction composition of the views."""
     rng = random.Random(41)
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        pt.AffineMap(1, (2, 3), 0)
+    undone = Counter()
     for _ in range(300):
-        r, den = rng.randint(1, 5), rng.randint(1, 40)
-        diagonal, shift = rng.randint(-20, 20), [rng.randint(-30, 30) for _ in range(r)]
-        want = pt.affine_map(
-            [[F(diagonal, den) if i == j else 0 for j in range(r)] for i in range(r)],
-            [F(t, den) for t in shift],
+        r = rng.randint(1, 5)
+        slope, den = rng.randint(-20, 20), rng.choice((1, -1)) * rng.randint(1, 40)
+        shift = [rng.randint(-30, 30) for _ in range(r)]
+        m = pt.AffineMap(slope, shift, den)
+        assert m.den > 0 and gcd(m.den, m.slope, *m.shift) == 1 and m.dim == r
+        # the views are built on each read and keep nothing alive on the map
+        assert set(vars(m)) == {"slope", "shift", "den"}
+        for scale in (*range(1, 51), -1):
+            twin = pt.AffineMap(scale * slope, [scale * t for t in shift], scale * den)
+            assert twin == m and hash(twin) == hash(m)
+        views = (m.matrix, m.translation)
+        assert views == (
+            tuple(tuple(F(slope, den) if i == j else 0 for j in range(r)) for i in range(r)),
+            tuple(F(t, den) for t in shift),
         )
-        scale = rng.randint(1, 50)
-        got = an._diagonal_map(scale * diagonal, [scale * t for t in shift], scale * den)
-        assert got == want and hash(got) == hash(want)
-        assert (got.rows, got.shift, got.den) == (want.rows, want.shift, want.den)
+        assert all(type(v) is F for v in (*m.translation, *(v for row in m.matrix for v in row)))
+        x = [F(rng.randint(-9, 9), rng.choice((1, 2, 5, 16))) for _ in range(r)]
+        assert m.apply(x) == affine_apply(views, x) and all(type(v) is F for v in m.apply(x))
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            m.apply(x + [F(1)])
+        # the inverse (where slope != 0), near misses and a random map
+        others = [pt.AffineMap(rng.randint(-20, 20), [rng.randint(-30, 30) for _ in range(r)], 7)]
+        if slope:
+            inverse = (den, [-t for t in shift], slope)
+            others.append(pt.AffineMap(*inverse))
+            others.append(pt.AffineMap(inverse[0] + rng.choice((1, -1)), *inverse[1:]))
+            i = rng.randrange(r)
+            near = [t + (j == i) for j, t in enumerate(inverse[1])]
+            others.append(pt.AffineMap(inverse[0], near, inverse[2]))
+        for other in others:
+            for outer, inner in ((m, other), (other, m)):
+                dense = affine_product((outer.matrix, outer.translation), (inner.matrix, inner.translation))
+                got = an._undoes(outer, inner)
+                assert got == (dense == identity_map(r))
+                undone[got] += 1
+        assert not an._undoes(m, pt.AffineMap(1, (0,) * (r + 1), 1))
+    assert undone[True] > 300 and undone[False] > 300
 
 
 def test_reparam_midpoint_is_identity():
@@ -195,7 +232,7 @@ def test_reparam_identity_by_independent_evaluation():
         rhs = p.surface.canonical_class() + rd.ample_part
         for c, cls in zip(coeffs, p.classes):
             rhs = rhs + c * cls
-        assert (rd.eta * rhs).coeffs == fam.at(beta).coeffs
+        assert (rd.eta * rhs).coeffs == family_at(fam, beta).coeffs
 
 
 def test_reparam_boundary_coeff_bounds():
@@ -215,10 +252,16 @@ def test_reparam_rejects_gamma_outside_body():
 
 
 def _outcome(fn, p, gamma):
+    """fn(p, gamma) as the Fraction oracle writes it, (gamma, eta, A, f,
+    f_inv) with the maps as their (matrix, translation) views, or the text
+    of its ValueError."""
     try:
-        return fn(p, gamma)
+        out = fn(p, gamma)
     except ValueError as exc:
         return f"ValueError: {exc}"
+    if isinstance(out, an.ReparamData):
+        out = (out.gamma, out.eta, out.ample_part, *((m.matrix, m.translation) for m in (out.f, out.f_inv)))
+    return out
 
 
 def test_reparam_against_fraction_oracle():
@@ -239,24 +282,21 @@ def test_reparam_against_fraction_oracle():
         for gamma in gammas:
             got, want = _outcome(an.reparam, p, pr.angles(gamma)), _outcome(fraction_reparam, p, pr.angles(gamma))
             assert got == want, (p.classes, gamma)
-            if isinstance(got, an.ReparamData):
-                fields = (got.eta, *got.ample_part.coeffs, *got.f.translation, *got.f_inv.translation)
-                assert all(type(v) is F for v in fields)
-            built[isinstance(got, an.ReparamData)] += 1
+            if isinstance(got, tuple):
+                _, h, a, (_, t), (_, t_inv) = got
+                assert all(type(v) is F for v in (h, *a.coeffs, *t, *t_inv))
+            built[isinstance(got, tuple)] += 1
     assert built[True] > 300 and built[False] > 300
     for p, gamma in ((blown, [F(1, 2)] * 3), (blown, [F(0)] * 3), (survivors[0], [F(1, 2)] * 2)):
         got = _outcome(an.reparam, p, pr.angles(gamma))
         assert got == _outcome(fraction_reparam, p, pr.angles(gamma)) and got.startswith("ValueError")
 
-    # apply on dense random maps (non-square, zero rows, mixed denominators),
-    # against the plain Fraction evaluation
-    entry = lambda: F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7, 12)))
+    # apply on random coordinatewise maps (zero slopes and shifts, mixed
+    # denominators), against the plain Fraction evaluation of the views
     for _ in range(400):
-        rows, cols = rng.randint(1, 4), rng.randint(0, 4)
-        matrix = [[entry() for _ in range(cols)] if rng.random() > 0.2 else [F(0)] * cols
-                  for _ in range(rows)]
-        m = pt.affine_map(matrix, [entry() for _ in range(rows)])
-        x = [F(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(cols)]
+        r = rng.randint(0, 4)
+        m = pt.AffineMap(rng.randint(-6, 6), [rng.randint(-6, 6) for _ in range(r)], rng.choice((1, 2, 3, 7, 12)))
+        x = [F(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(r)]
         want = tuple(sum((a * b for a, b in zip(row, x)), t) for row, t in zip(m.matrix, m.translation))
         assert m.apply(x) == want and all(type(v) is F for v in m.apply(x))
 
@@ -273,10 +313,11 @@ def test_log_adjoint_at_matches_direct_evaluation():
             beta = [F(rng.randint(0, 7), rng.choice((7, 2, 1))) for _ in range(r)]
             want = tuple(c + sum(b * inc.coeffs[j] for b, inc in zip(beta, increments))
                          for j, c in enumerate(constant.coeffs))
-            got = family.at(beta)
-            assert got.coeffs == want and all(type(v) is F for v in got.coeffs)
-            if all(b <= 1 for b in beta):
-                assert family.at(pr.angles(beta)) == got
+            # integer_at at beta = k/d is d.den times the class
+            d = lcm(*(b.denominator for b in beta))
+            got = family.integer_at([b.numerator * (d // b.denominator) for b in beta], d)
+            assert all(type(v) is int for v in got)
+            assert tuple(F(v, d * family.integer_form[0]) for v in got) == want
 
 
 def test_reparam_checks_fire(monkeypatch):
@@ -316,34 +357,31 @@ def test_reparam_checks_fire(monkeypatch):
             an.reparam(p, pr.angles(angle))
     monkeypatch.undo()
 
-    # (a) on the increments: f's diagonal doubled, so eta.f_ii is not 1
-    real_diagonal = an._diagonal_map
-    monkeypatch.setattr(an, "_diagonal_map", lambda d, t, den: real_diagonal(2 * d, t, den))
+    # (a) on the increments: f's slope doubled through the constructor, so
+    # eta.slope is not 1
+    real_map = pt.AffineMap
+    monkeypatch.setattr(pt, "AffineMap", lambda slope, shift, den: real_map(2 * slope, shift, den))
     with pytest.raises(RuntimeError, match="identity failed on an increment class"):
         an.reparam(p, gamma)
     monkeypatch.undo()
 
-    # the inverse check, on each side: f after f_inv, then f_inv after f,
-    # each an integer composition of the maps' integer forms; the broken one
-    # keeps inner's translation (over den1.den2) in place of the composed one
-    real = pt._compose
+    # the inverse check, on each side: f after f_inv, then f_inv after f;
+    # the helper fails on one call and answers truly on the other
+    real = an._undoes
     for broken_call in (0, 1):
         calls.clear()
 
-        def compose(outer, inner, cols):
+        def undoes(outer, inner):
             calls.append(outer)
-            rows, trans, den = real(outer, inner, cols)
-            if len(calls) - 1 != broken_call:
-                return rows, trans, den
-            return rows, tuple(outer[2] * t for t in inner[1]), den
+            return real(outer, inner) and len(calls) - 1 != broken_call
 
-        monkeypatch.setattr(pt, "_compose", compose)
+        monkeypatch.setattr(an, "_undoes", undoes)
         with pytest.raises(RuntimeError, match="not an exact inverse pair"):
             an.reparam(p, gamma)
-        # the first composition passed before the second one failed
+        # the first side passed before the second one failed
         assert len(calls) == broken_call + 1
         monkeypatch.undo()
-    assert an.reparam(p, gamma) == fraction_reparam(p, gamma)
+    assert _outcome(an.reparam, p, gamma) == fraction_reparam(p, gamma)
 
 
 def test_aa_via_nef_matches_direct():
@@ -367,7 +405,7 @@ def test_aa_via_nef_matches_direct():
 def test_class_map_at_one_is_minus_k():
     for p in (fn_pair(3, [(1, 0), (0, 1)]), p2_pair([1, 1])):
         phi = class_map(p)
-        assert phi.apply([F(1)] * p.r) == p.surface.minus_k().coeffs
+        assert affine_apply(phi, [F(1)] * p.r) == p.surface.minus_k().coeffs
 
 
 def test_p2_line_nef_preimage_is_cube():
@@ -402,7 +440,7 @@ def test_outer_blowup_excludes_certified_non_ample_points():
     tracked = list(up.classes) + [up.surface.divisor(tc.coeffs) for tc in up.tracked]
     for beta in grid(3, 4):
         inside = pt.contains(body.open_part, beta)
-        cls = fam.at(beta)
+        cls = family_at(fam, beta)
         violating = [t for t in tracked if g.intersect(cls, t) <= 0]
         if not inside:
             assert violating
@@ -461,7 +499,7 @@ def fraction_sign_table(p, open_part, denom):
     signs = Counter()
     for beta in grid(p.r, denom):
         if pt.contains(open_part, beta):
-            cls = adj.at(beta)
+            cls = family_at(adj, beta)
             q = g.intersect(cls, cls)
             signs[(q > 0) - (q < 0)] += 1
     return sum(signs.values()), signs[1], signs[0], signs[-1]

@@ -251,7 +251,7 @@ def test_reports_are_deterministic_and_timing_on_stderr(specs):
     assert "elapsed" in a.stderr
 
 
-@pytest.mark.parametrize("error", [RuntimeError, AssertionError, LookupError])
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError, LookupError, ValueError, TypeError])
 def test_internal_error_exit_code(specs, monkeypatch, capsys, error):
     def broken(p):
         raise error("self-check failed")
@@ -261,6 +261,28 @@ def test_internal_error_exit_code(specs, monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert "internal error: self-check failed" in err
     assert "input error" not in err
+
+
+def test_library_value_error_is_internal(monkeypatch, capsys):
+    """A ValueError the library raises on its own data is a bug, not bad
+    input: check on a valid sample exits 3."""
+    def unbounded(p):
+        raise ValueError("vertex enumeration requires a bounded polyhedron")
+
+    monkeypatch.setattr(cli.pt, "vertices", unbounded)
+    sample = pathlib.Path(__file__).resolve().parent.parent / "samples" / "figure1.pair"
+    assert cli.main(["check", str(sample)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: vertex enumeration requires a bounded polyhedron" in err
+    assert "input error" not in err
+
+
+def test_binary_spec_is_an_input_error(specs):
+    (specs / "binary.pair").write_bytes(b"surface P2\ncomponent L \xff\xfe 1\n")
+    out = run_cli(["check", "binary.pair"], cwd=specs)
+    assert out.returncode == 1, out.stderr
+    assert "input error: spec is not UTF-8 text" in out.stderr
+    assert out.stdout == ""
 
 
 def _fn_classes(column):
