@@ -182,6 +182,35 @@ def test_affine_preimage_commutes_with_intersection():
     assert pt.canonical_text(lhs) == pt.canonical_text(rhs)
 
 
+def test_affine_map_is_its_integer_form():
+    """AffineMap keeps (slope, shift, den) as integers; the Fraction views
+    give the dense diagonal matrix and the translation back, and apply
+    agrees with plain Fraction evaluation."""
+    rng = random.Random(14)
+    for _ in range(300):
+        r = rng.randint(0, 5)
+        slope, den = rng.randint(-20, 20), rng.randint(1, 40)
+        shift = [rng.randint(-30, 30) for _ in range(r)]
+        m = pt.AffineMap(slope, shift, den)
+        assert all(type(v) is int for v in (m.slope, m.den, *m.shift)) and m.dim == r
+        # the views are built on each read and keep nothing alive on the map
+        assert set(vars(m)) == {"slope", "shift", "den"}
+        matrix = tuple(tuple(F(slope, den) if i == j else 0 for j in range(r)) for i in range(r))
+        translation = tuple(F(t, den) for t in shift)
+        assert m.matrix == matrix and m.translation == translation
+        assert all(type(v) is F for v in (*m.translation, *(v for row in m.matrix for v in row)))
+        x = [F(rng.randint(-9, 9), rng.choice((1, 2, 5, 16))) for _ in range(r)]
+        want = tuple(sum((a * b for a, b in zip(row, x)), t) for row, t in zip(matrix, translation))
+        assert m.apply(x) == want and all(type(v) is F for v in m.apply(x))
+        assert m.apply([int(v) if v.denominator == 1 else v for v in x]) == want
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            m.apply(x + [F(1)])
+    # no coordinates
+    empty = pt.AffineMap(3, (), 6)
+    assert (empty.slope, empty.shift, empty.den) == (1, (), 2)
+    assert empty.apply([]) == () and empty.matrix == () and empty.translation == ()
+
+
 def test_remove_redundant():
     p = pt.polytope(1, [pt.halfspace([1], 0, False), pt.halfspace([1], 1, False)])
     assert pt.canonical_lines(remove_redundant(p)) == ["1 | 0 >= 0"]
