@@ -8,12 +8,17 @@ integer rows, scaling each by its gcd once; `polytope` is the entry for
 rational data, the `HalfSpace`s a caller writes, and keeps them as that
 polytope's `halfspaces` for certificates.  Feasibility is decided by
 Fourier-Motzkin elimination over the rows, with strictness combined by
-OR; infeasibility certificates are rebuilt from the provenance of the
-violated row.  Vertex enumeration is the double description method over
-the same rows; Fourier-Motzkin enters it only when the normals have
-rank below the dimension.  Closures, sections, interval-pruned grid
-scans (which fix one coordinate at a time and visit only the grid points
-of the body) and the canonical text all work on the rows.  An affine map
+OR and Chernikov's rule: after t eliminated variables, a combined row
+built from more than t + 1 input rows is implied by the others and is
+dropped.  A "feasible" answer that may rest on a history discarded with
+a duplicate row is confirmed by back-substitution, which builds a point
+of the system.  Infeasibility certificates are rebuilt from the
+provenance of the violated row.  Vertex enumeration is the double
+description method over the same rows; Fourier-Motzkin enters it only
+when the normals have rank below the dimension.  Closures, sections,
+interval-pruned grid scans (which fix one coordinate at a time and visit
+only the grid points of the body) and the canonical text all work on
+the rows.  An affine map
 is the coordinatewise substitution x_i -> (slope.x_i + shift_i)/den,
 kept as those integers in lowest terms; it applies on them, and its
 Fraction matrix and translation are views built on each read.
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -184,44 +189,167 @@ def cube_rows(dim: int, strict: bool) -> tuple[Row, ...]:
 
 
 def _eliminate(p: HPolytope):
-    """Fourier-Motzkin elimination over the integer rows; the provenance of
-    a violated constant row, or None when the system is feasible.
+    """Fourier-Motzkin elimination over the integer rows with Chernikov's
+    rule; the provenance of a violated constant row, or None when the
+    system is feasible.
 
     Eliminating a variable combines each lower row (coefficient al > 0)
     with each upper row (-au < 0) into au.low + al.up, divided by its gcd,
     strict when either is.  A constant integer row is violated when its
     offset is below its strictness: an integer is > 0 exactly when it is
-    >= 1.  Each distinct row keeps the provenance of its first derivation:
-    its index among the input rows, or (au, low, al, up, gcd).
+    >= 1.  Each row keeps (why, mask): its provenance, an input index or
+    (au, low, al, up, gcd), and the bitmask of the input rows it came
+    from.  After t variables are eliminated, a combined row whose mask
+    has more than t + 1 bits is dropped before it is built.
+
+    Why a dropped row is implied by kept rows.  A row derived in t steps
+    is lambda.(input rows) for multipliers lambda >= 0 whose support is
+    its mask and which cancel the t eliminated coefficients.  These
+    lambda form a pointed cone C_t.  At an extreme ray of C_t the rows of
+    the support have a one-dimensional space of such multipliers, so the
+    support has at most rank + 1 <= t + 1 rows.  A lambda with more than
+    t + 1 rows in its support is therefore a positive sum of extreme rays
+    whose supports lie in its own, and its row is the same sum of their
+    rows.  The rule keeps every extreme ray: an extreme ray of C_t+1 is
+    an extreme ray of C_t with a zero coefficient, which is carried, or a
+    positive sum of two extreme rays of C_t of opposite signs, whose
+    combination has at most t + 2 rows.  So when the system is
+    infeasible, the violated row of some extreme ray survives.
+
+    Why a dropped strict row is implied strictly.  A strict input row in
+    its mask has positive weight in lambda, so at least one extreme ray
+    of the sum contains that row, and that ray's row is strict.  A
+    violated sum 0 > c with c <= 0 thus has a summand that is violated
+    too: either some summand has a negative constant, or all constants
+    are 0 and a strict summand reads 0 > 0.
+
+    Duplicates.  The argument needs each kept mask to lie in the support
+    of every derivation of its row.  A row derived again with a nested
+    mask keeps the smaller one, their intersection, and the argument
+    holds.  Incomparable masks leave only their intersection, which prunes
+    far less, so the row keeps the smaller history, and a drop in a later
+    step may rest on it.  Keeping either history alone can lose a needed
+    row.  Take -x + 2y + 2 >= 0, y + 1 > 0, -2x - y - 1 > 0 and
+    x - 2y - 2 >= 0 in this order, and eliminate y.  Then -x > 0 comes from
+    rows {1, 3} and again from rows {2, 3}, and x > 0 from rows {2, 4}.
+    Only the second mask of -x > 0 meets that of x > 0 in three rows, the
+    bound for 0 > 0.  So when a step after such a merge drops a row, a
+    "feasible" answer is confirmed by `_back_substitute`, which builds a
+    point of the system from the rows kept at each step.  When it cannot,
+    it returns a dropped combination that the partial point violates; that
+    row joins the input rows with a fresh mask bit, and the elimination
+    runs again.  Each such row is new and is a row of unpruned
+    elimination, of which there are finitely many, so the rounds end.
     """
-    rows: dict[tuple, object] = {}
+    inputs: dict[tuple, tuple] = {}
     for i, row in enumerate(p.integer_rows):
-        rows.setdefault(row, i)
-    for k in range(p.dim - 1, -1, -1):
-        lows, ups, rest = [], [], {}
-        for (normal, offset, strict), why in rows.items():
-            if not any(normal):
-                if offset < strict:
-                    return why
-                continue
+        inputs.setdefault(row, (i, 1 << i))
+    bits = len(p.integer_rows)
+    while True:
+        rows, levels, merged, unproven = inputs, [], False, False
+        for k in range(p.dim - 1, -1, -1):
+            limit = p.dim - k + 1
+            doubtful, dropped = merged, False
+            lows, ups, rest = [], [], {}
+            for (normal, offset, strict), kept in rows.items():
+                if not any(normal):
+                    if offset < strict:
+                        return kept[0]
+                    continue
+                a = normal[k]
+                reduced = normal[:k] + normal[k + 1 :]
+                if a > 0:
+                    lows.append((reduced, offset, strict, a, kept))
+                elif a < 0:
+                    ups.append((reduced, offset, strict, -a, kept))
+                else:  # dropping a zero keeps the row gcd-normalized and distinct
+                    rest[reduced, offset, strict] = kept
+            for nl, cl, sl, al, (wl, ml) in lows:
+                for nu, cu, su, au, (wu, mu) in ups:
+                    mask = ml | mu
+                    if mask.bit_count() > limit:
+                        dropped = True
+                        continue
+                    normal = [au * x + al * y for x, y in zip(nl, nu)]
+                    offset = au * cl + al * cu
+                    g = gcd(offset, *normal) or 1
+                    key = (tuple(x // g for x in normal), offset // g, sl or su)
+                    old = rest.get(key)
+                    if old is not None:
+                        if mask & old[1] == old[1]:
+                            continue
+                        if mask & old[1] != mask:
+                            merged = True
+                            if mask.bit_count() >= old[1].bit_count():
+                                continue
+                    rest[key] = ((au, wl, al, wu, g), mask)
+            unproven = unproven or (doubtful and dropped)
+            levels.append(rows)
+            rows = rest
+        why = next((kept[0] for (_, offset, strict), kept in rows.items() if offset < strict), None)
+        if why is not None or not unproven:
+            return why
+        point, cut = _back_substitute(levels[::-1])
+        if point is not None:
+            return None
+        inputs[cut[0]] = (cut[1], 1 << bits)
+        bits += 1
+
+
+def _back_substitute(levels: list[dict]):
+    """Build a point from the rows kept by the elimination, x_0 first:
+    (point, None) when every coordinate has a value, else (None, (row,
+    why)) for the combination of the two rows that leave x_k no value.
+
+    levels[k] holds the rows in x_0..x_k kept before x_k was eliminated.
+    With x_0..x_k-1 fixed as num/den, each row with a nonzero x_k
+    coefficient bounds x_k from one side, strictly or not.  The value is
+    the midpoint of the two tightest bounds, a step of 1 past a single
+    bound, or 0.  When the bounds leave nothing, their Fourier-Motzkin
+    combination is violated at the partial point, so it is a row the
+    pruning dropped; it comes back with zeros for x_k and every later
+    coordinate.
+    """
+    num: list[int] = []
+    den = 1
+    for k, rows in enumerate(levels):
+        # the tightest bounds n/(d.den) on each side, d > 0: (n, d, strict, row, why)
+        low = up = None
+        for row, (why, _) in rows.items():
+            normal, offset, strict = row
             a = normal[k]
-            reduced = normal[:k] + normal[k + 1 :]
+            if not a:
+                continue
+            # a.x_k.den + s holds: x_k >= -s/(a.den) for a > 0, x_k <= s/(-a.den) for a < 0
+            s = sum(map(mul, normal, num)) + offset * den
             if a > 0:
-                lows.append((reduced, offset, strict, a, why))
-            elif a < 0:
-                ups.append((reduced, offset, strict, -a, why))
-            else:  # dropping a zero keeps the row gcd-normalized
-                rest.setdefault((reduced, offset, strict), why)
-        for nl, cl, sl, al, wl in lows:
-            for nu, cu, su, au, wu in ups:
-                normal = [au * x + al * y for x, y in zip(nl, nu)]
-                offset = au * cl + al * cu
-                g = gcd(offset, *normal) or 1
-                key = (tuple(x // g for x in normal), offset // g, sl or su)
-                if key not in rest:
-                    rest[key] = (au, wl, al, wu, g)
-        rows = rest
-    return next((why for (_, offset, strict), why in rows.items() if offset < strict), None)
+                c = 1 if low is None else -s * low[1] - low[0] * a
+                if c > 0 or (c == 0 and strict):
+                    low = (-s, a, strict, row, why)
+            else:
+                c = 1 if up is None else -up[0] * a - s * up[1]
+                if c > 0 or (c == 0 and strict):
+                    up = (s, -a, strict, row, why)
+        lo = None if low is None else Fraction(low[0], low[1] * den)
+        hi = None if up is None else Fraction(up[0], up[1] * den)
+        if lo is None:
+            x = Fraction(0) if hi is None else Fraction(ceil(hi) - 1)
+        elif hi is None:
+            x = Fraction(floor(lo) + 1)
+        elif lo < hi or (lo == hi and not (low[2] or up[2])):
+            x = (lo + hi) / 2
+        else:
+            (nl, cl, sl), (nu, cu, su) = low[3], up[3]
+            al, au = nl[k], -nu[k]
+            normal = [au * x + al * y for x, y in zip(nl[:k], nu[:k])]
+            offset = au * cl + al * cu
+            g = gcd(offset, *normal) or 1
+            row = (tuple(x // g for x in normal) + (0,) * (len(levels) - k), offset // g, sl or su)
+            return None, (row, (au, low[4], al, up[4], g))
+        scale = x.denominator // gcd(den, x.denominator)
+        num = [v * scale for v in num] + [x.numerator * (den * scale // x.denominator)]
+        den *= scale
+    return tuple(Fraction(v, den) for v in num), None
 
 
 def is_feasible(p: HPolytope) -> bool:
@@ -244,7 +372,8 @@ def infeasibility_certificate(p: HPolytope) -> Optional[tuple[Fraction, ...]]:
     lam = [Fraction(0)] * len(p.halfspaces)
 
     def unfold(why, weight: Fraction) -> None:
-        # derivations are at most dim deep: each step eliminates a variable
+        # each step eliminates a variable, so a derivation is at most dim deep
+        # per round of the elimination
         if isinstance(why, int):
             hs, (normal, offset, _) = p.halfspaces[why], p.integer_rows[why]
             # integer_rows[why] is halfspaces[why] times a positive scale

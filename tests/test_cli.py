@@ -362,21 +362,43 @@ def test_aa_empty_outer_body(monkeypatch, capsys):
     assert "self-intersection quadratic" not in out
 
 
-def test_check_chain_r7_scaling(tmp_path, capsys):
-    """Scaling guard on the infinitely-near chain series (F_1 with Z + F,
-    node blow-ups repeated on Z): check on r = 7 stays inside 10 s, and
-    every printed vertex is a vertex of the printed closure."""
+def _check_chain(tmp_path, capsys, r):
+    """Run check in-process on the infinitely-near chain with r angles (F_1
+    with Z + F, node blow-ups repeated on Z): exit code, stdout and the
+    seconds that check took."""
     lines = ["surface F 1", "component Z 1 0", "component F 0 1", "blowup node Z.F.1 E1"]
-    lines += [f"blowup node Z.E{i - 1}.1 E{i}" for i in range(2, 6)]
-    spec = tmp_path / "chain-r7.pair"
+    lines += [f"blowup node Z.E{i - 1}.1 E{i}" for i in range(2, r - 1)]
+    spec = tmp_path / f"chain-r{r}.pair"
     spec.write_text("\n".join(lines) + "\n")
     started = time.perf_counter()
     code = cli.main(["check", str(spec)])
     elapsed = time.perf_counter() - started
-    out = capsys.readouterr().out
+    return code, capsys.readouterr().out, elapsed
+
+
+def test_check_chain_r7_scaling(tmp_path, capsys):
+    """Scaling guard on the infinitely-near chain series (F_1 with Z + F,
+    node blow-ups repeated on Z): check on r = 7 stays inside 10 s, and
+    every printed vertex is a vertex of the printed closure."""
+    code, out, elapsed = _check_chain(tmp_path, capsys, 7)
     assert code == 2  # verdicts on blow-up surfaces come back unknown
     assert verify_printed_vertices(out) == 40
     assert elapsed < 10.0, f"check on the r = 7 chain took {elapsed:.2f}s"
+
+
+def test_check_chain_r12_r16_scaling(tmp_path, capsys):
+    """The longer chains stay in reach of Fourier-Motzkin elimination with
+    Chernikov's rule: check takes under 0.5 s on r = 12 and under 2 s on
+    r = 16 (without the rule, r = 9 took over a minute).  The r = 12
+    vertices are checked against the printed closure."""
+    code, out, elapsed = _check_chain(tmp_path, capsys, 12)
+    assert code == 2
+    assert elapsed < 0.5, f"check on the r = 12 chain took {elapsed:.2f}s"
+    assert verify_printed_vertices(out) == 174
+    code, out, elapsed = _check_chain(tmp_path, capsys, 16)
+    assert code == 2
+    assert elapsed < 2.0, f"check on the r = 16 chain took {elapsed:.2f}s"
+    assert out.count("\n  (") == 368  # the printed vertices
 
 
 def test_aa_svg_output(specs):

@@ -468,3 +468,160 @@ def test_closure_is_canonical_empty_exactly_when_infeasible():
             assert closed.integer_rows == tuple((nm, c, False) for nm, c, _ in system.integer_rows)
         empty += closed == pt.canonical_empty(dim)
     assert 60 < empty < 240
+
+
+def _oracle_system(rng, dim):
+    """Mixed strict/weak integer rows with entries in [-s, s] for a random
+    s <= 3, about a third of them zero; sometimes the negation of a row
+    (an implicit equality); on half the systems the cube's faces.  Small
+    entries let one row be derived in several ways.  Row counts shrink
+    with the dimension so that unpruned elimination stays quick."""
+    span = rng.choice((1, 2, 3))
+    rows = []
+    for _ in range(rng.randint(0, (3, 4, 5, 6, 5, 5, 4, 3)[dim])):
+        normal = [rng.randint(-span, span) if rng.random() < 0.7 else 0 for _ in range(dim)]
+        rows.append((normal, rng.randint(-span, span), rng.random() < 0.5))
+    if rows and rng.random() < 0.3:
+        normal, offset, _ = rng.choice(rows)
+        rows.append(([-c for c in normal], -offset, False))
+    if rng.random() < 0.5:
+        rows += pt.cube_rows(dim, rng.random() < 0.5)
+    rng.shuffle(rows)
+    return pt.integer_polytope(dim, rows)
+
+
+def _record_back_substitutions(monkeypatch):
+    """Wrap `_back_substitute`: the list receives each point it builds, or
+    None for each dropped row it returns."""
+    seen = []
+    back_substitute = pt._back_substitute
+
+    def recorded(*args):
+        point, cut = back_substitute(*args)
+        seen.append(point)
+        return point, cut
+
+    monkeypatch.setattr(pt, "_back_substitute", recorded)
+    return seen
+
+
+def test_pruned_elimination_against_unpruned_oracle(monkeypatch):
+    """Chernikov's rule changes no verdict: on seeded systems in dims 0-7,
+    `is_feasible` agrees with unpruned Fraction elimination on every
+    system, none skipped, and each infeasible system has a certificate
+    that `verify_certificate` accepts."""
+    seen = _record_back_substitutions(monkeypatch)
+    rng = random.Random(2718)
+    infeasible = points = 0
+    for i in range(2400):
+        system = _oracle_system(rng, i % 8)
+        seen.clear()
+        feasible = pt.is_feasible(system)
+        assert feasible == fm_is_feasible(system), system.integer_rows
+        if not feasible:
+            assert pt.verify_certificate(system, pt.infeasibility_certificate(system))
+            infeasible += 1
+        # a point built by back-substitution lies in the system
+        for point in filter(None, seen):
+            assert pt.contains(system, point), (system.integer_rows, point)
+            points += 1
+    assert 500 < infeasible < 1900
+    # some "feasible" answers needed a point to be proven
+    assert points > 20
+
+
+# Infeasible systems on which one kept history per duplicate row loses the
+# contradiction: without back-substitution, the elimination says feasible.
+LOST_HISTORY = (
+    (2, (((-1, 2), 2, False), ((0, 1), 1, True), ((-2, -1), -1, True), ((1, -2), -2, False))),
+    (3, (((0, -1, 1), 0, False), ((0, 1, 0), 0, False), ((-1, 0, 0), 1, False),
+         ((0, 0, 1), 0, False), ((1, 0, -1), -1, False), ((-1, -1, -1), 1, True),
+         ((0, 0, -1), 1, False), ((0, 1, 1), 1, False), ((1, 0, 0), 0, False),
+         ((0, -1, 0), 1, False))),
+    (3, (((0, -1, 0), 1, True), ((-2, 0, -1), 1, True), ((0, 1, -2), 0, False),
+         ((2, -2, 2), -1, True), ((1, 0, 0), 0, True), ((0, 0, -1), 1, True),
+         ((-1, 0, 0), 1, True), ((2, 2, 1), 2, False), ((0, 1, 0), 0, True),
+         ((0, 0, 1), 0, True))),
+    (4, (((-1, -2, 2, -2), 1, True), ((2, -2, -1, 1), 1, False), ((1, 1, 2, -1), -1, False),
+         ((2, 0, -2, 1), 1, True), ((-2, -2, 0, 1), 1, True), ((0, 1, -1, -1), -1, False),
+         ((-1, -2, -1, -2), 2, False), ((0, 2, -1, 2), 2, True))),
+)
+
+
+def test_back_substitution_recovers_rows_lost_with_a_history(monkeypatch):
+    """When a drop may rest on a history that a duplicate row discarded,
+    the "feasible" answer is checked by building a point.  On these
+    systems the point fails: the dropped row it violates joins the input,
+    and the elimination finds the contradiction with a valid certificate."""
+    seen = _record_back_substitutions(monkeypatch)
+    for dim, rows in LOST_HISTORY:
+        system = pt.integer_polytope(dim, rows)
+        seen.clear()
+        assert not fm_is_feasible(system)
+        assert not pt.is_feasible(system)
+        assert seen and None in seen, rows
+        assert pt.verify_certificate(system, pt.infeasibility_certificate(system))
+
+
+def test_back_substitution_bounds():
+    """Each coordinate takes the midpoint of its tightest bounds, a step of
+    1 past a single bound, or 0; a strict bound is tighter than a weak one
+    at the same value.  levels[k] holds (rows in x_0..x_k) -> (why, mask)."""
+    point = {((1,), 0, False): (0, 1), ((-1,), 3, True): (1, 2)}  # 0 <= x < 3
+    above = {((0, 2), -3, False): (2, 4)}  # y >= 3/2
+    below = {((1, -1), -1, True): (3, 8)}  # y < x - 1
+    assert pt._back_substitute([point, above]) == ((F(3, 2), F(2)), None)
+    assert pt._back_substitute([point, below]) == ((F(3, 2), F(0)), None)
+    assert pt._back_substitute([{}]) == ((F(0),), None)
+    # x >= 0, x > 0 and x <= 0, the weak lower row first: x > 0 binds
+    tie = {((1,), 0, False): (0, 1), ((1,), 0, True): (1, 2), ((-1,), 0, False): (2, 4)}
+    point, (row, why) = pt._back_substitute([tie])
+    assert point is None and row == ((0,), 0, True) and why == (1, 1, 1, 2, 1)
+    # x >= 1 and x <= 1, both weak, meet in x = 1
+    assert pt._back_substitute([{((1,), -1, False): (0, 1), ((-1,), 1, False): (1, 2)}]) == (
+        (F(1),), None
+    )
+
+
+def _cube_system(rng, dim):
+    """The closed cube's faces and dim + 4 to 2.dim + 2 dense rows with
+    entries in [-3, 3], each through a random point of the cube's 1/4 grid,
+    shifted by at most 1/4, strict or weak at random, and most of them
+    turned to keep one random grid point; on a third of the systems also
+    the weak negation of the first row, which leaves its hyperplane."""
+    rows = []
+    keep = [rng.randint(1, 3) for _ in range(dim)]
+    for _ in range(rng.randint(dim + 4, 2 * dim + 2)):
+        normal = [rng.randint(-3, 3) for _ in range(dim)]
+        through = [rng.randint(0, 4) for _ in range(dim)]
+        offset = -(sum(c * k for c, k in zip(normal, through)) // 4) + rng.randint(-1, 1)
+        if sum(c * k for c, k in zip(normal, keep)) + 4 * offset < 0 and rng.random() < 0.75:
+            normal, offset = [-c for c in normal], -offset
+        rows.append((normal, offset, rng.random() < 0.5))
+    if rng.random() < 1 / 3:
+        normal, offset, _ = rows[0]
+        rows.append(([-c for c in normal], -offset, False))
+    return rows + list(pt.cube_rows(dim, False))
+
+
+def test_elimination_agrees_with_vertices_beyond_the_oracle():
+    """On systems of dims 4-6 where unpruned elimination mostly runs for
+    seconds, double description is the independent check.  The weak system is feasible iff
+    it has vertices.  The mixed system is feasible iff, in addition, the
+    average of those vertices satisfies it: the average lies in the
+    relative interior of the closure, where every strict row that holds
+    somewhere on the closure holds strictly."""
+    rng = random.Random(1618)
+    kinds = Counter()
+    for i in range(36):
+        dim = 4 + i % 3
+        rows = _cube_system(rng, dim)
+        weak = pt.integer_polytope(dim, [(normal, offset, False) for normal, offset, _ in rows])
+        verts = pt.vertices(weak).vertices
+        assert pt.is_feasible(weak) == bool(verts), rows
+        mixed = pt.integer_polytope(dim, rows)
+        inner = bool(verts) and pt.contains(mixed, [sum(c) / len(verts) for c in zip(*verts)])
+        assert pt.is_feasible(mixed) == inner, rows
+        kinds[bool(verts), inner] += 1
+    # empty, closed-only and open systems all occur
+    assert len(kinds) == 3 and min(kinds.values()) >= 3, kinds
