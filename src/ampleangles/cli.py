@@ -144,30 +144,35 @@ def _parse_slices(raw_slices, r: int):
     out = []
     for raw in raw_slices or ():
         if "=" not in raw:
-            raise SystemExit(f"bad slice {raw!r}: expected I=P/Q")
+            raise InputError(f"bad slice {raw!r}: expected I=P/Q")
         idx_text, val_text = raw.split("=", 1)
         try:
             idx = int(idx_text)
             val = Fraction(val_text)
         except (ValueError, ZeroDivisionError):
-            raise SystemExit(f"bad slice {raw!r}: expected I=P/Q") from None
+            raise InputError(f"bad slice {raw!r}: expected I=P/Q") from None
         if not 1 <= idx <= r:
-            raise SystemExit(f"slice index {idx} out of range 1..{r}")
+            raise InputError(f"slice index {idx} out of range 1..{r}")
         if not 0 <= val <= 1:
-            raise SystemExit("slice values must lie in [0, 1]")
+            raise InputError("slice values must lie in [0, 1]")
         out.append((idx, val))
     if len({i for i, _ in out}) != len(out):
-        raise SystemExit("repeated slice index")
+        raise InputError("repeated slice index")
     return sorted(out, reverse=True)
 
 
 def cmd_aa(args) -> int:
     script = load_pair_spec(args.file)
     pair = script.final
-    body = angles.aa_body(pair)
     slices = _parse_slices(args.slice, pair.r)
     if slices and pair.r < 3:
-        raise SystemExit("slices only make sense for three or more angles")
+        raise InputError("slices only make sense for three or more angles")
+    dim = pair.r - len(slices)
+    if args.svg and dim != 2:
+        raise InputError(
+            f"SVG output needs a 2-dimensional body; got {dim} (use --slice to cut down)"
+        )
+    body = angles.aa_body(pair)
     closed = body.closed_hull
     axis_names = [f"b{i + 1}" for i in range(pair.r)]
     for idx, val in slices:
@@ -179,11 +184,6 @@ def cmd_aa(args) -> int:
         print(f"section: {fixed}  (a section, not a projection)")
     _print_body(body.exactness, closed, sys.stdout)
     if args.svg:
-        if closed.dim != 2:
-            raise SystemExit(
-                f"SVG output needs a 2-dimensional body; got {closed.dim} "
-                "(use --slice to cut down)"
-            )
         title = os.path.basename(args.file)
         if slices:
             title += " section " + ",".join(f"b{i}={v}" for i, v in sorted(slices))

@@ -3,32 +3,32 @@
 A polytope is its rows: (normal, offset, strict) with coprime integer
 entries, the set of x with normal.x + offset > 0 (strict) or >= 0
 (weak).  Ampleness is an open condition and cube faces are closed, so
-the rows mix both kinds.  `integer_polytope` builds a polytope from
-integer rows, scaling each by its gcd once; `polytope` is the entry for
-rational data, the `HalfSpace`s a caller writes, and keeps them as that
-polytope's `halfspaces` for certificates.  Feasibility is decided by
-Fourier-Motzkin elimination over the rows, with strictness combined by
-OR and Chernikov's rule: after t eliminated variables, a combined row
-built from more than t + 1 input rows is implied by the others and is
+the rows mix both kinds.  `integer_polytope` is the one constructor: it
+scales each integer row by its gcd once, and every kernel below works on
+those rows alone.  `halfspaces` is a Fraction view of them, kept for the
+benchmark's span hooks.  Feasibility is decided by Fourier-Motzkin
+elimination over the rows, with strictness combined by OR and
+Chernikov's rule: after t eliminated variables, a combined row built
+from more than t + 1 input rows is implied by the others and is
 dropped.  A "feasible" answer that may rest on a history discarded with
 a duplicate row is confirmed by back-substitution, which builds a point
-of the system.  Infeasibility certificates are rebuilt from the
-provenance of the violated row.  Vertex enumeration is the double
-description method over the same rows; Fourier-Motzkin enters it only
-when the normals have rank below the dimension.  Closures, sections,
-interval-pruned grid scans (which fix one coordinate at a time and visit
-only the grid points of the body) and the canonical text all work on
-the rows.  An affine map
-is the coordinatewise substitution x_i -> (slope.x_i + shift_i)/den,
-kept as those integers in lowest terms; it applies on them, and its
-Fraction matrix and translation are views built on each read.
-Everything is exact, over `fractions.Fraction` and `int`; there is no
-floating-point mode.
+of the system.  Infeasibility certificates are nonnegative integer
+multipliers on the rows, rebuilt from the provenance of the violated
+row.  Vertex enumeration is the double description method over the
+same rows, fraction-free from its first simplicial cone on; Fourier-Motzkin
+enters it only when the normals have rank below the dimension.
+Closures, sections, interval-pruned grid scans (which fix one coordinate
+at a time and visit only the grid points of the body) and the canonical
+text all work on the rows.  An affine map is the coordinatewise
+substitution x_i -> (slope.x_i + shift_i)/den, kept as those integers in
+lowest terms; it applies on them, and its Fraction matrix and
+translation are views built on each read.  Everything is exact, over
+`fractions.Fraction` and `int`; there is no floating-point mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -44,7 +44,7 @@ Row = tuple[tuple[int, ...], int, bool]
 @dataclass(frozen=True)
 class HalfSpace:
     """The set normal.x + offset > 0 (strict) or >= 0 (weak), in rational
-    coefficients: the form a caller writes rows in."""
+    coefficients: the Fraction view of one integer row."""
 
     normal: tuple[Fraction, ...]
     offset: Fraction
@@ -58,30 +58,22 @@ class HalfSpace:
         return v > 0 if self.strict else v >= 0
 
 
-def halfspace(normal: Sequence[Rat], offset: Rat, strict: bool) -> HalfSpace:
-    return HalfSpace(tuple(Fraction(c) for c in normal), Fraction(offset), strict)
-
-
 @dataclass(frozen=True)
 class HPolytope:
     """The rows (normal, offset, strict), integers divided by their gcd,
-    are the polytope: equality compares them.  `source` holds the caller's
-    rational rows when `polytope` built it, one per integer row."""
+    are the polytope: equality compares them."""
 
     dim: int
     integer_rows: tuple[Row, ...]
-    source: Optional[tuple[HalfSpace, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if any(len(normal) != self.dim for normal, _, _ in self.integer_rows):
-            raise ValueError("halfspace dimension mismatch")
+            raise ValueError("row dimension mismatch")
 
     @cached_property
     def halfspaces(self) -> tuple[HalfSpace, ...]:
-        """The rows as `HalfSpace`s: the caller's own when given, else a
-        Fraction view of the integer rows."""
-        if self.source is not None:
-            return self.source
+        """The rows as `HalfSpace`s, a Fraction view of the integer rows
+        that the benchmark's span hooks read."""
         return tuple(
             HalfSpace(tuple(map(Fraction, normal)), Fraction(offset), strict)
             for normal, offset, strict in self.integer_rows
@@ -154,17 +146,6 @@ def integer_polytope(dim: int, rows: Iterable[tuple[Sequence[int], int, bool]]) 
     """The polytope of integer rows (normal, offset, strict), each scaled
     once to coprime entries."""
     return HPolytope(dim, tuple(_normalize(*row) for row in rows))
-
-
-def polytope(dim: int, halfspaces: Iterable[HalfSpace]) -> HPolytope:
-    """The polytope of rational rows: each is scaled by a positive rational
-    to coprime integers, and the rows themselves stay its `halfspaces`."""
-    source = tuple(halfspaces)
-    rows = []
-    for hs in source:
-        ints, _ = _integer_point((*hs.normal, hs.offset))
-        rows.append(_normalize(ints[:-1], ints[-1], hs.strict))
-    return HPolytope(dim, tuple(rows), source)
 
 
 def canonical_empty(dim: int) -> HPolytope:
@@ -357,56 +338,55 @@ def is_feasible(p: HPolytope) -> bool:
     return _eliminate(p) is None
 
 
-def infeasibility_certificate(p: HPolytope) -> Optional[tuple[Fraction, ...]]:
-    """Nonnegative multipliers combining the halfspaces into a contradiction.
+def infeasibility_certificate(p: HPolytope) -> Optional[tuple[int, ...]]:
+    """Nonnegative integer multipliers combining the integer rows into a
+    contradiction, divided by their gcd; None when feasible.
 
-    Returns lambda with sum lambda_i * normal_i = 0 and c = sum lambda_i *
-    offset_i violating the combined relation (c < 0, or c <= 0 when some
-    strict constraint enters with positive weight); None when feasible.
-    The multipliers unfold the provenance of the violated row found by the
-    elimination.  Re-verify with `verify_certificate`.
+    lambda.normals = 0, and c = lambda.offsets violates the combined
+    relation: c < 0, or c <= 0 when some strict row enters with positive
+    weight.  The multipliers unfold the provenance of the violated row
+    found by the elimination, carrying (s, lambda) with s.row =
+    lambda.integer_rows for s > 0: an input row i is (1, e_i), and a step
+    (au, low, al, up, g) gives g.s_l.s_u.row = au.s_u.lambda_l +
+    al.s_l.lambda_u.  Re-verify with `verify_certificate`.
     """
     why = _eliminate(p)
     if why is None:
         return None
-    lam = [Fraction(0)] * len(p.halfspaces)
+    m = len(p.integer_rows)
 
-    def unfold(why, weight: Fraction) -> None:
+    def unfold(why) -> tuple[int, list[int]]:
         # each step eliminates a variable, so a derivation is at most dim deep
         # per round of the elimination
         if isinstance(why, int):
-            hs, (normal, offset, _) = p.halfspaces[why], p.integer_rows[why]
-            # integer_rows[why] is halfspaces[why] times a positive scale
-            lam[why] += weight * next(
-                (b / a for a, b in zip((*hs.normal, hs.offset), (*normal, offset)) if a), 1
-            )
-        else:
-            au, low, al, up, g = why
-            unfold(low, weight * au / g)
-            unfold(up, weight * al / g)
+            return 1, [int(i == why) for i in range(m)]
+        au, low, al, up, g = why
+        (sl, ll), (su, lu) = unfold(low), unfold(up)
+        s, lam = g * sl * su, [au * su * x + al * sl * y for x, y in zip(ll, lu)]
+        d = gcd(s, *lam)
+        return s // d, [x // d for x in lam]
 
-    unfold(why, Fraction(1))
-    return tuple(lam)
+    lam = unfold(why)[1]
+    d = gcd(*lam)
+    return tuple(x // d for x in lam)
 
 
-def verify_certificate(p: HPolytope, cert: tuple[Fraction, ...]) -> bool:
-    """Substitute the multipliers back into the system: a valid certificate
-    is nonnegative, cancels every variable, and leaves an absurd constant."""
-    if len(cert) != len(p.halfspaces) or any(lam < 0 for lam in cert):
+def verify_certificate(p: HPolytope, cert: Sequence[int]) -> bool:
+    """Substitute the multipliers back into the integer rows: a valid
+    certificate is nonnegative, cancels every variable, and leaves an
+    absurd constant."""
+    if len(cert) != len(p.integer_rows) or any(lam < 0 for lam in cert):
         return False
-    combined = [Fraction(0)] * p.dim
-    offset = Fraction(0)
+    combined = [0] * p.dim
+    offset = 0
     strict = False
-    for lam, hs in zip(cert, p.halfspaces):
-        if lam == 0:
+    for lam, (normal, c, s) in zip(cert, p.integer_rows):
+        if not lam:
             continue
-        for j, c in enumerate(hs.normal):
-            combined[j] += lam * c
-        offset += lam * hs.offset
-        strict = strict or hs.strict
-    if any(c != 0 for c in combined):
-        return False
-    return offset <= 0 if strict else offset < 0
+        combined = [x + lam * y for x, y in zip(combined, normal)]
+        offset += lam * c
+        strict = strict or s
+    return not any(combined) and (offset <= 0 if strict else offset < 0)
 
 
 def closure(p: HPolytope) -> HPolytope:
@@ -439,22 +419,29 @@ def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*v)
+    """v divided by the gcd of its entries; the zero vector stays zero."""
+    g = gcd(*v) or 1
     return tuple(x // g for x in v)
 
 
 def _simplicial_cone(rows: list[tuple[int, ...]]):
     """The first n independent rows B (n = row length) as indices, and the
     extreme rays of B.y >= 0: the columns of B^-1, as primitive integer
-    vectors.  None when the rows have rank < n."""
+    vectors.  None when the rows have rank < n.
+
+    Both steps are fraction-free, each row divided by its gcd after every
+    update.  The basis comes from integer elimination.  Gauss-Jordan on
+    [B^T | I] then leaves row k as d_k.e_k | d_k.(column k of B^-1) for
+    some integer d_k != 0, so ray k is that right half times the sign of
+    d_k, made primitive.
+    """
     n = len(rows[0])
     basis, echelon = [], []  # echelon: (pivot column, reduced row)
     for i, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
+        v = row
         for col, e in echelon:
             if v[col]:
-                f = v[col] / e[col]
-                v = [a - f * b for a, b in zip(v, e)]
+                v = _primitive([e[col] * x - v[col] * y for x, y in zip(v, e)])
         col = next((c for c, x in enumerate(v) if x), None)
         if col is not None:
             basis.append(i)
@@ -463,18 +450,18 @@ def _simplicial_cone(rows: list[tuple[int, ...]]):
                 break
     if len(basis) < n:
         return None
-    # Gauss-Jordan on [B | I] leaves B^-1 on the right
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(int(j == k)) for k in range(n)]
-         for j, i in enumerate(basis)]
+    a = [[rows[i][k] for i in basis] + [int(j == k) for j in range(n)] for k in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next(r for r in range(col, n) if a[r][col])
         a[col], a[piv] = a[piv], a[col]
-        a[col] = [v / a[col][col] for v in a[col]]
+        top = a[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    rays = [_primitive(_integer_point([a[r][n + k] for r in range(n)])[0]) for k in range(n)]
+            f = a[r][col]
+            if r != col and f:
+                a[r] = _primitive([top[col] * x - f * y for x, y in zip(a[r], top)])
+    rays = [
+        _primitive(row[n:] if row[k] > 0 else [-x for x in row[n:]]) for k, row in enumerate(a)
+    ]
     return basis, rays
 
 

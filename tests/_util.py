@@ -6,9 +6,51 @@ from math import gcd, lcm
 
 from ampleangles.angles import EXACT, AABody
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
-from ampleangles.polytope import HalfSpace, halfspace, polytope
+from ampleangles.polytope import HalfSpace, integer_polytope
 
 F = Fraction
+
+
+def halfspace(normal, offset, strict):
+    """The rational row normal.x + offset > 0 (strict) or >= 0 (weak)."""
+    return HalfSpace(tuple(F(c) for c in normal), F(offset), strict)
+
+
+def rational_rows(p):
+    """The integer rows of p as rational `HalfSpace`s."""
+    return tuple(halfspace(normal, offset, strict) for normal, offset, strict in p.integer_rows)
+
+
+def polytope(dim, halfspaces):
+    """The polytope of rational rows, each times the least common
+    denominator of its entries, built by the library's one constructor."""
+    rows = []
+    for hs in halfspaces:
+        den = lcm(*(F(c).denominator for c in (*hs.normal, hs.offset)))
+        rows.append((tuple(int(c * den) for c in hs.normal), int(hs.offset * den), hs.strict))
+    return integer_polytope(dim, rows)
+
+
+def reverify_certificate(rows, p, cert):
+    """Check an integer certificate of p on the rational rows p was built
+    from, independently of the library: each integer row of p is a positive
+    multiple t_i of rows[i], so cert_i.t_i are multipliers on rows[i]; they
+    must cancel every variable and leave an absurd constant.  The
+    certificate itself must be nonnegative ints with gcd 1."""
+    assert type(cert) is tuple and len(cert) == len(rows) == len(p.integer_rows)
+    assert all(type(lam) is int and lam >= 0 for lam in cert) and gcd(*cert) == 1
+    weights = []
+    for lam, hs, (normal, offset, strict) in zip(cert, rows, p.integer_rows):
+        assert strict == hs.strict
+        pairs = list(zip((*normal, offset), (*hs.normal, hs.offset)))
+        t = next((F(a) / b for a, b in pairs if b), F(1))
+        assert t > 0 and all(a == t * b for a, b in pairs)
+        weights.append(lam * t)
+    for j in range(p.dim):
+        assert sum(w * hs.normal[j] for w, hs in zip(weights, rows)) == 0
+    constant = sum(w * hs.offset for w, hs in zip(weights, rows))
+    strict = any(w and hs.strict for w, hs in zip(weights, rows))
+    assert constant <= 0 if strict else constant < 0
 
 
 def grid(r, denom):
@@ -133,7 +175,7 @@ def _scaled(normal, offset, strict):
 def fm_is_feasible(p):
     """Fourier-Motzkin feasibility over Fraction rows, strictness combined
     by OR: an oracle for the library's integer elimination."""
-    rows = {_scaled(hs.normal, F(hs.offset), hs.strict) for hs in p.halfspaces}
+    rows = {_scaled(hs.normal, F(hs.offset), hs.strict) for hs in rational_rows(p)}
     for k in range(p.dim - 1, -1, -1):
         lows, ups, rest = [], [], set()
         for normal, offset, strict in rows:
@@ -173,7 +215,7 @@ def cube_halfspaces(dim, strict):
 def intersection(p, q):
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    return polytope(p.dim, p.halfspaces + q.halfspaces)
+    return polytope(p.dim, rational_rows(p) + rational_rows(q))
 
 
 # An affine map here is a (matrix, translation) pair of plain Fractions.
@@ -197,7 +239,7 @@ def affine_preimage(m, p):
         raise ValueError("map codomain must match polytope dimension")
     cols = len(matrix[0]) if matrix else 0
     out = []
-    for hs in p.halfspaces:
+    for hs in rational_rows(p):
         normal = tuple(sum((a * F(row[j]) for a, row in zip(hs.normal, matrix)), F(0)) for j in range(cols))
         offset = sum((a * F(t) for a, t in zip(hs.normal, translation)), F(0)) + hs.offset
         out.append(HalfSpace(normal, offset, hs.strict))
@@ -208,7 +250,7 @@ def remove_redundant(p):
     """Greedy minimal H-representation defining the same set: a row is
     dropped when the others with its negation are infeasible, decided by
     the Fraction oracle `fm_is_feasible`."""
-    kept = list(p.halfspaces)
+    kept = list(rational_rows(p))
     i = 0
     while i < len(kept):
         hs = kept[i]
@@ -360,7 +402,7 @@ def brute_force_vertices(p):
     solve every dim-subset of its rows as equalities and keep the solutions
     satisfying every row.  Sorted; empty when the system is empty."""
     rows = []
-    for hs in p.halfspaces:
+    for hs in rational_rows(p):
         coeffs = list(hs.normal) + [-hs.offset]
         scale = 1
         for c in coeffs:
@@ -389,6 +431,36 @@ def _rank(rows):
             m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def first_independent_rows(rows):
+    """The indices of the rows that raise the rank of those before them."""
+    basis = []
+    for k, row in enumerate(rows):
+        if _rank([rows[j] for j in basis] + [row]) > len(basis):
+            basis.append(k)
+    return basis
+
+
+def fraction_inverse(matrix):
+    """(B^-1, det B) of a nonsingular square integer matrix B by
+    Gauss-Jordan on [B | I] in Fractions: an oracle for the library's
+    fraction-free simplicial cone."""
+    n = len(matrix)
+    a = [[F(x) for x in row] + [F(int(j == k)) for k in range(n)] for j, row in enumerate(matrix)]
+    det = F(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [row[n:] for row in a], det
 
 
 def verify_printed_vertices(stdout):

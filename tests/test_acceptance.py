@@ -26,7 +26,9 @@ from _util import (
     family_at,
     fn_table,
     grid,
+    halfspace,
     maeda_fn_table,
+    polytope,
     remove_redundant,
 )
 
@@ -122,10 +124,10 @@ def test_criterion_3_aa_bodies():
                 )
                 body = an.aa_halfspaces_rank_le2(p)
                 r = len(classes)
-                want = pt.polytope(
+                want = polytope(
                     r,
                     cube_halfspaces(r, strict=False)
-                    + [pt.halfspace(normal, 0, False)],
+                    + [halfspace(normal, 0, False)],
                 )
                 assert _minimal(body.closed_hull) == _minimal(want)
         fig1 = pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("C2", (1, 3))])

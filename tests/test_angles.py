@@ -27,8 +27,10 @@ from _util import (
     fn_table,
     fraction_reparam,
     grid,
+    halfspace,
     identity_map,
     oracle_rows,
+    polytope,
     remove_redundant,
 )
 
@@ -50,8 +52,8 @@ def minimal_canonical(p: pt.HPolytope) -> str:
 
 def expected_body(r, extra_normals_offsets, strict=True):
     rows = cube_halfspaces(r, strict=strict)
-    rows += [pt.halfspace(nm, off, strict) for nm, off in extra_normals_offsets]
-    return pt.polytope(r, rows)
+    rows += [halfspace(nm, off, strict) for nm, off in extra_normals_offsets]
+    return polytope(r, rows)
 
 
 def test_figure1_body():
@@ -92,7 +94,7 @@ def test_p2_body():
     body = an.aa_halfspaces_rank_le2(p2_pair([1]))
     # 2 + b1 > 0 is vacuous in the cube
     assert minimal_canonical(body.open_part) == minimal_canonical(
-        pt.polytope(1, cube_halfspaces(1, strict=True))
+        polytope(1, cube_halfspaces(1, strict=True))
     )
 
 
@@ -411,7 +413,7 @@ def test_class_map_at_one_is_minus_k():
 def test_p2_line_nef_preimage_is_cube():
     body = aa_via_nef(p2_pair([1]))
     assert minimal_canonical(body.closed_hull) == minimal_canonical(
-        pt.polytope(1, cube_halfspaces(1, strict=False))
+        polytope(1, cube_halfspaces(1, strict=False))
     )
 
 
@@ -534,7 +536,7 @@ def test_grid_points_on_shipped_bodies():
         for p in dsl.load_pair_spec(str(path)).apply():
             bodies += [(an.aa_body(p).open_part, denom) for denom in (7, 16)]
     for r in range(5, 9):
-        open_part = pt.polytope(r, oracle_rows(chain_pair(r)) + cube_halfspaces(r, strict=True))
+        open_part = polytope(r, oracle_rows(chain_pair(r)) + cube_halfspaces(r, strict=True))
         bodies += [(open_part, denom) for denom in ((4, 7) if r <= 6 else (4,))]
     hits = 0
     for body, denom in bodies:
@@ -542,6 +544,29 @@ def test_grid_points_on_shipped_bodies():
         assert got == brute_force_grid_points(body, denom), (body.dim, denom)
         hits += len(got)
     assert len(bodies) == 22 and hits > 40_000
+
+
+def test_elimination_and_double_description_agree_on_report_bodies():
+    """Fourier-Motzkin and double description, two independent kernels,
+    agree on every report body: the samples, the benchmark's chain inputs
+    and the chains r = 7..12.  closure(open_part) is canonical_empty exactly
+    when the weakened rows have no vertex, or the average of their
+    vertices, a point of the closure's relative interior, fails a strict
+    row."""
+    paths = sorted(SAMPLES.glob("*.pair"))
+    paths += [REPO / "perfbench" / "inputs" / f"chain-r{r}.pair" for r in (5, 6)]
+    pairs = [dsl.load_pair_spec(str(path)).final for path in paths]
+    pairs += [chain_pair(r) for r in range(7, 13)]
+    kinds = Counter()
+    for p in pairs:
+        body = an.aa_body(p)
+        rows = body.open_part.integer_rows
+        verts = pt.vertices(pt.integer_polytope(p.r, [(nm, c, False) for nm, c, _ in rows])).vertices
+        inner = bool(verts) and pt.contains(body.open_part, [sum(c) / len(verts) for c in zip(*verts)])
+        assert (body.closed_hull == pt.canonical_empty(p.r)) == (not inner), p.r
+        kinds[inner] += 1
+    # only the shared-fiber degeneration has an empty body
+    assert kinds == Counter({True: 11, False: 1}), kinds
 
 
 def test_quadratic_signs_match_fraction_evaluation():
@@ -610,7 +635,7 @@ def test_non_strong_body_constraint_is_irredundant():
     for n in (1, 2, 5, 12):
         body = an.aa_halfspaces_rank_le2(fn_pair(n, [(1, 0), (1, n + 2)]))
         reduced = remove_redundant(body.closed_hull)
-        want = pt.canonical_lines(pt.polytope(2, [pt.halfspace([-n, 2], 0, False)]))[0]
+        want = pt.canonical_lines(polytope(2, [halfspace([-n, 2], 0, False)]))[0]
         assert want in pt.canonical_lines(reduced)
 
 
@@ -628,7 +653,7 @@ def assert_body_matches_oracle(p, body):
     open part and closure in canonical text, and the same strength verdict
     from `is_strongly_aldp` and from the body itself."""
     rows = oracle_rows(p)
-    open_part = pt.polytope(p.r, rows + cube_halfspaces(p.r, strict=True))
+    open_part = polytope(p.r, rows + cube_halfspaces(p.r, strict=True))
     blown_up = isinstance(p.surface.provenance, g.BlowUp)
     assert body.exactness == (an.OUTER if blown_up else an.EXACT)
     assert pt.canonical_text(body.open_part) == pt.canonical_text(open_part)

@@ -348,6 +348,31 @@ def test_aa_slice_section(specs):
     assert "slices only make sense" in two.stderr
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--slice", "9=1/2"], "slice index 9 out of range 1..3"),
+        (["--slice", "1:1/2"], "bad slice '1:1/2': expected I=P/Q"),
+        (["--slice", "1=x"], "bad slice '1=x': expected I=P/Q"),
+        (["--slice", "1=3/2"], "slice values must lie in [0, 1]"),
+        (["--slice", "1=1/2", "--slice", "1=1/3"], "repeated slice index"),
+        (["--svg", "x.svg"], "SVG output needs a 2-dimensional body; got 3"),
+        (["--slice", "1=1/2", "--slice", "2=1/2", "--svg", "x.svg"],
+         "SVG output needs a 2-dimensional body; got 1"),
+    ],
+)
+def test_aa_option_faults_are_input_errors(specs, capsys, monkeypatch, options, message):
+    """Bad slices and an SVG request on a body that is not 2-dimensional
+    return 1 from main, in process, with an input error on stderr; nothing
+    is printed on stdout and no SVG file is written."""
+    monkeypatch.chdir(specs)
+    assert cli.main(["aa", "aldp32.pair", *options]) == 1
+    captured = capsys.readouterr()
+    assert f"input error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (specs / "x.svg").exists()
+
+
 def test_aa_empty_outer_body(monkeypatch, capsys):
     """aa prints the outer body alone: no quadratic report, no grid sampled."""
     def no_grid(*args, **kwargs):

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -11,44 +11,50 @@ from _util import (
     brute_force_grid_points,
     brute_force_vertices,
     cube_halfspaces,
+    first_independent_rows,
     fm_is_feasible,
+    fraction_inverse,
+    halfspace,
     hull_2d,
     identity_map,
     intersection,
     parse_canonical,
+    polytope,
+    rational_rows,
     remove_redundant,
+    reverify_certificate,
 )
 
 
 def figure1_open():
     # 0 < beta < 1 together with 2*b2 - b1 > 0
-    return pt.polytope(
-        2, cube_halfspaces(2, strict=True) + [pt.halfspace([-1, 2], 0, True)]
+    return polytope(
+        2, cube_halfspaces(2, strict=True) + [halfspace([-1, 2], 0, True)]
     )
 
 
 def test_feasibility_examples():
     assert not pt.is_feasible(
-        pt.polytope(1, [pt.halfspace([1], 0, True), pt.halfspace([-1], 0, True)])
+        polytope(1, [halfspace([1], 0, True), halfspace([-1], 0, True)])
     )
-    assert pt.is_feasible(pt.polytope(2, cube_halfspaces(2, strict=True)))
+    assert pt.is_feasible(polytope(2, cube_halfspaces(2, strict=True)))
     assert pt.is_feasible(figure1_open())
 
 
 def test_feasibility_boundary_strictness():
     # x >= 1 and x <= 1 meet in a point; making either strict empties it
-    weak = pt.polytope(1, [pt.halfspace([1], -1, False), pt.halfspace([-1], 1, False)])
+    weak = polytope(1, [halfspace([1], -1, False), halfspace([-1], 1, False)])
     assert pt.is_feasible(weak)
     assert not pt.is_feasible(
-        pt.polytope(1, [pt.halfspace([1], -1, True), pt.halfspace([-1], 1, False)])
+        polytope(1, [halfspace([1], -1, True), halfspace([-1], 1, False)])
     )
 
 
 def test_closure_examples():
     closed = pt.closure(figure1_open())
-    assert all(not hs.strict for hs in closed.halfspaces)
+    assert all(not hs.strict for hs in rational_rows(closed))
     empty = pt.closure(
-        pt.polytope(1, [pt.halfspace([1], 0, True), pt.halfspace([-1], 0, True)])
+        polytope(1, [halfspace([1], 0, True), halfspace([-1], 0, True)])
     )
     assert not pt.is_feasible(empty)
     assert pt.canonical_text(pt.closure(closed)) == pt.canonical_text(closed)
@@ -58,7 +64,7 @@ def test_contains():
     closed = pt.closure(figure1_open())
     assert pt.contains(closed, [0, 0])
     assert not pt.contains(closed, [1, F(1, 4)])
-    open_square = pt.polytope(2, cube_halfspaces(2, strict=True))
+    open_square = polytope(2, cube_halfspaces(2, strict=True))
     assert not pt.contains(open_square, [0, 0])
     with pytest.raises(ValueError):
         pt.contains(closed, [0, 0, 0])
@@ -73,22 +79,22 @@ def test_vertices_figure1_against_brute_force():
 
 
 def test_vertices_unit_square_and_point():
-    square = pt.polytope(2, cube_halfspaces(2, strict=False))
+    square = polytope(2, cube_halfspaces(2, strict=False))
     assert set(pt.vertices(square).vertices) == {
         (F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))
     }
-    point = pt.polytope(1, [pt.halfspace([1], 0, False), pt.halfspace([-1], 0, False)])
+    point = polytope(1, [halfspace([1], 0, False), halfspace([-1], 0, False)])
     assert pt.vertices(point).vertices == ((F(0),),)
 
 
 def test_vertices_rejects_strict_and_unbounded():
     with pytest.raises(ValueError):
         pt.vertices(figure1_open())
-    halfline = pt.polytope(1, [pt.halfspace([1], 0, False)])
+    halfline = polytope(1, [halfspace([1], 0, False)])
     # normals of rank 1 < dim: the strip 0 <= x <= 1 in the plane
-    strip = pt.polytope(2, [pt.halfspace([1, 0], 0, False), pt.halfspace([-1, 0], 1, False)])
+    strip = polytope(2, [halfspace([1, 0], 0, False), halfspace([-1, 0], 1, False)])
     # full rank but unbounded: the wedge 0 <= y <= x
-    wedge = pt.polytope(2, [pt.halfspace([0, 1], 0, False), pt.halfspace([1, -1], 0, False)])
+    wedge = polytope(2, [halfspace([0, 1], 0, False), halfspace([1, -1], 0, False)])
     for unbounded in (halfline, strip, wedge):
         with pytest.raises(ValueError, match="bounded"):
             pt.vertices(unbounded)
@@ -141,13 +147,13 @@ def _bounded_system(rng, dim, kind):
     if dim == 0:
         rows.append(((), rng.randint(-1, 2)))  # feasible unless the offset is -1
     rng.shuffle(rows)
-    return pt.polytope(dim, [pt.halfspace(nm, c, False) for nm, c in rows])
+    return polytope(dim, [halfspace(nm, c, False) for nm, c in rows])
 
 
 def test_vertices_double_description_against_brute_force():
     rng = random.Random(2024)
     kinds = ("cube", "simplex", "corner", "point", "empty")
-    systems = [pt.canonical_empty(3), pt.polytope(0, [])]
+    systems = [pt.canonical_empty(3), polytope(0, [])]
     for i in range(250):
         dim = i % 6
         systems.append(_bounded_system(rng, dim, kinds[(i // 6) % len(kinds)]))
@@ -159,12 +165,12 @@ def test_vertices_double_description_against_brute_force():
     # both outcomes are exercised
     assert 100 < non_empty < len(systems) - 40
     assert pt.vertices(pt.canonical_empty(3)).vertices == ()
-    assert pt.vertices(pt.polytope(0, [])).vertices == ((),)
-    assert pt.vertices(pt.polytope(0, [pt.halfspace([], -1, False)])).vertices == ()
+    assert pt.vertices(polytope(0, [])).vertices == ((),)
+    assert pt.vertices(polytope(0, [halfspace([], -1, False)])).vertices == ()
 
 
 def test_affine_preimage():
-    p = pt.polytope(1, [pt.halfspace([1], 0, False)])
+    p = polytope(1, [halfspace([1], 0, False)])
     m = ((F(2),),), (F(-1),)  # x = 2b - 1
     pre = affine_preimage(m, p)
     assert pt.canonical_lines(pre) == ["2 | -1 >= 0"]
@@ -175,8 +181,8 @@ def test_affine_preimage():
 
 def test_affine_preimage_commutes_with_intersection():
     m = ((F(1), F(1)), (F(1), F(-1))), (F(0), F(1, 2))
-    p = pt.polytope(2, [pt.halfspace([1, 0], 0, False), pt.halfspace([0, 1], -1, True)])
-    q = pt.polytope(2, [pt.halfspace([1, 1], 2, False)])
+    p = polytope(2, [halfspace([1, 0], 0, False), halfspace([0, 1], -1, True)])
+    q = polytope(2, [halfspace([1, 1], 2, False)])
     lhs = affine_preimage(m, intersection(p, q))
     rhs = intersection(affine_preimage(m, p), affine_preimage(m, q))
     assert pt.canonical_text(lhs) == pt.canonical_text(rhs)
@@ -212,13 +218,13 @@ def test_affine_map_is_its_integer_form():
 
 
 def test_remove_redundant():
-    p = pt.polytope(1, [pt.halfspace([1], 0, False), pt.halfspace([1], 1, False)])
+    p = polytope(1, [halfspace([1], 0, False), halfspace([1], 1, False)])
     assert pt.canonical_lines(remove_redundant(p)) == ["1 | 0 >= 0"]
     # a tighter halfspace dominates two cube faces
-    q = pt.polytope(
+    q = polytope(
         2,
         cube_halfspaces(2, strict=False)
-        + [pt.halfspace([-1, 0], F(1, 2), False)],
+        + [halfspace([-1, 0], F(1, 2), False)],
     )
     reduced = remove_redundant(q)
     assert "-1 0 | 1 >= 0" not in pt.canonical_lines(reduced)
@@ -237,7 +243,7 @@ def _hull_round_trip(closed):
     """vertices -> convex hull -> H-rep must define the same set: the hull
     facets agree with the minimal representation of the input."""
     verts = pt.vertices(closed).vertices
-    hull = pt.polytope(2, [pt.halfspace(nm, c, False) for nm, c in hull_2d(verts)])
+    hull = polytope(2, [halfspace(nm, c, False) for nm, c in hull_2d(verts)])
     assert pt.canonical_lines(hull) == pt.canonical_lines(remove_redundant(closed))
     for v in verts:
         assert pt.contains(hull, v)
@@ -245,12 +251,12 @@ def _hull_round_trip(closed):
 
 def test_vertex_hull_round_trip():
     _hull_round_trip(pt.closure(figure1_open()))
-    _hull_round_trip(pt.polytope(2, cube_halfspaces(2, strict=False)))
+    _hull_round_trip(polytope(2, cube_halfspaces(2, strict=False)))
     rng = random.Random(5)
     done = 0
     while done < 25:
         system = _random_system(rng, 2)
-        weak = pt.polytope(2, [pt.HalfSpace(hs.normal, hs.offset, False) for hs in system.halfspaces])
+        weak = polytope(2, [pt.HalfSpace(hs.normal, hs.offset, False) for hs in rational_rows(system)])
         verts = pt.vertices(weak).vertices if pt.is_feasible(weak) else ()
         if len(verts) < 3:
             continue  # hull oracle needs a full-dimensional polygon
@@ -266,17 +272,55 @@ def test_canonical_text_round_trip():
 
 
 def test_canonical_scaling_normalization():
-    a = pt.polytope(2, [pt.halfspace([F(1, 2), F(-1, 3)], F(1, 6), True)])
-    b = pt.polytope(2, [pt.halfspace([3, -2], 1, True)])
+    a = polytope(2, [halfspace([F(1, 2), F(-1, 3)], F(1, 6), True)])
+    b = polytope(2, [halfspace([3, -2], 1, True)])
     assert pt.canonical_text(a) == pt.canonical_text(b)
+
+
+def test_simplicial_cone_against_fraction_inverse():
+    """The first cone of double description, built fraction-free: on
+    seeded integer rows in dims 1-6 with entries in [-3, 3], the basis is
+    the first independent rows and the rays are the primitive columns of
+    the inverse that Fraction Gauss-Jordan computes; rows of rank below
+    the dimension give None."""
+    rng = random.Random(1968)
+    kinds = Counter()
+    for i in range(1200):
+        n = 1 + i % 6
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            rows[0][0] = 0  # the first pivot of B^T then needs a swap
+        if rng.random() < 0.15:
+            gone = rng.randrange(n)
+            for row in rows:
+                row[gone] = 0
+        rows = [tuple(row) for row in rows]
+        basis = first_independent_rows(rows)
+        got = pt._simplicial_cone(rows)
+        if len(basis) < n:
+            assert got is None, rows
+            kinds["rank-deficient"] += 1
+            continue
+        inverse, det = fraction_inverse([rows[k] for k in basis])
+        rays = []
+        for k in range(n):
+            column = [inverse[j][k] for j in range(n)]
+            den = lcm(*(c.denominator for c in column))
+            ints = [int(c * den) for c in column]
+            rays.append(tuple(x // gcd(*ints) for x in ints))
+        assert got == (basis, rays), rows
+        kinds["swap"] += rows[basis[0]][0] == 0
+        kinds["negative"] += det < 0
+    # each case occurs often
+    assert min(kinds["rank-deficient"], kinds["swap"], kinds["negative"]) > 150, kinds
 
 
 def _random_system(rng, dim):
     rows = []
     for _ in range(rng.randint(1, 4)):
         normal = [rng.randint(-3, 3) for _ in range(dim)]
-        rows.append(pt.halfspace(normal, rng.randint(-2, 2), rng.random() < 0.5))
-    return pt.polytope(dim, cube_halfspaces(dim, strict=False) + rows)
+        rows.append(halfspace(normal, rng.randint(-2, 2), rng.random() < 0.5))
+    return polytope(dim, cube_halfspaces(dim, strict=False) + rows)
 
 
 def _degenerate_system(rng, dim):
@@ -288,29 +332,29 @@ def _degenerate_system(rng, dim):
         scale = F(rng.randint(1, 3), rng.randint(1, 3))  # 1 repeats the row verbatim
         rows.append(pt.HalfSpace(tuple(scale * c for c in hs.normal), scale * hs.offset, hs.strict))
     if rng.random() < 0.25:
-        rows.append(pt.halfspace([0] * dim, 0, rng.random() < 0.3))  # 0 > 0 is absurd
+        rows.append(halfspace([0] * dim, 0, rng.random() < 0.3))  # 0 > 0 is absurd
     rng.shuffle(rows)
-    return pt.polytope(dim, rows)
+    return polytope(dim, rows)
 
 
 def test_infeasibility_certificates():
-    empty = pt.polytope(
-        1, [pt.halfspace([1], 0, True), pt.halfspace([-1], 0, True)]
+    empty = polytope(
+        1, [halfspace([1], 0, True), halfspace([-1], 0, True)]
     )
     cert = pt.infeasibility_certificate(empty)
     assert cert is not None
     assert pt.verify_certificate(empty, cert)
     assert pt.infeasibility_certificate(figure1_open()) is None
     # a weak-only contradiction needs a strictly negative constant
-    weak = pt.polytope(1, [pt.halfspace([1], -2, False), pt.halfspace([-1], 1, False)])
+    weak = polytope(1, [halfspace([1], -2, False), halfspace([-1], 1, False)])
     cert = pt.infeasibility_certificate(weak)
     assert cert is not None and pt.verify_certificate(weak, cert)
     # dropping a multiplier breaks the cancellation and must not verify
-    assert not pt.verify_certificate(weak, (cert[0], F(0)))
+    assert not pt.verify_certificate(weak, (cert[0], 0))
     assert not pt.verify_certificate(weak, (-cert[0], -cert[1]))
     # x > 0 with -x >= 0 derives the constant row 0 > 0
-    zero = pt.polytope(2, [pt.halfspace([2, 0], 0, True), pt.halfspace([-1, 0], 0, False)])
-    systems = [zero, pt.canonical_empty(3), pt.polytope(0, [])]
+    zero = polytope(2, [halfspace([2, 0], 0, True), halfspace([-1, 0], 0, False)])
+    systems = [zero, pt.canonical_empty(3), polytope(0, [])]
     rng = random.Random(99)
     systems += [_degenerate_system(rng, i % 6) for i in range(300)]
     infeasible = 0
@@ -321,6 +365,7 @@ def test_infeasibility_certificates():
         assert (cert is None) == feasible
         if cert is not None:
             assert pt.verify_certificate(system, cert), pt.canonical_text(system)
+            reverify_certificate(rational_rows(system), system, cert)
             infeasible += 1
     # both outcomes are exercised
     assert 60 < infeasible < len(systems) - 60
@@ -343,7 +388,7 @@ def test_feasibility_agrees_with_grid_search():
         if grid_hit is not None:
             # substitution re-verifies the certificate and refutes infeasibility
             assert feasible
-            assert all(hs.holds(grid_hit) for hs in system.halfspaces)
+            assert all(hs.holds(grid_hit) for hs in rational_rows(system))
 
 
 def _grid_system(rng, dim, denom):
@@ -404,8 +449,9 @@ def _integer_rows_of(halfspaces, rng):
 
 
 def test_integer_rows_match_rational_rows():
-    """`integer_polytope` on integer rows and `polytope` on the caller's
-    rational rows are the same polytope: rows, text, feasibility, closure."""
+    """`integer_polytope` on integer rows and the test builder `polytope` on
+    the caller's rational rows give the same polytope: rows, text,
+    feasibility, closure."""
     rng = random.Random(4242)
     assert pt.integer_polytope(2, [((2, -4), 6, True), ((0, 0), 0, False)]).integer_rows == (
         ((1, -2), 3, True), ((0, 0), 0, False)
@@ -413,7 +459,7 @@ def test_integer_rows_match_rational_rows():
     for i in range(300):
         dim = i % 6
         rational = _degenerate_system(rng, dim)
-        integer = pt.integer_polytope(dim, _integer_rows_of(rational.halfspaces, rng))
+        integer = pt.integer_polytope(dim, _integer_rows_of(rational_rows(rational), rng))
         assert integer.integer_rows == rational.integer_rows
         assert integer == rational
         assert pt.canonical_text(integer) == pt.canonical_text(rational)
@@ -427,8 +473,10 @@ def test_integer_rows_match_rational_rows():
 
 
 def test_certificates_use_the_callers_rows():
-    """A polytope built from rational rows keeps them verbatim, and its
-    certificates verify against them, however the caller scaled them."""
+    """Integer certificates re-verify on the caller's rational rows, however
+    the caller scaled them: each is a tuple of nonnegative ints with gcd 1,
+    and scaled back by each row's positive factor, the multipliers cancel
+    every variable and leave an absurd constant."""
     rng = random.Random(31)
     checked = 0
     for i in range(300):
@@ -436,21 +484,19 @@ def test_certificates_use_the_callers_rows():
         base = _degenerate_system(rng, dim)
         rows = [
             pt.HalfSpace(tuple(s * c for c in hs.normal), s * hs.offset, hs.strict)
-            for hs in base.halfspaces
+            for hs in rational_rows(base)
             for s in [F(rng.randint(1, 9), rng.randint(1, 9))]
         ]
-        scaled = pt.polytope(dim, rows)
-        assert scaled.halfspaces == tuple(rows)
+        scaled = polytope(dim, rows)
         assert scaled == base
         cert = pt.infeasibility_certificate(scaled)
         assert (cert is None) == pt.is_feasible(base)
         if cert is not None:
             assert pt.verify_certificate(scaled, cert)
-            # the same multipliers on the caller's rows, checked by hand
-            assert all(sum(l * hs.normal[j] for l, hs in zip(cert, rows)) == 0 for j in range(dim))
-            # the certificate of the integer-built polytope verifies on its view
+            reverify_certificate(rows, scaled, cert)
+            # integer rows of any positive scale give the same rows, so the same certificate
             integer = pt.integer_polytope(dim, _integer_rows_of(rows, rng))
-            assert pt.verify_certificate(integer, pt.infeasibility_certificate(integer))
+            assert pt.infeasibility_certificate(integer) == cert
             checked += 1
     assert 60 < checked < 240
 
