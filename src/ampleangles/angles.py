@@ -2,16 +2,21 @@
 
 For a pair (S, C = sum C_i) the body of ample angles is the set of
 beta in the open unit cube making  -K - sum (1 - beta_i) C_i  ample.
-One builder, `aa_body`, writes the strict rows adjoint(beta).w > 0, one
-per dual vector w: the nef-cone normals on the plane and F_n, where the
+One row builder writes the strict rows adjoint(beta).w > 0, one per
+dual vector w: the nef-cone normals on the plane and F_n, where the
 body is an exact rational polyhedron whose closure is the weakened
 system; and M.t for every boundary class and tracked curve t of a
 blow-up (M the intersection matrix), where it is an outer approximation,
 reported with the sign of the self-intersection quadratic on a grid; the
 quadratic is the family's integer Gram matrix.  The rows are integer
 rows from the start, read off the family's integer form, and the
-polytope is those rows.  The ALdP and strong ALdP verdicts are read off
-an exact body's rows and closure.
+polytope is those rows.  `aa_body` decides the closure by
+Fourier-Motzkin elimination, for classify and queries; `aa_report_body`,
+for the reports, by double description, from the vertices the report
+prints.  The sign table counts each run of the grid scan along its last
+coordinate in closed form: there the quadratic is a + b.x + c.x^2 in
+integers, with a and b carried down the run's prefix.  The ALdP and
+strong ALdP verdicts are read off an exact body's rows and closure.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -29,9 +34,11 @@ ampleness tests (gamma in the body, A ample) run the nef-cone rule of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from operator import mul
+from typing import Optional
 
 from . import polytope as pt
 from .geometry import (
@@ -58,6 +65,9 @@ class AABody:
     open_part: pt.HPolytope  # strict ampleness constraints + strict cube
     closed_hull: pt.HPolytope  # its closure (canonical empty when infeasible)
     exactness: str  # EXACT | OUTER
+    # the closure's vertices on a report body (`aa_report_body`), which
+    # decides the closure from them; None on a body built by `aa_body`
+    vertices: Optional[pt.VPolytope] = field(default=None, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -91,16 +101,15 @@ class AABody:
         )
 
 
-def aa_body(p: LogPair) -> AABody:
+def _open_part(p: LogPair) -> tuple[pt.HPolytope, str]:
     """The strict rows adjoint(beta).w > 0, one per dual vector w, cut down
-    to the open cube, with their closure.  w runs over the nef-cone normals
-    on the plane and F_n (ampleness: the exact body) and over M.t for the
-    boundary classes and tracked curves t of a blow-up (adjoint.t > 0,
-    necessary only: the outer body of `aa_outer_blowup` without its
-    quadratic report).  The rows are integer rows: the family's integer
-    form against w, and on a blow-up w = M.t from the integer numerators
-    of t.  Each is a positive multiple of the rational row, which leaves
-    the polytope as it is."""
+    to the open cube, and the body's exactness.  w runs over the nef-cone
+    normals on the plane and F_n (ampleness: the exact body) and over M.t
+    for the boundary classes and tracked curves t of a blow-up
+    (adjoint.t > 0, necessary only: the outer body).  The rows are integer
+    rows: the family's integer form against w, and on a blow-up w = M.t
+    from the integer numerators of t.  Each is a positive multiple of the
+    rational row, which leaves the polytope as it is."""
     s = p.surface
     if isinstance(s.provenance, BlowUp):
         curves = [c.integer_form[0] for c in p.classes]
@@ -114,8 +123,25 @@ def aa_body(p: LogPair) -> AABody:
         (tuple(sum(map(mul, inc, w)) for inc in increments), sum(map(mul, constant, w)), True)
         for w in duals
     ]
-    open_part = pt.integer_polytope(p.r, [*rows, *pt.cube_rows(p.r, True)])
+    return pt.integer_polytope(p.r, [*rows, *pt.cube_rows(p.r, True)]), exactness
+
+
+def aa_body(p: LogPair) -> AABody:
+    """The body (see `_open_part`) with its closure by Fourier-Motzkin
+    elimination, which stays fast on the systems of classify, up to
+    dimension 15.  On a blow-up it is the outer body of `aa_outer_blowup`
+    without its quadratic report."""
+    open_part, exactness = _open_part(p)
     return AABody(open_part, pt.closure(open_part), exactness)
+
+
+def aa_report_body(p: LogPair) -> AABody:
+    """The body (see `_open_part`) with its closure and the closure's
+    vertices, both by double description: the vertices a report prints
+    decide whether the body is empty."""
+    open_part, exactness = _open_part(p)
+    closed, verts = pt.closure_and_vertices(open_part)
+    return AABody(open_part, closed, exactness, verts)
 
 
 def aa_halfspaces_rank_le2(p: LogPair) -> AABody:
@@ -172,40 +198,93 @@ class QuadraticReport:
     negative: int
 
 
-def _quadratic_signs(gram, denom: int, points) -> tuple[int, int, int]:
+def _run_signs(a: int, b: int, c: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """How many integers x in [lo, hi] give Q = a + b.x + c.x^2 a positive,
+    zero and negative sign, in that order, counted in closed form.
+
+    Negating Q swaps the positive and negative counts, so c > 0, or c = 0
+    with b >= 0, is enough.  For c = 0 and b > 0, Q < 0 iff x < -a/b and
+    Q = 0 iff x = -a/b.  For c > 0, 4c.Q = u^2 - D with u = 2c.x + b and
+    D = b^2 - 4ac: Q < 0 iff |u| <= t, where t = isqrt(D), less 1 when D
+    is a perfect square, and Q = 0 iff u = +-isqrt(D) when D is one.
+    """
+    n = hi - lo + 1
+    flip = c < 0 or (c == 0 and b < 0)
+    if flip:
+        a, b, c = -a, -b, -c
+    neg = zero = 0
+    if c:
+        d = b * b - 4 * a * c
+        if d >= 0:
+            s = isqrt(d)
+            square = s * s == d
+            t = s - 1 if square else s
+            m = 2 * c
+            # -t <= 2c.x + b <= t is ceil((-t - b)/m) <= x <= floor((t - b)/m)
+            neg = max(0, min(hi, (t - b) // m) - max(lo, -((t + b) // m)) + 1)
+            if square:
+                zero = _root_in(s - b, m, lo, hi) + (_root_in(-s - b, m, lo, hi) if s else 0)
+    elif b:
+        # x < -a/b is x <= ceil(-a/b) - 1
+        neg = max(0, min(hi, -(a // b) - 1) - lo + 1)
+        zero = _root_in(-a, b, lo, hi)
+    elif a <= 0:
+        neg, zero = (n, 0) if a else (0, n)
+    pos = n - neg - zero
+    return (neg, zero, pos) if flip else (pos, zero, neg)
+
+
+def _root_in(num: int, den: int, lo: int, hi: int) -> int:
+    """1 when num/den (den > 0) is an integer in [lo, hi], else 0."""
+    return int(num % den == 0 and lo <= num // den <= hi)
+
+
+def _quadratic_signs(gram, denom: int, runs) -> tuple[int, int, int]:
     """How many integer points k give q(k/denom) a positive, zero and
     negative sign, in that order, where q(beta) = v.G.v at v = (1, beta)
-    for the symmetric integer Gram matrix G = `gram`.
+    for the symmetric integer Gram matrix G = `gram`.  The points come as
+    runs (prefix, lo, hi) of `polytope.grid_runs`: prefix + (x,) for
+    lo <= x <= hi.
 
     The sign of q(k/denom) is the sign of the integer Q = denom^2.q(k/denom).
-    Along the last coordinate x, Q = a + b.x + c.x^2 with a and b fixed by
-    the other coordinates; they are recomputed only when those change, which
-    points in lexicographic order (as `polytope.grid_points` yields them)
-    seldom do.  Points in any order give the same table.
+    Along the last coordinate x, Q = a + b.x + c.x^2, and `_run_signs`
+    counts a run in closed form.  a and b come from the prefix one
+    coordinate at a time: level j keeps the terms of Q in k_0..k_j-1 alone
+    and the coefficients of k_j..k_r-1 linear in them.  When the prefix
+    changes, the levels are rebuilt from the first coordinate that
+    changed, which in lexicographic order is mostly the last.  Runs in
+    any order give the same table.
     """
     r = len(gram) - 1
     c0 = gram[0][0] * denom * denom
-    c1 = [2 * denom * v for v in gram[0][1:]]
+    pos = zero = neg = 0
+    if not r:  # q is its constant: the run ((), 0, 0) is the one point
+        for _, lo, hi in runs:
+            p, z, n = _run_signs(c0, 0, 0, lo, hi)
+            pos, zero, neg = pos + p, zero + z, neg + n
+        return pos, zero, neg
     c2 = [row[1:] for row in gram[1:]]
-    counts = [0, 0, 0]  # indexed by the sign: zero, positive, negative (at -1)
-    if not r:  # q is its constant: one sign for every point
-        for _ in points:
-            counts[(c0 > 0) - (c0 < 0)] += 1
-        return counts[1], counts[0], counts[-1]
     last = r - 1
     c = c2[last][last]
-    cross = [2 * v for v in c2[last][:last]]
+    # cross[j]: the coefficients 2.G_mj of k_m.k_j for m > j
+    cross = [[2 * row[j] for row in c2[j + 1 :]] for j in range(last)]
+    constant = [c0] + [0] * last
+    linear = [[2 * denom * v for v in gram[0][1:]]] + [[]] * last  # linear[j]: m = j..r-1
     head = None
-    for k in points:
-        if k[:last] != head:
-            head = k[:last]
-            # the terms of Q without x; zip stops each row at the prefix
-            a = c0 + sum(ki * (li + sum(map(mul, row, head))) for ki, li, row in zip(head, c1, c2))
-            b = c1[last] + sum(map(mul, cross, head))
-        x = k[last]
-        q = a + x * (b + c * x)
-        counts[(q > 0) - (q < 0)] += 1
-    return counts[1], counts[0], counts[-1]
+    for prefix, lo, hi in runs:
+        if prefix != head:
+            changed = 0
+            if head is not None:
+                while prefix[changed] == head[changed]:
+                    changed += 1
+            for j in range(changed, last):
+                x, lin = prefix[j], linear[j]
+                constant[j + 1] = constant[j] + x * (lin[0] + c2[j][j] * x)
+                linear[j + 1] = [v + w * x for v, w in zip(lin[1:], cross[j])]
+            head = prefix
+        p, z, n = _run_signs(constant[last], linear[last][0], c, lo, hi)
+        pos, zero, neg = pos + p, zero + z, neg + n
+    return pos, zero, neg
 
 
 def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
@@ -221,7 +300,7 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
         raise ValueError("outer approximation applies to blow-up surfaces only")
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
-    body = aa_body(p)
+    body = aa_report_body(p)
     # the Gram matrix of (constant, increments): their integer numerators
     # paired through the lattice matrix, so q(beta) = v.G.v / den^2 at v = (1, beta)
     den, constant, increments = log_adjoint(p).integer_form
@@ -234,11 +313,11 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     quad = tuple(tuple(Fraction(v, scale) for v in row[1:]) for row in gram[1:])
     # keep the sample count at desk scale for deep blow-ups
     denom = grid_denominator if p.r <= 4 else min(grid_denominator, 4)
-    # an empty closure means an infeasible open part: no grid point can pass
-    if body.closed_hull == pt.canonical_empty(p.r):
+    # a closure without vertices means an infeasible open part: no grid point can pass
+    if not body.vertices.vertices:
         signs = (0, 0, 0)
     else:
-        signs = _quadratic_signs(gram, denom, pt.grid_points(body.open_part, denom))
+        signs = _quadratic_signs(gram, denom, pt.grid_runs(body.open_part, denom))
     report = QuadraticReport(const, linear, quad, denom, sum(signs), *signs)
     return body, report
 

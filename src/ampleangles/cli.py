@@ -45,18 +45,18 @@ def _fmt_verdict(v) -> str:
     return repr(v).lower()
 
 
-def _print_body(exactness: str, closed: pt.HPolytope, out) -> None:
+def _print_body(exactness: str, closed: pt.HPolytope, verts: pt.VPolytope, out) -> None:
+    """The closure's rows and its vertices, `verts`, computed by the caller."""
     print(f"exactness: {exactness}", file=out)
     print("closure:", file=out)
     for line in pt.canonical_lines(closed):
         print(f"  {line}", file=out)
     # a bounded non-empty polytope has a vertex; an infeasible one has none
-    verts = pt.vertices(closed).vertices
-    if not verts:
+    if not verts.vertices:
         print("vertices: (empty body)", file=out)
         return
     print("vertices:", file=out)
-    for v in verts:
+    for v in verts.vertices:
         print(f"  {_fmt_point(v)}", file=out)
 
 
@@ -97,7 +97,7 @@ class RunReport:
             print(f"  {lab}: {_fmt_point(cls.coeffs)}", file=out)
         for name, verdict in self.verdicts.items():
             print(f"{name}: {_fmt_verdict(verdict)}", file=out)
-        _print_body(self.body.exactness, self.body.closed_hull, out)
+        _print_body(self.body.exactness, self.body.closed_hull, self.body.vertices, out)
         if self.quadratic is not None:
             _print_quadratic(self.quadratic, out)
 
@@ -106,7 +106,7 @@ def run_report(p: LogPair, echo: str) -> RunReport:
     if isinstance(p.surface.provenance, BlowUp):
         body, quadratic = angles.aa_outer_blowup(p)
     else:
-        body, quadratic = angles.aa_body(p), None
+        body, quadratic = angles.aa_report_body(p), None
     verdicts = {
         "log del Pezzo": angles.is_log_dp(p),
         # the printed body decides both ALdP verdicts, as `angles.is_*aldp` would
@@ -172,17 +172,19 @@ def cmd_aa(args) -> int:
         raise InputError(
             f"SVG output needs a 2-dimensional body; got {dim} (use --slice to cut down)"
         )
-    body = angles.aa_body(pair)
-    closed = body.closed_hull
+    body = angles.aa_report_body(pair)
+    closed, verts = body.closed_hull, body.vertices
     axis_names = [f"b{i + 1}" for i in range(pair.r)]
     for idx, val in slices:
         closed = pt.substitute(closed, idx - 1, val)
         axis_names.pop(idx - 1)
+    if slices:
+        verts = pt.vertices(closed)
     print(f"pair: {args.file}")
     if slices:
         fixed = ", ".join(f"b{i}={v}" for i, v in sorted(slices))
         print(f"section: {fixed}  (a section, not a projection)")
-    _print_body(body.exactness, closed, sys.stdout)
+    _print_body(body.exactness, closed, verts, sys.stdout)
     if args.svg:
         title = os.path.basename(args.file)
         if slices:

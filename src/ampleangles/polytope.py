@@ -16,13 +16,16 @@ of the system.  Infeasibility certificates are nonnegative integer
 multipliers on the rows, rebuilt from the provenance of the violated
 row.  Vertex enumeration is the double description method over the
 same rows, fraction-free from its first simplicial cone on; Fourier-Motzkin
-enters it only when the normals have rank below the dimension.
-Closures, sections, interval-pruned grid scans (which fix one coordinate
-at a time and visit only the grid points of the body) and the canonical
-text all work on the rows.  An affine map is the coordinatewise
-substitution x_i -> (slope.x_i + shift_i)/den, kept as those integers in
-lowest terms; it applies on them, and its Fraction matrix and
-translation are views built on each read.  Everything is exact, over
+enters it only when the normals have rank below the dimension.  On a
+bounded system, `closure_and_vertices` decides emptiness from those
+vertices alone: the open system is non-empty iff their average
+satisfies it.  Closures, sections, interval-pruned grid scans and the
+canonical text all work on the rows.  The scan fixes one coordinate at a
+time, visits only prefixes of grid points of the body, and yields the
+last coordinate's exact interval under each as one run.  An affine map
+is the coordinatewise substitution x_i -> (slope.x_i + shift_i)/den,
+kept as those integers in lowest terms; it applies on them, and its
+Fraction matrix and translation are views built on each read.  Everything is exact, over
 `fractions.Fraction` and `int`; there is no floating-point mode.
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -399,6 +402,11 @@ def closure(p: HPolytope) -> HPolytope:
     """
     if not is_feasible(p):
         return canonical_empty(p.dim)
+    return _weakened(p)
+
+
+def _weakened(p: HPolytope) -> HPolytope:
+    """The rows of p with every strict flag cleared."""
     return HPolytope(p.dim, tuple((normal, offset, False) for normal, offset, _ in p.integer_rows))
 
 
@@ -546,9 +554,37 @@ def vertices(p: HPolytope) -> VPolytope:
     )
 
 
-def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
-    """The integer points k of {1..denom-1}^dim with k/denom in p, in
-    lexicographic order.
+def closure_and_vertices(p: HPolytope) -> tuple[HPolytope, VPolytope]:
+    """The closure of p and its vertices, both decided by double description:
+    (the weakened rows, their vertices) when p is non-empty, else
+    (canonical_empty, no vertices).  The weakened system must be bounded,
+    as every system with the cube's rows is.
+
+    A bounded weakened system is a polytope, and the average of its
+    vertices lies in its relative interior.  When p has a point y, a
+    strict row f holds at every point x of that relative interior: x lies
+    inside a segment from y to some z of the polytope, and f(z) >= 0 with
+    f(y) > 0.  So p is non-empty exactly when the weakened system has
+    vertices and their average is in p.  `closure` decides the same by
+    Fourier-Motzkin elimination.
+    """
+    weak = _weakened(p)
+    found = vertices(weak)
+    points = found.vertices
+    if points:
+        # the average, summed in integers over the vertices' common denominator
+        den = lcm(*(x.denominator for v in points for x in v))
+        total = [sum(x.numerator * (den // x.denominator) for x in c) for c in zip(*points)]
+        if contains(p, [Fraction(t, den * len(points)) for t in total]):
+            return weak, found
+    return canonical_empty(p.dim), VPolytope(p.dim, ())
+
+
+def grid_runs(p: HPolytope, denom: int) -> Iterable[tuple[tuple[int, ...], int, int]]:
+    """The integer points k of {1..denom-1}^dim with k/denom in p, as runs
+    (prefix, lo, hi) in lexicographic order: the points prefix + (x,) for
+    lo <= x <= hi, every one of them in p, with lo <= hi.  In dimension 0
+    the one point () has no last coordinate; it comes as the run ((), 0, 0).
 
     Each row holds at k when normal.k >= least, with least = strict -
     offset.denom on the gcd-normalized row (an integer is > 0 iff it is
@@ -556,8 +592,8 @@ def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
     that leave every row satisfiable on the rest of the box: with the
     prefix's partial sum s and best, the largest value the remaining
     terms can take, row c.k_j >= least - s - best bounds k_j from below
-    (c > 0) or above (c < 0).  The last coordinate's bounds are exact,
-    so every point the scan reaches is in p.
+    (c > 0) or above (c < 0).  The last coordinate's bounds are exact, so
+    they are the run.
     """
     top = denom - 1
     levels = [[] for _ in range(p.dim)]  # per coordinate: (row, c, least - best)
@@ -578,7 +614,7 @@ def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
             return
         tested += 1
     if not p.dim:
-        yield ()
+        yield (), 0, 0
         return
     last = p.dim - 1
 
@@ -591,8 +627,8 @@ def grid_points(p: HPolytope, denom: int) -> Iterable[tuple[int, ...]]:
             else:
                 hi = min(hi, need // c)  # the floor, as c < 0
         if j == last:
-            for x in range(lo, hi + 1):
-                yield prefix + (x,)
+            if lo <= hi:
+                yield prefix, lo, hi
             return
         for x in range(lo, hi + 1):
             step = partial[:]

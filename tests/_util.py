@@ -1,5 +1,6 @@
 """Shared test oracles, kept independent of the library paths they check."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -74,6 +75,20 @@ def brute_force_grid_points(p, denom):
     ]
 
 
+def expand_runs(runs, dim):
+    """The points of the runs (prefix, lo, hi) of `polytope.grid_runs`:
+    prefix + (x,) for lo <= x <= hi, and the run ((), 0, 0) of dimension 0
+    as the one point ()."""
+    if not dim:
+        assert all(run == ((), 0, 0) for run in runs), runs
+        return [() for _ in runs]
+    points = []
+    for prefix, lo, hi in runs:
+        assert len(prefix) == dim - 1 and lo <= hi, (prefix, lo, hi)
+        points += [prefix + (x,) for x in range(lo, hi + 1)]
+    return points
+
+
 def adjoint_coeffs(surface_minus_k, boundary, beta):
     """-K - sum (1-beta_i) C_i computed directly on coefficient tuples."""
     out = list(F(c) for c in surface_minus_k)
@@ -125,6 +140,28 @@ def fraction_intersect(matrix, a, b):
         row = matrix[i]
         total += F(ai) * sum(row[j] * F(bj) for j, bj in enumerate(b) if bj != 0)
     return total
+
+
+def adjoint_square_signs(p, points, denom):
+    """How many integer points k give adjoint(k/denom)^2 a positive, zero
+    and negative sign, in that order: the adjoint -K - sum (1 - beta_i) C_i
+    on coefficient tuples, squared through the lattice matrix, exactly.
+    With L the common denominator of -K - sum C_i and the C_i, the
+    coefficients times denom.L are integers, and the square times
+    (denom.L)^2 > 0 keeps its sign."""
+    constant, increments = _adjoint_parts(p)
+    scale = lcm(*(c.denominator for c in (*constant, *(x for inc in increments for x in inc))))
+    base = [int(c * scale) * denom for c in constant]
+    columns = [[int(x * scale) for x in inc] for inc in increments]
+    matrix = p.surface.intersection_matrix
+    signs = Counter()
+    for k in points:
+        v = base
+        for x, column in zip(k, columns):
+            v = [a + x * b for a, b in zip(v, column)]
+        q = sum(a * sum(b * c for b, c in zip(row, v)) for a, row in zip(v, matrix))
+        signs[(q > 0) - (q < 0)] += 1
+    return signs[1], signs[0], signs[-1]
 
 
 def tracked_curve_rows(p):

@@ -15,6 +15,7 @@ from _util import (
     F,
     P2_TABLE,
     aa_via_nef,
+    adjoint_square_signs,
     affine_apply,
     affine_basis,
     affine_product,
@@ -23,6 +24,7 @@ from _util import (
     cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
+    expand_runs,
     family_at,
     fn_table,
     fraction_reparam,
@@ -33,6 +35,7 @@ from _util import (
     polytope,
     remove_redundant,
 )
+from test_acceptance import BASES, _random_script
 
 
 def fn_pair(n, classes):
@@ -525,12 +528,35 @@ def test_quadratic_sign_table_against_fraction_scan():
     assert report.samples == 0
 
 
+def test_sign_table_against_adjoint_square_at_grid_points():
+    """The printed sign table of `aa_outer_blowup` against the exact sign of
+    adjoint(beta)^2 at every point of the brute-force grid scan: the shipped
+    blow-up samples, the benchmark's chain inputs and seeded blow-up
+    scripts of the acceptance suite."""
+    paths = sorted(SAMPLES.glob("*.pair"))
+    paths += [REPO / "perfbench" / "inputs" / f"chain-r{r}.pair" for r in (5, 6)]
+    pairs = [dsl.load_pair_spec(str(path)).final for path in paths]
+    rng = random.Random(5150)
+    pairs += [_random_script(rng, rng.choice(BASES)(), rng.randint(1, 3)) for _ in range(20)]
+    pairs = [p for p in pairs if isinstance(p.surface.provenance, g.BlowUp)]
+    samples = 0
+    for p in pairs:
+        body, report = an.aa_outer_blowup(p)
+        points = brute_force_grid_points(body.open_part, report.grid_denominator)
+        want = adjoint_square_signs(p, points, report.grid_denominator)
+        assert report.samples == len(points), p.r
+        assert (report.positive, report.zero, report.negative) == want, p.r
+        samples += len(points)
+    assert len(pairs) == 24 and samples > 1000, (len(pairs), samples)
+
+
 def test_grid_points_on_shipped_bodies():
-    """The pruned scan against the brute-force oracle, order included, on
-    the open body of every pair the samples build, at 1/7 and the CLI's
-    1/16, and of the r = 5..8 chains at 1/4 (the cap above r = 4) and, for
-    r <= 6, at 1/7.  The chains' open bodies are built from the oracle rows,
-    which skips the closure aa_body computes (seconds at r = 8)."""
+    """The pruned scan's runs, expanded, against the brute-force oracle,
+    order included, on the open body of every pair the samples build, at
+    1/7 and the CLI's 1/16, and of the r = 5..8 chains at 1/4 (the cap
+    above r = 4) and, for r <= 6, at 1/7.  The chains' open bodies are
+    built from the oracle rows, which skips the closure aa_body computes
+    (seconds at r = 8)."""
     bodies = []
     for path in sorted(SAMPLES.glob("*.pair")):
         for p in dsl.load_pair_spec(str(path)).apply():
@@ -540,7 +566,7 @@ def test_grid_points_on_shipped_bodies():
         bodies += [(open_part, denom) for denom in ((4, 7) if r <= 6 else (4,))]
     hits = 0
     for body, denom in bodies:
-        got = list(pt.grid_points(body, denom))
+        got = expand_runs(list(pt.grid_runs(body, denom)), body.dim)
         assert got == brute_force_grid_points(body, denom), (body.dim, denom)
         hits += len(got)
     assert len(bodies) == 22 and hits > 40_000
@@ -548,39 +574,97 @@ def test_grid_points_on_shipped_bodies():
 
 def test_elimination_and_double_description_agree_on_report_bodies():
     """Fourier-Motzkin and double description, two independent kernels,
-    agree on every report body: the samples, the benchmark's chain inputs
-    and the chains r = 7..12.  closure(open_part) is canonical_empty exactly
-    when the weakened rows have no vertex, or the average of their
-    vertices, a point of the closure's relative interior, fails a strict
-    row."""
+    agree on every report body: the samples, the benchmark's chain inputs,
+    the seeded blow-up scripts of the acceptance suite and the chains
+    r = 7..16.  The closure of `closure_and_vertices`, which reports use, is
+    `closure`'s: canonical_empty exactly when the weakened rows have no
+    vertex, or the average of their vertices, a point of the closure's
+    relative interior, fails a strict row.  Reports no longer run
+    Fourier-Motzkin, so this test keeps it on the chains."""
     paths = sorted(SAMPLES.glob("*.pair"))
     paths += [REPO / "perfbench" / "inputs" / f"chain-r{r}.pair" for r in (5, 6)]
     pairs = [dsl.load_pair_spec(str(path)).final for path in paths]
-    pairs += [chain_pair(r) for r in range(7, 13)]
+    rng = random.Random(4242)
+    pairs += [_random_script(rng, rng.choice(BASES)(), rng.randint(1, 3)) for _ in range(30)]
+    pairs += [chain_pair(r) for r in range(7, 17)]
     kinds = Counter()
     for p in pairs:
-        body = an.aa_body(p)
+        body = an.aa_report_body(p)
+        closed = pt.closure(body.open_part)
+        assert body.closed_hull == closed, p.r
         rows = body.open_part.integer_rows
         verts = pt.vertices(pt.integer_polytope(p.r, [(nm, c, False) for nm, c, _ in rows])).vertices
         inner = bool(verts) and pt.contains(body.open_part, [sum(c) / len(verts) for c in zip(*verts)])
-        assert (body.closed_hull == pt.canonical_empty(p.r)) == (not inner), p.r
+        assert (closed == pt.canonical_empty(p.r)) == (not inner), p.r
+        assert body.vertices.vertices == (verts if inner else ()), p.r
         kinds[inner] += 1
     # only the shared-fiber degeneration has an empty body
-    assert kinds == Counter({True: 11, False: 1}), kinds
+    assert kinds == Counter({True: 45, False: 1}), kinds
+
+
+def test_run_signs_match_pointwise_evaluation():
+    """The closed-form count of one run against evaluating Q = a + b.x +
+    c.x^2 at each of its integers: random coefficients up to 10^6, integer
+    double and simple roots, linear and constant Q, b = 0, one-point runs,
+    and runs wholly inside, outside or straddling the roots."""
+    rng = random.Random(2718)
+    kinds = Counter()
+    for i in range(6000):
+        shape, big = i % 6, rng.choice([40, 10**6])
+        root, k, m = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(-big, big)
+        if shape == 0:
+            a, b, c = (rng.randint(-big, big) for _ in range(3))
+        elif shape == 1:  # k.(x - root)^2
+            a, b, c = k * root * root, -2 * k * root, k
+        elif shape == 2:  # (x - root).(k.x + m)
+            a, b, c = -root * m, m - k * root, k
+        elif shape == 3:  # k.(x - root), or a random linear Q
+            a, b, c = (-k * root, k, 0) if rng.random() < 0.5 else (m, rng.randint(-big, big), 0)
+        elif shape == 4:
+            a, b, c = m, 0, rng.randint(-big, big)
+        else:
+            a, b, c = m, 0, 0
+        lo = (root if shape in (1, 2, 3) else 0) + rng.randint(-40, 10)
+        hi = lo + rng.choice([0, rng.randint(0, 60)])
+        want = Counter()
+        for x in range(lo, hi + 1):
+            q = a + b * x + c * x * x
+            want[(q > 0) - (q < 0)] += 1
+        assert an._run_signs(a, b, c, lo, hi) == (want[1], want[0], want[-1]), (a, b, c, lo, hi)
+        kinds["c < 0"] += c < 0
+        kinds["c = 0"] += c == 0
+        kinds["b = 0"] += b == 0
+        kinds["one point"] += lo == hi
+        kinds["zero"] += want[0] > 0
+        if c and b * b - 4 * a * c > 0:  # two real roots
+            side = (c > 0) - (c < 0)
+            kinds["inside" if set(want) == {-side} else "outside" if set(want) == {side} else "straddling"] += 1
+    assert min(kinds.values()) > 300 and len(kinds) == 8, kinds
 
 
 def test_quadratic_signs_match_fraction_evaluation():
-    # every sampled sign on the shipped pairs is positive, so the integer
-    # scan is checked on random symmetric integer Gram matrices as well
+    # every sampled sign on the shipped pairs is positive, so the run
+    # counter is checked on random symmetric integer Gram matrices as well
     rng = random.Random(31)
     seen = Counter()
     for _ in range(40):
         r, denom = rng.randint(0, 4), rng.choice([2, 3, 7, 16])
         upper = [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(r + 1)]
         gram = [[upper[min(i, j)][max(i, j)] for j in range(r + 1)] for i in range(r + 1)]
-        points = [tuple(rng.randint(1, denom - 1) for _ in range(r)) for _ in range(30)]
-        # a run in reverse lexicographic order, and repeated points
-        points += sorted(points[:10], reverse=True) + [points[0], points[1], points[0]]
+        if r:
+            runs = []
+            for _ in range(12):
+                lo = rng.randint(1, denom - 1)
+                prefix = tuple(rng.randint(1, denom - 1) for _ in range(r - 1))
+                runs.append((prefix, lo, rng.randint(lo, denom - 1)))
+            # runs in reverse lexicographic order, repeated runs, and a
+            # repeated prefix with another interval, so that the prefix
+            # levels are rebuilt from every coordinate
+            runs += sorted(runs[:6], reverse=True) + [runs[0], runs[1], runs[0]]
+            runs.append((runs[1][0], 1, 1))
+        else:
+            runs = [((), 0, 0)] * 3
+        points = expand_runs(runs, r)
 
         def q(k):
             v = [F(1)] + [F(x, denom) for x in k]
@@ -601,11 +685,11 @@ def test_quadratic_signs_match_fraction_evaluation():
             value = q(k)
             want[(value > 0) - (value < 0)] += 1
         table = (want[1], want[0], want[-1])
-        assert an._quadratic_signs(gram, denom, points) == table
+        assert an._quadratic_signs(gram, denom, runs) == table
         # a single pass over an iterator gives the same table
-        assert an._quadratic_signs(gram, denom, iter(points)) == table
+        assert an._quadratic_signs(gram, denom, iter(runs)) == table
         seen += want
-    assert all(seen[s] > 40 for s in (1, 0, -1))
+    assert all(seen[s] > 40 for s in (1, 0, -1)), seen
 
 
 def test_grid_oracle_rank2_families():

@@ -412,9 +412,10 @@ def test_check_chain_r7_scaling(tmp_path, capsys):
 
 
 def test_check_chain_r12_r16_scaling(tmp_path, capsys):
-    """The longer chains stay in reach of Fourier-Motzkin elimination with
-    Chernikov's rule: check takes under 0.5 s on r = 12 and under 2 s on
-    r = 16 (without the rule, r = 9 took over a minute).  The r = 12
+    """The longer chains stay in reach of the report path, which decides
+    emptiness by double description from the vertices it prints: check
+    takes under 0.5 s on r = 12 and under 2 s on r = 16 (Fourier-Motzkin
+    without Chernikov's rule took over a minute at r = 9).  The r = 12
     vertices are checked against the printed closure."""
     code, out, elapsed = _check_chain(tmp_path, capsys, 12)
     assert code == 2

@@ -11,6 +11,7 @@ from _util import (
     brute_force_grid_points,
     brute_force_vertices,
     cube_halfspaces,
+    expand_runs,
     first_independent_rows,
     fm_is_feasible,
     fraction_inverse,
@@ -417,21 +418,38 @@ def _grid_system(rng, dim, denom):
 
 
 def test_grid_points_match_brute_force():
-    """The pruned scan yields exactly the brute-force points, in lexicographic
-    order.  Denominators whose box has more than 4 000 points are not drawn,
-    which keeps the oracle's full scan cheap."""
+    """The pruned scan's runs, expanded, are exactly the brute-force points,
+    in lexicographic order, one run per prefix.  Denominators whose box has
+    more than 4 000 points are not drawn, which keeps the oracle's full scan
+    cheap.  Dimension 0, empty boxes and a row that fails at the box's
+    maximizing corner are also run on their own."""
     rng = random.Random(1313)
-    kinds = Counter()
+    systems = []
     for i in range(2000):
         dim = i % 6
         denom = rng.choice([d for d in (1, 2, 3, 4, 7, 16) if (d - 1) ** dim <= 4000])
-        system = _grid_system(rng, dim, denom)
-        got = list(pt.grid_points(system, denom))
+        systems.append((_grid_system(rng, dim, denom), denom))
+    # dimension 0: the one point () when the constant rows hold
+    systems += [(pt.integer_polytope(0, [((), c, s)]), 7) for c in (-1, 0, 1) for s in (False, True)]
+    systems.append((pt.integer_polytope(0, []), 1))
+    # empty boxes, denominator 1, with and without rows
+    systems += [(pt.integer_polytope(dim, pt.cube_rows(dim, False)), 1) for dim in (1, 3)]
+    systems.append((pt.integer_polytope(2, []), 1))
+    # x + y > 3/2 fails at (3/4, 3/4), the box's maximizing corner at 1/4
+    systems.append((pt.integer_polytope(2, [((2, 2), -3, True)]), 4))
+    kinds = Counter()
+    for system, denom in systems:
+        runs = list(pt.grid_runs(system, denom))
+        got = expand_runs(runs, system.dim)
         assert got == brute_force_grid_points(system, denom), (denom, system.integer_rows)
-        box = max(denom - 1, 0) ** dim
+        prefixes = [prefix for prefix, _, _ in runs]
+        assert len(set(prefixes)) == len(prefixes), runs
+        box = max(denom - 1, 0) ** system.dim
         kinds["empty" if not got else "full" if len(got) == box else "cut"] += 1
+        kinds["dim 0"] += not system.dim
     # the scan prunes some boxes whole, keeps some whole and cuts the rest
     assert all(kinds[k] > 200 for k in ("empty", "full", "cut")), kinds
+    assert kinds["dim 0"] > 300, kinds
 
 
 def _integer_rows_of(halfspaces, rng):
