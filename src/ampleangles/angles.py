@@ -10,13 +10,17 @@ blow-up (M the intersection matrix), where it is an outer approximation,
 reported with the sign of the self-intersection quadratic on a grid; the
 quadratic is the family's integer Gram matrix.  The rows are integer
 rows from the start, read off the family's integer form, and the
-polytope is those rows.  `aa_body` decides the closure by
-Fourier-Motzkin elimination, for classify and queries; `aa_report_body`,
-for the reports, by double description, from the vertices the report
-prints.  The sign table counts each run of the grid scan along its last
-coordinate in closed form: there the quadratic is a + b.x + c.x^2 in
-integers, with a and b carried down the run's prefix.  The ALdP and
-strong ALdP verdicts are read off an exact body's rows and closure.
+polytope is those rows.  A body computes its closure when the closure is
+first read: on a body of `aa_body`, for classify and queries, by
+Fourier-Motzkin elimination, so a caller that reads only the open part
+runs none; `aa_report_body`, for the reports, hands in the closure that
+double description decides from the vertices the report prints.  The
+sign table counts each run of the grid scan along its last coordinate in
+closed form: there the quadratic is a + b.x + c.x^2 in integers, with a
+and b carried down the run's prefix.  The strong ALdP verdict is read
+off an exact body's rows.  The ALdP verdict first tests that -K - C is
+nef, i.e. that the origin satisfies the weakened rows (every offset is
+>= 0), and reads the closure only then.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -34,8 +38,9 @@ ampleness tests (gamma in the body, A ample) run the nef-cone rule of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from operator import mul
 from typing import Optional
@@ -62,12 +67,26 @@ _RANK_LE2_ONLY = "exact ampleness constraints exist only for the plane and F_n"
 
 @dataclass(frozen=True)
 class AABody:
+    """A body of ample angles: its open part, and the open part's closure,
+    computed on first read.  A builder that already has the closure hands
+    it in as `closed`."""
+
     open_part: pt.HPolytope  # strict ampleness constraints + strict cube
-    closed_hull: pt.HPolytope  # its closure (canonical empty when infeasible)
     exactness: str  # EXACT | OUTER
     # the closure's vertices on a report body (`aa_report_body`), which
     # decides the closure from them; None on a body built by `aa_body`
     vertices: Optional[pt.VPolytope] = field(default=None, compare=False)
+    closed: InitVar[Optional[pt.HPolytope]] = None
+
+    def __post_init__(self, closed):
+        if closed is not None:
+            self.__dict__["closed_hull"] = closed  # the cache `closed_hull` fills
+
+    @cached_property
+    def closed_hull(self) -> pt.HPolytope:
+        """The closure of the open part (canonical empty when it is
+        infeasible), by Fourier-Motzkin elimination unless handed in."""
+        return pt.closure(self.open_part)
 
     @property
     def exact(self) -> bool:
@@ -79,12 +98,18 @@ class AABody:
     @property
     def aldp(self):
         """The ALdP verdict read off the body: the open part is non-empty and
-        the origin lies in its closure.  UNKNOWN when the body is only outer."""
+        the origin lies in its closure.  UNKNOWN when the body is only outer.
+
+        The closure is the weakened rows or canonical empty, so the origin
+        lies in it only when it satisfies the weakened rows: every offset is
+        >= 0, i.e. -K - C is nef.  Only then is the closure read."""
         if not self.exact:
             return UNKNOWN
+        if any(offset < 0 for _, offset, _ in self.open_part.integer_rows):
+            return False
         # closure is canonical_empty, which contains no point, exactly when the
         # open part is infeasible, so the one membership test decides both
-        return pt.contains(self.closed_hull, [0] * self.closed_hull.dim)
+        return pt.contains(self.closed_hull, [0] * self.open_part.dim)
 
     @property
     def strongly_aldp(self):
@@ -127,12 +152,13 @@ def _open_part(p: LogPair) -> tuple[pt.HPolytope, str]:
 
 
 def aa_body(p: LogPair) -> AABody:
-    """The body (see `_open_part`) with its closure by Fourier-Motzkin
-    elimination, which stays fast on the systems of classify, up to
-    dimension 15.  On a blow-up it is the outer body of `aa_outer_blowup`
-    without its quadratic report."""
-    open_part, exactness = _open_part(p)
-    return AABody(open_part, pt.closure(open_part), exactness)
+    """The body (see `_open_part`), whose closure is computed by
+    Fourier-Motzkin elimination when it is first read, which stays fast on
+    the systems of classify, up to dimension 15; a caller that reads only
+    the open part or a verdict decided without the closure runs none.  On
+    a blow-up it is the outer body of `aa_outer_blowup` without its
+    quadratic report."""
+    return AABody(*_open_part(p))
 
 
 def aa_report_body(p: LogPair) -> AABody:
@@ -141,7 +167,7 @@ def aa_report_body(p: LogPair) -> AABody:
     decide whether the body is empty."""
     open_part, exactness = _open_part(p)
     closed, verts = pt.closure_and_vertices(open_part)
-    return AABody(open_part, closed, exactness, verts)
+    return AABody(open_part, exactness, verts, closed)
 
 
 def aa_halfspaces_rank_le2(p: LogPair) -> AABody:

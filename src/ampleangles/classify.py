@@ -14,7 +14,10 @@ the families phrased in (p, q)-curve language.
 Each candidate owns its pair (`CandidatePair.pair`) and its exact body
 (`CandidatePair.body`), each built once in its family's presentation
 (key order when the table lacks it); reordering the components or
-swapping the F_0 rulings changes no verdict.
+swapping the F_0 rulings changes no verdict.  The body is closed at most
+once: the ALdP test first checks that -K - C is nef, and only then reads
+the closure, so Fourier-Motzkin elimination runs on those candidates
+alone, and a printed rank-2 row reuses that closure.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class CandidatePair:
 
     @cached_property
     def body(self) -> AABody:
-        """The exact body of ample angles of `pair`, closed once."""
+        """The exact body of ample angles of `pair`, closed at most once,
+        when its closure is first read."""
         return aa_halfspaces_rank_le2(self.pair)
 
 

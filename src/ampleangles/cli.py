@@ -190,7 +190,7 @@ def cmd_aa(args) -> int:
         if slices:
             title += " section " + ",".join(f"b{i}={v}" for i, v in sorted(slices))
         doc = svgfig.render_body(
-            closed,
+            verts,
             axis_labels=(axis_names[0], axis_names[1]),
             exact=body.exact,
             title=title,

@@ -31,9 +31,11 @@ these feed the outer ampleness approximation and minimality tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .geometry import (
@@ -44,6 +46,7 @@ from .geometry import (
     ProjectivePlane,
     Rat,
     SurfaceModel,
+    _fraction,
     _integer_point,
     blow_up,
     intersect,
@@ -136,8 +139,16 @@ class LogPair:
 
     @cached_property
     def adjoint_family(self) -> "LogAdjointFamily":
-        """The log adjoint family of the pair, built once (see `log_adjoint`)."""
-        return LogAdjointFamily(self.surface.minus_k() - self.boundary_total(), self.classes)
+        """The log adjoint family of the pair, built once (see `log_adjoint`)
+        from the classes' integer forms (k_i, d_i): over den = lcm(d_i) the
+        increments are k_i.(den/d_i) and the constant -K.den less their sum."""
+        forms = [c.integer_form for c in self.classes]
+        den = lcm(*(d for _, d in forms))
+        increments = tuple(tuple(v * (den // d) for v in k) for k, d in forms)
+        canonical = self.surface.canonical
+        constant = tuple(-v * den - sum(inc[j] for inc in increments) for j, v in enumerate(canonical))
+        cls = DivisorClass(self.surface, tuple(_fraction(v, den) for v in constant))
+        return LogAdjointFamily(cls, self.classes, (den, constant, increments))
 
 
 def _sorted_nodes(nodes) -> tuple[NodeRecord, ...]:
@@ -156,6 +167,21 @@ def _auto_nodes(labels, meet) -> tuple[NodeRecord, ...]:
     return _sorted_nodes(out)
 
 
+def _intersection_table(surface: SurfaceModel, classes) -> dict[tuple[int, int], Rat]:
+    """C_i.C_j for i <= j, each computed once: k_i.(M.k_j) over d_i.d_j on
+    the classes' integer forms (k, d) and the lattice matrix M, kept as an
+    int when it is integral and as a Fraction only when it is not."""
+    forms = [c.integer_form for c in classes]
+    duals = [([sum(map(mul, row, k)) for row in surface.intersection_matrix], d) for k, d in forms]
+    meet = {}
+    for i, (ki, di) in enumerate(forms):
+        for j in range(i, len(forms)):
+            dual, dj = duals[j]
+            num, den = sum(map(mul, ki, dual)), di * dj
+            meet[i, j] = num if den == 1 else Fraction(num, den) if num % den else num // den
+    return meet
+
+
 def make_pair(
     surface: SurfaceModel,
     boundary: Sequence[tuple[str, Sequence[Rat]]],
@@ -170,9 +196,7 @@ def make_pair(
     if len(set(labels)) != len(labels):
         raise ValueError("boundary labels must be distinct")
     classes = tuple(surface.divisor(coeffs) for _, coeffs in boundary)
-    # C_i.C_j for i <= j, each computed once; every check below reads it
-    r = len(classes)
-    meet = {(i, j): intersect(classes[i], classes[j]) for i in range(r) for j in range(i, r)}
+    meet = _intersection_table(surface, classes)
     seen = {}
     for idx, c in enumerate(classes):
         if meet[idx, idx] < 0:
@@ -225,10 +249,16 @@ def _is_hirzebruch_rooted(s: SurfaceModel) -> bool:
 
 @dataclass(frozen=True)
 class LogAdjointFamily:
-    """The family  -K - sum (1 - beta_i) C_i  =  constant + sum beta_i C_i."""
+    """The family  -K - sum (1 - beta_i) C_i  =  constant + sum beta_i C_i.
+    A builder that already has the integer form hands it in as `form`."""
 
     constant: DivisorClass
     increments: tuple[DivisorClass, ...]
+    form: InitVar[Optional[tuple]] = None
+
+    def __post_init__(self, form):
+        if form is not None:
+            self.__dict__["integer_form"] = form  # the cache `integer_form` fills
 
     def integer_at(self, k: Sequence[int], d: int) -> list[int]:
         """d.den times the class at beta = k/d (den from `integer_form`), as

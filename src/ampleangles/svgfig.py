@@ -31,16 +31,17 @@ def _ccw_order(verts):
 
 
 def render_body(
-    closed: pt.HPolytope,
+    body: pt.VPolytope,
     axis_labels: tuple[str, str] = ("b1", "b2"),
     exact: bool = True,
     title: str = "",
 ) -> str:
-    """Shaded closed body inside the unit square, vertices labelled with
-    exact rationals; an OUTER watermark marks approximations."""
-    if closed.dim != 2:
+    """Shaded closed body, given by its vertices, inside the unit square,
+    vertices labelled with exact rationals; an OUTER watermark marks
+    approximations."""
+    if body.dim != 2:
         raise ValueError("SVG rendering needs a 2-dimensional body")
-    verts = pt.vertices(closed).vertices
+    verts = body.vertices
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{-MARGIN} {-MARGIN} {SIZE + 2 * MARGIN} {SIZE + 2 * MARGIN}">',

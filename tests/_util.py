@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
+from ampleangles import classify as cl
 from ampleangles.angles import EXACT, AABody
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
 from ampleangles.polytope import HalfSpace, integer_polytope
@@ -336,6 +337,18 @@ def _nef_normals(p):
     raise ValueError("built-in nef cones exist only for the plane and Hirzebruch surfaces")
 
 
+def rank2_candidates(n_max):
+    """Every candidate the classify enumerators test: the plane's degree
+    multisets and those of F_0, ..., F_n_max, one per key."""
+    groups = [(None, cl.p2_degree_multisets())]
+    groups += [(n, cl.candidate_multisets(n)) for n in range(n_max + 1)]
+    return [
+        cl.CandidatePair("P2" if n is None else f"F{n}", n, key)
+        for n, multisets in groups
+        for key in dict.fromkeys(cl.swap_canonical(n, ms) for ms in multisets)
+    ]
+
+
 def aa_via_nef(p):
     """The body as [0,1]^r intersected with the preimage of the nef cone
     under the class map, for the plane and F_n: the closure weak, the open
@@ -345,7 +358,7 @@ def aa_via_nef(p):
     closed = polytope(p.r, pulled + tuple(cube_halfspaces(p.r, False)))
     strict = tuple(HalfSpace(hs.normal, hs.offset, True) for hs in pulled)
     open_part = polytope(p.r, strict + tuple(cube_halfspaces(p.r, True)))
-    return AABody(open_part, closed, EXACT)
+    return AABody(open_part, EXACT, closed=closed)
 
 
 def affine_product(outer, inner):

@@ -33,6 +33,7 @@ from _util import (
     identity_map,
     oracle_rows,
     polytope,
+    rank2_candidates,
     remove_redundant,
 )
 from test_acceptance import BASES, _random_script
@@ -590,6 +591,7 @@ def test_elimination_and_double_description_agree_on_report_bodies():
     kinds = Counter()
     for p in pairs:
         body = an.aa_report_body(p)
+        assert "closed_hull" in vars(body)  # handed in: reading it runs no elimination
         closed = pt.closure(body.open_part)
         assert body.closed_hull == closed, p.r
         rows = body.open_part.integer_rows
@@ -782,11 +784,56 @@ def test_bodies_match_oracle_rows_on_seeded_blowup_scripts():
 
 
 def test_bodies_match_oracle_rows_on_classify_candidates():
-    candidates = [cl.CandidatePair("P2", None, key) for key in cl.p2_degree_multisets()]
-    for n in range(4):
-        keys = dict.fromkeys(cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n))
-        candidates += [cl.CandidatePair(f"F{n}", n, key) for key in keys]
+    candidates = rank2_candidates(3)
     assert len(candidates) == 89  # 6 on the plane, 83 on F_0, ..., F_3
     for cand in candidates:
         assert_body_matches_oracle(cand.pair, cand.body)
         assert cand.body.aldp is an.is_aldp(cand.pair)
+
+
+def _random_rank2_pairs(rng, count):
+    """Seeded admissible boundaries beyond the classify box: up to four
+    components of degree up to 4 on the plane, or of classes aZ + bF with
+    a <= 3 and b <= n + 4 on F_n, Z_n at most once."""
+    out = []
+    for _ in range(count):
+        n = rng.choice([None, *range(7)])
+        if n is None:
+            out.append(p2_pair([rng.randint(1, 4) for _ in range(rng.randint(1, 4))]))
+            continue
+        alphabet = cl.component_classes(n, max_a=3, max_b=n + 4)
+        classes = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
+        if n and classes.count((1, 0)) > 1:
+            classes = [(1, 0)] + [ab for ab in classes if ab != (1, 0)]
+        out.append(fn_pair(n, classes))
+    return out
+
+
+def test_lazy_aldp_matches_eager_closure():
+    """On every classify candidate and on seeded boundaries beyond them, the
+    body's ALdP and strong ALdP verdicts and its closure equal the eager
+    forms: the closure by Fourier-Motzkin elimination and the ALdP verdict
+    as the origin's membership in it.  The closure is computed only where
+    -K - C is nef, i.e. every offset of the open part is >= 0."""
+    pairs = [cand.pair for cand in rank2_candidates(12)]
+    assert len(pairs) == 386
+    pairs += _random_rank2_pairs(random.Random(20), 300)
+    seen = Counter()
+    for p in pairs:
+        body = an.aa_halfspaces_rank_le2(p)
+        open_part = body.open_part
+        aldp = body.aldp
+        nef = all(offset >= 0 for _, offset, _ in open_part.integer_rows)
+        assert ("closed_hull" in vars(body)) is nef
+        closed = pt.closure(open_part)
+        eager = an.AABody(open_part, an.EXACT, closed=closed)
+        assert aldp is pt.contains(closed, [0] * p.r) is eager.aldp
+        assert body.strongly_aldp is eager.strongly_aldp is an.is_strongly_aldp(p)
+        assert body.closed_hull == closed and body.serialize() == eager.serialize()
+        cube = set(pt.cube_rows(p.r, True))
+        ampleness_rows = [row for row in open_part.integer_rows if row not in cube]
+        zero = any(offset == 0 for _, offset, _ in ampleness_rows)
+        seen[zero, nef, aldp] += 1
+    # zero-offset strict rows on a feasible and on an infeasible open part,
+    # and candidates decided by the nef test alone
+    assert seen[True, True, True] and seen[True, True, False] and seen[False, False, False]

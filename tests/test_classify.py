@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,8 @@ from ampleangles import classify as cl
 from ampleangles import cli
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
-from _util import MAEDA_P2, P2_TABLE, fn_table, maeda_fn_table
+from ampleangles.geometry import Hirzebruch, ProjectivePlane
+from _util import MAEDA_P2, P2_TABLE, _nef_normals, fn_table, maeda_fn_table
 
 
 def test_maeda_count_n3():
@@ -148,14 +150,31 @@ def test_rank2_brute_force_box_oracle():
             assert key in inside
 
 
+def _minus_k_minus_c_is_nef(n, classes):
+    """Whether -K - C is nef for the raw class tuples of a candidate: on the
+    plane -K = 3H and the classes are degrees; on F_n -K = 2Z + (n + 2)F and
+    the classes are (a, b) for aZ + bF."""
+    if n is None:
+        provenance, minus_k, coords = ProjectivePlane(), (3,), [(d,) for d in classes]
+    else:
+        provenance, minus_k, coords = Hirzebruch(n), (2, n + 2), classes
+    adjoint = [k - sum(c[j] for c in coords) for j, k in enumerate(minus_k)]
+    normals = _nef_normals(SimpleNamespace(surface=SimpleNamespace(provenance=provenance)))
+    return all(sum(w * x for w, x in zip(normal, adjoint)) >= 0 for normal in normals)
+
+
 def test_classify_builds_each_candidate_once(monkeypatch, capsys):
-    """One make_pair per distinct candidate key, and in rank2 mode one
-    closure: the acceptance test, the strength and the printed body share
-    the candidate's pair and body."""
+    """One make_pair per distinct candidate key, and in rank2 mode at most
+    one closure: one for each candidate whose -K - C is nef, none for the
+    others, whose closure cannot contain the origin.  The acceptance test,
+    the strength and the printed body share the candidate's pair and body."""
     n_max = 3
-    keys = len({cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})
+    groups = [(None, {cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})]
     for n in range(n_max + 1):
-        keys += len({cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n)})
+        groups.append((n, {cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n)}))
+    keys = sum(len(found) for _, found in groups)
+    nef = sum(_minus_k_minus_c_is_nef(n, key) for n, found in groups for key in found)
+    assert (keys, nef) == (89, 58)
     pairs, closures = [], []
 
     def counting_make_pair(*args, **kwargs):
@@ -169,7 +188,7 @@ def test_classify_builds_each_candidate_once(monkeypatch, capsys):
     closure = pt.closure
     monkeypatch.setattr(cl, "make_pair", counting_make_pair)
     monkeypatch.setattr(pt, "closure", counting_closure)
-    for mode, closed in (("maeda", 0), ("rank2", keys)):
+    for mode, closed in (("maeda", 0), ("rank2", nef)):
         pairs.clear()
         closures.clear()
         assert cli.main(["classify", "--mode", mode, "--n-max", str(n_max)]) == 0

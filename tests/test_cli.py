@@ -448,6 +448,28 @@ def test_aa_svg_output(specs):
     assert "SVG output needs a 2-dimensional body" in no_slice.stderr
 
 
+def test_aa_slice_svg_runs_double_description_twice(tmp_path, monkeypatch, capsys):
+    """aa --slice --svg runs double description on the whole body and on the
+    printed section, and draws the SVG from the section's printed vertices:
+    two calls of polytope.vertices, and the reference picture."""
+    calls = []
+    vertices = pt.vertices
+
+    def counting(p):
+        calls.append(p)
+        return vertices(p)
+
+    monkeypatch.setattr(pt, "vertices", counting)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    svg = tmp_path / "three-fibers.svg"
+    argv = ["aa", str(root / "samples" / "three-fibers.pair"), "--slice", "1=1/2", "--svg", str(svg)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    ref = root / "perfbench" / "ref" / "aa-three-fibers.svg"
+    assert svg.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
+
+
 def test_aa_svg_escapes_file_name(tmp_path):
     """A file name with XML markup characters still gives well-formed SVG."""
     import shutil

@@ -1,8 +1,15 @@
+import pathlib
+import random
+
 import pytest
 
+from ampleangles import dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
-from _util import F, adjoint_coeffs, family_at
+from _util import F, adjoint_coeffs, family_at, rank2_candidates
+from test_acceptance import BASES, _random_script
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def fig1_pair():
@@ -377,3 +384,133 @@ def test_shared_fiber_impossible_configuration_rejected():
     up = pr.blow_up_smooth_point(p, "Z", "q1", fiber_tag="f")
     with pytest.raises(ValueError):
         pr.blow_up_smooth_point(up, "Z", "q2", fiber_tag="f")
+
+
+def _assert_table_is_intersect(classes, meet):
+    """Every C_i.C_j, i <= j, equals geometry.intersect, as an int when it is
+    integral and as a Fraction only when it is not."""
+    r = len(classes)
+    # row order: the checks of make_pair report the first failing pair in it
+    assert list(meet) == [(i, j) for i in range(r) for j in range(i, r)]
+    for (i, j), value in meet.items():
+        want = g.intersect(classes[i], classes[j])
+        assert value == want
+        assert type(value) is (int if want.denominator == 1 else F)
+
+
+def _unwind(pair):
+    """Contract the blow-ups of pair in reverse order: the base pair and the
+    number of contractions."""
+    steps = 0
+    while pair.history:
+        pair, _ = pr.contract(pair, pair.history[-1].exc_label)
+        steps += 1
+    return pair, steps
+
+
+def test_intersection_table_matches_intersect(monkeypatch):
+    """make_pair's table of intersection numbers against geometry.intersect:
+    on the classify candidates, the shipped samples and seeded blow-up
+    scripts unwound by contract, and on classes with rational coefficients."""
+    tables = []
+    build = pr._intersection_table
+
+    def recording(surface, classes):
+        meet = build(surface, classes)
+        tables.append((classes, meet))
+        return meet
+
+    monkeypatch.setattr(pr, "_intersection_table", recording)
+    for cand in rank2_candidates(12):
+        assert cand.pair.r == len(cand.classes)
+    built = 386  # one make_pair per candidate
+    for path in sorted(SAMPLES.glob("*.pair")):
+        script = dsl.load_pair_spec(str(path))
+        base, steps = _unwind(script.apply()[-1])
+        assert base == script.base
+        built += 1 + steps  # the base, then one per contraction
+    rng = random.Random(20)
+    for _ in range(30):
+        base = rng.choice(BASES)()
+        unwound, steps = _unwind(_random_script(rng, base, rng.randint(1, 4)))
+        assert unwound == base
+        built += 1 + steps
+    # rational classes: a non-integral self-intersection beside integral
+    # intersections, on F_1 and the plane
+    pr.make_pair(g.hirzebruch(1), [("A", (F(1, 2), 1)), ("B", (0, 2))])
+    pr.make_pair(g.projective_plane(), [("A", (F(1, 2),))])
+    monkeypatch.undo()
+    assert len(tables) == built + 2
+    assert sum(type(v) is F for _, meet in tables for v in meet.values()) == 2
+    for classes, meet in tables:
+        _assert_table_is_intersect(classes, meet)
+    # the table alone, on seeded classes with rational and negative coefficients
+    surfaces = (g.projective_plane(), g.hirzebruch(3), g.blow_up(g.hirzebruch(1), "E", "p"))
+    for surface in surfaces:
+        for _ in range(100):
+            classes = [
+                surface.divisor([F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in surface.basis_labels])
+                for _ in range(rng.randint(1, 4))
+            ]
+            _assert_table_is_intersect(classes, pr._intersection_table(surface, classes))
+
+
+def test_make_pair_refusals_on_rational_classes():
+    """The refusals that read the intersection table keep their exact text
+    when the numbers are Fractions, and name the first failing pair in row
+    order."""
+    f2, plane = g.hirzebruch(2), g.projective_plane()
+    refusals = [
+        # (Z/2)^2 = -1/2
+        (
+            (f2, [("A", (F(1, 2), 0)), ("B", (F(1, 2), 0))]),
+            {},
+            "a class with negative self-intersection has a unique member; "
+            "components 'A' and 'B' collide",
+        ),
+        # Z.(Z + F)/2 = -1/2
+        (
+            (f2, [("Z", (1, 0)), ("C", (F(1, 2), F(1, 2)))]),
+            {},
+            "components 'Z', 'C' have negative intersection",
+        ),
+        (
+            (plane, [("A", (F(1, 3),)), ("B", (2,))]),
+            {},
+            "cannot autogenerate nodes for non-integral intersections",
+        ),
+        (
+            (plane, [("A", (F(1, 2),)), ("B", (1,))]),
+            {"nodes": []},
+            "components 'A', 'B' meet 1/2 times but 0 nodes are declared",
+        ),
+        # four lines with nodes on A.B and A.C only: A.D comes before B.C
+        (
+            (plane, [("A", (1,)), ("B", (1,)), ("C", (1,)), ("D", (1,))]),
+            {"nodes": [pr.NodeRecord("x", (0, 1)), pr.NodeRecord("y", (0, 2))]},
+            "components 'A', 'D' meet 1 times but 0 nodes are declared",
+        ),
+    ]
+    for args, kwargs, text in refusals:
+        with pytest.raises(ValueError) as err:
+            pr.make_pair(*args, **kwargs)
+        assert str(err.value) == text
+
+
+def test_adjoint_family_from_numerators_matches_class_arithmetic():
+    """The family built from the classes' integer numerators equals the one
+    built by DivisorClass arithmetic, -K - sum C_i with its integer form read
+    off the Fraction coefficients: on seeded classes with rational and
+    negative coefficients, on the plane, F_n and a blow-up."""
+    rng = random.Random(20)
+    surfaces = (g.projective_plane(), g.hirzebruch(2), g.blow_up(g.hirzebruch(1), "E", "p"))
+    for surface in surfaces:
+        for _ in range(100):
+            classes = tuple(
+                surface.divisor([F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for _ in surface.basis_labels])
+                for _ in range(rng.randint(1, 4))
+            )
+            p = pr.LogPair(surface, tuple(f"C{i}" for i in range(len(classes))), classes, ())
+            want = pr.LogAdjointFamily(surface.minus_k() - p.boundary_total(), classes)
+            got = pr.log_adjoint(p)
+            assert got == want and got.integer_form == want.integer_form
