@@ -10,11 +10,13 @@ blow-up (M the intersection matrix), where it is an outer approximation,
 reported with the sign of the self-intersection quadratic on a grid; the
 quadratic is the family's integer Gram matrix.  The rows are integer
 rows from the start, read off the family's integer form, and the
-polytope is those rows.  A body computes its closure when the closure is
-first read: on a body of `aa_body`, for classify and queries, by
-Fourier-Motzkin elimination, so a caller that reads only the open part
-runs none; `aa_report_body`, for the reports, hands in the closure that
-double description decides from the vertices the report prints.  The
+polytope is those rows; classify writes its candidates' rows with the
+same builder, from their class tuples.  A body computes its closure when
+the closure is first read: on a body of `aa_body`, for queries, and on
+classify's, by Fourier-Motzkin elimination, so a caller that reads only
+the open part runs none; `aa_report_body`, for the reports, hands in the
+closure that double description decides from the vertices the report
+prints.  The
 sign table counts each run of the grid scan along its last coordinate in
 closed form: there the quadratic is a + b.x + c.x^2 in integers, with a
 and b carried down the run's prefix.  The strong ALdP verdict is read
@@ -55,7 +57,6 @@ from .geometry import (
     _integer_point,
     _is_ample_numerators,
     intersect,  # unused here; perfbench/test_bench.py reads angles.intersect
-    is_ample,
     nef_cone,
 )
 from .pairs import AngleVector, LogPair, log_adjoint
@@ -144,11 +145,19 @@ def _open_part(p: LogPair) -> tuple[pt.HPolytope, str]:
     else:
         duals, exactness = nef_cone(s), EXACT
     _, constant, increments = log_adjoint(p).integer_form
+    return _family_open_part(p.r, constant, increments, duals), exactness
+
+
+def _family_open_part(r: int, constant, increments, duals) -> pt.HPolytope:
+    """The strict rows (constant + sum beta_i increment_i).w > 0, one per
+    dual vector w, cut down to the open cube, for a family given by integer
+    numerators over any positive common denominator.  `classify` writes
+    its candidates' bodies with it too, from their class tuples."""
     rows = [
         (tuple(sum(map(mul, inc, w)) for inc in increments), sum(map(mul, constant, w)), True)
         for w in duals
     ]
-    return pt.integer_polytope(p.r, [*rows, *pt.cube_rows(p.r, True)]), exactness
+    return pt.integer_polytope(r, [*rows, *pt.cube_rows(r, True)])
 
 
 def aa_body(p: LogPair) -> AABody:
@@ -194,11 +203,12 @@ def is_strongly_aldp(p: LogPair):
 
 
 def is_log_dp(p: LogPair):
-    """Log del Pezzo: the adjoint at beta = 0, i.e. -K - C, is ample.
-
-    Propagates UNSUPPORTED from the exact-ampleness test on blow-ups.
-    """
-    return is_ample(p.surface, log_adjoint(p).constant)
+    """Log del Pezzo: the adjoint at beta = 0, i.e. -K - C, is ample, tested
+    on the family's integer numerators of -K - C.  UNSUPPORTED on blow-ups,
+    where no exact ampleness test exists."""
+    if isinstance(p.surface.provenance, BlowUp):
+        return UNSUPPORTED
+    return _is_ample_numerators(p.surface, log_adjoint(p).integer_form[1])
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,38 @@ F_0 carries the ruling swap (a, b) <-> (b, a); candidates are
 deduplicated up to boundary reordering and this swap, and matched to
 the families phrased in (p, q)-curve language.
 
-Each candidate owns its pair (`CandidatePair.pair`) and its exact body
-(`CandidatePair.body`), each built once in its family's presentation
-(key order when the table lacks it); reordering the components or
-swapping the F_0 rulings changes no verdict.  The body is closed at most
-once: the ALdP test first checks that -K - C is nef, and only then reads
-the closure, so Fourier-Motzkin elimination runs on those candidates
-alone, and a printed rank-2 row reuses that closure.
+Each candidate is decided on its raw integer class tuples, in its
+family's presentation (key order when the table lacks it); reordering
+the components or swapping the F_0 rulings changes no verdict.  The
+tuples pass the validity tests of `make_pair` on their distinct classes,
+give the log adjoint family's integer form (constant -K - C, increments
+the classes, denominator 1), and from it the log del Pezzo verdict (the
+nef-cone rule on -K - C) and the exact body (`CandidatePair.body`, the
+rows `angles` writes for a pair, against the nef-cone normals).  No
+`LogPair` is built: `CandidatePair.pair` is built only when a caller
+reads it.  The body is closed at most once: the ALdP test first checks
+that -K - C is nef, and only then reads the closure, so Fourier-Motzkin
+elimination runs on those candidates alone, and a printed rank-2 row
+reuses that closure.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Optional
 
-from .angles import AABody, aa_halfspaces_rank_le2, is_log_dp
-from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
-from .pairs import LogPair, make_pair
+from .angles import EXACT, AABody, _family_open_part
+from .geometry import (
+    SurfaceModel,
+    _is_ample_numerators,
+    fn_irreducible_admissible,
+    hirzebruch,
+    nef_cone,
+    projective_plane,
+)
+from .pairs import LogPair, _check_boundary, make_pair
 
 LOG_DP = "LogDP"
 STRONG = "StronglyALdP"
@@ -48,6 +61,17 @@ class FamilyLabel:
         return self.label
 
 
+@cache
+def _model(n: Optional[int]) -> SurfaceModel:
+    """The plane (n is None) or F_n, one model per surface."""
+    return projective_plane() if n is None else hirzebruch(n)
+
+
+@cache
+def _labels(r: int) -> tuple[str, ...]:
+    return tuple(f"C{i + 1}" for i in range(r))
+
+
 @dataclass(frozen=True)
 class CandidatePair:
     surface: str  # "P2" or "F<n>"
@@ -55,19 +79,37 @@ class CandidatePair:
     classes: tuple  # degree tuple on P2, (a, b) tuples on F_n
 
     @cached_property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        """The classes as integer coordinate vectors in the surface's basis."""
+        return tuple((d,) for d in self.classes) if self.n is None else self.classes
+
+    @cached_property
     def pair(self) -> LogPair:
-        """The log pair with boundary C1, C2, ... in `classes` order, built once."""
-        if self.n is None:
-            surface, coords = projective_plane(), [(d,) for d in self.classes]
-        else:
-            surface, coords = hirzebruch(self.n), self.classes
-        return make_pair(surface, [(f"C{i + 1}", ab) for i, ab in enumerate(coords)])
+        """The log pair with boundary C1, C2, ... in `classes` order, built
+        once, when a caller first reads it; classify itself never does."""
+        return make_pair(_model(self.n), list(zip(_labels(len(self.coords)), self.coords)))
+
+    @cached_property
+    def constant(self) -> tuple[int, ...]:
+        """-K - C in integers: the constant of the log adjoint family, whose
+        increments are `coords` over the denominator 1.  The boundary passes
+        the validity tests of `make_pair` first."""
+        s, coords = _model(self.n), self.coords
+        _check_boundary(s, _labels(len(coords)), [(k, 1) for k in coords])
+        return tuple(-v - sum(k[j] for k in coords) for j, v in enumerate(s.canonical))
+
+    @property
+    def log_dp(self) -> bool:
+        """Log del Pezzo: -K - C is ample."""
+        return _is_ample_numerators(_model(self.n), self.constant)
 
     @cached_property
     def body(self) -> AABody:
-        """The exact body of ample angles of `pair`, closed at most once,
-        when its closure is first read."""
-        return aa_halfspaces_rank_le2(self.pair)
+        """The exact body of ample angles of `pair`, written from the class
+        tuples against the nef-cone normals, closed at most once, when its
+        closure is first read."""
+        constant, coords = self.constant, self.coords
+        return AABody(_family_open_part(len(coords), constant, coords, nef_cone(_model(self.n))), EXACT)
 
 
 def build_pair(c: CandidatePair) -> LogPair:
@@ -228,7 +270,7 @@ def match_label(c: CandidatePair) -> FamilyLabel:
 
 
 def _strength(c: CandidatePair) -> str:
-    if is_log_dp(c.pair) is True:
+    if c.log_dp:
         return LOG_DP
     return STRONG if c.body.strongly_aldp is True else NOT_STRONG
 
@@ -270,4 +312,4 @@ def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, s
 
 def enumerate_maeda(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel]]:
     """All log del Pezzo boundaries on the plane and on F_n, n <= n_max."""
-    return _enumerate(lambda c: is_log_dp(c.pair), _P2_MAEDA, _maeda_rows, n_max)
+    return _enumerate(lambda c: c.log_dp, _P2_MAEDA, _maeda_rows, n_max)

@@ -182,6 +182,37 @@ def _intersection_table(surface: SurfaceModel, classes) -> dict[tuple[int, int],
     return meet
 
 
+def _check_boundary(surface: SurfaceModel, labels: Sequence[str], forms) -> None:
+    """Raise ValueError unless classes of these integer forms (k, d) can be
+    the labelled components of one boundary: a class of negative
+    self-intersection has a unique member, so it appears at most once, and
+    no two components meet negatively.
+
+    Only signs are tested, so numerators are paired, and only those of
+    distinct classes, each at its first component: a repeat meets its first
+    copy in the class's square, which the first test has seen.  The first
+    offending component, and then pair, is named as a scan of all of them
+    would name it."""
+    matrix = surface.intersection_matrix
+    first = {}  # class -> (its first component, whether its square is negative)
+    for idx, form in enumerate(forms):
+        seen = first.get(form)
+        if seen is None:
+            k = form[0]
+            first[form] = idx, sum(x * sum(map(mul, row, k)) for x, row in zip(k, matrix)) < 0
+        elif seen[1]:
+            raise ValueError(
+                "a class with negative self-intersection has a unique member; "
+                f"components {labels[seen[0]]!r} and {labels[idx]!r} collide"
+            )
+    distinct = [(i, form[0]) for form, (i, _) in first.items()]
+    for a, (i, ki) in enumerate(distinct):
+        dual = [sum(map(mul, row, ki)) for row in matrix]
+        for j, kj in distinct[a + 1 :]:
+            if sum(map(mul, kj, dual)) < 0:
+                raise ValueError(f"components {labels[i]!r}, {labels[j]!r} have negative intersection")
+
+
 def make_pair(
     surface: SurfaceModel,
     boundary: Sequence[tuple[str, Sequence[Rat]]],
@@ -196,19 +227,8 @@ def make_pair(
     if len(set(labels)) != len(labels):
         raise ValueError("boundary labels must be distinct")
     classes = tuple(surface.divisor(coeffs) for _, coeffs in boundary)
+    _check_boundary(surface, labels, [c.integer_form for c in classes])
     meet = _intersection_table(surface, classes)
-    seen = {}
-    for idx, c in enumerate(classes):
-        if meet[idx, idx] < 0:
-            if c.coeffs in seen:
-                raise ValueError(
-                    "a class with negative self-intersection has a unique member; "
-                    f"components {seen[c.coeffs]!r} and {labels[idx]!r} collide"
-                )
-            seen[c.coeffs] = labels[idx]
-    for (i, j), k in meet.items():
-        if i != j and k < 0:
-            raise ValueError(f"components {labels[i]!r}, {labels[j]!r} have negative intersection")
     if nodes is None:
         node_tuple = _auto_nodes(labels, meet)
     else:

@@ -129,6 +129,22 @@ def test_is_log_dp_examples():
     assert an.is_log_dp(fn_pair(2, [(1, 0)])) is True
 
 
+def test_is_log_dp_agrees_with_is_ample_on_the_constant():
+    """The verdict on the family's integer numerators of -K - C equals
+    `is_ample` on the Fraction class -K - C: on each shipped sample's base
+    pair and blown-up pair (UNSUPPORTED both ways) and on the classify
+    candidates up to F_6."""
+    scripts = [dsl.load_pair_spec(str(path)) for path in sorted(SAMPLES.glob("*.pair"))]
+    pairs = [p for script in scripts for p in (script.base, script.final)]
+    pairs += [cand.pair for cand in rank2_candidates(6)]
+    verdicts = Counter()
+    for p in pairs:
+        verdict = an.is_log_dp(p)
+        assert verdict is g.is_ample(p.surface, pr.log_adjoint(p).constant)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False] and verdicts[g.UNSUPPORTED]
+
+
 def test_blowup_pair_verdicts_undecided():
     base = fn_pair(1, [(1, 0), (0, 1)])
     up = pr.blow_up_node(base, "C1.C2.1", "E")

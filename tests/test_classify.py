@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from ampleangles import cli
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
 from ampleangles.geometry import Hirzebruch, ProjectivePlane
-from _util import MAEDA_P2, P2_TABLE, _nef_normals, fn_table, maeda_fn_table
+from _util import MAEDA_P2, P2_TABLE, _nef_normals, fn_table, maeda_fn_table, rank2_candidates
 
 
 def test_maeda_count_n3():
@@ -164,10 +165,11 @@ def _minus_k_minus_c_is_nef(n, classes):
 
 
 def test_classify_builds_each_candidate_once(monkeypatch, capsys):
-    """One make_pair per distinct candidate key, and in rank2 mode at most
-    one closure: one for each candidate whose -K - C is nef, none for the
-    others, whose closure cannot contain the origin.  The acceptance test,
-    the strength and the printed body share the candidate's pair and body."""
+    """No make_pair in either mode: every candidate is decided on its class
+    tuples.  In rank2 mode at most one closure per candidate: one for each
+    candidate whose -K - C is nef, none for the others, whose closure cannot
+    contain the origin.  The acceptance test, the strength and the printed
+    body share the candidate's body."""
     n_max = 3
     groups = [(None, {cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})]
     for n in range(n_max + 1):
@@ -179,22 +181,76 @@ def test_classify_builds_each_candidate_once(monkeypatch, capsys):
 
     def counting_make_pair(*args, **kwargs):
         pairs.append(args)
-        return pr.make_pair(*args, **kwargs)
+        return make_pair(*args, **kwargs)
 
     def counting_closure(p):
         closures.append(p)
         return closure(p)
 
-    closure = pt.closure
+    make_pair, closure = pr.make_pair, pt.closure
     monkeypatch.setattr(cl, "make_pair", counting_make_pair)
+    monkeypatch.setattr(pr, "make_pair", counting_make_pair)
     monkeypatch.setattr(pt, "closure", counting_closure)
     for mode, closed in (("maeda", 0), ("rank2", nef)):
         pairs.clear()
         closures.clear()
         assert cli.main(["classify", "--mode", mode, "--n-max", str(n_max)]) == 0
         capsys.readouterr()
-        assert len(pairs) == keys, mode
+        assert len(pairs) == 0, mode
         assert len(closures) == closed, mode
+
+
+def test_tuple_path_matches_the_pair_path():
+    """On every candidate up to F_12, the body and the log del Pezzo verdict
+    written from the class tuples equal those of the built pair, and
+    boundaries that make_pair refuses raise its ValueError from the tuples,
+    whichever of the body and the verdict is read first."""
+    candidates = rank2_candidates(12)
+    assert len(candidates) == 386
+    for c in candidates:
+        assert c.body.open_part == an.aa_body(c.pair).open_part, c
+        assert c.log_dp is an.is_log_dp(c.pair), c
+    invalid = [
+        ("F1", 1, ((1, 0), (1, 0))),  # Z_1 twice
+        ("F2", 2, ((1, 0), (1, 0))),  # Z_2 twice
+        ("F2", 2, ((0, 1), (1, 0), (0, 1), (1, 0))),  # named at its first repeat
+        ("F2", 2, ((1, 1), (1, 0), (1, 0))),  # the repeat is named before Z.(Z + F) < 0
+        ("F2", 2, ((0, 1), (1, 0), (0, 1), (1, 1))),  # Z.(Z + F) = -1
+        ("F3", 3, ((1, 3), (1, 1), (1, 0), (1, 1))),  # (Z + F)^2 = -1 twice, before (Z + F).Z = -2
+        ("F3", 3, ((1, 3), (1, 1), (0, 1), (1, 0))),  # (Z + F).Z = -2
+    ]
+    for surface, n, classes in invalid:
+        with pytest.raises(ValueError) as from_pair:
+            cl.CandidatePair(surface, n, classes).pair
+        for read in (lambda c: c.body, lambda c: c.log_dp):
+            with pytest.raises(ValueError) as from_tuples:
+                read(cl.CandidatePair(surface, n, classes))
+            assert str(from_tuples.value) == str(from_pair.value)
+
+
+def test_classify_scales_to_n48(monkeypatch, capsys):
+    """Both enumerators up to F_48, with every printed rank-2 closure, in
+    well under the time that building a pair per candidate took (3.0 s);
+    and up to F_24 the printed rows equal those that deciding on each
+    candidate's built pair prints."""
+    start = time.perf_counter()
+    rank2, maeda = cl.enumerate_rank2(48), cl.enumerate_maeda(48)
+    for c, _, _ in rank2:
+        c.body.closed_hull
+    elapsed = time.perf_counter() - start
+    assert (len(rank2), len(maeda)) == (460, 103)
+    assert elapsed < 1.5, f"classify up to F_48 took {elapsed:.2f}s"
+
+    def printed(mode):
+        assert cli.main(["classify", "--mode", mode, "--n-max", "24"]) == 0
+        return capsys.readouterr().out
+
+    tuple_path = {mode: printed(mode) for mode in ("maeda", "rank2")}
+    assert (tuple_path["rank2"].count("\n"), tuple_path["maeda"].count("\n")) == (244, 55)
+    monkeypatch.setattr(cl.CandidatePair, "body", property(lambda c: an.aa_halfspaces_rank_le2(c.pair)))
+    monkeypatch.setattr(cl.CandidatePair, "log_dp", property(lambda c: an.is_log_dp(c.pair)))
+    for mode, out in tuple_path.items():
+        assert printed(mode) == out, mode
 
 
 def test_component_classes_exclude_reducible_multiples():

@@ -1,5 +1,7 @@
+import itertools
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -71,6 +73,56 @@ def test_is_anticanonical():
     assert pr.is_anticanonical(cubic)
     assert pr.is_anticanonical(fig1_pair())
     assert not pr.is_anticanonical(pr.make_pair(g.hirzebruch(3), [("Z", (1, 0))]))
+
+
+def _full_scan_refusal(surface, boundary):
+    """The validity refusal of a boundary as a scan over every component,
+    then over every pair of components, in Fraction intersections, words it;
+    None when there is none."""
+    labels = [label for label, _ in boundary]
+    classes = [surface.divisor(coeffs) for _, coeffs in boundary]
+    seen = {}
+    for idx, c in enumerate(classes):
+        if g.intersect(c, c) < 0:
+            if c.coeffs in seen:
+                return (
+                    "a class with negative self-intersection has a unique member; "
+                    f"components {seen[c.coeffs]!r} and {labels[idx]!r} collide"
+                )
+            seen[c.coeffs] = labels[idx]
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        if g.intersect(classes[i], classes[j]) < 0:
+            return f"components {labels[i]!r}, {labels[j]!r} have negative intersection"
+    return None
+
+
+def test_validity_checks_name_what_a_full_scan_names():
+    """make_pair tests only the distinct classes of a boundary, yet refuses
+    exactly when a scan over all components and pairs does, and names the
+    same components: seeded boundaries drawn with repeats from three
+    classes, some with half-integer coordinates, on the plane, F_0, ..., F_3
+    and a blow-up of F_1."""
+    rng = random.Random(21)
+    surfaces = [g.projective_plane(), *(g.hirzebruch(n) for n in range(4))]
+    surfaces.append(g.blow_up(g.hirzebruch(1), "E", "a point"))
+    outcomes = Counter()
+    for _ in range(600):
+        s = rng.choice(surfaces)
+        alphabet = [tuple(rng.choice((-1, 0, F(1, 2), 1, 2)) for _ in range(s.rank)) for _ in range(3)]
+        boundary = [(f"B{i}", rng.choice(alphabet)) for i in range(rng.randint(1, 6))]
+        want = _full_scan_refusal(s, boundary)
+        try:
+            pr.make_pair(s, boundary)
+        except ValueError as err:
+            got = str(err)
+            if want is None:
+                assert got == "cannot autogenerate nodes for non-integral intersections"
+                continue
+        else:
+            got = None
+        assert got == want, boundary
+        outcomes[None if want is None else want.split()[-1]] += 1
+    assert outcomes[None] and outcomes["collide"] and outcomes["intersection"], outcomes
 
 
 def test_make_pair_validation():
