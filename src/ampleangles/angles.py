@@ -40,12 +40,11 @@ ampleness tests (gamma in the body, A ample) run the nef-cone rule of
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 from operator import mul
-from typing import Optional
 
 from . import polytope as pt
 from .geometry import (
@@ -66,22 +65,21 @@ OUTER = "outer"
 _RANK_LE2_ONLY = "exact ampleness constraints exist only for the plane and F_n"
 
 
-@dataclass(frozen=True)
-class AABody:
-    """A body of ample angles: its open part, and the open part's closure,
+class AABody(namedtuple("AABody", "open_part exactness")):
+    """A body of ample angles: its open part (strict ampleness constraints
+    and the strict cube), EXACT or OUTER, and the open part's closure,
     computed on first read.  A builder that already has the closure hands
-    it in as `closed`."""
+    it in as `closed`.  `vertices` are the closure's vertices on a report
+    body (`aa_report_body`), which decides the closure from them, and None
+    on a body built by `aa_body`.  Equality compares the open part and the
+    exactness only."""
 
-    open_part: pt.HPolytope  # strict ampleness constraints + strict cube
-    exactness: str  # EXACT | OUTER
-    # the closure's vertices on a report body (`aa_report_body`), which
-    # decides the closure from them; None on a body built by `aa_body`
-    vertices: Optional[pt.VPolytope] = field(default=None, compare=False)
-    closed: InitVar[Optional[pt.HPolytope]] = None
-
-    def __post_init__(self, closed):
+    def __new__(cls, open_part: pt.HPolytope, exactness: str, vertices=None, closed=None):
+        self = tuple.__new__(cls, (open_part, exactness))
+        self.vertices = vertices
         if closed is not None:
             self.__dict__["closed_hull"] = closed  # the cache `closed_hull` fills
+        return self
 
     @cached_property
     def closed_hull(self) -> pt.HPolytope:
@@ -215,23 +213,18 @@ def is_log_dp(p: LogPair):
 # Outer approximation on blow-ups
 
 
-@dataclass(frozen=True)
-class QuadraticReport:
-    """The self-intersection polynomial q(beta) = adjoint(beta)^2 and its
-    sampled sign distribution over a rational grid of the linear outer body.
+class QuadraticReport(
+    namedtuple("QuadraticReport", "constant linear quadratic grid_denominator samples positive zero negative")
+):
+    """The self-intersection polynomial q(beta) = adjoint(beta)^2, with its
+    Fraction coefficients (`quadratic` is symmetric), and its sampled sign
+    distribution over a rational grid of the linear outer body.
 
     The quadratic is reported, never imposed: it matters only when some
     rank-2 model of the pair has square-zero log canonical class.
     """
 
-    constant: Fraction
-    linear: tuple[Fraction, ...]
-    quadratic: tuple[tuple[Fraction, ...], ...]  # symmetric
-    grid_denominator: int
-    samples: int
-    positive: int
-    zero: int
-    negative: int
+    __slots__ = ()
 
 
 def _run_signs(a: int, b: int, c: int, lo: int, hi: int) -> tuple[int, int, int]:
@@ -362,13 +355,12 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
 # Reparametrization machinery
 
 
-@dataclass(frozen=True)
-class ReparamData:
-    gamma: AngleVector
-    eta: Fraction
-    ample_part: DivisorClass  # A, independent of beta
-    f: pt.AffineMap  # beta -> coefficient vector of F(beta)
-    f_inv: pt.AffineMap
+class ReparamData(namedtuple("ReparamData", "gamma eta ample_part f f_inv")):
+    """The reparametrization at gamma: eta(gamma), the ample part A
+    (independent of beta), the `AffineMap` f taking beta to the coefficient
+    vector of F(beta), and its inverse."""
+
+    __slots__ = ()
 
 
 def eta(gamma: AngleVector) -> Fraction:

@@ -29,7 +29,7 @@ reuses that closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from typing import Iterator, Optional
 
@@ -49,10 +49,11 @@ STRONG = "StronglyALdP"
 NOT_STRONG = "ALdPNotStrong"
 
 
-@dataclass(frozen=True)
-class FamilyLabel:
-    label: str  # template, e.g. "ALdP.3.n" or "II.4A" or "Maeda.v"
-    n: Optional[int] = None
+class FamilyLabel(namedtuple("FamilyLabel", "label n", defaults=(None,))):
+    """A family's label template, e.g. "ALdP.3.n" or "II.4A" or "Maeda.v",
+    and the n it is printed with."""
+
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -72,11 +73,9 @@ def _labels(r: int) -> tuple[str, ...]:
     return tuple(f"C{i + 1}" for i in range(r))
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    surface: str  # "P2" or "F<n>"
-    n: Optional[int]  # None for the plane
-    classes: tuple  # degree tuple on P2, (a, b) tuples on F_n
+class CandidatePair(namedtuple("CandidatePair", "surface n classes")):
+    """A candidate boundary on "P2" (n None; `classes` a degree tuple) or
+    on "F<n>" (`classes` a tuple of (a, b) tuples)."""
 
     @cached_property
     def coords(self) -> tuple[tuple[int, ...], ...]:

@@ -23,9 +23,8 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from . import angles, classify, polytope as pt, svgfig
 from .dsl import InputError, load_pair_spec
@@ -74,15 +73,12 @@ def _print_quadratic(report: angles.QuadraticReport, out) -> None:
     )
 
 
-@dataclass
-class RunReport:
-    """Everything a check run computed, rendered byte-identically across runs."""
+class RunReport(namedtuple("RunReport", "echo pair verdicts body quadratic")):
+    """Everything a check run computed, rendered byte-identically across
+    runs: the echoed spec, the `LogPair`, its verdicts by name, its
+    `AABody` and, on a blow-up, its `QuadraticReport` (None otherwise)."""
 
-    echo: str
-    pair: LogPair
-    verdicts: dict
-    body: angles.AABody
-    quadratic: Optional[angles.QuadraticReport]
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:

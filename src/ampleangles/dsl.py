@@ -19,7 +19,7 @@ steps may reference (infinitely-near chains).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
@@ -37,23 +37,23 @@ class SpecParseError(InputError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class BlowUpStep:
-    op: str  # "smooth" | "node"
-    target: str
-    id: str
-    fiber: Optional[str] = None  # shared-ruling tag for smooth centers
-    line_no: int = 0  # spec line the step came from
+class BlowUpStep(namedtuple("BlowUpStep", "op target id fiber line_no")):
+    """One blow-up of a script: `op` is "smooth" or "node", `fiber` a
+    shared-ruling tag for smooth centers, `line_no` the spec line the step
+    came from."""
 
-    def __post_init__(self):
-        if self.fiber is not None and self.op != "smooth":
+    __slots__ = ()
+
+    def __new__(cls, op: str, target: str, id: str, fiber: Optional[str] = None, line_no: int = 0):
+        if fiber is not None and op != "smooth":
             raise ValueError("fiber tags on blow-up steps apply to smooth centers only")
+        return tuple.__new__(cls, (op, target, id, fiber, line_no))
 
 
-@dataclass(frozen=True)
-class PairScript:
-    base: LogPair
-    steps: tuple[BlowUpStep, ...]
+class PairScript(namedtuple("PairScript", "base steps")):
+    """A base `LogPair` and the tuple of `BlowUpStep`s applied to it."""
+
+    __slots__ = ()
 
     def apply(self) -> list[LogPair]:
         """The pair after each step (index 0 is the base); a refused step

@@ -18,7 +18,7 @@ positive on every `nef_cone` normal (Kleiman's criterion).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -47,44 +47,44 @@ UNKNOWN = Tri("UNKNOWN")
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ProjectivePlane:
-    pass
+class ProjectivePlane(namedtuple("ProjectivePlane", "")):
+    """The provenance of the plane.  It has no fields, so it is falsy."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hirzebruch:
-    n: int
+class Hirzebruch(namedtuple("Hirzebruch", "n")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BlowUp:
-    parent: "SurfaceModel"
-    center: str  # human-readable description of the blown-up point
+class BlowUp(namedtuple("BlowUp", "parent center")):
+    """The provenance of a blow-up of `parent`; `center` is a
+    human-readable description of the blown-up point."""
+
+    __slots__ = ()
 
 
 Provenance = Union[ProjectivePlane, Hirzebruch, BlowUp]
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """A rational surface as a Picard lattice with construction provenance."""
+class SurfaceModel(namedtuple("SurfaceModel", "basis_labels intersection_matrix canonical provenance")):
+    """A rational surface as a Picard lattice with construction provenance:
+    the basis labels, the integer intersection matrix and `canonical`, the
+    class of K_S in the basis, as tuples."""
 
-    basis_labels: tuple[str, ...]
-    intersection_matrix: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]  # class of K_S in the basis
-    provenance: Provenance
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = len(self.basis_labels)
-        if len(self.intersection_matrix) != r or any(len(row) != r for row in self.intersection_matrix):
+    def __new__(cls, basis_labels, intersection_matrix, canonical, provenance: Provenance):
+        r = len(basis_labels)
+        if len(intersection_matrix) != r or any(len(row) != r for row in intersection_matrix):
             raise ValueError("intersection matrix shape does not match basis")
         for i in range(r):
             for j in range(i + 1, r):
-                if self.intersection_matrix[i][j] != self.intersection_matrix[j][i]:
+                if intersection_matrix[i][j] != intersection_matrix[j][i]:
                     raise ValueError("intersection matrix must be symmetric")
-        if len(self.canonical) != r:
+        if len(canonical) != r:
             raise ValueError("canonical class length does not match rank")
+        return tuple.__new__(cls, (basis_labels, intersection_matrix, canonical, provenance))
 
     @property
     def rank(self) -> int:
@@ -106,16 +106,13 @@ class SurfaceModel:
         return f"SurfaceModel({'|'.join(self.basis_labels)})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
     """Rational coefficient vector in the fixed basis of its surface."""
 
-    surface: SurfaceModel
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.surface.rank:
+    def __new__(cls, surface: SurfaceModel, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != surface.rank:
             raise ValueError("coefficient vector length does not match surface rank")
+        return tuple.__new__(cls, (surface, coeffs))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_surface(self, other)

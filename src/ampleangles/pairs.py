@@ -30,8 +30,7 @@ these feed the outer ampleness approximation and minimality tests.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import InitVar, dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -53,47 +52,45 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """A transverse intersection point of two distinct boundary components."""
+class NodeRecord(namedtuple("NodeRecord", "id incident on_fiber_of")):
+    """A transverse intersection point of two distinct boundary components:
+    `incident` holds their boundary indices, stored sorted, and
+    `on_fiber_of` a ruling tag (F_n-rooted surfaces only) or None."""
 
-    id: str
-    incident: tuple[int, int]  # boundary indices, stored sorted
-    on_fiber_of: Optional[str] = None  # ruling tag, F_n-rooted surfaces only
+    __slots__ = ()
 
-    def __post_init__(self):
-        i, j = self.incident
+    def __new__(cls, id: str, incident: tuple[int, int], on_fiber_of: Optional[str] = None):
+        i, j = incident
         if i == j:
             raise ValueError("SNC boundaries have no self-nodes")
-        if i > j:
-            object.__setattr__(self, "incident", (j, i))
+        return tuple.__new__(cls, (id, (j, i) if i > j else incident, on_fiber_of))
 
 
-@dataclass(frozen=True)
-class TrackedCurve:
-    """A non-boundary irreducible curve class known from the construction."""
+class TrackedCurve(namedtuple("TrackedCurve", "kind tag coeffs")):
+    """A non-boundary irreducible curve class known from the construction:
+    `kind` is "exceptional" or "fiber", `coeffs` a tuple of Fractions."""
 
-    kind: str  # "exceptional" | "fiber"
-    tag: str
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BlowUpEvent:
-    exc_label: str
-    kind: str  # "smooth" | "node"
-    target: str  # component label or node id
-    restore_node: Optional[NodeRecord] = None  # node consumed by a node blow-up
+class BlowUpEvent(namedtuple("BlowUpEvent", "exc_label kind target restore_node", defaults=(None,))):
+    """One blow-up of a pair's history: `kind` is "smooth" or "node",
+    `target` a component label or node id, and `restore_node` the node a
+    node blow-up consumed."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    entries: tuple[Fraction, ...]
+class AngleVector(namedtuple("AngleVector", "entries")):
+    """A tuple of Fraction angles, each in [0, 1]."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[Fraction, ...]):
         # a Fraction's denominator is positive, so 0 <= e <= 1 on its numerator
-        if not all(0 <= e.numerator <= e.denominator for e in self.entries):
+        if not all(0 <= e.numerator <= e.denominator for e in entries):
             raise ValueError("angles must lie in [0, 1]")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def interior(self) -> bool:
@@ -106,14 +103,10 @@ def angles(values: Sequence[Rat]) -> AngleVector:
     return AngleVector(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
-class LogPair:
-    surface: SurfaceModel
-    labels: tuple[str, ...]
-    classes: tuple[DivisorClass, ...]
-    nodes: tuple[NodeRecord, ...]
-    tracked: tuple[TrackedCurve, ...] = ()
-    history: tuple[BlowUpEvent, ...] = ()
+class LogPair(namedtuple("LogPair", "surface labels classes nodes tracked history", defaults=((), ()))):
+    """A surface with a labelled boundary: tuples of labels, of their
+    `DivisorClass`es, of `NodeRecord`s, of `TrackedCurve`s and of the
+    `BlowUpEvent`s that built it."""
 
     @property
     def r(self) -> int:
@@ -267,18 +260,15 @@ def _is_hirzebruch_rooted(s: SurfaceModel) -> bool:
 # Log adjoint family
 
 
-@dataclass(frozen=True)
-class LogAdjointFamily:
+class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
     """The family  -K - sum (1 - beta_i) C_i  =  constant + sum beta_i C_i.
     A builder that already has the integer form hands it in as `form`."""
 
-    constant: DivisorClass
-    increments: tuple[DivisorClass, ...]
-    form: InitVar[Optional[tuple]] = None
-
-    def __post_init__(self, form):
+    def __new__(cls, constant: DivisorClass, increments: tuple[DivisorClass, ...], form=None):
+        self = tuple.__new__(cls, (constant, increments))
         if form is not None:
             self.__dict__["integer_form"] = form  # the cache `integer_form` fills
+        return self
 
     def integer_at(self, k: Sequence[int], d: int) -> list[int]:
         """d.den times the class at beta = k/d (den from `integer_form`), as
@@ -445,7 +435,7 @@ def _blow_up(
     classes = tuple(
         surface.divisor(_extend(c.coeffs, -1 if i in hit else 0)) for i, c in enumerate(p.classes)
     )
-    tracked = [replace(tc, coeffs=_extend(tc.coeffs, 0)) for tc in p.tracked]
+    tracked = [tc._replace(coeffs=_extend(tc.coeffs, 0)) for tc in p.tracked]
     _track_fiber(p, tracked, hit, fiber_tag, label)
     e = surface.basis_vector(surface.rank - 1)
     if nodes is None:
@@ -558,7 +548,7 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
 
     remap = {t: pos for pos, t in enumerate(keep)}
     nodes = [
-        replace(nd, incident=(remap[nd.incident[0]], remap[nd.incident[1]]))
+        NodeRecord(nd.id, (remap[nd.incident[0]], remap[nd.incident[1]]), nd.on_fiber_of)
         for nd in p.nodes
         if k not in nd.incident
     ]
@@ -579,7 +569,7 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
         coeffs = tc.coeffs[:-1]
         if tc.tag == tag or (tc.kind == "fiber" and not any(coeffs[2:])):
             continue  # the contracted curve, or a fiber transform back to a plain fiber
-        tracked.append(replace(tc, coeffs=coeffs))
+        tracked.append(tc._replace(coeffs=coeffs))
     result = make_pair(
         p.surface.provenance.parent,
         [(p.labels[t], p.classes[t].coeffs[:-1]) for t in keep],

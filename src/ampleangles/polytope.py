@@ -31,7 +31,7 @@ Fraction matrix and translation are views built on each read.  Everything is exa
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -44,14 +44,11 @@ from .geometry import Rat, _fraction, _integer_point
 Row = tuple[tuple[int, ...], int, bool]
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(namedtuple("HalfSpace", "normal offset strict")):
     """The set normal.x + offset > 0 (strict) or >= 0 (weak), in rational
     coefficients: the Fraction view of one integer row."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-    strict: bool
+    __slots__ = ()
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
         return sum(n * v for n, v in zip(self.normal, x) if n) + self.offset
@@ -61,17 +58,14 @@ class HalfSpace:
         return v > 0 if self.strict else v >= 0
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(namedtuple("HPolytope", "dim integer_rows")):
     """The rows (normal, offset, strict), integers divided by their gcd,
     are the polytope: equality compares them."""
 
-    dim: int
-    integer_rows: tuple[Row, ...]
-
-    def __post_init__(self):
-        if any(len(normal) != self.dim for normal, _, _ in self.integer_rows):
+    def __new__(cls, dim: int, integer_rows: tuple[Row, ...]):
+        if any(len(normal) != dim for normal, _, _ in integer_rows):
             raise ValueError("row dimension mismatch")
+        return tuple.__new__(cls, (dim, integer_rows))
 
     @cached_property
     def halfspaces(self) -> tuple[HalfSpace, ...]:
@@ -83,14 +77,13 @@ class HPolytope:
         )
 
 
-@dataclass(frozen=True)
-class VPolytope:
-    dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+class VPolytope(namedtuple("VPolytope", "dim vertices")):
+    """The vertices, tuples of Fractions, of a polytope in dimension dim."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "slope shift den")):
     """x |-> (slope.x + shift)/den, coordinate by coordinate: x_i goes to
     (slope.x_i + shift_i)/den, with one slope for every coordinate.  The
     map is its integer form: the constructor divides out the gcd of den,
@@ -98,19 +91,15 @@ class AffineMap:
     map.  `matrix` (the dense diagonal) and `translation` are Fraction
     views, built on each read and not kept on the map."""
 
-    slope: int
-    shift: tuple[int, ...]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.den == 0:
+    def __new__(cls, slope: int, shift: Sequence[int], den: int):
+        if den == 0:
             raise ValueError("affine map denominator must be nonzero")
-        g = gcd(self.den, self.slope, *self.shift)
-        if self.den < 0:
+        g = gcd(den, slope, *shift)
+        if den < 0:
             g = -g
-        object.__setattr__(self, "slope", self.slope // g)
-        object.__setattr__(self, "shift", tuple(t // g for t in self.shift))
-        object.__setattr__(self, "den", self.den // g)
+        return tuple.__new__(cls, (slope // g, tuple(t // g for t in shift), den // g))
 
     @property
     def dim(self) -> int:

@@ -579,3 +579,15 @@ def test_smooth_blowup_refuses_a_boundary_label(specs):
     out = run_cli(["check", "ll.pair"], cwd=specs)
     assert out.returncode == 1
     assert "input error: line 4: boundary label 'L' already in use" in out.stderr
+
+
+def test_import_loads_no_dataclasses():
+    """The value types are named tuples, so a fresh isolated interpreter
+    that imports the CLI never loads `dataclasses`, whose import (with
+    inspect, ast and dis) and per-class code generation cost more start-up
+    than a check run's work."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import ampleangles.cli; " \
+           "print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code, PACKAGE_ROOT], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

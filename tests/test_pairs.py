@@ -5,9 +5,12 @@ from collections import Counter
 
 import pytest
 
-from ampleangles import dsl
+from ampleangles import angles as an
+from ampleangles import classify as cl
+from ampleangles import cli, dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
+from ampleangles import polytope as pt
 from _util import F, adjoint_coeffs, family_at, rank2_candidates
 from test_acceptance import BASES, _random_script
 
@@ -257,6 +260,16 @@ def test_node_blowup_contract_round_trip():
     tagged = pr.make_pair(p.surface, [("Z", (1, 0)), ("F", (0, 1))],
                           nodes=[pr.NodeRecord("x", (0, 1), on_fiber_of="f")])
     assert pr.contract(pr.blow_up_node(tagged, "x", "E"), "E") == (tagged, residual)
+    # contract rebuilds every node it keeps, with its id, its renumbered
+    # components and its fiber tag, and puts back the node E consumed
+    p = pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("F1", (0, 1)), ("F2", (0, 1))],
+                     nodes=[pr.NodeRecord("a", (1, 0), "f"), pr.NodeRecord("b", (0, 2), "h")])
+    up = pr.blow_up_node(p, "a", "E")
+    down, _ = pr.contract(pr.blow_up_node(up, "Z.E.1", "E2"), "E2")
+    fields = lambda nodes: [(nd.id, nd.incident, nd.on_fiber_of) for nd in nodes]
+    assert fields(down.nodes) == [("b", (0, 2), "h"), ("Z.E.1", (0, 3), None), ("F1.E.1", (1, 3), None)]
+    assert down == up and pr.contract(down, "E")[0].nodes == p.nodes
+    assert fields(p.nodes) == [("a", (0, 1), "f"), ("b", (0, 2), "h")]
 
 
 def test_smooth_blowup_contract_round_trip():
@@ -566,3 +579,89 @@ def test_adjoint_family_from_numerators_matches_class_arithmetic():
             want = pr.LogAdjointFamily(surface.minus_k() - p.boundary_total(), classes)
             got = pr.log_adjoint(p)
             assert got == want and got.integer_form == want.integer_form
+
+
+def _value_types():
+    """(builder, a field) for each value type of the package: the builder
+    makes a fresh instance equal to every other one it makes."""
+    p = lambda: zf_pair(2)
+    rows = lambda: pt.HPolytope(1, (((1,), 0, True), ((-1,), 1, True)))
+    return [
+        (g.ProjectivePlane, None),
+        (lambda: g.Hirzebruch(2), "n"),
+        (lambda: g.BlowUp(g.hirzebruch(2), "p"), "center"),
+        (lambda: g.hirzebruch(2), "canonical"),
+        (lambda: g.hirzebruch(2).divisor([1, F(1, 2)]), "coeffs"),
+        (lambda: pr.NodeRecord("x", (1, 0)), "incident"),
+        (lambda: pr.TrackedCurve("fiber", "f", (F(0), F(1))), "coeffs"),
+        (lambda: pr.BlowUpEvent("E", "node", "x"), "kind"),
+        (lambda: pr.angles([F(1, 2), 1]), "entries"),
+        (p, "classes"),
+        (lambda: pr.log_adjoint(p()), "constant"),
+        (lambda: pt.HalfSpace((F(1),), F(0), True), "strict"),
+        (rows, "dim"),
+        (lambda: pt.VPolytope(1, ((F(0),), (F(1),))), "vertices"),
+        (lambda: pt.AffineMap(2, (4,), 6), "den"),
+        (lambda: an.AABody(rows(), an.EXACT), "exactness"),
+        (lambda: an.QuadraticReport(F(1), (F(2),), ((F(3),),), 4, 3, 1, 1, 1), "samples"),
+        (lambda: an.reparam(p(), pr.angles([F(1, 2), F(1, 2)])), "eta"),
+        (lambda: cl.FamilyLabel("ALdP.3.n", 2), "n"),
+        (lambda: cl.CandidatePair("F2", 2, ((1, 0), (0, 1))), "classes"),
+        (lambda: dsl.BlowUpStep("smooth", "Z", "p", "f"), "fiber"),
+        (lambda: dsl.PairScript(p(), ()), "steps"),
+        (lambda: cli.run_report(p(), "zf"), "verdicts"),
+    ]
+
+
+# the types that keep a cached view, or a handed-in one, on the instance
+CACHING = {g.DivisorClass, pt.HPolytope, pr.LogPair, pr.LogAdjointFamily, cl.CandidatePair, an.AABody}
+
+
+def test_value_types_are_immutable_named_tuples():
+    """Every value type is a named tuple: equal values compare and hash
+    equal, a field cannot be assigned, only the types with cached views
+    carry an instance __dict__, and each constructor validates and
+    normalizes its input as it did."""
+    built = set()
+    for make, name in _value_types():
+        a, b = make(), make()
+        assert a is not b and a == b and isinstance(a, tuple), type(a)
+        assert hasattr(a, "__dict__") is (type(a) in CACHING), type(a)
+        if type(a) is not cli.RunReport:  # a report's verdicts are a dict
+            assert hash(a) == hash(b), type(a)
+        if name is not None:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(b, name))
+        built.add(type(a))
+    assert len(built) == 23 and CACHING <= built
+    plane = g.ProjectivePlane()
+    assert not plane  # no fields: the one falsy value
+
+    for build, message in (
+        (lambda: g.SurfaceModel(("A", "B"), ((0, 1), (2, 0)), (0, 0), plane), "must be symmetric"),
+        (lambda: g.SurfaceModel(("A",), ((1,),), (0, 0), plane), "canonical class length"),
+        (lambda: g.DivisorClass(g.hirzebruch(1), (F(1),)), "does not match surface rank"),
+        (lambda: pr.NodeRecord("x", (1, 1)), "no self-nodes"),
+        (lambda: pt.HPolytope(2, (((1,), 0, True),)), "row dimension mismatch"),
+        (lambda: dsl.BlowUpStep("node", "x", "E", "f"), "apply to smooth centers only"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # a reversed node is stored sorted; the angle and map rules are tested
+    # in test_angle_vector_range and test_diagonal_map_divides_out_the_gcd
+    assert pr.NodeRecord("x", (2, 0), "f") == ("x", (0, 2), "f")
+
+    # equality ignores the vertices and the closure a body was built with
+    body = an.aa_report_body(fig1_pair())
+    bare = an.AABody(body.open_part, body.exactness)
+    assert body.vertices is not None and "closed_hull" in vars(body) and "closed_hull" not in vars(bare)
+    assert body == bare and hash(body) == hash(bare)
+    assert bare.vertices is None and bare.closed_hull == body.closed_hull
+
+    # a family handed its integer form serves it as it is
+    family = pr.log_adjoint(fig1_pair())
+    form = family.integer_form
+    twin = pr.LogAdjointFamily(family.constant, family.increments, form=form)
+    assert twin.integer_form is form and twin == family
+    fresh = pr.LogAdjointFamily(family.constant, family.increments)
+    assert "integer_form" not in vars(fresh) and fresh.integer_form == form

@@ -200,11 +200,13 @@ def test_affine_map_is_its_integer_form():
         shift = [rng.randint(-30, 30) for _ in range(r)]
         m = pt.AffineMap(slope, shift, den)
         assert all(type(v) is int for v in (m.slope, m.den, *m.shift)) and m.dim == r
-        # the views are built on each read and keep nothing alive on the map
-        assert set(vars(m)) == {"slope", "shift", "den"}
+        # the views are built on each read and keep nothing alive on the map:
+        # it is a slotted named tuple of its three fields, with no __dict__
+        assert m._fields == ("slope", "shift", "den") and not hasattr(m, "__dict__")
         matrix = tuple(tuple(F(slope, den) if i == j else 0 for j in range(r)) for i in range(r))
         translation = tuple(F(t, den) for t in shift)
         assert m.matrix == matrix and m.translation == translation
+        assert not hasattr(m, "__dict__")
         assert all(type(v) is F for v in (*m.translation, *(v for row in m.matrix for v in row)))
         x = [F(rng.randint(-9, 9), rng.choice((1, 2, 5, 16))) for _ in range(r)]
         want = tuple(sum((a * b for a, b in zip(row, x)), t) for row, t in zip(matrix, translation))
