@@ -30,12 +30,17 @@ point gamma of the body, with the angle substitution realized by an
 invertible affine self-map of the cube.  As in the paper, each boundary
 coefficient of F(beta) depends on its own angle alone, so the self-map
 is coordinatewise, with slope 1/eta in every coordinate.  It is built
-and checked in integer arithmetic over gamma's common denominator: eta
-comes from the angles' numerators and denominators, the self-map and
-its inverse are integer forms from the start, never built through
-Fractions, and the inverse is checked one coordinate at a time.  Both
-ampleness tests (gamma in the body, A ample) run the nef-cone rule of
-`geometry` on integer numerators, the normals the body's rows come from.
+and checked in integer arithmetic over gamma's common denominator, in
+one pass over a per-family context: one loop over gamma reads that
+denominator, the angles' numerators, their range and eta (the helper
+`eta` shares); the family's cached column form holds the increments as
+one column per basis coordinate, next to the surface's canonical class
+and nef-cone normals, so the adjoint at gamma, the identity and both
+ampleness tests (gamma in the body, A ample) are plain loops on integer
+numerators.  The self-map and its inverse share their entries up to
+order and sign, so one gcd puts both in lowest terms; they are never
+built through Fractions, and the inverse is checked one coordinate at a
+time.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from . import polytope as pt
@@ -150,12 +155,13 @@ def _family_open_part(r: int, constant, increments, duals) -> pt.HPolytope:
     """The strict rows (constant + sum beta_i increment_i).w > 0, one per
     dual vector w, cut down to the open cube, for a family given by integer
     numerators over any positive common denominator.  `classify` writes
-    its candidates' bodies with it too, from their class tuples."""
+    its candidates' bodies with it too, from their class tuples.  Only the
+    dual rows are divided by their gcd: the cube rows are coprime already."""
     rows = [
-        (tuple(sum(map(mul, inc, w)) for inc in increments), sum(map(mul, constant, w)), True)
+        pt._normalize([sum(map(mul, inc, w)) for inc in increments], sum(map(mul, constant, w)), True)
         for w in duals
     ]
-    return pt.integer_polytope(r, [*rows, *pt.cube_rows(r, True)])
+    return pt.HPolytope(r, (*rows, *pt.cube_rows(r, True)))
 
 
 def aa_body(p: LogPair) -> AABody:
@@ -363,19 +369,40 @@ class ReparamData(namedtuple("ReparamData", "gamma eta ample_part f f_inv")):
     __slots__ = ()
 
 
+_OUTSIDE = "gamma must lie in the open body of ample angles"
+
+
+def _angle_point(entries, message: str) -> tuple[list[int], int, int, int]:
+    """(k, d, hn, hd): the angles as integer numerators k over their least
+    common denominator d, and eta = hn/hd in lowest terms, in one pass over
+    their numerators and denominators.  Raises ValueError(message) unless
+    every angle lies strictly between 0 and 1.
+
+    eta is the largest of (1-g)/g and g/(1-g) over the angles g, i.e.
+    (1 - m)/m for the least distance m = min(g, 1 - g) of an angle to the
+    cube's faces.  For g = n/q in lowest terms, m = min(n, q - n)/q is in
+    lowest terms too, and so is (1 - m)/m."""
+    d = 1
+    near, far = 1, 1  # m = near/far, 1 until the first angle: eta = 0 on none
+    parts = []
+    for g in entries:
+        n, q = g.numerator, g.denominator
+        if not 0 < n < q:
+            raise ValueError(message)
+        if d % q:
+            d = d * q // gcd(d, q)
+        m = n if n + n < q else q - n
+        if m * far < near * q:
+            near, far = m, q
+        parts.append((n, q))
+    return [n * (d // q) for n, q in parts], d, far - near, near
+
+
 def eta(gamma: AngleVector) -> Fraction:
     """max over i of (1-gamma_i)/gamma_i and gamma_i/(1-gamma_i), read off
     the numerators and denominators of the angles."""
-    best_num, best_den = 0, 1
-    for g in gamma.entries:
-        # g = k/d: the two ratios are (d-k)/k and k/(d-k); keep the larger
-        k, d = g.numerator, g.denominator
-        if not 0 < k < d:
-            raise ValueError("eta requires every angle strictly between 0 and 1")
-        num, den = (d - k, k) if d - k > k else (k, d - k)
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    _, _, hn, hd = _angle_point(gamma.entries, "eta requires every angle strictly between 0 and 1")
+    return Fraction(hn, hd)
 
 
 def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
@@ -388,53 +415,53 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     means an implementation bug.
 
     The work is integer arithmetic over gamma = k/d, eta = hn/hd and the
-    family's integer form (numerators over den).  With s = hn + hd:
+    family's column form (numerators over den).  With s = hn + hd:
         A          = s.X / (hn.d.den),  X = d.den.adjoint(gamma)
         f(beta)_i  = (hd.d.beta_i + hn.d - s.k_i) / (hn.d)
         f_inv(x)_i = (hn.d.x_i - hn.d + s.k_i) / (hd.d)
     """
-    if len(gamma.entries) != p.r:
+    entries = gamma.entries
+    if len(entries) != p.r:
         raise ValueError("gamma length must match the number of boundary components")
     if isinstance(p.surface.provenance, BlowUp):
         raise ValueError(_RANK_LE2_ONLY)
-    family = log_adjoint(p)
-    den, constant, increments = family.integer_form
-    k, d = _integer_point(gamma.entries)
+    den, constant, columns, canonical, normals = log_adjoint(p).column_form
+    k, d, hn, hd = _angle_point(entries, _OUTSIDE)
     # X is a positive multiple of the adjoint at gamma, so ample exactly when it is
-    x = family.integer_at(k, d)
-    if not all(0 < ki < d for ki in k) or not _is_ample_numerators(p.surface, x):
-        raise ValueError("gamma must lie in the open body of ample angles")
-    h = eta(gamma)
-    hn, hd = h.numerator, h.denominator
+    x = [d * c + sum(map(mul, col, k)) for c, col in zip(constant, columns)]
+    for w in normals:
+        if sum(map(mul, w, x)) <= 0:
+            raise ValueError(_OUTSIDE)
     s = hn + hd
+    hn_d, hd_d = hn * d, hd * d
     a_num = [s * v for v in x]
-    t_num = [hn * d - s * ki for ki in k]  # f's translation, over hn.d
-    f = pt.AffineMap(hd * d, t_num, hn * d)
-    f_inv = pt.AffineMap(hn * d, [-t for t in t_num], hd * d)
+    t_num = [hn_d - s * ki for ki in k]  # f's translation, over hn.d
+    f, f_inv = pt._map_and_inverse(hd_d, t_num, hn_d)
 
     # (a) the adjoint identity, coefficientwise in the affine family:
     # hn.d.den.(K + A + F(0)) = hd.d.den.constant, and eta.slope/den = 1 so that
     # the beta_i part of eta.F(beta) is the increment beta_i.C_i
-    k_class = p.surface.canonical
-    for j, (kj, aj, cj) in enumerate(zip(k_class, a_num, constant)):
-        lhs = hn * d * den * kj + aj + sum(t * inc[j] for t, inc in zip(t_num, increments))
-        if lhs != hd * d * cj:
+    a_den = hn_d * den
+    for kj, aj, cj, col in zip(canonical, a_num, constant, columns):
+        if a_den * kj + aj + sum(map(mul, t_num, col)) != hd_d * cj:
             raise RuntimeError("reparametrization identity failed on the constant class")
     if hn * f.slope != hd * f.den:
         raise RuntimeError("reparametrization identity failed on an increment class")
     # (b) A is ample: a_num is a positive multiple of it
-    if not _is_ample_numerators(p.surface, a_num):
-        raise RuntimeError("reparametrization produced a non-ample A")
+    for w in normals:
+        if sum(map(mul, w, a_num)) <= 0:
+            raise RuntimeError("reparametrization produced a non-ample A")
     # (c) boundary coefficients stay within [0, 1] over the closed cube:
     # f_i(0) = t_i/(hn.d) and f_i(1) = (t_i + hd.d)/(hn.d)
-    if any(t < 0 or t + hd * d > hn * d for t in t_num):
-        raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
+    for t in t_num:
+        if t < 0 or t + hd_d > hn_d:
+            raise RuntimeError("boundary coefficient bounds failed at a cube vertex")
     # invertibility: f after f_inv and f_inv after f, per coordinate
     if not _undoes(f, f_inv) or not _undoes(f_inv, f):
         raise RuntimeError("angle substitution is not an exact inverse pair")
 
-    a_class = DivisorClass(p.surface, tuple(_fraction(v, hn * d * den) for v in a_num))
-    return ReparamData(gamma, h, a_class, f, f_inv)
+    a_class = DivisorClass(p.surface, tuple([_fraction(v, a_den) for v in a_num]))
+    return ReparamData(gamma, Fraction(hn, hd), a_class, f, f_inv)
 
 
 def _undoes(outer: pt.AffineMap, inner: pt.AffineMap) -> bool:
@@ -442,8 +469,11 @@ def _undoes(outer: pt.AffineMap, inner: pt.AffineMap) -> bool:
     x_i to slope.slope'.x_i + slope.shift'_i + den'.shift_i (primes on
     inner), so it is the identity exactly when slope.slope' = den.den' and
     slope.shift'_i + den'.shift_i = 0 for every i."""
-    return (
-        outer.dim == inner.dim
-        and outer.slope * inner.slope == outer.den * inner.den
-        and all(outer.slope * t + inner.den * u == 0 for t, u in zip(inner.shift, outer.shift))
-    )
+    slope, shift, den = outer
+    slope_in, shift_in, den_in = inner
+    if len(shift) != len(shift_in) or slope * slope_in != den * den_in:
+        return False
+    for t, u in zip(shift_in, shift):
+        if slope * t + den_in * u:
+            return False
+    return True

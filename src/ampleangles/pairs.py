@@ -49,6 +49,7 @@ from .geometry import (
     _integer_point,
     blow_up,
     intersect,
+    nef_cone,
 )
 
 
@@ -88,8 +89,9 @@ class AngleVector(namedtuple("AngleVector", "entries")):
 
     def __new__(cls, entries: tuple[Fraction, ...]):
         # a Fraction's denominator is positive, so 0 <= e <= 1 on its numerator
-        if not all(0 <= e.numerator <= e.denominator for e in entries):
-            raise ValueError("angles must lie in [0, 1]")
+        for e in entries:
+            if not 0 <= e.numerator <= e.denominator:
+                raise ValueError("angles must lie in [0, 1]")
         return tuple.__new__(cls, (entries,))
 
     @property
@@ -100,7 +102,7 @@ class AngleVector(namedtuple("AngleVector", "entries")):
 def angles(values: Sequence[Rat]) -> AngleVector:
     """The angle vector of the values, each kept as it is when it is already
     a Fraction."""
-    return AngleVector(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values))
+    return AngleVector(tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values]))
 
 
 class LogPair(namedtuple("LogPair", "surface labels classes nodes tracked history", defaults=((), ()))):
@@ -270,13 +272,6 @@ class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
             self.__dict__["integer_form"] = form  # the cache `integer_form` fills
         return self
 
-    def integer_at(self, k: Sequence[int], d: int) -> list[int]:
-        """d.den times the class at beta = k/d (den from `integer_form`), as
-        integer coefficients: d.constant + sum k_i.increment_i."""
-        _, constant, increments = self.integer_form
-        return [d * c + sum(ki * inc[j] for ki, inc in zip(k, increments) if ki)
-                for j, c in enumerate(constant)]
-
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(den, constant, increments): the coefficients as integer numerators
@@ -286,6 +281,18 @@ class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
         k, den = _integer_point([c for cls in classes for c in cls.coeffs])
         nums = [tuple(k[i * n : (i + 1) * n]) for i in range(len(classes))]
         return den, nums[0], tuple(nums[1:])
+
+    @cached_property
+    def column_form(self):
+        """(den, constant, columns, canonical, normals): the integer form
+        with the increments transposed into one column per basis coordinate,
+        so that d.den times the class at beta = k/d is d.constant_j +
+        columns_j.k in coordinate j, next to the surface's canonical class
+        and nef-cone normals.  `angles.reparam` reads it in one pass; the
+        plane and F_n only, where `nef_cone` exists."""
+        den, constant, increments = self.integer_form
+        surface = self.constant.surface
+        return den, constant, tuple(zip(*increments)), surface.canonical, nef_cone(surface)
 
 
 def log_adjoint(p: LogPair) -> LogAdjointFamily:

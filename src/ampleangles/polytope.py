@@ -125,6 +125,23 @@ class AffineMap(namedtuple("AffineMap", "slope shift den")):
         return tuple(_fraction(self.slope * v + t * xden, den) for v, t in zip(k, self.shift))
 
 
+def _map_and_inverse(slope: int, shift: Sequence[int], den: int) -> tuple[AffineMap, AffineMap]:
+    """The map x |-> (slope.x + shift)/den and its inverse x |-> (den.x -
+    shift)/slope.  The two share their entries up to order and sign, so
+    one gcd puts both in lowest terms; each denominator (den, and slope for
+    the inverse) must be nonzero and is made positive, as the `AffineMap`
+    constructor makes it."""
+    if not slope or not den:
+        raise ValueError("affine map denominator must be nonzero")
+    g = gcd(slope, den, *shift)
+    g_f = g if den > 0 else -g
+    g_inv = g if slope > 0 else -g
+    return (
+        tuple.__new__(AffineMap, (slope // g_f, tuple([t // g_f for t in shift]), den // g_f)),
+        tuple.__new__(AffineMap, (den // g_inv, tuple([-t // g_inv for t in shift]), slope // g_inv)),
+    )
+
+
 def _normalize(normal: Sequence[int], offset: int, strict: bool) -> Row:
     """The integer row divided by the gcd of its entries; an all-zero row
     stays as it is."""

@@ -113,13 +113,15 @@ def direct_ample_p2(boundary, beta):
 
 
 def family_at(family, beta):
-    """The class of a log adjoint family at rational beta, through
-    `integer_at`, the integer form `reparam` evaluates: with beta = k/d the
-    class is integer_at(k, d) over d.den."""
+    """The class of a log adjoint family at rational beta, evaluated on its
+    integer form (den, constant, increments): with beta = k/d the class is
+    d.constant + sum k_i.increment_i over d.den."""
     beta = [F(b) for b in beta]
     d = lcm(*(b.denominator for b in beta))
-    nums = family.integer_at([b.numerator * (d // b.denominator) for b in beta], d)
-    return family.constant.surface.divisor([F(v, d * family.integer_form[0]) for v in nums])
+    k = [b.numerator * (d // b.denominator) for b in beta]
+    den, constant, increments = family.integer_form
+    nums = [d * c + sum(ki * inc[j] for ki, inc in zip(k, increments)) for j, c in enumerate(constant)]
+    return family.constant.surface.divisor([F(v, d * den) for v in nums])
 
 
 def _adjoint_parts(p):

@@ -1,7 +1,9 @@
 import pathlib
 import random
+import time
 from collections import Counter
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -176,7 +178,9 @@ def test_eta_against_its_definition():
 def test_diagonal_map_divides_out_the_gcd():
     """AffineMap x_i -> (slope.x_i + shift_i)/den is its integer form in
     lowest terms with den > 0, so scaling it by 1..50 or by -1 gives the
-    same map, and a zero denominator is refused."""
+    same map, and a zero denominator is refused.  `_map_and_inverse`
+    builds the same map and the constructor's form of its inverse, and
+    refuses a zero slope, the inverse's denominator."""
     rng = random.Random(41)
     with pytest.raises(ValueError, match="denominator must be nonzero"):
         pt.AffineMap(1, (2, 3), 0)
@@ -192,6 +196,16 @@ def test_diagonal_map_divides_out_the_gcd():
             twin = pt.AffineMap(scale * slope, [scale * t for t in shift], scale * den)
             assert twin == m and hash(twin) == hash(m)
             assert (twin.slope, twin.shift, twin.den) == (m.slope, m.shift, m.den)
+        # the map and its inverse from one gcd, in the constructor's normal form
+        if not slope:
+            with pytest.raises(ValueError, match="denominator must be nonzero"):
+                pt._map_and_inverse(slope, shift, den)
+            continue
+        f, f_inv = pt._map_and_inverse(slope, shift, den)
+        assert tuple(f) == tuple(m) and type(f) is pt.AffineMap
+        inverse = pt.AffineMap(den, [-t for t in shift], slope)
+        assert tuple(f_inv) == tuple(inverse) and type(f_inv) is pt.AffineMap
+        assert an._undoes(f, f_inv) and an._undoes(f_inv, f)
 
 
 def test_undoes_agrees_with_dense_composition():
@@ -307,6 +321,12 @@ def test_reparam_against_fraction_oracle():
             if isinstance(got, tuple):
                 _, h, a, (_, t), (_, t_inv) = got
                 assert all(type(v) is F for v in (h, *a.coeffs, *t, *t_inv))
+                # both maps in the constructor's normal form: lowest terms, den > 0
+                rd = an.reparam(p, pr.angles(gamma))
+                assert type(rd.eta) is F
+                for m in (rd.f, rd.f_inv):
+                    assert m == pt.AffineMap(m.slope, m.shift, m.den) and type(m.shift) is tuple
+                    assert m.den > 0 and gcd(m.den, m.slope, *m.shift) == 1
             built[isinstance(got, tuple)] += 1
     assert built[True] > 300 and built[False] > 300
     for p, gamma in ((blown, [F(1, 2)] * 3), (blown, [F(0)] * 3), (survivors[0], [F(1, 2)] * 2)):
@@ -335,11 +355,17 @@ def test_log_adjoint_at_matches_direct_evaluation():
             beta = [F(rng.randint(0, 7), rng.choice((7, 2, 1))) for _ in range(r)]
             want = tuple(c + sum(b * inc.coeffs[j] for b, inc in zip(beta, increments))
                          for j, c in enumerate(constant.coeffs))
-            # integer_at at beta = k/d is d.den times the class
+            # the column form at beta = k/d: d.constant_j + column_j.k is d.den
+            # times the class in coordinate j, the evaluation reparam makes
+            den, nums, columns, canonical, normals = family.column_form
+            assert (den, nums) == family.integer_form[:2]
+            assert [list(col) for col in columns] == [[inc[j] for inc in family.integer_form[2]] for j in range(2)]
+            assert canonical == surface.canonical and normals == g.nef_cone(surface)
             d = lcm(*(b.denominator for b in beta))
-            got = family.integer_at([b.numerator * (d // b.denominator) for b in beta], d)
+            k = [b.numerator * (d // b.denominator) for b in beta]
+            got = [d * c + sum(map(mul, col, k)) for c, col in zip(nums, columns)]
             assert all(type(v) is int for v in got)
-            assert tuple(F(v, d * family.integer_form[0]) for v in got) == want
+            assert tuple(F(v, d * den) for v in got) == want
 
 
 def test_reparam_checks_fire(monkeypatch):
@@ -356,33 +382,35 @@ def test_reparam_checks_fire(monkeypatch):
         an.reparam(p, gamma)
     monkeypatch.undo()
 
-    # (b) membership waved through for a gamma outside the body: A is not ample
-    outside = pr.angles([F(7, 8), F(1, 8), F(1, 8)])
-    calls = []
+    # eta is read with gamma's numerators in one pass; the cases below hand
+    # reparam a wrong eta = hn/hd with the true numerators
+    real_point = an._angle_point
 
-    def ample_once(s, k):
-        calls.append(k)
-        return True if len(calls) == 1 else g._is_ample_numerators(s, k)
+    def eta_as(hn, hd):
+        return lambda entries, message: (*real_point(entries, message)[:2], hn, hd)
 
-    monkeypatch.setattr(an, "_is_ample_numerators", ample_once)
+    # (b) eta = -1/2: the identity still holds for any eta (the maps are
+    # built from it), but A = (1 + 1/eta).adjoint(gamma) = -adjoint(gamma)
+    # is not ample
+    monkeypatch.setattr(an, "_angle_point", eta_as(1, -2))
     with pytest.raises(RuntimeError, match="non-ample A"):
-        an.reparam(p, outside)
+        an.reparam(p, gamma)
     monkeypatch.undo()
 
     # (c) eta = 1, below the true maximum, pushes one coefficient out of
     # [0, 1] on one side only: f_i(0) >= 0 needs eta >= g_i/(1-g_i), which
     # fails for g_2 = 3/4, and f_i(1) <= 1 needs eta >= (1-g_i)/g_i, which
     # fails for g_1 = 1/4
-    monkeypatch.setattr(an, "eta", lambda gm: F(1))
+    monkeypatch.setattr(an, "_angle_point", eta_as(1, 1))
     for angle in ([F(1, 2), F(3, 4), F(1, 2)], [F(1, 4), F(1, 2), F(1, 2)]):
         with pytest.raises(RuntimeError, match="boundary coefficient bounds"):
             an.reparam(p, pr.angles(angle))
     monkeypatch.undo()
 
-    # (a) on the increments: f's slope doubled through the constructor, so
+    # (a) on the increments: f's slope doubled through the map builder, so
     # eta.slope is not 1
-    real_map = pt.AffineMap
-    monkeypatch.setattr(pt, "AffineMap", lambda slope, shift, den: real_map(2 * slope, shift, den))
+    real_maps = pt._map_and_inverse
+    monkeypatch.setattr(pt, "_map_and_inverse", lambda slope, shift, den: real_maps(2 * slope, shift, den))
     with pytest.raises(RuntimeError, match="identity failed on an increment class"):
         an.reparam(p, gamma)
     monkeypatch.undo()
@@ -390,6 +418,7 @@ def test_reparam_checks_fire(monkeypatch):
     # the inverse check, on each side: f after f_inv, then f_inv after f;
     # the helper fails on one call and answers truly on the other
     real = an._undoes
+    calls = []
     for broken_call in (0, 1):
         calls.clear()
 
@@ -404,6 +433,58 @@ def test_reparam_checks_fire(monkeypatch):
         assert len(calls) == broken_call + 1
         monkeypatch.undo()
     assert _outcome(an.reparam, p, gamma) == fraction_reparam(p, gamma)
+
+
+def _query_survivors():
+    """The 82 rank-2 survivors up to F_6: the plane's table, then F_0..F_6."""
+    survivors = [cl.build_pair(cl.CandidatePair("P2", None, degs)) for _, degs, _ in P2_TABLE]
+    for n in range(7):
+        survivors += [cl.build_pair(cl.CandidatePair(f"F{n}", n, c)) for _, c, _ in fn_table(n)]
+    assert len(survivors) == 82
+    return survivors
+
+
+def test_reparam_scales_to_the_query_survivors():
+    """reparam at 64 seeded angles of denominator 16 on each rank-2
+    survivor up to F_6, at those inside the open body (3 432 calls, as in
+    one pass of the queries benchmark), within 4x the 0.05-0.075 s these
+    calls took on a 2-vCPU VM under Python 3.11."""
+    rng = random.Random(1)
+    work = []
+    for p in _query_survivors():
+        body = an.aa_body(p).open_part
+        for _ in range(64):
+            beta = tuple(F(rng.randint(1, 15), 16) for _ in range(p.r))
+            if pt.contains(body, beta):
+                work.append((p, pr.angles(beta)))
+    assert len(work) == 3432
+    start = time.perf_counter()
+    for p, gamma in work:
+        an.reparam(p, gamma)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.3, f"{len(work)} reparam calls took {elapsed:.2f}s"
+
+
+def test_open_part_rows_are_integer_polytope_rows():
+    """The body builder divides only the ampleness rows by their gcd and
+    appends the cube rows, which are coprime already: the open part is
+    what `integer_polytope` makes of the same rows, on every classify
+    candidate up to F_12 (built from its class tuples) and on the 82
+    survivors up to F_6 (built from their pairs)."""
+    candidates = rank2_candidates(12)
+    assert len(candidates) == 386
+    bodies = [(cand.pair, cand.body) for cand in candidates]
+    bodies += [(p, an.aa_body(p)) for p in _query_survivors()]
+    for p, body in bodies:
+        _, constant, increments = pr.log_adjoint(p).integer_form
+        rows = [
+            (tuple(sum(map(mul, inc, w)) for inc in increments), sum(map(mul, constant, w)), True)
+            for w in g.nef_cone(p.surface)
+        ]
+        cube = pt.cube_rows(p.r, True)
+        assert cube is pt.cube_rows(p.r, True)
+        assert body.open_part == pt.integer_polytope(p.r, [*rows, *cube])
+        assert body.open_part.integer_rows[len(rows):] == cube
 
 
 def test_aa_via_nef_matches_direct():

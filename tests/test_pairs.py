@@ -194,6 +194,39 @@ def test_angle_vector_range():
     assert all(type(e) is F for e in v.entries) and v.entries[2] is half
 
 
+def test_angles_convert_and_refuse_on_seeded_mixes():
+    """`angles` on seeded mixes of ints and Fractions, in and out of
+    [0, 1]: a Fraction entry comes back as the same object, an int as the
+    equal Fraction, and a vector with an entry outside [0, 1] is refused
+    with the one message.  A direct `AngleVector` validates the same way
+    and stores the entries as given."""
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(400):
+        values = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.3:
+                values.append(rng.randint(-1, 2))
+            else:
+                q = rng.choice((1, 2, 3, 16, 97))
+                values.append(F(rng.randint(-q, 2 * q), q))
+        inside = all(0 <= v <= 1 for v in values)
+        seen[inside] += 1
+        if not inside:
+            for build in (pr.angles, lambda vs: pr.AngleVector(tuple(vs))):
+                with pytest.raises(ValueError, match=r"^angles must lie in \[0, 1\]$"):
+                    build(values)
+            continue
+        v = pr.angles(values)
+        assert type(v.entries) is tuple and v.entries == tuple(values)
+        for got, given in zip(v.entries, values):
+            assert type(got) is F and (got is given) is (type(given) is F)
+        assert v.interior is all(0 < x < 1 for x in values)
+        direct = pr.AngleVector(tuple(values))
+        assert all(a is b for a, b in zip(direct.entries, values))
+    assert seen[True] > 50 and seen[False] > 50
+
+
 def test_blow_up_smooth_point():
     p = pr.make_pair(g.hirzebruch(0), [("Z0", (1, 0))])
     up = pr.blow_up_smooth_point(p, "Z0", "p1")
