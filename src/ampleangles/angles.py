@@ -22,7 +22,10 @@ closed form: there the quadratic is a + b.x + c.x^2 in integers, with a
 and b carried down the run's prefix.  The strong ALdP verdict is read
 off an exact body's rows.  The ALdP verdict first tests that -K - C is
 nef, i.e. that the origin satisfies the weakened rows (every offset is
->= 0), and reads the closure only then.
+>= 0), and reads the closure only then; its elimination then works on
+the rows tight at the origin alone, the body's tangent cone there.
+Classify makes the same nef test on its candidates' class tuples before
+it writes a body at all.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -106,7 +109,9 @@ class AABody(namedtuple("AABody", "open_part exactness")):
 
         The closure is the weakened rows or canonical empty, so the origin
         lies in it only when it satisfies the weakened rows: every offset is
-        >= 0, i.e. -K - C is nef.  Only then is the closure read."""
+        >= 0, i.e. -K - C is nef.  Only then is the closure read, and its
+        elimination runs on the rows with offset 0 alone: the body's tangent
+        cone at the origin, non-empty iff the body is (`polytope._eliminate`)."""
         if not self.exact:
             return UNKNOWN
         if any(offset < 0 for _, offset, _ in self.open_part.integer_rows):

@@ -20,10 +20,13 @@ the classes, denominator 1), and from it the log del Pezzo verdict (the
 nef-cone rule on -K - C) and the exact body (`CandidatePair.body`, the
 rows `angles` writes for a pair, against the nef-cone normals).  No
 `LogPair` is built: `CandidatePair.pair` is built only when a caller
-reads it.  The body is closed at most once: the ALdP test first checks
-that -K - C is nef, and only then reads the closure, so Fourier-Motzkin
-elimination runs on those candidates alone, and a printed rank-2 row
-reuses that closure.
+reads it.  The rank-2 test (`CandidatePair.aldp`) first checks that
+-K - C is nef, by the integer nef rule of `geometry` on the constant,
+and only then writes the body: a candidate that fails gets no rows and
+no body.  The body is closed at most once, and a printed rank-2 row
+reuses that closure.  With -K - C nef the origin satisfies every row
+weakly, so Fourier-Motzkin elimination eliminates only the rows tight
+there, the body's tangent cone at the origin.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .angles import EXACT, AABody, _family_open_part
 from .geometry import (
     SurfaceModel,
     _is_ample_numerators,
+    _is_nef_numerators,
     fn_irreducible_admissible,
     hirzebruch,
     nef_cone,
@@ -101,6 +105,13 @@ class CandidatePair(namedtuple("CandidatePair", "surface n classes")):
     def log_dp(self) -> bool:
         """Log del Pezzo: -K - C is ample."""
         return _is_ample_numerators(_model(self.n), self.constant)
+
+    @property
+    def aldp(self):
+        """Asymptotically log del Pezzo, the rank-2 acceptance test.  -K - C
+        must be nef first (the origin's test that `AABody.aldp` makes on the
+        offsets), so the body is written only for a candidate that passes."""
+        return _is_nef_numerators(_model(self.n), self.constant) and self.body.aldp
 
     @cached_property
     def body(self) -> AABody:
@@ -305,7 +316,7 @@ def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, s
     n <= n_max, each labelled with its family and positivity strength."""
     return [
         (c, label, _strength(c))
-        for c, label in _enumerate(lambda c: c.body.aldp, _P2_RANK2, _rank2_rows, n_max)
+        for c, label in _enumerate(lambda c: c.aldp, _P2_RANK2, _rank2_rows, n_max)
     ]
 
 

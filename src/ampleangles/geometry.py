@@ -12,7 +12,8 @@ integers: each class caches its coefficients as integer numerators over
 their least common denominator, `intersect` pairs the numerators through
 the integer intersection matrix and returns the exact `Fraction`.
 Ampleness on the plane and F_n is one integer rule: the numerators are
-positive on every `nef_cone` normal (Kleiman's criterion).
+positive on every `nef_cone` normal (Kleiman's criterion); nefness is
+its weak twin, nonnegative on every normal.
 """
 
 from __future__ import annotations
@@ -237,6 +238,12 @@ def _is_ample_numerators(s: SurfaceModel, k: Sequence[int]) -> bool:
     """Ampleness on the plane or F_n of the class with coefficients k, or of
     any positive multiple of it: k is positive on every nef-cone normal."""
     return all(sum(map(mul, w, k)) > 0 for w in nef_cone(s))
+
+
+def _is_nef_numerators(s: SurfaceModel, k: Sequence[int]) -> bool:
+    """Nefness on the plane or F_n of the class with coefficients k, or of
+    any positive multiple of it: k is nonnegative on every nef-cone normal."""
+    return all(sum(map(mul, w, k)) >= 0 for w in nef_cone(s))
 
 
 def nef_cone(s: SurfaceModel) -> tuple[tuple[int, ...], ...]:

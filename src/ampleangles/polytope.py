@@ -7,15 +7,18 @@ the rows mix both kinds.  `integer_polytope` is the one constructor: it
 scales each integer row by its gcd once, and every kernel below works on
 those rows alone.  `halfspaces` is a Fraction view of them, kept for the
 benchmark's span hooks.  Feasibility is decided by Fourier-Motzkin
-elimination over the rows, with strictness combined by OR and
-Chernikov's rule: after t eliminated variables, a combined row built
-from more than t + 1 input rows is implied by the others and is
-dropped.  A "feasible" answer that may rest on a history discarded with
-a duplicate row is confirmed by back-substitution, which builds a point
-of the system.  Infeasibility certificates are nonnegative integer
-multipliers on the rows, rebuilt from the provenance of the violated
-row.  Vertex enumeration is the double description method over the
-same rows, fraction-free from its first simplicial cone on; Fourier-Motzkin
+elimination over the rows; when every offset is >= 0, the origin
+satisfies each row weakly, and only the rows with offset 0 (the tangent
+cone there, non-empty iff the system is) are eliminated.  Strictness is
+combined by OR, and Chernikov's rule applies: after t eliminated
+variables, a combined row built from more than t + 1 input rows is
+implied by the others and is dropped.  A "feasible" answer that may rest
+on a history discarded with a duplicate row is confirmed by
+back-substitution, which builds a point of the rows eliminated.
+Infeasibility certificates are nonnegative integer multipliers on the
+rows, rebuilt from the provenance of the violated row.  Vertex
+enumeration is the double description method over the same rows,
+fraction-free from its first simplicial cone on; Fourier-Motzkin
 enters it only when the normals have rank below the dimension.  On a
 bounded system, `closure_and_vertices` decides emptiness from those
 vertices alone: the open system is non-empty iff their average
@@ -181,7 +184,19 @@ def cube_rows(dim: int, strict: bool) -> tuple[Row, ...]:
 def _eliminate(p: HPolytope):
     """Fourier-Motzkin elimination over the integer rows with Chernikov's
     rule; the provenance of a violated constant row, or None when the
-    system is feasible.
+    system is feasible.  When every offset is >= 0, only the rows with
+    offset 0 enter: the tangent cone of the system at the origin.
+
+    The tangent cone.  Suppose x0 satisfies every row weakly.  Then the
+    system is non-empty iff the rows tight at x0, with their strictness,
+    have a common solution v.  If x is a point of the system, v = x - x0
+    is one: a tight row reads normal.x0 + offset = 0, so normal.v equals
+    the row's value at x.  Conversely take x0 + t.v for t > 0: a tight row
+    takes the value t.(normal.v), which keeps its sign, and a slack row,
+    positive at x0, stays positive for small t.  At x0 = 0 the tight rows
+    are those with offset 0, and they keep their caller's index and mask
+    bit, so a certificate is over the caller's rows, with 0 on every row
+    whose offset is positive.
 
     Eliminating a variable combines each lower row (coefficient al > 0)
     with each upper row (-au < 0) into au.low + al.up, divided by its gcd,
@@ -225,15 +240,19 @@ def _eliminate(p: HPolytope):
     Only the second mask of -x > 0 meets that of x > 0 in three rows, the
     bound for 0 > 0.  So when a step after such a merge drops a row, a
     "feasible" answer is confirmed by `_back_substitute`, which builds a
-    point of the system from the rows kept at each step.  When it cannot,
+    point of the rows that entered (of the cone, when only the cone
+    entered) from the rows kept at each step.  When it cannot,
     it returns a dropped combination that the partial point violates; that
     row joins the input rows with a fresh mask bit, and the elimination
     runs again.  Each such row is new and is a row of unpruned
     elimination, of which there are finitely many, so the rounds end.
     """
+    # with the origin weakly inside, only its tangent cone is eliminated
+    cone = all(offset >= 0 for _, offset, _ in p.integer_rows)
     inputs: dict[tuple, tuple] = {}
     for i, row in enumerate(p.integer_rows):
-        inputs.setdefault(row, (i, 1 << i))
+        if not (cone and row[1]):
+            inputs.setdefault(row, (i, 1 << i))
     bits = len(p.integer_rows)
     while True:
         rows, levels, merged, unproven = inputs, [], False, False
@@ -417,15 +436,24 @@ def _weakened(p: HPolytope) -> HPolytope:
 
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
-    """Membership, tested on the integer rows against x = k/den."""
-    k, den = _integer_point(x)
-    if len(k) != p.dim:
+    """Membership, tested on the integer rows against x = k/den: one loop
+    reads the numerators and their least common denominator den, and the
+    rows are tested in turn until one fails."""
+    parts = []
+    den = 1
+    for v in x:
+        n, q = (v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
+        if den % q:
+            den = den * q // gcd(den, q)
+        parts.append((n, q))
+    if len(parts) != p.dim:
         raise ValueError("point dimension mismatch")
-    # an integer is > 0 exactly when it is >= 1
-    return all(
-        sum(map(mul, normal, k)) + offset * den >= strict
-        for normal, offset, strict in p.integer_rows
-    )
+    k = [n * (den // q) for n, q in parts] if den != 1 else [n for n, _ in parts]
+    for normal, offset, strict in p.integer_rows:
+        # an integer is > 0 exactly when it is >= 1
+        if sum(map(mul, normal, k)) + offset * den < strict:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

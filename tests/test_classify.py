@@ -166,10 +166,10 @@ def _minus_k_minus_c_is_nef(n, classes):
 
 def test_classify_builds_each_candidate_once(monkeypatch, capsys):
     """No make_pair in either mode: every candidate is decided on its class
-    tuples.  In rank2 mode at most one closure per candidate: one for each
-    candidate whose -K - C is nef, none for the others, whose closure cannot
-    contain the origin.  The acceptance test, the strength and the printed
-    body share the candidate's body."""
+    tuples.  In rank2 mode at most one body and one closure per candidate:
+    one each for every candidate whose -K - C is nef, none for the others,
+    whose closure cannot contain the origin.  The acceptance test, the
+    strength and the printed body share the candidate's body."""
     n_max = 3
     groups = [(None, {cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})]
     for n in range(n_max + 1):
@@ -177,26 +177,33 @@ def test_classify_builds_each_candidate_once(monkeypatch, capsys):
     keys = sum(len(found) for _, found in groups)
     nef = sum(_minus_k_minus_c_is_nef(n, key) for n, found in groups for key in found)
     assert (keys, nef) == (89, 58)
-    pairs, closures = [], []
+    pairs, bodies, closures = [], [], []
 
     def counting_make_pair(*args, **kwargs):
         pairs.append(args)
         return make_pair(*args, **kwargs)
 
+    def counting_open_part(*args):
+        bodies.append(args)
+        return open_part(*args)
+
     def counting_closure(p):
         closures.append(p)
         return closure(p)
 
-    make_pair, closure = pr.make_pair, pt.closure
+    make_pair, open_part, closure = pr.make_pair, cl._family_open_part, pt.closure
     monkeypatch.setattr(cl, "make_pair", counting_make_pair)
     monkeypatch.setattr(pr, "make_pair", counting_make_pair)
+    monkeypatch.setattr(cl, "_family_open_part", counting_open_part)
     monkeypatch.setattr(pt, "closure", counting_closure)
     for mode, closed in (("maeda", 0), ("rank2", nef)):
         pairs.clear()
+        bodies.clear()
         closures.clear()
         assert cli.main(["classify", "--mode", mode, "--n-max", str(n_max)]) == 0
         capsys.readouterr()
         assert len(pairs) == 0, mode
+        assert len(bodies) == closed, mode
         assert len(closures) == closed, mode
 
 
@@ -247,6 +254,8 @@ def test_classify_scales_to_n48(monkeypatch, capsys):
 
     tuple_path = {mode: printed(mode) for mode in ("maeda", "rank2")}
     assert (tuple_path["rank2"].count("\n"), tuple_path["maeda"].count("\n")) == (244, 55)
+    # the nef-first acceptance test, the body and the verdict all come from the pair
+    monkeypatch.setattr(cl.CandidatePair, "aldp", property(lambda c: an.is_aldp(c.pair)))
     monkeypatch.setattr(cl.CandidatePair, "body", property(lambda c: an.aa_halfspaces_rank_le2(c.pair)))
     monkeypatch.setattr(cl.CandidatePair, "log_dp", property(lambda c: an.is_log_dp(c.pair)))
     for mode, out in tuple_path.items():

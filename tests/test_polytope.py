@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -375,8 +376,6 @@ def test_infeasibility_certificates():
 
 
 def test_feasibility_agrees_with_grid_search():
-    from itertools import product
-
     rng = random.Random(1729)
     for _ in range(120):
         dim = rng.randint(1, 3)
@@ -556,6 +555,23 @@ def _oracle_system(rng, dim):
     return pt.integer_polytope(dim, rows)
 
 
+def _lemma_point(system, point):
+    """The point of the system that a back-substituted point gives.  When
+    every offset is >= 0 the elimination sees only the rows with offset 0,
+    so the point v satisfies those, and t.v satisfies every row for
+    t = 1/2 of the least c/(-normal.v) over the rows with offset c > 0 and
+    normal.v < 0 (or t = 1): the cone rows scale, and a slack row keeps
+    more than half its offset.  Otherwise the point is the system's own."""
+    rows = system.integer_rows
+    if any(offset < 0 for _, offset, _ in rows):
+        return point
+    tight = pt.HPolytope(system.dim, tuple(row for row in rows if row[1] == 0))
+    assert pt.contains(tight, point), (rows, point)
+    values = [(offset, sum(c * x for c, x in zip(normal, point))) for normal, offset, _ in rows]
+    t = min([F(c, 2) / -v for c, v in values if c and v < 0], default=F(1))
+    return [t * x for x in point]
+
+
 def _record_back_substitutions(monkeypatch):
     """Wrap `_back_substitute`: the list receives each point it builds, or
     None for each dropped row it returns."""
@@ -587,9 +603,9 @@ def test_pruned_elimination_against_unpruned_oracle(monkeypatch):
         if not feasible:
             assert pt.verify_certificate(system, pt.infeasibility_certificate(system))
             infeasible += 1
-        # a point built by back-substitution lies in the system
+        # a point built by back-substitution gives a point of the system
         for point in filter(None, seen):
-            assert pt.contains(system, point), (system.integer_rows, point)
+            assert pt.contains(system, _lemma_point(system, point)), (system.integer_rows, point)
             points += 1
     assert 500 < infeasible < 1900
     # some "feasible" answers needed a point to be proven
@@ -691,3 +707,93 @@ def test_elimination_agrees_with_vertices_beyond_the_oracle():
         kinds[bool(verts), inner] += 1
     # empty, closed-only and open systems all occur
     assert len(kinds) == 3 and min(kinds.values()) >= 3, kinds
+
+
+def _cone_system(rng, dim):
+    """Mixed strict/weak integer rows whose offsets are all >= 0, so that
+    the origin satisfies each weakly: rows through the origin and rows with
+    positive offsets, entries in [-2, 2], about a third of them zero; on
+    half the systems the cube's faces, and sometimes a duplicate row, a
+    zero-normal row (0 > 0, 0 >= 0 or 2 > 0), or a forced-empty cone
+    x_j > 0 with -x_j > 0."""
+    rows = []
+    for _ in range(rng.randint(1, (0, 4, 5, 5, 4, 4, 3)[dim])):
+        normal = [rng.randint(-2, 2) if rng.random() < 0.7 else 0 for _ in range(dim)]
+        rows.append((normal, 0 if rng.random() < 0.6 else rng.randint(1, 3), rng.random() < 0.5))
+    if rng.random() < 0.5:
+        rows += pt.cube_rows(dim, rng.random() < 0.5)
+    if rng.random() < 0.3:
+        rows.append(rng.choice(rows))
+    if rng.random() < 0.2:
+        rows.append(([0] * dim, rng.choice((0, 0, 2)), rng.random() < 0.5))
+    if rng.random() < 0.15:
+        j = rng.randrange(dim)
+        e = [int(i == j) for i in range(dim)]
+        rows += [(e, 0, True), ([-c for c in e], 0, True)]
+    rng.shuffle(rows)
+    return pt.integer_polytope(dim, rows)
+
+
+# A system with every offset >= 0 whose "feasible" answer needs a point: the
+# point back-substitution builds satisfies the rows with offset 0 only, and
+# `_lemma_point` scales it into the system.
+CONE_BACK_SUBSTITUTION = (
+    5,
+    (((0, 0, -1, 0, 0), 1, True), ((-1, 0, 0, -1, 0), 1, True), ((0, 0, 0, 0, 0), 0, False),
+     ((0, 1, 0, -1, 0), 0, True), ((0, 0, 0, 1, 0), 0, True), ((0, 0, 1, 0, 0), 0, True),
+     ((0, 0, 0, 0, 1), 0, True), ((1, 0, 0, 0, 0), 0, True), ((-1, 0, 0, 0, 0), 1, True),
+     ((0, 0, 0, -1, 0), 1, True), ((-2, 0, 0, 0, -2), 3, True), ((0, 0, 0, 0, -1), 1, True),
+     ((0, 0, 2, -2, 1), 0, True), ((0, -1, 0, 0, 0), 1, True), ((0, 1, 0, 0, 0), 0, True),
+     ((2, 0, -1, 1, -1), 0, True)),
+)
+
+
+def test_tangent_cone_elimination_against_oracles(monkeypatch):
+    """When every offset is >= 0, only the rows with offset 0 enter the
+    elimination (the tangent cone at the origin), and no verdict changes: on
+    seeded systems in dims 1-6, `is_feasible` agrees with unpruned Fraction
+    elimination over every row, with double description on the bounded
+    ones, and with a grid search in dims 1-3 wherever the grid finds a
+    point.  Each certificate verifies, also on the rational rows, and is 0
+    on every row with a positive offset."""
+    seen = _record_back_substitutions(monkeypatch)
+    rng = random.Random(1414)
+    kinds = Counter()
+    for i in range(900):
+        dim = 1 + i % 6
+        system = _cone_system(rng, dim)
+        rows = system.integer_rows
+        seen.clear()
+        feasible = pt.is_feasible(system)
+        assert feasible == fm_is_feasible(system), rows
+        for point in filter(None, seen):
+            assert pt.contains(system, _lemma_point(system, point)), (rows, point)
+        # both faces x_i >= -c and x_i <= c' in every coordinate: bounded
+        if {normal for normal, _, _ in pt.cube_rows(dim, False)} <= {normal for normal, _, _ in rows}:
+            closed, _ = pt.closure_and_vertices(system)
+            assert feasible == (closed != pt.canonical_empty(dim)), rows
+            kinds["bounded"] += 1
+        if dim <= 3:
+            denom = (0, 16, 8, 4)[dim]
+            steps = [F(k, denom) for k in range(-denom, denom + 1)]
+            hit = next((x for x in product(steps, repeat=dim) if pt.contains(system, x)), None)
+            if hit is not None:
+                assert feasible and all(hs.holds(hit) for hs in rational_rows(system)), rows
+                kinds["grid"] += 1
+        cert = pt.infeasibility_certificate(system)
+        assert (cert is None) == feasible
+        if cert is not None:
+            assert pt.verify_certificate(system, cert), rows
+            reverify_certificate(rational_rows(system), system, cert)
+            assert all(lam == 0 for lam, (_, offset, _) in zip(cert, rows) if offset), (rows, cert)
+            kinds["infeasible"] += 1
+    assert 250 < kinds["infeasible"] < 650 and kinds["bounded"] > 300 and kinds["grid"] > 150, kinds
+    # the cone itself: x > 0 with -x > 0 is empty whatever the positive rows add
+    forced = pt.integer_polytope(2, [((1, 0), 0, True), ((-1, 0), 0, True), ((-1, 1), 3, True)])
+    assert pt.infeasibility_certificate(forced) == (1, 1, 0)
+    dim, rows = CONE_BACK_SUBSTITUTION
+    system = pt.integer_polytope(dim, rows)
+    seen.clear()
+    assert pt.is_feasible(system) and fm_is_feasible(system)
+    assert seen and not pt.contains(system, seen[-1])
+    assert pt.contains(system, _lemma_point(system, seen[-1]))
