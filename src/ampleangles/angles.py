@@ -11,21 +11,19 @@ reported with the sign of the self-intersection quadratic on a grid; the
 quadratic is the family's integer Gram matrix.  The rows are integer
 rows from the start, read off the family's integer form, and the
 polytope is those rows; classify writes its candidates' rows with the
-same builder, from their class tuples.  A body computes its closure when
-the closure is first read: on a body of `aa_body`, for queries, and on
-classify's, by Fourier-Motzkin elimination, so a caller that reads only
-the open part runs none; `aa_report_body`, for the reports, hands in the
-closure that double description decides from the vertices the report
-prints.  The
-sign table counts each run of the grid scan along its last coordinate in
-closed form: there the quadratic is a + b.x + c.x^2 in integers, with a
-and b carried down the run's prefix.  The strong ALdP verdict is read
-off an exact body's rows.  The ALdP verdict first tests that -K - C is
-nef, i.e. that the origin satisfies the weakened rows (every offset is
->= 0), and reads the closure only then; its elimination then works on
-the rows tight at the origin alone, the body's tangent cone there.
-Classify makes the same nef test on its candidates' class tuples before
-it writes a body at all.
+same builder, from their class tuples.  `AABody(open_part, exactness)`
+is the one body: its closure comes from Fourier-Motzkin elimination and
+its vertices from double description on that closure, each computed on
+first read, so a caller that reads only the open part runs neither.
+The sign table counts each run of the grid scan along its last
+coordinate in closed form: there the quadratic is a + b.x + c.x^2 in
+integers, with a and b carried down the run's prefix.  The strong ALdP
+verdict is read off an exact body's rows.  The ALdP verdict first tests
+that -K - C is nef, i.e. that the origin satisfies the weakened rows
+(every offset is >= 0), and reads the closure only then; its elimination
+then works on the rows tight at the origin alone, the body's tangent
+cone there.  Classify makes the same nef test on its candidates' class
+tuples before it writes a body at all.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -75,25 +73,21 @@ _RANK_LE2_ONLY = "exact ampleness constraints exist only for the plane and F_n"
 
 class AABody(namedtuple("AABody", "open_part exactness")):
     """A body of ample angles: its open part (strict ampleness constraints
-    and the strict cube), EXACT or OUTER, and the open part's closure,
-    computed on first read.  A builder that already has the closure hands
-    it in as `closed`.  `vertices` are the closure's vertices on a report
-    body (`aa_report_body`), which decides the closure from them, and None
-    on a body built by `aa_body`.  Equality compares the open part and the
+    and the strict cube) and EXACT or OUTER.  The closure and its vertices
+    are computed on first read.  Equality compares the open part and the
     exactness only."""
-
-    def __new__(cls, open_part: pt.HPolytope, exactness: str, vertices=None, closed=None):
-        self = tuple.__new__(cls, (open_part, exactness))
-        self.vertices = vertices
-        if closed is not None:
-            self.__dict__["closed_hull"] = closed  # the cache `closed_hull` fills
-        return self
 
     @cached_property
     def closed_hull(self) -> pt.HPolytope:
         """The closure of the open part (canonical empty when it is
-        infeasible), by Fourier-Motzkin elimination unless handed in."""
+        infeasible), by Fourier-Motzkin elimination."""
         return pt.closure(self.open_part)
+
+    @cached_property
+    def vertices(self) -> pt.VPolytope:
+        """The closure's vertices, by double description (none when the
+        body is empty)."""
+        return pt.vertices(self.closed_hull)
 
     @property
     def exact(self) -> bool:
@@ -170,22 +164,9 @@ def _family_open_part(r: int, constant, increments, duals) -> pt.HPolytope:
 
 
 def aa_body(p: LogPair) -> AABody:
-    """The body (see `_open_part`), whose closure is computed by
-    Fourier-Motzkin elimination when it is first read, which stays fast on
-    the systems of classify, up to dimension 15; a caller that reads only
-    the open part or a verdict decided without the closure runs none.  On
-    a blow-up it is the outer body of `aa_outer_blowup` without its
-    quadratic report."""
+    """The body (see `_open_part`).  On a blow-up it is the outer body of
+    `aa_outer_blowup` without its quadratic report."""
     return AABody(*_open_part(p))
-
-
-def aa_report_body(p: LogPair) -> AABody:
-    """The body (see `_open_part`) with its closure and the closure's
-    vertices, both by double description: the vertices a report prints
-    decide whether the body is empty."""
-    open_part, exactness = _open_part(p)
-    closed, verts = pt.closure_and_vertices(open_part)
-    return AABody(open_part, exactness, verts, closed)
 
 
 def aa_halfspaces_rank_le2(p: LogPair) -> AABody:
@@ -198,17 +179,13 @@ def aa_halfspaces_rank_le2(p: LogPair) -> AABody:
 def is_aldp(p: LogPair):
     """Asymptotically log del Pezzo: the open body is non-empty and the
     origin lies in its closure.  UNKNOWN when only an outer body exists."""
-    if isinstance(p.surface.provenance, BlowUp):
-        return UNKNOWN
-    return aa_halfspaces_rank_le2(p).aldp
+    return aa_body(p).aldp
 
 
 def is_strongly_aldp(p: LogPair):
     """Ampleness on a whole semi-open sub-cube (0, eps]^r (see
     `AABody.strongly_aldp`).  UNKNOWN when only an outer body exists."""
-    if isinstance(p.surface.provenance, BlowUp):
-        return UNKNOWN
-    return aa_halfspaces_rank_le2(p).strongly_aldp
+    return aa_body(p).strongly_aldp
 
 
 def is_log_dp(p: LogPair):
@@ -340,7 +317,7 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
         raise ValueError("outer approximation applies to blow-up surfaces only")
     if grid_denominator < 2:
         raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
-    body = aa_report_body(p)
+    body = aa_body(p)
     # the Gram matrix of (constant, increments): their integer numerators
     # paired through the lattice matrix, so q(beta) = v.G.v / den^2 at v = (1, beta)
     den, constant, increments = log_adjoint(p).integer_form

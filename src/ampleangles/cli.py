@@ -102,7 +102,7 @@ def run_report(p: LogPair, echo: str) -> RunReport:
     if isinstance(p.surface.provenance, BlowUp):
         body, quadratic = angles.aa_outer_blowup(p)
     else:
-        body, quadratic = angles.aa_report_body(p), None
+        body, quadratic = angles.aa_body(p), None
     verdicts = {
         "log del Pezzo": angles.is_log_dp(p),
         # the printed body decides both ALdP verdicts, as `angles.is_*aldp` would
@@ -168,14 +168,14 @@ def cmd_aa(args) -> int:
         raise InputError(
             f"SVG output needs a 2-dimensional body; got {dim} (use --slice to cut down)"
         )
-    body = angles.aa_report_body(pair)
-    closed, verts = body.closed_hull, body.vertices
+    body = angles.aa_body(pair)
+    closed = body.closed_hull
     axis_names = [f"b{i + 1}" for i in range(pair.r)]
     for idx, val in slices:
         closed = pt.substitute(closed, idx - 1, val)
         axis_names.pop(idx - 1)
-    if slices:
-        verts = pt.vertices(closed)
+    # a section's vertices are its own: the whole body's are never enumerated
+    verts = pt.vertices(closed) if slices else body.vertices
     print(f"pair: {args.file}")
     if slices:
         fixed = ", ".join(f"b{i}={v}" for i, v in sorted(slices))

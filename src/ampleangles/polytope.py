@@ -16,13 +16,12 @@ implied by the others and is dropped.  A "feasible" answer that may rest
 on a history discarded with a duplicate row is confirmed by
 back-substitution, which builds a point of the rows eliminated.
 Infeasibility certificates are nonnegative integer multipliers on the
-rows, rebuilt from the provenance of the violated row.  Vertex
-enumeration is the double description method over the same rows,
-fraction-free from its first simplicial cone on; Fourier-Motzkin
-enters it only when the normals have rank below the dimension.  On a
-bounded system, `closure_and_vertices` decides emptiness from those
-vertices alone: the open system is non-empty iff their average
-satisfies it.  Closures, sections, interval-pruned grid scans and the
+rows, rebuilt from the provenance of the violated row.  That
+elimination decides every closure.  Vertex enumeration is the double
+description method over a closed system's rows, fraction-free from its
+first simplicial cone on; it only lists vertices, and Fourier-Motzkin
+enters it only when the normals have rank below the dimension.
+Closures, sections, interval-pruned grid scans and the
 canonical text all work on the rows.  The scan fixes one coordinate at a
 time, visits only prefixes of grid points of the body, and yields the
 last coordinate's exact interval under each as one run.  An affine map
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -586,32 +585,6 @@ def vertices(p: HPolytope) -> VPolytope:
     return VPolytope(
         dim, tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in found))
     )
-
-
-def closure_and_vertices(p: HPolytope) -> tuple[HPolytope, VPolytope]:
-    """The closure of p and its vertices, both decided by double description:
-    (the weakened rows, their vertices) when p is non-empty, else
-    (canonical_empty, no vertices).  The weakened system must be bounded,
-    as every system with the cube's rows is.
-
-    A bounded weakened system is a polytope, and the average of its
-    vertices lies in its relative interior.  When p has a point y, a
-    strict row f holds at every point x of that relative interior: x lies
-    inside a segment from y to some z of the polytope, and f(z) >= 0 with
-    f(y) > 0.  So p is non-empty exactly when the weakened system has
-    vertices and their average is in p.  `closure` decides the same by
-    Fourier-Motzkin elimination.
-    """
-    weak = _weakened(p)
-    found = vertices(weak)
-    points = found.vertices
-    if points:
-        # the average, summed in integers over the vertices' common denominator
-        den = lcm(*(x.denominator for v in points for x in v))
-        total = [sum(x.numerator * (den // x.denominator) for x in c) for c in zip(*points)]
-        if contains(p, [Fraction(t, den * len(points)) for t in total]):
-            return weak, found
-    return canonical_empty(p.dim), VPolytope(p.dim, ())
 
 
 def grid_runs(p: HPolytope, denom: int) -> Iterable[tuple[tuple[int, ...], int, int]]:

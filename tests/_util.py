@@ -353,14 +353,15 @@ def rank2_candidates(n_max):
 
 def aa_via_nef(p):
     """The body as [0,1]^r intersected with the preimage of the nef cone
-    under the class map, for the plane and F_n: the closure weak, the open
-    part with the pulled-back rows and the cube strict."""
+    under the class map, for the plane and F_n, and its closure: the open
+    part with the pulled-back rows and the cube strict, the closure with
+    both weak, built from the preimage and not by elimination."""
     nef = polytope(p.surface.rank, [halfspace(nm, 0, False) for nm in _nef_normals(p)])
     pulled = affine_preimage(class_map(p), nef).halfspaces
     closed = polytope(p.r, pulled + tuple(cube_halfspaces(p.r, False)))
     strict = tuple(HalfSpace(hs.normal, hs.offset, True) for hs in pulled)
     open_part = polytope(p.r, strict + tuple(cube_halfspaces(p.r, True)))
-    return AABody(open_part, EXACT, closed=closed)
+    return AABody(open_part, EXACT), closed
 
 
 def affine_product(outer, inner):

@@ -184,7 +184,7 @@ def test_criterion_5_nef_preimage_equivalence():
         for cand, _, _ in cl.enumerate_rank2(12):
             p = cl.build_pair(cand)
             direct = pt.closure(an.aa_halfspaces_rank_le2(p).open_part)
-            via = aa_via_nef(p).closed_hull
+            _, via = aa_via_nef(p)
             assert pt.canonical_text(direct) == pt.canonical_text(via)
             count += 1
         crit.detail = f"{count} survivors, n<=12"

@@ -495,11 +495,9 @@ def test_aa_via_nef_matches_direct():
         p2_pair([2, 1]),
     ]
     for p in cases:
-        via = aa_via_nef(p)
+        via, closed = aa_via_nef(p)
         direct = an.aa_halfspaces_rank_le2(p)
-        assert pt.canonical_text(via.closed_hull) == pt.canonical_text(
-            pt.closure(direct.open_part)
-        )
+        assert pt.canonical_text(closed) == pt.canonical_text(pt.closure(direct.open_part))
         assert via.exact
         # an independently built open part gives the same strength verdict
         assert via.strongly_aldp is direct.strongly_aldp
@@ -512,8 +510,8 @@ def test_class_map_at_one_is_minus_k():
 
 
 def test_p2_line_nef_preimage_is_cube():
-    body = aa_via_nef(p2_pair([1]))
-    assert minimal_canonical(body.closed_hull) == minimal_canonical(
+    _, closed = aa_via_nef(p2_pair([1]))
+    assert minimal_canonical(closed) == minimal_canonical(
         polytope(1, cube_halfspaces(1, strict=False))
     )
 
@@ -674,11 +672,11 @@ def test_elimination_and_double_description_agree_on_report_bodies():
     """Fourier-Motzkin and double description, two independent kernels,
     agree on every report body: the samples, the benchmark's chain inputs,
     the seeded blow-up scripts of the acceptance suite and the chains
-    r = 7..16.  The closure of `closure_and_vertices`, which reports use, is
-    `closure`'s: canonical_empty exactly when the weakened rows have no
-    vertex, or the average of their vertices, a point of the closure's
-    relative interior, fails a strict row.  Reports no longer run
-    Fourier-Motzkin, so this test keeps it on the chains."""
+    r = 7..16.  The body's closure, by elimination, is canonical_empty
+    exactly when the weakened rows have no vertex, or the average of their
+    vertices, a point of the closure's relative interior, fails a strict
+    row; the body's vertices, read after its closure, are those vertices
+    or none."""
     paths = sorted(SAMPLES.glob("*.pair"))
     paths += [REPO / "perfbench" / "inputs" / f"chain-r{r}.pair" for r in (5, 6)]
     pairs = [dsl.load_pair_spec(str(path)).final for path in paths]
@@ -687,10 +685,10 @@ def test_elimination_and_double_description_agree_on_report_bodies():
     pairs += [chain_pair(r) for r in range(7, 17)]
     kinds = Counter()
     for p in pairs:
-        body = an.aa_report_body(p)
-        assert "closed_hull" in vars(body)  # handed in: reading it runs no elimination
-        closed = pt.closure(body.open_part)
-        assert body.closed_hull == closed, p.r
+        body = an.aa_body(p)
+        assert "closed_hull" not in vars(body) and "vertices" not in vars(body)
+        closed = body.closed_hull
+        assert closed == pt.closure(body.open_part), p.r
         rows = body.open_part.integer_rows
         verts = pt.vertices(pt.integer_polytope(p.r, [(nm, c, False) for nm, c, _ in rows])).vertices
         inner = bool(verts) and pt.contains(body.open_part, [sum(c) / len(verts) for c in zip(*verts)])
@@ -701,12 +699,64 @@ def test_elimination_and_double_description_agree_on_report_bodies():
     assert kinds == Counter({True: 45, False: 1}), kinds
 
 
+# bases whose -K - C is not nef: Z on F_1 (Z^2 = -1), -H on the plane and
+# -F on F_1 with Z, a section of class Z + F and three fibers
+NON_NEF_BASES = [
+    lambda: pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("F1", (0, 1)), ("F2", (0, 1)), ("F3", (0, 1))]),
+    lambda: pr.make_pair(g.projective_plane(), [(f"L{i}", (1,)) for i in range(1, 5)]),
+    lambda: pr.make_pair(
+        g.hirzebruch(1), [("Z", (1, 0)), ("C", (1, 1)), ("F1", (0, 1)), ("F2", (0, 1)), ("F3", (0, 1))]
+    ),
+]
+
+
+def _non_nef_script(rng):
+    """A seeded blow-up script of at most 12 angles on a non-nef base.  On
+    the base with the section C it ends with two centres on one fiber, one
+    on Z and one on C, which empties most of those bodies (as in
+    samples/shared-fiber-degeneration.pair)."""
+    k = rng.randrange(len(NON_NEF_BASES))
+    base = NON_NEF_BASES[k]()
+    pair = _random_script(rng, base, rng.randint(1, 12 - base.r))
+    if k == 2:
+        pair = pr.blow_up_smooth_point(pr.blow_up_smooth_point(pair, "Z", "q1", "f"), "C", "q2", "f")
+    return pair
+
+
+def test_elimination_closes_non_nef_blowup_bodies():
+    """Outer bodies whose open part has a negative offset go through full
+    Fourier-Motzkin elimination, not the tangent cone at the origin: 200
+    seeded blow-up scripts up to r = 12 on bases whose -K - C is not nef,
+    empty and non-empty bodies both.  Every closure agrees with double
+    description's vertex-average test (the weakened rows have vertices and
+    their average satisfies the open part), and the 200 close in under
+    1 s together."""
+    rng = random.Random(2512)
+    bodies = [an.aa_body(_non_nef_script(rng)) for _ in range(200)]
+    start = time.perf_counter()
+    closures = [body.closed_hull for body in bodies]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"closing 200 non-nef blow-up bodies took {elapsed:.2f}s"
+    kinds = Counter()
+    for body, closed in zip(bodies, closures):
+        rows, r = body.open_part.integer_rows, body.open_part.dim
+        assert r <= 12 and any(offset < 0 for _, offset, _ in rows)
+        verts = pt.vertices(pt.integer_polytope(r, [(nm, c, False) for nm, c, _ in rows])).vertices
+        inner = bool(verts) and pt.contains(body.open_part, [sum(c) / len(verts) for c in zip(*verts)])
+        assert (closed == pt.canonical_empty(r)) == (not inner), rows
+        assert body.vertices.vertices == (verts if inner else ()), rows
+        kinds[inner] += 1
+        kinds["r >= 10"] += r >= 10
+    assert kinds[True] >= 20 and kinds[False] >= 20 and kinds["r >= 10"] >= 4, kinds
+
+
 def test_elimination_scales_on_chains():
     """Fourier-Motzkin on the chains' open parts, whose offsets are all >= 0,
     eliminates only the rows with offset 0, their tangent cone at the
     origin: r = 20, 26 and 30 are feasible in under 0.5 s together
     (eliminating every row took 11.2 s at r = 20 alone).  Up to r = 16 the
-    verdict agrees with double description's `closure_and_vertices`."""
+    verdict agrees with double description: the weakened rows have
+    vertices and their average satisfies the open part."""
     bodies = [an.aa_body(chain_pair(r)).open_part for r in (20, 26, 30)]
     start = time.perf_counter()
     verdicts = [pt.is_feasible(body) for body in bodies]
@@ -716,8 +766,10 @@ def test_elimination_scales_on_chains():
     for r in (4, 8, 12, 16):
         body = an.aa_body(chain_pair(r)).open_part
         assert all(offset >= 0 for _, offset, _ in body.integer_rows), r
-        closed, _ = pt.closure_and_vertices(body)
-        assert pt.is_feasible(body) == (closed != pt.canonical_empty(r)), r
+        rows = body.integer_rows
+        verts = pt.vertices(pt.integer_polytope(r, [(nm, c, False) for nm, c, _ in rows])).vertices
+        inner = bool(verts) and pt.contains(body, [sum(c) / len(verts) for c in zip(*verts)])
+        assert pt.is_feasible(body) == inner, r
 
 
 def test_run_signs_match_pointwise_evaluation():
@@ -928,8 +980,9 @@ def _random_rank2_pairs(rng, count):
 def test_lazy_aldp_matches_eager_closure():
     """On every classify candidate and on seeded boundaries beyond them, the
     body's ALdP and strong ALdP verdicts and its closure equal the eager
-    forms: the closure by Fourier-Motzkin elimination and the ALdP verdict
-    as the origin's membership in it.  The closure is computed only where
+    forms: a twin body whose closure, by Fourier-Motzkin elimination, is
+    read before its verdicts, and the ALdP verdict as the origin's
+    membership in that closure.  The closure is computed only where
     -K - C is nef, i.e. every offset of the open part is >= 0."""
     pairs = [cand.pair for cand in rank2_candidates(12)]
     assert len(pairs) == 386
@@ -942,7 +995,8 @@ def test_lazy_aldp_matches_eager_closure():
         nef = all(offset >= 0 for _, offset, _ in open_part.integer_rows)
         assert ("closed_hull" in vars(body)) is nef
         closed = pt.closure(open_part)
-        eager = an.AABody(open_part, an.EXACT, closed=closed)
+        eager = an.AABody(open_part, an.EXACT)
+        assert eager.closed_hull == closed  # read before the verdicts
         assert aldp is pt.contains(closed, [0] * p.r) is eager.aldp
         assert body.strongly_aldp is eager.strongly_aldp is an.is_strongly_aldp(p)
         assert body.closed_hull == closed and body.serialize() == eager.serialize()

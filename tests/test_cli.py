@@ -413,10 +413,11 @@ def test_check_chain_r7_scaling(tmp_path, capsys):
 
 def test_check_chain_r12_r16_scaling(tmp_path, capsys):
     """The longer chains stay in reach of the report path, which decides
-    emptiness by double description from the vertices it prints: check
-    takes under 0.5 s on r = 12 and under 2 s on r = 16 (Fourier-Motzkin
-    without Chernikov's rule took over a minute at r = 9).  The r = 12
-    vertices are checked against the printed closure."""
+    emptiness by Fourier-Motzkin elimination on the rows tight at the
+    origin and lists the vertices by double description: check takes under
+    0.5 s on r = 12, under 2 s on r = 16 and under 1 s on r = 20
+    (Fourier-Motzkin without Chernikov's rule took over a minute at r = 9).
+    The r = 12 vertices are checked against the printed closure."""
     code, out, elapsed = _check_chain(tmp_path, capsys, 12)
     assert code == 2
     assert elapsed < 0.5, f"check on the r = 12 chain took {elapsed:.2f}s"
@@ -425,6 +426,10 @@ def test_check_chain_r12_r16_scaling(tmp_path, capsys):
     assert code == 2
     assert elapsed < 2.0, f"check on the r = 16 chain took {elapsed:.2f}s"
     assert out.count("\n  (") == 368  # the printed vertices
+    code, out, elapsed = _check_chain(tmp_path, capsys, 20)
+    assert code == 2
+    assert elapsed < 1.0, f"check on the r = 20 chain took {elapsed:.2f}s"
+    assert out.count("\n  (") == 670
 
 
 def test_aa_svg_output(specs):
@@ -448,10 +453,11 @@ def test_aa_svg_output(specs):
     assert "SVG output needs a 2-dimensional body" in no_slice.stderr
 
 
-def test_aa_slice_svg_runs_double_description_twice(tmp_path, monkeypatch, capsys):
-    """aa --slice --svg runs double description on the whole body and on the
-    printed section, and draws the SVG from the section's printed vertices:
-    two calls of polytope.vertices, and the reference picture."""
+def test_aa_slice_svg_enumerates_only_the_section(tmp_path, monkeypatch, capsys):
+    """aa --slice --svg runs double description on the printed section
+    alone, never on the whole body, and draws the SVG from the section's
+    printed vertices: one call of polytope.vertices, on a 2-dimensional
+    system, and the reference picture."""
     calls = []
     vertices = pt.vertices
 
@@ -465,7 +471,7 @@ def test_aa_slice_svg_runs_double_description_twice(tmp_path, monkeypatch, capsy
     argv = ["aa", str(root / "samples" / "three-fibers.pair"), "--slice", "1=1/2", "--svg", str(svg)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert [p.dim for p in calls] == [2]
     ref = root / "perfbench" / "ref" / "aa-three-fibers.svg"
     assert svg.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
 

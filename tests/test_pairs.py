@@ -684,12 +684,12 @@ def test_value_types_are_immutable_named_tuples():
     # in test_angle_vector_range and test_diagonal_map_divides_out_the_gcd
     assert pr.NodeRecord("x", (2, 0), "f") == ("x", (0, 2), "f")
 
-    # equality ignores the vertices and the closure a body was built with
-    body = an.aa_report_body(fig1_pair())
+    # equality ignores the closure and vertices a body has computed
+    body = an.aa_body(fig1_pair())
     bare = an.AABody(body.open_part, body.exactness)
-    assert body.vertices is not None and "closed_hull" in vars(body) and "closed_hull" not in vars(bare)
+    assert body.vertices.vertices and "closed_hull" in vars(body) and not vars(bare)
     assert body == bare and hash(body) == hash(bare)
-    assert bare.vertices is None and bare.closed_hull == body.closed_hull
+    assert bare.vertices == body.vertices and bare.closed_hull == body.closed_hull
 
     # a family handed its integer form serves it as it is
     family = pr.log_adjoint(fig1_pair())
