@@ -14,10 +14,11 @@ polytope is those rows; classify writes its candidates' rows with the
 same builder, from their class tuples.  `AABody(open_part, exactness)`
 is the one body: its closure comes from Fourier-Motzkin elimination and
 its vertices from double description on that closure, each computed on
-first read, so a caller that reads only the open part runs neither.
-The sign table counts each run of the grid scan along its last
-coordinate in closed form: there the quadratic is a + b.x + c.x^2 in
-integers, with a and b carried down the run's prefix.  The strong ALdP
+first read, so a caller that reads only the open part, as the blow-up
+report does, runs neither.  Its sign table, on the grid of step 1/16
+(1/4 above r = 4), is one pass that prunes each coordinate by the rows
+and carries the quadratic down, so that along the last coordinate it is
+a + b.x + c.x^2 in integers, counted in closed form.  The strong ALdP
 verdict is read off an exact body's rows.  The ALdP verdict first tests
 that -K - C is nef, i.e. that the origin satisfies the weakened rows
 (every offset is >= 0), and reads the closure only then; its elimination
@@ -256,67 +257,79 @@ def _root_in(num: int, den: int, lo: int, hi: int) -> int:
     return int(num % den == 0 and lo <= num // den <= hi)
 
 
-def _quadratic_signs(gram, denom: int, runs) -> tuple[int, int, int]:
-    """How many integer points k give q(k/denom) a positive, zero and
-    negative sign, in that order, where q(beta) = v.G.v at v = (1, beta)
-    for the symmetric integer Gram matrix G = `gram`.  The points come as
-    runs (prefix, lo, hi) of `polytope.grid_runs`: prefix + (x,) for
-    lo <= x <= hi.
+def _quadratic_signs(gram, denom: int, p: pt.HPolytope) -> tuple[int, int, int]:
+    """How many integer points k of {1..denom-1}^r with k/denom in p
+    (r = p.dim >= 1) give q(k/denom) a positive, zero and negative sign, in
+    that order, for q(beta) = v.G.v at v = (1, beta), G = `gram` symmetric.
 
-    The sign of q(k/denom) is the sign of the integer Q = denom^2.q(k/denom).
-    Along the last coordinate x, Q = a + b.x + c.x^2, and `_run_signs`
-    counts a run in closed form.  a and b come from the prefix one
-    coordinate at a time: level j keeps the terms of Q in k_0..k_j-1 alone
-    and the coefficients of k_j..k_r-1 linear in them.  When the prefix
-    changes, the levels are rebuilt from the first coordinate that
-    changed, which in lexicographic order is mostly the last.  Runs in
-    any order give the same table.
+    A row holds at k when normal.k >= least = strict - offset.denom (an
+    integer is > 0 iff it is >= 1).  One pass fixes k_0, k_1, ... in turn:
+    with the prefix's partial sum s and best, the largest value the rest
+    can take, c.k_j >= least - s - best bounds k_j below (c > 0) or above
+    (c < 0), so only values that leave every row satisfiable are visited.
+    Next to s it carries the integer Q = denom^2.q(k/denom): its terms a in
+    the fixed coordinates and the coefficients lin of the free ones.  Along
+    the last coordinate, whose bounds are exact, Q = a + lin_0.x + c.x^2,
+    counted by `_run_signs`.
     """
-    r = len(gram) - 1
-    c0 = gram[0][0] * denom * denom
-    pos = zero = neg = 0
-    if not r:  # q is its constant: the run ((), 0, 0) is the one point
-        for _, lo, hi in runs:
-            p, z, n = _run_signs(c0, 0, 0, lo, hi)
-            pos, zero, neg = pos + p, zero + z, neg + n
-        return pos, zero, neg
+    r, top = p.dim, denom - 1
+    levels = [[] for _ in range(r)]  # per coordinate: (row, c, least - best)
+    tested = 0
+    for normal, offset, strict in p.integer_rows:
+        least = int(strict) - offset * denom
+        # a row that holds at the minimizing corner of the box needs no test
+        if sum(c if c > 0 else c * top for c in normal) >= least:
+            continue
+        best = 0
+        for j in range(r - 1, -1, -1):
+            c = normal[j]
+            if c:
+                levels[j].append((tested, c, least - best))
+                best += c * top if c > 0 else c
+        # a row that fails at the maximizing corner empties the box
+        if best < least:
+            return 0, 0, 0
+        tested += 1
     c2 = [row[1:] for row in gram[1:]]
     last = r - 1
-    c = c2[last][last]
     # cross[j]: the coefficients 2.G_mj of k_m.k_j for m > j
     cross = [[2 * row[j] for row in c2[j + 1 :]] for j in range(last)]
-    constant = [c0] + [0] * last
-    linear = [[2 * denom * v for v in gram[0][1:]]] + [[]] * last  # linear[j]: m = j..r-1
-    head = None
-    for prefix, lo, hi in runs:
-        if prefix != head:
-            changed = 0
-            if head is not None:
-                while prefix[changed] == head[changed]:
-                    changed += 1
-            for j in range(changed, last):
-                x, lin = prefix[j], linear[j]
-                constant[j + 1] = constant[j] + x * (lin[0] + c2[j][j] * x)
-                linear[j + 1] = [v + w * x for v, w in zip(lin[1:], cross[j])]
-            head = prefix
-        p, z, n = _run_signs(constant[last], linear[last][0], c, lo, hi)
-        pos, zero, neg = pos + p, zero + z, neg + n
-    return pos, zero, neg
+
+    def scan(j, partial, a, lin):
+        lo, hi = 1, top
+        for i, c, need in levels[j]:
+            need -= partial[i]  # c.k_j >= need
+            if c > 0:
+                lo = max(lo, -(-need // c))  # the ceiling of need / c
+            else:
+                hi = min(hi, need // c)  # the floor, as c < 0
+        if j == last:
+            if lo <= hi:
+                for sign, count in enumerate(_run_signs(a, lin[0], c2[j][j], lo, hi)):
+                    signs[sign] += count
+            return
+        b, c, rest = lin[0], c2[j][j], lin[1:]
+        for x in range(lo, hi + 1):
+            step = partial[:]
+            for i, cj, _ in levels[j]:
+                step[i] += cj * x
+            scan(j + 1, step, a + x * (b + c * x), [v + w * x for v, w in zip(rest, cross[j])])
+
+    signs = [0, 0, 0]
+    scan(0, [0] * tested, gram[0][0] * denom * denom, [2 * denom * v for v in gram[0][1:]])
+    return tuple(signs)
 
 
-def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, QuadraticReport]:
+def aa_outer_blowup(p: LogPair) -> tuple[AABody, QuadraticReport]:
     """Outer approximation of the body on a blow-up surface.
 
     Uses only the tracked curve list (boundary, exceptional history, fiber
     transforms through the centers), so the true body is contained in the
-    result.  The self-intersection quadratic is evaluated on the grid of
-    step 1/grid_denominator (at most 1/4 above r = 4) of the linear body
-    and reported alongside; the denominator must be at least 2.
+    result.  The self-intersection quadratic is signed on the grid of step
+    1/16 (1/4 above r = 4) of the open body and reported alongside.
     """
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("outer approximation applies to blow-up surfaces only")
-    if grid_denominator < 2:
-        raise ValueError(f"grid denominator must be at least 2, got {grid_denominator}")
     body = aa_body(p)
     # the Gram matrix of (constant, increments): their integer numerators
     # paired through the lattice matrix, so q(beta) = v.G.v / den^2 at v = (1, beta)
@@ -329,12 +342,8 @@ def aa_outer_blowup(p: LogPair, grid_denominator: int = 16) -> tuple[AABody, Qua
     linear = tuple(Fraction(2 * v, scale) for v in gram[0][1:])
     quad = tuple(tuple(Fraction(v, scale) for v in row[1:]) for row in gram[1:])
     # keep the sample count at desk scale for deep blow-ups
-    denom = grid_denominator if p.r <= 4 else min(grid_denominator, 4)
-    # a closure without vertices means an infeasible open part: no grid point can pass
-    if not body.vertices.vertices:
-        signs = (0, 0, 0)
-    else:
-        signs = _quadratic_signs(gram, denom, pt.grid_runs(body.open_part, denom))
+    denom = 16 if p.r <= 4 else 4
+    signs = _quadratic_signs(gram, denom, body.open_part)
     report = QuadraticReport(const, linear, quad, denom, sum(signs), *signs)
     return body, report
 

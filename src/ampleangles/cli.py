@@ -11,7 +11,8 @@ Exit codes: 0 computed (any verdict) or --help, 1 input error (a bad
 spec, file or option, usage errors included), 2 a verdict came back
 unknown/unsupported, 3 internal error (any other exception, such as a
 failed self-check, a family-table miss or a library ValueError: a bug,
-not bad input).  Reports are deterministic; timing goes to stderr only.
+not bad input), 141 (128 + SIGPIPE, no message) stdout closed early, as
+under `| head`.  Reports are deterministic; timing goes to stderr only.
 `classify` prints each rank-2 row's body from the closure its
 acceptance test already computed.
 """
@@ -267,6 +268,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the rest goes nowhere, not to a failing exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, OSError) as exc:  # SpecParseError is an InputError
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -21,14 +21,12 @@ elimination decides every closure.  Vertex enumeration is the double
 description method over a closed system's rows, fraction-free from its
 first simplicial cone on; it only lists vertices, and Fourier-Motzkin
 enters it only when the normals have rank below the dimension.
-Closures, sections, interval-pruned grid scans and the
-canonical text all work on the rows.  The scan fixes one coordinate at a
-time, visits only prefixes of grid points of the body, and yields the
-last coordinate's exact interval under each as one run.  An affine map
-is the coordinatewise substitution x_i -> (slope.x_i + shift_i)/den,
-kept as those integers in lowest terms; it applies on them, and its
-Fraction matrix and translation are views built on each read.  Everything is exact, over
-`fractions.Fraction` and `int`; there is no floating-point mode.
+Closures, sections and the canonical text all work on the rows.  An
+affine map is the coordinatewise substitution x_i -> (slope.x_i +
+shift_i)/den, kept as those integers in lowest terms; it applies on
+them, and its Fraction matrix and translation are views built on each
+read.  Everything is exact, over `fractions.Fraction` and `int`; there
+is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -585,65 +583,6 @@ def vertices(p: HPolytope) -> VPolytope:
     return VPolytope(
         dim, tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in found))
     )
-
-
-def grid_runs(p: HPolytope, denom: int) -> Iterable[tuple[tuple[int, ...], int, int]]:
-    """The integer points k of {1..denom-1}^dim with k/denom in p, as runs
-    (prefix, lo, hi) in lexicographic order: the points prefix + (x,) for
-    lo <= x <= hi, every one of them in p, with lo <= hi.  In dimension 0
-    the one point () has no last coordinate; it comes as the run ((), 0, 0).
-
-    Each row holds at k when normal.k >= least, with least = strict -
-    offset.denom on the gcd-normalized row (an integer is > 0 iff it is
-    >= 1).  The scan fixes k_0, k_1, ... in turn and visits only values
-    that leave every row satisfiable on the rest of the box: with the
-    prefix's partial sum s and best, the largest value the remaining
-    terms can take, row c.k_j >= least - s - best bounds k_j from below
-    (c > 0) or above (c < 0).  The last coordinate's bounds are exact, so
-    they are the run.
-    """
-    top = denom - 1
-    levels = [[] for _ in range(p.dim)]  # per coordinate: (row, c, least - best)
-    tested = 0
-    for normal, offset, strict in p.integer_rows:
-        least = int(strict) - offset * denom
-        # a row that holds at the minimizing corner of the box needs no test
-        if sum(c if c > 0 else c * top for c in normal) >= least:
-            continue
-        best = 0
-        for j in range(p.dim - 1, -1, -1):
-            c = normal[j]
-            if c:
-                levels[j].append((tested, c, least - best))
-                best += c * top if c > 0 else c
-        # a row that fails at the maximizing corner empties the box
-        if best < least:
-            return
-        tested += 1
-    if not p.dim:
-        yield (), 0, 0
-        return
-    last = p.dim - 1
-
-    def scan(j, prefix, partial):
-        lo, hi = 1, top
-        for i, c, need in levels[j]:
-            need -= partial[i]  # c.k_j >= need
-            if c > 0:
-                lo = max(lo, -(-need // c))  # the ceiling of need / c
-            else:
-                hi = min(hi, need // c)  # the floor, as c < 0
-        if j == last:
-            if lo <= hi:
-                yield prefix, lo, hi
-            return
-        for x in range(lo, hi + 1):
-            step = partial[:]
-            for i, c, _ in levels[j]:
-                step[i] += c * x
-            yield from scan(j + 1, prefix + (x,), step)
-
-    yield from scan(0, (), [0] * tested)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 
 from ampleangles import classify as cl
 from ampleangles.angles import EXACT, AABody
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
-from ampleangles.polytope import HalfSpace, integer_polytope
+from ampleangles.polytope import HalfSpace, cube_rows, integer_polytope
 
 F = Fraction
 
@@ -76,18 +77,53 @@ def brute_force_grid_points(p, denom):
     ]
 
 
-def expand_runs(runs, dim):
-    """The points of the runs (prefix, lo, hi) of `polytope.grid_runs`:
-    prefix + (x,) for lo <= x <= hi, and the run ((), 0, 0) of dimension 0
-    as the one point ()."""
-    if not dim:
-        assert all(run == ((), 0, 0) for run in runs), runs
-        return [() for _ in runs]
-    points = []
-    for prefix, lo, hi in runs:
-        assert len(prefix) == dim - 1 and lo <= hi, (prefix, lo, hi)
-        points += [prefix + (x,) for x in range(lo, hi + 1)]
-    return points
+def grid_system(rng, dim, denom):
+    """Random mixed integer rows, most of them hyperplanes through a random
+    point of the closed box so that they cut it, and most turned to keep one
+    random grid point; sometimes the cube's faces, a duplicate row, or a
+    constant row that holds or fails everywhere."""
+    rows = []
+    span = max(denom, 2)
+    keep = [rng.randint(1, span - 1) for _ in range(dim)]
+    for _ in range(rng.randint(0, 5)):
+        normal = [rng.randint(-6, 6) if rng.random() < 0.75 else 0 for _ in range(dim)]
+        through = [rng.randint(0, span) for _ in range(dim)]
+        offset = -(sum(c * k for c, k in zip(normal, through)) // span) + rng.randint(-1, 1)
+        if sum(c * k for c, k in zip(normal, keep)) + offset * span < 0 and rng.random() < 0.8:
+            normal, offset = [-c for c in normal], -offset
+        rows.append((normal, offset, rng.random() < 0.5))
+    if rng.random() < 0.3:
+        rows += cube_rows(dim, rng.random() < 0.5)
+    if rows and rng.random() < 0.2:
+        rows.append(rng.choice(rows))
+    if rng.random() < 0.1:
+        rows.append(((0,) * dim, rng.choice([-1, 0, 1]), rng.random() < 0.5))
+    rng.shuffle(rows)
+    return integer_polytope(dim, rows)
+
+
+def random_gram(rng, r):
+    """A random symmetric (r + 1) x (r + 1) integer matrix, entries in -9..9."""
+    upper = [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(r + 1)]
+    return [[upper[min(i, j)][max(i, j)] for j in range(r + 1)] for i in range(r + 1)]
+
+
+def unit_gram(r):
+    """The Gram matrix of q = 1 in r angles: every point is positive."""
+    return [[int(i == j == 0) for j in range(r + 1)] for i in range(r + 1)]
+
+
+def gram_signs(gram, denom, points):
+    """How many integer points k give q(k/denom) a positive, zero and
+    negative sign, in that order, for q(beta) = v.G.v at v = (1, beta):
+    each point on its own, as the integer denom^2.q(k/denom) = w.G.w at
+    w = (denom, k)."""
+    signs = Counter()
+    for k in points:
+        w = (denom, *k)
+        q = sum(x * sum(map(mul, row, w)) for x, row in zip(w, gram))
+        signs[(q > 0) - (q < 0)] += 1
+    return signs[1], signs[0], signs[-1]
 
 
 def adjoint_coeffs(surface_minus_k, boundary, beta):

@@ -26,17 +26,20 @@ from _util import (
     cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
-    expand_runs,
     family_at,
     fn_table,
     fraction_reparam,
+    gram_signs,
     grid,
+    grid_system,
     halfspace,
     identity_map,
     oracle_rows,
     polytope,
+    random_gram,
     rank2_candidates,
     remove_redundant,
+    unit_gram,
 )
 from test_acceptance import BASES, _random_script
 
@@ -554,14 +557,6 @@ def test_outer_blowup_requires_blowup_surface():
         an.aa_outer_blowup(fn_pair(1, [(1, 0)]))
 
 
-def test_outer_blowup_rejects_grid_denominator_below_two():
-    up = pr.blow_up_node(fn_pair(1, [(1, 0), (0, 1)]), "C1.C2.1", "E")
-    for denom in (1, 0, -3):
-        with pytest.raises(ValueError, match="grid denominator"):
-            an.aa_outer_blowup(up, grid_denominator=denom)
-    assert an.aa_outer_blowup(up, grid_denominator=2)[1].grid_denominator == 2
-
-
 def fiber_blowups(fiber_tag):
     """F_2 with C1 + C2 + C3 + C4, blown up at a smooth point of C1 and one
     of C4: on one fiber when both steps carry the same fiber tag, on
@@ -606,22 +601,42 @@ def fraction_sign_table(p, open_part, denom):
     return sum(signs.values()), signs[1], signs[0], signs[-1]
 
 
+def report_gram(report):
+    """The report's quadratic as an integer Gram matrix: the symmetric
+    matrix of its Fraction fields (half the linear terms off the diagonal)
+    times their common denominator, which keeps every sign."""
+    half = [v / 2 for v in report.linear]
+    rows = [[report.constant, *half]] + [[h, *row] for h, row in zip(half, report.quadratic)]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * scale) for v in row] for row in rows]
+
+
 def test_quadratic_sign_table_against_fraction_scan():
     near = dsl.load_pair_spec(str(SAMPLES / "infinitely-near.pair")).final
-    # 16 and the odd 7 and 9 as given; r = 5 caps the grid at 1/4, and r = 6
-    # keeps the odd 3 below the cap
-    cases = (
-        (near, 16, 16), (near, 7, 7), (chain_pair(5), 16, 4), (chain_pair(6), 3, 3),
-        (fiber_blowups(None), 9, 9),
-    )
-    for p, denom, used in cases:
-        body, report = an.aa_outer_blowup(p, grid_denominator=denom)
+    # the report's own grids: 1/16, and 1/4 above r = 4
+    for p, used in ((near, 16), (chain_pair(5), 4)):
+        body, report = an.aa_outer_blowup(p)
         assert report.grid_denominator == used
         got = (report.samples, report.positive, report.zero, report.negative)
         assert got == fraction_sign_table(p, body.open_part, used)
+    # the odd 7, 9 and 3 on the report's quadratic and open body; r = 6
+    # keeps the 3 below the report's 1/4
+    for p, denom in ((near, 7), (chain_pair(6), 3), (fiber_blowups(None), 9)):
+        body, report = an.aa_outer_blowup(p)
+        signs = an._quadratic_signs(report_gram(report), denom, body.open_part)
+        assert (sum(signs), *signs) == fraction_sign_table(p, body.open_part, denom)
     shared = dsl.load_pair_spec(str(SAMPLES / "shared-fiber-degeneration.pair")).final
     _, report = an.aa_outer_blowup(shared)
     assert report.samples == 0
+
+
+def test_outer_blowup_reads_no_vertices():
+    """The report signs the quadratic on the open part alone: neither the
+    closure nor its vertices are computed, on an empty body or a live one."""
+    for name in ("shared-fiber-degeneration", "infinitely-near"):
+        p = dsl.load_pair_spec(str(SAMPLES / f"{name}.pair")).final
+        body, _ = an.aa_outer_blowup(p)
+        assert "vertices" not in vars(body) and "closed_hull" not in vars(body), name
 
 
 def test_sign_table_against_adjoint_square_at_grid_points():
@@ -647,9 +662,10 @@ def test_sign_table_against_adjoint_square_at_grid_points():
 
 
 def test_grid_points_on_shipped_bodies():
-    """The pruned scan's runs, expanded, against the brute-force oracle,
-    order included, on the open body of every pair the samples build, at
-    1/7 and the CLI's 1/16, and of the r = 5..8 chains at 1/4 (the cap
+    """The one-pass sign table against the brute-force grid points, under
+    q = 1 (their number) and a random integer Gram matrix (their signs one
+    by one), on the open body of every pair the samples build, at 1/7 and
+    the CLI's 1/16, and of the r = 5..8 chains at 1/4 (the report's grid
     above r = 4) and, for r <= 6, at 1/7.  The chains' open bodies are
     built from the oracle rows, which skips the closure aa_body computes
     (seconds at r = 8)."""
@@ -660,11 +676,14 @@ def test_grid_points_on_shipped_bodies():
     for r in range(5, 9):
         open_part = polytope(r, oracle_rows(chain_pair(r)) + cube_halfspaces(r, strict=True))
         bodies += [(open_part, denom) for denom in ((4, 7) if r <= 6 else (4,))]
+    rng = random.Random(2626)
     hits = 0
     for body, denom in bodies:
-        got = expand_runs(list(pt.grid_runs(body, denom)), body.dim)
-        assert got == brute_force_grid_points(body, denom), (body.dim, denom)
-        hits += len(got)
+        points = brute_force_grid_points(body, denom)
+        gram = random_gram(rng, body.dim)
+        assert an._quadratic_signs(gram, denom, body) == gram_signs(gram, denom, points), (body.dim, denom)
+        assert an._quadratic_signs(unit_gram(body.dim), denom, body) == (len(points), 0, 0)
+        hits += len(points)
     assert len(bodies) == 22 and hits > 40_000
 
 
@@ -813,51 +832,38 @@ def test_run_signs_match_pointwise_evaluation():
 
 
 def test_quadratic_signs_match_fraction_evaluation():
-    # every sampled sign on the shipped pairs is positive, so the run
-    # counter is checked on random symmetric integer Gram matrices as well
+    # every sampled sign on the shipped pairs is positive, so the table is
+    # checked on random systems and symmetric integer Gram matrices as well,
+    # each scaled so that q vanishes at a grid point of the system
     rng = random.Random(31)
     seen = Counter()
     for _ in range(40):
-        r, denom = rng.randint(0, 4), rng.choice([2, 3, 7, 16])
-        upper = [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(r + 1)]
-        gram = [[upper[min(i, j)][max(i, j)] for j in range(r + 1)] for i in range(r + 1)]
-        if r:
-            runs = []
-            for _ in range(12):
-                lo = rng.randint(1, denom - 1)
-                prefix = tuple(rng.randint(1, denom - 1) for _ in range(r - 1))
-                runs.append((prefix, lo, rng.randint(lo, denom - 1)))
-            # runs in reverse lexicographic order, repeated runs, and a
-            # repeated prefix with another interval, so that the prefix
-            # levels are rebuilt from every coordinate
-            runs += sorted(runs[:6], reverse=True) + [runs[0], runs[1], runs[0]]
-            runs.append((runs[1][0], 1, 1))
-        else:
-            runs = [((), 0, 0)] * 3
-        points = expand_runs(runs, r)
+        r = rng.randint(1, 4)
+        denom = rng.choice([d for d in (2, 3, 7, 16) if (d - 1) ** r <= 4000])
+        points = []
+        while not points:
+            system = grid_system(rng, r, denom)
+            points = brute_force_grid_points(system, denom)
+        gram = random_gram(rng, r)
 
         def q(k):
             v = [F(1)] + [F(x, denom) for x in k]
             return sum(gram[i][j] * v[i] * v[j] for i in range(r + 1) for j in range(r + 1))
 
-        if r:
-            # scale the rest of the form so that an integer constant makes
-            # q vanish at the first point; for r = 0, q is a random constant
-            for i in range(r + 1):
-                for j in range(r + 1):
-                    gram[i][j] *= denom * denom
-            gram[0][0] = 0
-            rest = q(points[0])
-            assert rest.denominator == 1
-            gram[0][0] = -rest.numerator
+        # scale the rest of the form so that an integer constant makes q
+        # vanish at a random point of the system
+        for i in range(r + 1):
+            for j in range(r + 1):
+                gram[i][j] *= denom * denom
+        gram[0][0] = 0
+        rest = q(rng.choice(points))
+        assert rest.denominator == 1
+        gram[0][0] = -rest.numerator
         want = Counter()
         for k in points:
             value = q(k)
             want[(value > 0) - (value < 0)] += 1
-        table = (want[1], want[0], want[-1])
-        assert an._quadratic_signs(gram, denom, runs) == table
-        # a single pass over an iterator gives the same table
-        assert an._quadratic_signs(gram, denom, iter(runs)) == table
+        assert an._quadratic_signs(gram, denom, system) == (want[1], want[0], want[-1])
         seen += want
     assert all(seen[s] > 40 for s in (1, 0, -1)), seen
 
@@ -948,7 +954,7 @@ def test_bodies_match_oracle_rows_on_seeded_blowup_scripts():
             blow = pr.blow_up_smooth_point if op == "smooth" else pr.blow_up_node
             p = blow(p, target, f"e{step}")
         assert_body_matches_oracle(p, an.aa_body(p))
-        assert_body_matches_oracle(p, an.aa_outer_blowup(p, grid_denominator=2)[0])
+        assert_body_matches_oracle(p, an.aa_outer_blowup(p)[0])
 
 
 def test_bodies_match_oracle_rows_on_classify_candidates():

@@ -50,19 +50,24 @@ component C 2 4
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(ampleangles.__file__)))
 
 
-def run_cli(args, cwd):
-    """Run ``python -m ampleangles.cli`` in ``cwd``."""
+def cli_env():
+    """The environment of a CLI child: PACKAGE_ROOT first on PYTHONPATH."""
     full_env = dict(os.environ)
     inherited = full_env.get("PYTHONPATH")
     full_env["PYTHONPATH"] = (
         PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
     )
+    return full_env
+
+
+def run_cli(args, cwd):
+    """Run ``python -m ampleangles.cli`` in ``cwd``."""
     return subprocess.run(
         [sys.executable, "-m", "ampleangles.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=full_env,
+        env=cli_env(),
     )
 
 
@@ -597,3 +602,56 @@ def test_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-I", "-c", code, PACKAGE_ROOT], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+# the exit code of each reference run, as the benchmark's reports and
+# classify workloads expect it: verdicts on blow-ups come back unknown
+GOLDEN_EXIT = {
+    "check-figure1": 0,
+    "check-three-fibers": 0,
+    "check-infinitely-near": 2,
+    "check-shared-fiber-degeneration": 2,
+    "check-chain-r5": 2,
+    "check-chain-r6": 2,
+    "classify-maeda": 0,
+    "classify-rank2": 0,
+}
+
+
+def test_check_and_classify_match_the_benchmark_references(monkeypatch, capsys):
+    """check on the samples and chain inputs, and classify in both modes at
+    n <= 12, run in-process from the repository root, print their
+    perfbench/ref/ files byte for byte; the references are only read."""
+    monkeypatch.chdir(REPO)
+    refs = sorted((REPO / "perfbench" / "ref").glob("check-*.out"))
+    refs += sorted((REPO / "perfbench" / "ref").glob("classify-*.out"))
+    assert {ref.stem for ref in refs} == set(GOLDEN_EXIT)
+    for ref in refs:
+        command, name = ref.stem.split("-", 1)
+        if command == "classify":
+            argv = ["classify", "--mode", name, "--n-max", "12"]
+        elif (REPO / "samples" / f"{name}.pair").exists():
+            argv = ["check", f"samples/{name}.pair"]
+        else:
+            argv = ["check", f"perfbench/inputs/{name}.pair"]
+        assert cli.main(argv) == GOLDEN_EXIT[ref.stem], ref.stem
+        assert capsys.readouterr().out == ref.read_text(encoding="utf-8"), ref.stem
+
+
+@pytest.mark.parametrize(
+    "args", [["check", "samples/three-fibers.pair"], ["classify", "--mode", "rank2", "--n-max", "3"]]
+)
+def test_closed_stdout_exits_141_quietly(args):
+    """A reader that leaves before the output is written, as `| head` does,
+    ends the run with 141 (128 + SIGPIPE) and no message: not an input
+    error, and no failed flush at exit."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "ampleangles.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO, env=cli_env(),
+    ) as child:
+        # the read end closes before the child has imported the package
+        child.stdout.close()
+        err = child.stderr.read()
+    assert child.returncode == 141, err
+    assert "input error" not in err and "Exception ignored" not in err, err

@@ -5,6 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
+from ampleangles import angles as an
 from ampleangles import polytope as pt
 from _util import (
     F,
@@ -12,19 +13,22 @@ from _util import (
     brute_force_grid_points,
     brute_force_vertices,
     cube_halfspaces,
-    expand_runs,
     first_independent_rows,
     fm_is_feasible,
     fraction_inverse,
+    gram_signs,
+    grid_system,
     halfspace,
     hull_2d,
     identity_map,
     intersection,
     parse_canonical,
     polytope,
+    random_gram,
     rational_rows,
     remove_redundant,
     reverify_certificate,
+    unit_gram,
 )
 
 
@@ -393,46 +397,21 @@ def test_feasibility_agrees_with_grid_search():
             assert all(hs.holds(grid_hit) for hs in rational_rows(system))
 
 
-def _grid_system(rng, dim, denom):
-    """Random mixed integer rows, most of them hyperplanes through a random
-    point of the closed box so that they cut it, and most turned to keep one
-    random grid point; sometimes the cube's faces, a duplicate row, or a
-    constant row that holds or fails everywhere."""
-    rows = []
-    span = max(denom, 2)
-    keep = [rng.randint(1, span - 1) for _ in range(dim)]
-    for _ in range(rng.randint(0, 5)):
-        normal = [rng.randint(-6, 6) if rng.random() < 0.75 else 0 for _ in range(dim)]
-        through = [rng.randint(0, span) for _ in range(dim)]
-        offset = -(sum(c * k for c, k in zip(normal, through)) // span) + rng.randint(-1, 1)
-        if sum(c * k for c, k in zip(normal, keep)) + offset * span < 0 and rng.random() < 0.8:
-            normal, offset = [-c for c in normal], -offset
-        rows.append((normal, offset, rng.random() < 0.5))
-    if rng.random() < 0.3:
-        rows += pt.cube_rows(dim, rng.random() < 0.5)
-    if rows and rng.random() < 0.2:
-        rows.append(rng.choice(rows))
-    if rng.random() < 0.1:
-        rows.append(((0,) * dim, rng.choice([-1, 0, 1]), rng.random() < 0.5))
-    rng.shuffle(rows)
-    return pt.integer_polytope(dim, rows)
-
-
 def test_grid_points_match_brute_force():
-    """The pruned scan's runs, expanded, are exactly the brute-force points,
-    in lexicographic order, one run per prefix.  Denominators whose box has
-    more than 4 000 points are not drawn, which keeps the oracle's full scan
-    cheap.  Dimension 0, empty boxes and a row that fails at the box's
-    maximizing corner are also run on their own."""
+    """The one-pass sign table counts exactly the brute-force grid points of
+    each system: under q = 1 its positive count is their number, and under a
+    random integer Gram matrix it matches the signs evaluated point by point.
+    Denominators whose box has more than 4 000 points are not drawn, which
+    keeps the oracle's full scan cheap.  Empty boxes and a row that fails at
+    the box's maximizing corner are also run on their own."""
     rng = random.Random(1313)
     systems = []
     for i in range(2000):
         dim = i % 6
         denom = rng.choice([d for d in (1, 2, 3, 4, 7, 16) if (d - 1) ** dim <= 4000])
-        systems.append((_grid_system(rng, dim, denom), denom))
-    # dimension 0: the one point () when the constant rows hold
-    systems += [(pt.integer_polytope(0, [((), c, s)]), 7) for c in (-1, 0, 1) for s in (False, True)]
-    systems.append((pt.integer_polytope(0, []), 1))
+        systems.append((grid_system(rng, dim, denom), denom))
+    # a pair has at least one angle: the systems of dimension 0 are not scanned
+    systems = [(system, denom) for system, denom in systems if system.dim]
     # empty boxes, denominator 1, with and without rows
     systems += [(pt.integer_polytope(dim, pt.cube_rows(dim, False)), 1) for dim in (1, 3)]
     systems.append((pt.integer_polytope(2, []), 1))
@@ -440,17 +419,15 @@ def test_grid_points_match_brute_force():
     systems.append((pt.integer_polytope(2, [((2, 2), -3, True)]), 4))
     kinds = Counter()
     for system, denom in systems:
-        runs = list(pt.grid_runs(system, denom))
-        got = expand_runs(runs, system.dim)
-        assert got == brute_force_grid_points(system, denom), (denom, system.integer_rows)
-        prefixes = [prefix for prefix, _, _ in runs]
-        assert len(set(prefixes)) == len(prefixes), runs
+        points = brute_force_grid_points(system, denom)
+        gram = random_gram(rng, system.dim)
+        got = an._quadratic_signs(gram, denom, system)
+        assert got == gram_signs(gram, denom, points), (denom, system.integer_rows, gram)
+        assert an._quadratic_signs(unit_gram(system.dim), denom, system) == (len(points), 0, 0)
         box = max(denom - 1, 0) ** system.dim
-        kinds["empty" if not got else "full" if len(got) == box else "cut"] += 1
-        kinds["dim 0"] += not system.dim
+        kinds["empty" if not points else "full" if len(points) == box else "cut"] += 1
     # the scan prunes some boxes whole, keeps some whole and cuts the rest
     assert all(kinds[k] > 200 for k in ("empty", "full", "cut")), kinds
-    assert kinds["dim 0"] > 300, kinds
 
 
 def _integer_rows_of(halfspaces, rng):
