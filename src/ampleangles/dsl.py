@@ -19,7 +19,7 @@ steps may reference (infinitely-near chains).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Optional
 
 from .geometry import fn_irreducible_admissible, hirzebruch, projective_plane
@@ -165,6 +165,10 @@ def parse_pair_spec(text: str) -> PairScript:
             missing = next((l for l in (l1, l2) if l not in labels), None)
             if missing is not None:
                 raise SpecParseError(line_no, f"node references unknown component {missing!r}")
+            if fiber is not None and is_plane:
+                raise SpecParseError(line_no, "fiber tags only make sense on F_n-rooted surfaces")
+            if any(nd.id == node_id for nd in nodes):
+                raise SpecParseError(line_no, f"duplicate node id {node_id!r}")
             incident = (labels.index(l1), labels.index(l2))
             try:
                 nodes.append(NodeRecord(node_id, incident, on_fiber_of=fiber))
@@ -188,13 +192,23 @@ def _fiber_tag(line_no: int, token: str) -> str:
 
 def _refused_line(surface, components, component_lines, node_lines) -> int:
     """The line to blame for a refused base pair: the first component line
-    whose boundary prefix `make_pair` refuses, else the first node line."""
+    whose boundary prefix `make_pair` refuses.  Else a node count is wrong:
+    the first node line that joins the two components `make_pair` names,
+    or the first node line when none joins them."""
     for k, line_no in enumerate(component_lines, start=1):
         try:
             make_pair(surface, components[:k])
         except ValueError:
             return line_no
-    return node_lines[0][0]
+    labels = [lab for lab, _ in components]
+
+    def incident(line) -> tuple[int, int]:
+        return tuple(sorted((labels.index(line[2]), labels.index(line[3]))))
+
+    meet = Counter(nd.incident for nd in make_pair(surface, components).nodes)
+    declared = Counter(map(incident, node_lines))
+    wrong = min((ij for ij in meet.keys() | declared.keys() if meet[ij] != declared[ij]), default=None)
+    return next((line[0] for line in node_lines if incident(line) == wrong), node_lines[0][0])
 
 
 def _irreducible(coords: tuple[int, ...], is_plane: bool, n: int) -> bool:
@@ -206,7 +220,7 @@ def _irreducible(coords: tuple[int, ...], is_plane: bool, n: int) -> bool:
 
 
 def load_pair_spec(path: str) -> PairScript:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

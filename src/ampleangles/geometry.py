@@ -156,11 +156,13 @@ def _fraction(num: int, den: int) -> Fraction:
 def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
     """x as (k, den): integer numerators k over den, the least common
     denominator of the entries, so that x = k/den."""
-    ratios = [(v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio() for v in x]
+    ratios = [(v if type(v) is Fraction else Fraction(v)).as_integer_ratio() for v in x]
     den = 1
     for _, q in ratios:
-        if q != 1:
+        if den % q:
             den = den * q // gcd(den, q)
+    if den == 1:
+        return [p for p, _ in ratios], 1
     return [p * (den // q) for p, q in ratios], den
 
 

@@ -18,9 +18,9 @@ back-substitution, which builds a point of the rows eliminated.
 Infeasibility certificates are nonnegative integer multipliers on the
 rows, rebuilt from the provenance of the violated row.  That
 elimination decides every closure.  Vertex enumeration is the double
-description method over a closed system's rows, fraction-free from its
-first simplicial cone on; it only lists vertices, and Fourier-Motzkin
-enters it only when the normals have rank below the dimension.
+description method over a closed system's rows, fraction-free from the
+whole space on, with a lineality space; it only lists vertices, and it
+tells an empty system from one with a line on its own.
 Closures, sections and the canonical text all work on the rows.  An
 affine map is the coordinatewise substitution x_i -> (slope.x_i +
 shift_i)/den, kept as those integers in lowest terms; it applies on
@@ -433,19 +433,12 @@ def _weakened(p: HPolytope) -> HPolytope:
 
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
-    """Membership, tested on the integer rows against x = k/den: one loop
-    reads the numerators and their least common denominator den, and the
-    rows are tested in turn until one fails."""
-    parts = []
-    den = 1
-    for v in x:
-        n, q = (v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
-        if den % q:
-            den = den * q // gcd(den, q)
-        parts.append((n, q))
-    if len(parts) != p.dim:
+    """Membership, tested on the integer rows against x = k/den, the
+    numerators over their least common denominator: the rows are tested
+    in turn until one fails."""
+    if len(x) != p.dim:
         raise ValueError("point dimension mismatch")
-    k = [n * (den // q) for n, q in parts] if den != 1 else [n for n, _ in parts]
+    k, den = _integer_point(x)
     for normal, offset, strict in p.integer_rows:
         # an integer is > 0 exactly when it is >= 1
         if sum(map(mul, normal, k)) + offset * den < strict:
@@ -463,69 +456,42 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def _simplicial_cone(rows: list[tuple[int, ...]]):
-    """The first n independent rows B (n = row length) as indices, and the
-    extreme rays of B.y >= 0: the columns of B^-1, as primitive integer
-    vectors.  None when the rows have rank < n.
+def _double_description(rows: Sequence[tuple[int, ...]]):
+    """The cone {y : row.y >= 0 for every row} as (rays, lines): its
+    extreme rays modulo its lineality space and a basis of that space,
+    primitive integer vectors.  The lines are empty exactly when the rows
+    have rank n (the row length), i.e. when the cone is pointed.
 
-    Both steps are fraction-free, each row divided by its gcd after every
-    update.  The basis comes from integer elimination.  Gauss-Jordan on
-    [B^T | I] then leaves row k as d_k.e_k | d_k.(column k of B^-1) for
-    some integer d_k != 0, so ray k is that right half times the sign of
-    d_k, made primitive.
-    """
-    n = len(rows[0])
-    basis, echelon = [], []  # echelon: (pivot column, reduced row)
-    for i, row in enumerate(rows):
-        v = row
-        for col, e in echelon:
-            if v[col]:
-                v = _primitive([e[col] * x - v[col] * y for x, y in zip(v, e)])
-        col = next((c for c, x in enumerate(v) if x), None)
-        if col is not None:
-            basis.append(i)
-            echelon.append((col, v))
-            if len(basis) == n:
-                break
-    if len(basis) < n:
-        return None
-    a = [[rows[i][k] for i in basis] + [int(j == k) for j in range(n)] for k in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        top = a[col]
-        for r in range(n):
-            f = a[r][col]
-            if r != col and f:
-                a[r] = _primitive([top[col] * x - f * y for x, y in zip(a[r], top)])
-    rays = [
-        _primitive(row[n:] if row[k] > 0 else [-x for x in row[n:]]) for k, row in enumerate(a)
-    ]
-    return basis, rays
-
-
-def _extreme_rays(rows: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]]:
-    """Extreme rays of the cone {y : row.y >= 0 for every row}; None when
-    the rows have rank below the row length, i.e. the cone is not pointed.
-
-    Double description (Fukuda & Prodon 1996): start from a simplicial
-    cone and add one row at a time, combining a ray on its positive side
-    with one on its negative side only when the two are adjacent.  The
-    combinatorial test decides adjacency: the rays share at least n - 2
+    Double description (Fukuda & Prodon 1996) from the whole space: the
+    lines start as the unit vectors, there are no rays, and the rows
+    enter in the caller's order.  A row that is nonzero on some line
+    splits off the first such line l, oriented so that a = row.l > 0:
+    every other line and every ray y moves onto the row's hyperplane as
+    a.y - (row.y).l, and l becomes a ray.  Each earlier row is zero on l,
+    so the moves keep every sign on them, and l's zero set is every
+    earlier row.  A row that is zero on every line keeps the rays on its
+    nonnegative side and combines a ray on its positive side with one on
+    its negative side only when the two are adjacent.  The combinatorial
+    test decides adjacency: the rays share at least n - len(lines) - 2
     zero rows among those added so far, and no third ray is zero on all
     of them.  Zero sets are bitmasks over row indices.
     """
     n = len(rows[0])
-    cone = _simplicial_cone(rows)
-    if cone is None:
-        return None
-    basis, rays = cone
-    zeros = []
-    for ray in rays:
-        zeros.append(sum(1 << i for i in basis if sum(map(mul, rows[i], ray)) == 0))
-    in_basis = set(basis)
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays, zeros = [], []
     for i, row in enumerate(rows):
-        if i in in_basis:
+        values = [sum(map(mul, row, line)) for line in lines]
+        k = next((k for k, v in enumerate(values) if v), None)
+        if k is not None:
+            a, split = values[k], lines.pop(k)
+            if a < 0:
+                a, split = -a, tuple(-x for x in split)
+            moved = []
+            for y in lines + rays:
+                v = sum(map(mul, row, y))
+                moved.append(_primitive([a * x - v * z for x, z in zip(y, split)]) if v else y)
+            lines, rays = moved[: len(lines)], moved[len(lines) :] + [split]
+            zeros = [z | (1 << i) for z in zeros] + [(1 << i) - 1]
             continue
         values = [sum(map(mul, row, ray)) for ray in rays]
         pos = [k for k, v in enumerate(values) if v > 0]
@@ -538,7 +504,7 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]
         for kp in pos:
             for kn in neg:
                 common = zeros[kp] & zeros[kn]
-                if common.bit_count() < n - 2:
+                if common.bit_count() < n - len(lines) - 2:
                     continue
                 if any(
                     zeros[k] & common == common
@@ -552,7 +518,7 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]
                 )
                 new_zeros.append(common | (1 << i))
         rays, zeros = new_rays, new_zeros
-    return rays
+    return rays, lines
 
 
 def vertices(p: HPolytope) -> VPolytope:
@@ -561,25 +527,17 @@ def vertices(p: HPolytope) -> VPolytope:
     Double description over the gcd-normalized integer rows: the rows
     a.x + c >= 0 are homogenized to a.x + c.t >= 0 together with t >= 0,
     and the vertices are x/t over the extreme rays of that cone with
-    t > 0.  A ray with t = 0 is a recession direction; all rays having
-    t = 0 means the system is empty.  When the normals have rank < dim
-    the cone is not pointed: the system is empty or contains a line, and
-    only then does Fourier-Motzkin feasibility decide which.
+    t > 0.  Every line has t = 0, so the system is empty when no ray has
+    t > 0; otherwise a line or a ray with t = 0 is a recession direction.
     """
     if any(strict for _, _, strict in p.integer_rows):
         raise ValueError("vertex enumeration requires a closed (weak) system")
     dim = p.dim
     rows = dict.fromkeys(normal + (offset,) for normal, offset, _ in p.integer_rows)
-    unbounded = ValueError("vertex enumeration requires a bounded polyhedron")
-    # with t >= 0 the homogenized rows have rank 1 + the rank of the normals
-    rays = _extreme_rays([(0,) * dim + (1,), *rows])
-    if rays is None:
-        if is_feasible(p):
-            raise unbounded
-        return VPolytope(dim, ())
+    rays, lines = _double_description([(0,) * dim + (1,), *rows])
     found = [ray for ray in rays if ray[-1] > 0]
-    if found and len(found) < len(rays):
-        raise unbounded
+    if found and (lines or len(found) < len(rays)):
+        raise ValueError("vertex enumeration requires a bounded polyhedron")
     return VPolytope(
         dim, tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in found))
     )

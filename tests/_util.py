@@ -533,8 +533,8 @@ def first_independent_rows(rows):
 
 def fraction_inverse(matrix):
     """(B^-1, det B) of a nonsingular square integer matrix B by
-    Gauss-Jordan on [B | I] in Fractions: an oracle for the library's
-    fraction-free simplicial cone."""
+    Gauss-Jordan on [B | I] in Fractions: an oracle for the rays that
+    fraction-free double description finds on B.y >= 0."""
     n = len(matrix)
     a = [[F(x) for x in row] + [F(int(j == k)) for k in range(n)] for j, row in enumerate(matrix)]
     det = F(1)

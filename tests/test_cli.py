@@ -131,6 +131,22 @@ def test_spec_errors_after_parsing_name_their_line(tmp_path, capsys):
             "blowup node Z.F1.1 E1\nblowup node Z.E1.1 E1\n",
             5,
         ),
+        # a fiber tag on the plane: its own line, not the first node line
+        ("surface P2\ncomponent A 1\ncomponent B 1\nnode p A B\nnode q A B fiber=x\n", 5),
+        # Z.C = 1 on F_1, but nodes c and d join them: the first of those lines
+        (
+            "surface F 1\ncomponent Z 1 0\ncomponent C 1 2\ncomponent G 0 1\n"
+            "node a Z G\nnode b C G\nnode c Z C\nnode d Z C\n",
+            7,
+        ),
+        # C.G = 1, and no node line joins them: the first node line
+        ("surface F 1\ncomponent Z 1 0\ncomponent C 1 2\ncomponent G 0 1\nnode a Z G\nnode c Z C\n", 5),
+        # a repeated node id: the second line that uses it
+        (
+            "surface F 1\ncomponent Z 1 0\ncomponent C 1 2\ncomponent G 0 1\n"
+            "node a Z G\nnode a C G\nnode c Z C\n",
+            6,
+        ),
     ]
     spec = tmp_path / "bad.pair"
     for text, line_no in cases:
@@ -288,6 +304,13 @@ def test_binary_spec_is_an_input_error(specs):
     assert out.returncode == 1, out.stderr
     assert "input error: spec is not UTF-8 text" in out.stderr
     assert out.stdout == ""
+
+
+def test_spec_with_a_byte_order_mark_loads(specs):
+    """A UTF-8 spec saved with a byte-order mark, as Windows editors save
+    it, reads as the same spec."""
+    (specs / "bom.pair").write_bytes(b"\xef\xbb\xbf" + FIG1.encode())
+    assert dsl.load_pair_spec(str(specs / "bom.pair")).base == dsl.parse_pair_spec(FIG1).base
 
 
 def _fn_classes(column):
@@ -637,6 +660,33 @@ def test_check_and_classify_match_the_benchmark_references(monkeypatch, capsys):
             argv = ["check", f"perfbench/inputs/{name}.pair"]
         assert cli.main(argv) == GOLDEN_EXIT[ref.stem], ref.stem
         assert capsys.readouterr().out == ref.read_text(encoding="utf-8"), ref.stem
+
+
+def test_readme_example_is_the_real_output(monkeypatch, capsys):
+    """README's `check samples/figure1.pair` example, cut at its `...`
+    lines, is a sequence of contiguous runs of the real stdout, in order."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    command = "$ ample-angles check samples/figure1.pair\n"
+    block = readme[readme.index(command) + len(command):].split("```", 1)[0]
+    chunks, chunk = [], []
+    for line in block.splitlines():
+        if line.strip() == "...":
+            chunks.append(chunk)
+            chunk = []
+        else:
+            chunk.append(line)
+    chunks.append(chunk)
+    monkeypatch.chdir(REPO)
+    assert cli.main(["check", "samples/figure1.pair"]) == 0
+    real = capsys.readouterr().out.splitlines()
+    at = 0
+    for chunk in filter(None, chunks):
+        start = next(
+            (k for k in range(at, len(real) - len(chunk) + 1) if real[k : k + len(chunk)] == chunk),
+            None,
+        )
+        assert start is not None, chunk
+        at = start + len(chunk)
 
 
 @pytest.mark.parametrize(

@@ -285,42 +285,63 @@ def test_canonical_scaling_normalization():
     assert pt.canonical_text(a) == pt.canonical_text(b)
 
 
-def test_simplicial_cone_against_fraction_inverse():
-    """The first cone of double description, built fraction-free: on
-    seeded integer rows in dims 1-6 with entries in [-3, 3], the basis is
-    the first independent rows and the rays are the primitive columns of
-    the inverse that Fraction Gauss-Jordan computes; rows of rank below
-    the dimension give None."""
+def test_double_description_against_fraction_inverse():
+    """Double description from the whole space: on seeded integer rows in
+    dims 1-6 with entries in [-3, 3], the first independent rows B give no
+    lines and, as rays, the primitive columns of the inverse that Fraction
+    Gauss-Jordan computes; on every system the lines are non-empty exactly
+    when the rows have rank below the dimension."""
     rng = random.Random(1968)
     kinds = Counter()
     for i in range(1200):
         n = 1 + i % 6
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
         if rng.random() < 0.3:
-            rows[0][0] = 0  # the first pivot of B^T then needs a swap
+            rows[0][0] = 0  # the first row is then zero on the first line
         if rng.random() < 0.15:
             gone = rng.randrange(n)
             for row in rows:
                 row[gone] = 0
         rows = [tuple(row) for row in rows]
         basis = first_independent_rows(rows)
-        got = pt._simplicial_cone(rows)
+        rays, lines = pt._double_description(rows)
+        assert bool(lines) == (len(basis) < n), rows
         if len(basis) < n:
-            assert got is None, rows
             kinds["rank-deficient"] += 1
             continue
-        inverse, det = fraction_inverse([rows[k] for k in basis])
-        rays = []
+        b = [rows[k] for k in basis]
+        inverse, det = fraction_inverse(b)
+        columns = []
         for k in range(n):
             column = [inverse[j][k] for j in range(n)]
             den = lcm(*(c.denominator for c in column))
             ints = [int(c * den) for c in column]
-            rays.append(tuple(x // gcd(*ints) for x in ints))
-        assert got == (basis, rays), rows
-        kinds["swap"] += rows[basis[0]][0] == 0
+            columns.append(tuple(x // gcd(*ints) for x in ints))
+        rays, lines = pt._double_description(b)
+        assert lines == [] and sorted(rays) == sorted(columns), rows
+        # the first row splits off a line other than the first
+        kinds["skip"] += rows[basis[0]][0] == 0
         kinds["negative"] += det < 0
     # each case occurs often
-    assert min(kinds["rank-deficient"], kinds["swap"], kinds["negative"]) > 150, kinds
+    assert min(kinds["rank-deficient"], kinds["skip"], kinds["negative"]) > 150, kinds
+
+
+def test_vertices_decide_rank_deficient_systems_without_elimination(monkeypatch):
+    """Double description alone tells an empty system from one with a
+    line: Fourier-Motzkin is never called."""
+
+    def refuse(p):
+        raise AssertionError("vertices called the elimination")
+
+    monkeypatch.setattr(pt, "_eliminate", refuse)
+    assert pt.vertices(pt.canonical_empty(3)).vertices == ()
+    # x >= 1 and -x >= 0 in the plane: normals of rank 1 < 2, and empty
+    contradiction = polytope(2, [halfspace([1, 0], -1, False), halfspace([-1, 0], 0, False)])
+    assert pt.vertices(contradiction).vertices == ()
+    # the strip 0 <= x <= 1 contains the line x = 0
+    strip = polytope(2, [halfspace([1, 0], 0, False), halfspace([-1, 0], 1, False)])
+    with pytest.raises(ValueError, match="bounded"):
+        pt.vertices(strip)
 
 
 def _random_system(rng, dim):
