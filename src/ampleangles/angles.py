@@ -14,11 +14,15 @@ polytope is those rows; classify writes its candidates' rows with the
 same builder, from their class tuples.  `AABody(open_part, exactness)`
 is the one body: its closure comes from Fourier-Motzkin elimination and
 its vertices from double description on that closure, each computed on
-first read, so a caller that reads only the open part, as the blow-up
-report does, runs neither.  Its sign table, on the grid of step 1/16
-(1/4 above r = 4), is one pass that prunes each coordinate by the rows
-and carries the quadratic down, so that along the last coordinate it is
-a + b.x + c.x^2 in integers, counted in closed form.  The strong ALdP
+first read, so a caller that reads only the open part runs neither.  The
+blow-up report's sign table, on the grid of step 1/16 (1/4 above r = 4),
+first counts the grid points of the open body by one walk that prunes
+each coordinate by the rows.  With points to sign, it reads the body's
+vertices: when their images prove the quadratic positive on the open
+body (the Hodge index theorem, `_positive_on_vertices`), every point is
+positive and the count is the table.  Otherwise a second walk carries
+the quadratic down, so that along the last coordinate it is
+a + b.x + c.x^2 in integers, signed in closed form.  The strong ALdP
 verdict is read off an exact body's rows.  The ALdP verdict first tests
 that -K - C is nef, i.e. that the origin satisfies the weakened rows
 (every offset is >= 0), and reads the closure only then; its elimination
@@ -50,7 +54,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import polytope as pt
@@ -207,7 +211,9 @@ class QuadraticReport(
 ):
     """The self-intersection polynomial q(beta) = adjoint(beta)^2, with its
     Fraction coefficients (`quadratic` is symmetric), and its sampled sign
-    distribution over a rational grid of the linear outer body.
+    distribution over a rational grid of the linear outer body: a count of
+    the grid points when the body's vertices prove q > 0, else each point
+    signed.
 
     The quadratic is reported, never imposed: it matters only when some
     rank-2 model of the pair has square-zero log canonical class.
@@ -257,23 +263,20 @@ def _root_in(num: int, den: int, lo: int, hi: int) -> int:
     return int(num % den == 0 and lo <= num // den <= hi)
 
 
-def _quadratic_signs(gram, denom: int, p: pt.HPolytope) -> tuple[int, int, int]:
-    """How many integer points k of {1..denom-1}^r with k/denom in p
-    (r = p.dim >= 1) give q(k/denom) a positive, zero and negative sign, in
-    that order, for q(beta) = v.G.v at v = (1, beta), G = `gram` symmetric.
+def _grid_levels(denom: int, p: pt.HPolytope):
+    """The rows of p that cut the box {1..denom-1}^r, as seen by the grid
+    walks: (levels, tested), levels[j] listing (row, c, least - best) for
+    each tested row with coefficient c != 0 on k_j, or None when some row
+    fails on the whole box.
 
     A row holds at k when normal.k >= least = strict - offset.denom (an
-    integer is > 0 iff it is >= 1).  One pass fixes k_0, k_1, ... in turn:
+    integer is > 0 iff it is >= 1).  The walks fix k_0, k_1, ... in turn:
     with the prefix's partial sum s and best, the largest value the rest
     can take, c.k_j >= least - s - best bounds k_j below (c > 0) or above
     (c < 0), so only values that leave every row satisfiable are visited.
-    Next to s it carries the integer Q = denom^2.q(k/denom): its terms a in
-    the fixed coordinates and the coefficients lin of the free ones.  Along
-    the last coordinate, whose bounds are exact, Q = a + lin_0.x + c.x^2,
-    counted by `_run_signs`.
     """
     r, top = p.dim, denom - 1
-    levels = [[] for _ in range(r)]  # per coordinate: (row, c, least - best)
+    levels = [[] for _ in range(r)]
     tested = 0
     for normal, offset, strict in p.integer_rows:
         least = int(strict) - offset * denom
@@ -288,21 +291,125 @@ def _quadratic_signs(gram, denom: int, p: pt.HPolytope) -> tuple[int, int, int]:
                 best += c * top if c > 0 else c
         # a row that fails at the maximizing corner empties the box
         if best < least:
-            return 0, 0, 0
+            return None
         tested += 1
+    return levels, tested
+
+
+def _bounds(level, partial, top: int) -> tuple[int, int]:
+    """The values lo..hi of k_j in 1..top that leave every row of `level`
+    satisfiable, given the prefix's partial sums."""
+    lo, hi = 1, top
+    for i, c, need in level:
+        need -= partial[i]  # c.k_j >= need
+        if c > 0:
+            lo = max(lo, -(-need // c))  # the ceiling of need / c
+        else:
+            hi = min(hi, need // c)  # the floor, as c < 0
+    return lo, hi
+
+
+def _grid_count(denom: int, p: pt.HPolytope) -> int:
+    """How many integer points k of {1..denom-1}^r have k/denom in p
+    (r = p.dim >= 1): the walk of `_quadratic_signs` without the quadratic.
+    The last coordinate's interval is counted as hi - lo + 1 inside the loop
+    over the coordinate above it, its rows' partial sums moved along with
+    that coordinate, so no call is made per run."""
+    setup = _grid_levels(denom, p)
+    if setup is None:
+        return 0
+    levels, tested = setup
+    top, last = denom - 1, p.dim - 1
+    if not last:
+        lo, hi = _bounds(levels[0], [0] * tested, top)
+        return max(0, hi - lo + 1)
+    # the last coordinate's rows, each with its coefficient on the one above
+    above = {i: c for i, c, _ in levels[last - 1]}
+    tail = [(i, c, need, above.get(i, 0)) for i, c, need in levels[last]]
+
+    def count(j, partial):
+        lo, hi = _bounds(levels[j], partial, top)
+        n = 0
+        if j + 1 < last:
+            for x in range(lo, hi + 1):
+                step = partial[:]
+                for i, c, _ in levels[j]:
+                    step[i] += c * x
+                n += count(j + 1, step)
+            return n
+        # c.k_last >= need - d.x at k_j = x: a lower bound for c > 0, else an upper
+        lows = [(c, need - partial[i], d) for i, c, need, d in tail if c > 0]
+        highs = [(c, need - partial[i], d) for i, c, need, d in tail if c < 0]
+        for x in range(lo, hi + 1):
+            a, b = 1, top
+            for c, need, d in lows:
+                v = -((d * x - need) // c)
+                if v > a:
+                    a = v
+            for c, need, d in highs:
+                v = (need - d * x) // c
+                if v < b:
+                    b = v
+            if a <= b:
+                n += b - a + 1
+        return n
+
+    return count(0, [0] * tested)
+
+
+def _positive_on_vertices(gram, vertices) -> bool:
+    """Whether the vertices prove q(beta) = v.G.v > 0 at v = (1, beta) on the
+    open body they span, for G = `gram` pulled back from the intersection
+    form of a surface.  For each vertex k/d (k integer, d > 0) let
+    w = (d, k), g = G.w and s = w.g = d^2.q(k/d), up to the positive factor
+    den^2 of the family's numerators; the test holds iff every s >= 0, the
+    largest s, at a vertex w_h, is > 0, and w_h.g >= 0 for every vertex.
+    It costs O(m.(r + 1)^2) for m vertices, in integers.
+
+    Soundness rests on the Hodge index theorem (Hartshorne V.1.9): the
+    intersection form on a surface has signature (1, rho - 1), so the
+    closed positive cone {D : D^2 >= 0, D.D_h >= 0} on the side of D_h,
+    D_h^2 > 0, is convex and any two of its classes meet non-negatively.
+    The vertex images lie in it.  The adjoint is affine in beta, and a
+    point of the open body is a combination of all vertices with positive
+    weights lambda, so q there is a sum of non-negative terms
+    lambda_u.lambda_w.D_u.D_w, one of which is lambda_h^2.s_h > 0.  So
+    the test is sound only for a Gram matrix pulled back from a surface:
+    on an arbitrary symmetric matrix it proves nothing."""
+    images = []
+    for point in vertices:
+        d = lcm(*(x.denominator for x in point))
+        w = (d, *(x.numerator * (d // x.denominator) for x in point))
+        g = [sum(map(mul, row, w)) for row in gram]
+        images.append((sum(map(mul, w, g)), w, g))
+    if not images or any(s < 0 for s, _, _ in images):
+        return False
+    top, h, _ = max(images, key=lambda image: image[0])
+    return top > 0 and all(sum(map(mul, h, g)) >= 0 for _, _, g in images)
+
+
+def _quadratic_signs(gram, denom: int, p: pt.HPolytope) -> tuple[int, int, int]:
+    """How many integer points k of {1..denom-1}^r with k/denom in p
+    (r = p.dim >= 1) give q(k/denom) a positive, zero and negative sign, in
+    that order, for q(beta) = v.G.v at v = (1, beta), G = `gram` symmetric.
+
+    The walk over the rows of `_grid_levels` carries, next to the partial
+    sums, the integer Q = denom^2.q(k/denom): its terms a in the fixed
+    coordinates and the coefficients lin of the free ones.  Along the last
+    coordinate, whose bounds are exact, Q = a + lin_0.x + c.x^2, counted
+    by `_run_signs`.
+    """
+    setup = _grid_levels(denom, p)
+    if setup is None:
+        return 0, 0, 0
+    levels, tested = setup
+    top, last = denom - 1, p.dim - 1
     c2 = [row[1:] for row in gram[1:]]
-    last = r - 1
     # cross[j]: the coefficients 2.G_mj of k_m.k_j for m > j
     cross = [[2 * row[j] for row in c2[j + 1 :]] for j in range(last)]
 
     def scan(j, partial, a, lin):
-        lo, hi = 1, top
-        for i, c, need in levels[j]:
-            need -= partial[i]  # c.k_j >= need
-            if c > 0:
-                lo = max(lo, -(-need // c))  # the ceiling of need / c
-            else:
-                hi = min(hi, need // c)  # the floor, as c < 0
+        lo, hi = _bounds(levels[j], partial, top)
         if j == last:
             if lo <= hi:
                 for sign, count in enumerate(_run_signs(a, lin[0], c2[j][j], lo, hi)):
@@ -326,7 +433,12 @@ def aa_outer_blowup(p: LogPair) -> tuple[AABody, QuadraticReport]:
     Uses only the tracked curve list (boundary, exceptional history, fiber
     transforms through the centers), so the true body is contained in the
     result.  The self-intersection quadratic is signed on the grid of step
-    1/16 (1/4 above r = 4) of the open body and reported alongside.
+    1/16 (1/4 above r = 4) of the open body and reported alongside.  The
+    grid points are counted first; with none, the body's closure and
+    vertices are not read.  When the vertices prove q > 0 on the open body
+    (`_positive_on_vertices`) every point is positive; otherwise each is
+    signed (`_quadratic_signs`).  The vertices are the body's cached ones,
+    so a report that prints them enumerates them once.
     """
     if not isinstance(p.surface.provenance, BlowUp):
         raise ValueError("outer approximation applies to blow-up surfaces only")
@@ -343,8 +455,14 @@ def aa_outer_blowup(p: LogPair) -> tuple[AABody, QuadraticReport]:
     quad = tuple(tuple(Fraction(v, scale) for v in row[1:]) for row in gram[1:])
     # keep the sample count at desk scale for deep blow-ups
     denom = 16 if p.r <= 4 else 4
-    signs = _quadratic_signs(gram, denom, body.open_part)
-    report = QuadraticReport(const, linear, quad, denom, sum(signs), *signs)
+    samples = _grid_count(denom, body.open_part)
+    if not samples:
+        signs = (0, 0, 0)
+    elif _positive_on_vertices(gram, body.vertices.vertices):
+        signs = (samples, 0, 0)
+    else:
+        signs = _quadratic_signs(gram, denom, body.open_part)
+    report = QuadraticReport(const, linear, quad, denom, samples, *signs)
     return body, report
 
 

@@ -177,11 +177,8 @@ def cmd_aa(args) -> int:
         axis_names.pop(idx - 1)
     # a section's vertices are its own: the whole body's are never enumerated
     verts = pt.vertices(closed) if slices else body.vertices
-    print(f"pair: {args.file}")
-    if slices:
-        fixed = ", ".join(f"b{i}={v}" for i, v in sorted(slices))
-        print(f"section: {fixed}  (a section, not a projection)")
-    _print_body(body.exactness, closed, verts, sys.stdout)
+    # the SVG is written first, so a file that cannot be written is an input
+    # error with nothing on stdout
     if args.svg:
         title = os.path.basename(args.file)
         if slices:
@@ -194,6 +191,12 @@ def cmd_aa(args) -> int:
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(doc)
+    print(f"pair: {args.file}")
+    if slices:
+        fixed = ", ".join(f"b{i}={v}" for i, v in sorted(slices))
+        print(f"section: {fixed}  (a section, not a projection)")
+    _print_body(body.exactness, closed, verts, sys.stdout)
+    if args.svg:
         print(f"svg: {args.svg}")
     return 0
 

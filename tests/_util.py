@@ -126,6 +126,40 @@ def gram_signs(gram, denom, points):
     return signs[1], signs[0], signs[-1]
 
 
+def inertia(matrix):
+    """(positive, negative, zero): the inertia of a symmetric rational
+    matrix, by Sylvester's law of inertia.  Symmetric elimination in
+    Fractions takes a congruent diagonal form: a non-zero diagonal pivot
+    clears its row and column; when the remaining block has a zero diagonal
+    but an entry a_ij != 0, replacing e_i by e_i + e_j puts 2.a_ij on the
+    diagonal; an all-zero block is the radical."""
+    m = [[F(x) for x in row] for row in matrix]
+    free = list(range(len(m)))
+    counts = [0, 0, 0]
+    while free:
+        k = next((i for i in free if m[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i, j in combinations(free, 2) if m[i][j]), None)
+            if pair is None:
+                counts[2] += len(free)
+                break
+            i, j = pair
+            for t in free:
+                m[i][t] += m[j][t]
+            for t in free:
+                m[t][i] += m[t][j]
+            continue
+        pivot = m[k][k]
+        counts[0 if pivot > 0 else 1] += 1
+        free.remove(k)
+        for i in free:
+            factor = m[i][k] / pivot
+            if factor:
+                for t in free:
+                    m[i][t] -= factor * m[k][t]
+    return tuple(counts)
+
+
 def adjoint_coeffs(surface_minus_k, boundary, beta):
     """-K - sum (1-beta_i) C_i computed directly on coefficient tuples."""
     out = list(F(c) for c in surface_minus_k)

@@ -9,7 +9,7 @@ import pytest
 
 from ampleangles import angles as an
 from ampleangles import classify as cl
-from ampleangles import dsl
+from ampleangles import cli, dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
@@ -34,6 +34,7 @@ from _util import (
     grid_system,
     halfspace,
     identity_map,
+    inertia,
     oracle_rows,
     polytope,
     random_gram,
@@ -631,12 +632,146 @@ def test_quadratic_sign_table_against_fraction_scan():
 
 
 def test_outer_blowup_reads_no_vertices():
-    """The report signs the quadratic on the open part alone: neither the
-    closure nor its vertices are computed, on an empty body or a live one."""
-    for name in ("shared-fiber-degeneration", "infinitely-near"):
-        p = dsl.load_pair_spec(str(SAMPLES / f"{name}.pair")).final
-        body, _ = an.aa_outer_blowup(p)
-        assert "vertices" not in vars(body) and "closed_hull" not in vars(body), name
+    """A report without grid samples reads neither the closure nor its
+    vertices: an empty body, and the r = 5 chain, whose open body holds no
+    point of the 1/4 grid."""
+    shared = dsl.load_pair_spec(str(SAMPLES / "shared-fiber-degeneration.pair")).final
+    for p in (shared, chain_pair(5)):
+        body, report = an.aa_outer_blowup(p)
+        assert report.samples == 0, p.r
+        assert "vertices" not in vars(body) and "closed_hull" not in vars(body), p.r
+
+
+def test_check_enumerates_vertices_once(monkeypatch, capsys):
+    """In-process `check` of the infinitely-near sample runs double
+    description once, for the printed body, whose vertices also prove the
+    sign table, and never signs the grid point by point."""
+    calls = []
+    vertices = pt.vertices
+
+    def counted(p):
+        calls.append(p.dim)
+        return vertices(p)
+
+    def no_signs(*args):
+        raise AssertionError("the grid was signed point by point")
+
+    monkeypatch.setattr(an.pt, "vertices", counted)
+    monkeypatch.setattr(an, "_quadratic_signs", no_signs)
+    assert cli.main(["check", str(SAMPLES / "infinitely-near.pair")]) == 2
+    assert "5356 samples, 5356 positive, 0 zero, 0 negative" in capsys.readouterr().out
+    assert calls == [4]
+
+
+def lorentzian_gram(rng, r):
+    """A random Gram matrix pulled back from a Lorentzian lattice: A^T.J.A
+    for J = diag(1, -1, ..., -1) of size 2..5 and an integer A of r + 1
+    columns whose first row, in 4..9, leans the images toward J's positive
+    direction."""
+    rho = rng.randint(2, 5)
+    a = [[rng.randint(4, 9) for _ in range(r + 1)]]
+    a += [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(rho - 1)]
+    sign = [1] + [-1] * (rho - 1)
+    return [[sum(s * row[u] * row[v] for s, row in zip(sign, a)) for v in range(r + 1)] for u in range(r + 1)]
+
+
+def test_vertex_certificate_is_sound_on_lorentzian_grams():
+    """Whenever the vertices prove q > 0, no grid point of the open body has
+    q <= 0: random Lorentzian Gram matrices on the strict open bodies of
+    random grid systems, cut to the open cube.  The certificate also
+    refuses bodies that have a point with q <= 0, and the two hand-made
+    refusals: q = (1 - 2.beta)^2 on (0, 1), whose vertex images lie on
+    opposite sides of the cone and which vanishes at 1/2, and q = 0."""
+    rng = random.Random(2828)
+    kinds = Counter()
+    for _ in range(600):
+        r = rng.randint(1, 3)
+        denom = rng.choice([d for d in (2, 3, 4, 7, 16) if (d - 1) ** r <= 4000])
+        rows = [(normal, offset, True) for normal, offset, _ in grid_system(rng, r, denom).integer_rows]
+        open_part = pt.integer_polytope(r, [*rows, *pt.cube_rows(r, True)])
+        points = brute_force_grid_points(open_part, denom)
+        if not points:
+            continue
+        gram = lorentzian_gram(rng, r)
+        fires = an._positive_on_vertices(gram, pt.vertices(pt.closure(open_part)).vertices)
+        _, zero, negative = gram_signs(gram, denom, points)
+        if fires:
+            assert zero == negative == 0, (open_part.integer_rows, gram)
+        kinds["fires" if fires else "refused, q <= 0 somewhere" if zero or negative else "refused"] += 1
+    assert kinds["fires"] >= 50 and kinds["refused, q <= 0 somewhere"] >= 30, kinds
+    segment = [(F(0),), (F(1),)]
+    square = [[1, -2], [-2, 4]]  # (1 - 2.beta)^2
+    assert gram_signs(square, 2, [(1,)]) == (0, 1, 0)
+    assert not an._positive_on_vertices(square, segment)
+    assert not an._positive_on_vertices([[0, 0], [0, 0]], segment)
+    assert an._positive_on_vertices([[1, 0], [0, 0]], segment)
+
+
+def test_intersection_forms_have_one_positive_eigenvalue():
+    """The Hodge index theorem, the vertex certificate's hypothesis, by the
+    test's own inertia oracle: the intersection matrix has exactly one
+    positive eigenvalue and full rank on the plane, F_0..F_6, the blow-up
+    samples, the chains r = 5..12 and 100 seeded blow-up scripts."""
+    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert inertia([[1, 2, 0], [2, 4, 0], [0, 0, -3]]) == (1, 1, 1)
+    assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+    surfaces = [g.projective_plane()] + [g.hirzebruch(n) for n in range(7)]
+    for path in sorted(SAMPLES.glob("*.pair")):
+        p = dsl.load_pair_spec(str(path)).final
+        if isinstance(p.surface.provenance, g.BlowUp):
+            surfaces.append(p.surface)
+    surfaces += [chain_pair(r).surface for r in range(5, 13)]
+    rng = random.Random(1909)
+    surfaces += [_random_script(rng, rng.choice(BASES)(), rng.randint(1, 4)).surface for _ in range(100)]
+    assert len(surfaces) >= 8 + 2 + 8 + 100
+    for s in surfaces:
+        assert inertia(s.intersection_matrix) == (1, s.rank - 1, 0), s.basis_labels
+
+
+def _report_without_certificate(monkeypatch, p):
+    with monkeypatch.context() as patched:
+        patched.setattr(an, "_positive_on_vertices", lambda gram, vertices: False)
+        return an.aa_outer_blowup(p)[1]
+
+
+def test_certified_report_matches_the_signed_grid(monkeypatch):
+    """The report with the vertex certificate equals the one that signs
+    every grid point: the blow-up samples, the benchmark's chain inputs and
+    120 seeded blow-up scripts.  The certificate holds on every body with
+    grid samples, so none of them is signed point by point."""
+    paths = sorted(SAMPLES.glob("*.pair"))
+    paths += [REPO / "perfbench" / "inputs" / f"chain-r{r}.pair" for r in (5, 6)]
+    pairs = [dsl.load_pair_spec(str(path)).final for path in paths]
+    rng = random.Random(6174)
+    pairs += [_random_script(rng, rng.choice(BASES)(), rng.randint(1, 3)) for _ in range(120)]
+    pairs = [p for p in pairs if isinstance(p.surface.provenance, g.BlowUp)]
+    kinds = Counter()
+    for p in pairs:
+        body, report = an.aa_outer_blowup(p)
+        assert report == _report_without_certificate(monkeypatch, p), p.r
+        if report.samples:
+            assert an._positive_on_vertices(report_gram(report), body.vertices.vertices), p.r
+        kinds["samples" if report.samples else "none"] += 1
+    assert len(pairs) >= 100 and kinds["samples"] >= 100, kinds
+
+
+def test_one_angle_sign_tables():
+    """Blow-ups with one angle: the plane with a line, and with a conic,
+    after 1-3 seeded smooth blow-ups of their one component.  The report's
+    sign table equals the Fraction scan of its 1/16 grid."""
+    rng = random.Random(4711)
+    seen = Counter()
+    for degree in (1, 2):
+        for _ in range(4):
+            p = p2_pair([degree])
+            for step in range(rng.randint(1, 3)):
+                p = pr.blow_up_smooth_point(p, 0, f"e{step}")
+            body, report = an.aa_outer_blowup(p)
+            assert p.r == 1 and report.grid_denominator == 16
+            got = (report.samples, report.positive, report.zero, report.negative)
+            assert got == fraction_sign_table(p, body.open_part, 16), (degree, p.surface.rank)
+            seen[degree, report.samples > 0] += 1
+    assert seen[1, True] and seen[2, True], seen
 
 
 def test_sign_table_against_adjoint_square_at_grid_points():

@@ -387,12 +387,16 @@ def test_aa_slice_section(specs):
         (["--svg", "x.svg"], "SVG output needs a 2-dimensional body; got 3"),
         (["--slice", "1=1/2", "--slice", "2=1/2", "--svg", "x.svg"],
          "SVG output needs a 2-dimensional body; got 1"),
+        # a 2-dimensional section whose SVG cannot be written: the body
+        # must not reach stdout before the write fails
+        (["--slice", "1=1/2", "--svg", "nodir/x.svg"], "[Errno 2] No such file or directory"),
     ],
 )
 def test_aa_option_faults_are_input_errors(specs, capsys, monkeypatch, options, message):
-    """Bad slices and an SVG request on a body that is not 2-dimensional
-    return 1 from main, in process, with an input error on stderr; nothing
-    is printed on stdout and no SVG file is written."""
+    """Bad slices, an SVG request on a body that is not 2-dimensional and an
+    SVG path that cannot be written return 1 from main, in process, with an
+    input error on stderr; nothing is printed on stdout and no SVG file is
+    written."""
     monkeypatch.chdir(specs)
     assert cli.main(["aa", "aldp32.pair", *options]) == 1
     captured = capsys.readouterr()

@@ -422,6 +422,7 @@ def test_grid_points_match_brute_force():
     """The one-pass sign table counts exactly the brute-force grid points of
     each system: under q = 1 its positive count is their number, and under a
     random integer Gram matrix it matches the signs evaluated point by point.
+    The count without the quadratic, `_grid_count`, is their number too.
     Denominators whose box has more than 4 000 points are not drawn, which
     keeps the oracle's full scan cheap.  Empty boxes and a row that fails at
     the box's maximizing corner are also run on their own."""
@@ -445,6 +446,7 @@ def test_grid_points_match_brute_force():
         got = an._quadratic_signs(gram, denom, system)
         assert got == gram_signs(gram, denom, points), (denom, system.integer_rows, gram)
         assert an._quadratic_signs(unit_gram(system.dim), denom, system) == (len(points), 0, 0)
+        assert an._grid_count(denom, system) == len(points), (denom, system.integer_rows)
         box = max(denom - 1, 0) ** system.dim
         kinds["empty" if not points else "full" if len(points) == box else "cut"] += 1
     # the scan prunes some boxes whole, keeps some whole and cuts the rest
