@@ -98,9 +98,6 @@ class AABody(namedtuple("AABody", "open_part exactness")):
     def exact(self) -> bool:
         return self.exactness == EXACT
 
-    def serialize(self) -> str:
-        return self.exactness + "\n" + pt.canonical_text(self.closed_hull)
-
     @property
     def aldp(self):
         """The ALdP verdict read off the body: the open part is non-empty and

@@ -5,7 +5,9 @@ from the admissible component classes within the nef search bounds
 (sum of Z-coefficients <= 2, sum of F-coefficients <= n+2), and the
 only acceptance test is the relevant positivity predicate.  The
 built-in family tables are used solely to *name* the survivors; a
-survivor missing from the table is an inconsistency and raises.
+survivor missing from the table is an inconsistency and raises.  A name
+is the plain text printed for its family, n filled in ("ALdP.3.5",
+"II.4A", "Maeda.v").
 
 F_0 carries the ruling swap (a, b) <-> (b, a); candidates are
 deduplicated up to boundary reordering and this swap, and matched to
@@ -51,19 +53,6 @@ from .pairs import LogPair, _check_boundary, make_pair
 LOG_DP = "LogDP"
 STRONG = "StronglyALdP"
 NOT_STRONG = "ALdPNotStrong"
-
-
-class FamilyLabel(namedtuple("FamilyLabel", "label n", defaults=(None,))):
-    """A family's label template, e.g. "ALdP.3.n" or "II.4A" or "Maeda.v",
-    and the n it is printed with."""
-
-    __slots__ = ()
-
-    @property
-    def text(self) -> str:
-        if self.label.endswith(".n") and self.n is not None:
-            return self.label[:-1] + str(self.n)
-        return self.label
 
 
 @cache
@@ -188,85 +177,85 @@ def p2_degree_multisets(max_total: int = 3) -> Iterator[tuple[int, ...]]:
 # Family tables (names and conventional component order)
 
 _P2_RANK2 = [
-    ("I.1A", None, (3,)),
-    ("I.1B", None, (2,)),
-    ("I.1C", None, (1,)),
-    ("II.1A", None, (2, 1)),
-    ("II.1B", None, (1, 1)),
-    ("III.1", None, (1, 1, 1)),
+    ("I.1A", (3,)),
+    ("I.1B", (2,)),
+    ("I.1C", (1,)),
+    ("II.1A", (2, 1)),
+    ("II.1B", (1, 1)),
+    ("III.1", (1, 1, 1)),
 ]
 
 _P2_MAEDA = [
-    ("Maeda.i", None, (1,)),
-    ("Maeda.ii", None, (1, 1)),
-    ("Maeda.iii", None, (2,)),
+    ("Maeda.i", (1,)),
+    ("Maeda.ii", (1, 1)),
+    ("Maeda.iii", (2,)),
 ]
 
 
-def _rank2_rows(n: int) -> list[tuple[str, Optional[int], tuple[tuple[int, int], ...]]]:
+def _rank2_rows(n: int) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
     rows = [
-        ("I.2.n", n, ((1, 0),)),
-        ("II.2A.n", n, ((1, 0), (1, n))),
-        ("II.2B.n", n, ((1, 0), (1, n + 1))),
-        ("II.2C.n", n, ((1, 0), (0, 1))),
-        ("III.3.n", n, ((1, 0), (0, 1), (1, n))),
+        (f"I.2.{n}", ((1, 0),)),
+        (f"II.2A.{n}", ((1, 0), (1, n))),
+        (f"II.2B.{n}", ((1, 0), (1, n + 1))),
+        (f"II.2C.{n}", ((1, 0), (0, 1))),
+        (f"III.3.{n}", ((1, 0), (0, 1), (1, n))),
     ]
     if n >= 1:
         rows += [
-            ("ALdP.1.n", n, ((1, 0), (1, n + 2))),
-            ("ALdP.2.n", n, ((1, 0), (1, n + 1), (0, 1))),
-            ("ALdP.3.n", n, ((1, 0), (0, 1), (0, 1))),
-            ("ALdP.4.n", n, ((1, 0), (0, 1), (0, 1), (1, n))),
+            (f"ALdP.1.{n}", ((1, 0), (1, n + 2))),
+            (f"ALdP.2.{n}", ((1, 0), (1, n + 1), (0, 1))),
+            (f"ALdP.3.{n}", ((1, 0), (0, 1), (0, 1))),
+            (f"ALdP.4.{n}", ((1, 0), (0, 1), (0, 1), (1, n))),
         ]
     if n == 0:
         rows += [
-            ("I.4A", None, ((2, 2),)),
-            ("I.4B", None, ((2, 1),)),
-            ("I.4C", None, ((1, 1),)),
-            ("II.4A", None, ((1, 1), (1, 1))),
-            ("II.4B", None, ((2, 1), (0, 1))),
-            ("III.2", None, ((1, 1), (0, 1), (1, 0))),
-            ("IV", None, ((1, 0), (1, 0), (0, 1), (0, 1))),
+            ("I.4A", ((2, 2),)),
+            ("I.4B", ((2, 1),)),
+            ("I.4C", ((1, 1),)),
+            ("II.4A", ((1, 1), (1, 1))),
+            ("II.4B", ((2, 1), (0, 1))),
+            ("III.2", ((1, 1), (0, 1), (1, 0))),
+            ("IV", ((1, 0), (1, 0), (0, 1), (0, 1))),
         ]
     if n == 1:
         rows += [
-            ("I.3A", None, ((2, 2),)),
-            ("I.3B", None, ((1, 1),)),
-            ("I.5.1", None, ((2, 3),)),
-            ("I.6B.1", None, ((1, 2),)),
-            ("I.6C.1", None, ((0, 1),)),
-            ("II.3", None, ((1, 1), (1, 1))),
-            ("II.5A.1", None, ((2, 2), (0, 1))),
-            ("II.5A.1", None, ((1, 2), (1, 1))),
-            ("II.5B.1", None, ((1, 1), (0, 1))),
-            ("III.4.1", None, ((0, 1), (1, 1), (1, 1))),
+            ("I.3A", ((2, 2),)),
+            ("I.3B", ((1, 1),)),
+            ("I.5.1", ((2, 3),)),
+            ("I.6B.1", ((1, 2),)),
+            ("I.6C.1", ((0, 1),)),
+            ("II.3", ((1, 1), (1, 1))),
+            ("II.5A.1", ((2, 2), (0, 1))),
+            ("II.5A.1", ((1, 2), (1, 1))),
+            ("II.5B.1", ((1, 1), (0, 1))),
+            ("III.4.1", ((0, 1), (1, 1), (1, 1))),
         ]
     return rows
 
 
-def _maeda_rows(n: int) -> list[tuple[str, Optional[int], tuple[tuple[int, int], ...]]]:
+def _maeda_rows(n: int) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
     rows = [
-        ("Maeda.iv", n, ((1, 0),)),
-        ("Maeda.v", n, ((1, 0), (0, 1))),
+        ("Maeda.iv", ((1, 0),)),
+        ("Maeda.v", ((1, 0), (0, 1))),
     ]
     if n == 1:
-        rows.append(("Maeda.vi", None, ((1, 1),)))
+        rows.append(("Maeda.vi", ((1, 1),)))
     if n == 0:
-        rows.append(("Maeda.vii", None, ((1, 1),)))
+        rows.append(("Maeda.vii", ((1, 1),)))
     return rows
 
 
 def _table(n: Optional[int], rows) -> dict:
     out = {}
-    for label, label_n, presentation in rows:
+    for label, presentation in rows:
         key = swap_canonical(n, presentation)
         if key in out:
             raise AssertionError(f"family table collision at n={n}: {key}")
-        out[key] = (FamilyLabel(label, label_n), presentation)
+        out[key] = (label, presentation)
     return out
 
 
-def match_label(c: CandidatePair) -> FamilyLabel:
+def match_label(c: CandidatePair) -> str:
     """The unique family containing an asymptotically log del Pezzo candidate."""
     table = _table(c.n, _P2_RANK2 if c.n is None else _rank2_rows(c.n))
     key = swap_canonical(c.n, c.classes)
@@ -285,7 +274,7 @@ def _strength(c: CandidatePair) -> str:
     return STRONG if c.body.strongly_aldp is True else NOT_STRONG
 
 
-def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair, FamilyLabel]]:
+def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair, str]]:
     """The candidates `accept` holds for, each in its family's presentation:
     the plane in degree order, then F_0, ..., F_n_max, each sorted by
     (label, classes).  An accepted candidate missing from its family table
@@ -306,12 +295,12 @@ def _enumerate(accept, p2_rows, fn_rows, n_max: int) -> list[tuple[CandidatePair
                 raise LookupError(f"no family matches {surface} boundary {key}")
             found.append((cand, label))
         if n is not None:
-            found.sort(key=lambda row: (row[1].text, row[0].classes))
+            found.sort(key=lambda row: (row[1], row[0].classes))
         out += found
     return out
 
 
-def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, str]]:
+def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, str, str]]:
     """All asymptotically log del Pezzo boundaries on the plane and on F_n,
     n <= n_max, each labelled with its family and positivity strength."""
     return [
@@ -320,6 +309,6 @@ def enumerate_rank2(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel, s
     ]
 
 
-def enumerate_maeda(n_max: int = 12) -> list[tuple[CandidatePair, FamilyLabel]]:
+def enumerate_maeda(n_max: int = 12) -> list[tuple[CandidatePair, str]]:
     """All log del Pezzo boundaries on the plane and on F_n, n <= n_max."""
     return _enumerate(lambda c: c.log_dp, _P2_MAEDA, _maeda_rows, n_max)

@@ -213,16 +213,12 @@ def cmd_classify(args) -> int:
     if args.mode == "maeda":
         for cand, label in classify.enumerate_maeda(args.n_max):
             n_col = "-" if cand.n is None else str(cand.n)
-            print("\t".join([n_col, cand.surface, _classes_column(cand), label.text]))
+            print("\t".join([n_col, cand.surface, _classes_column(cand), label]))
         return 0
     for cand, label, strength in classify.enumerate_rank2(args.n_max):
         n_col = "-" if cand.n is None else str(cand.n)
         body_col = "; ".join(pt.canonical_lines(cand.body.closed_hull))
-        print(
-            "\t".join(
-                [n_col, cand.surface, _classes_column(cand), label.text, strength, body_col]
-            )
-        )
+        print("\t".join([n_col, cand.surface, _classes_column(cand), label, strength, body_col]))
     return 0
 
 

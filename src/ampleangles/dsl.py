@@ -14,7 +14,8 @@ Node lines are optional: omitted entirely, one node per intersection
 point is generated with ids "<label_i>.<label_j>.<k>".  Blow-up steps
 apply in order; a node blow-up adds the boundary component and basis
 label <fresh-name>, and fresh nodes "<label>.<fresh-name>.1" that later
-steps may reference (infinitely-near chains).
+steps may reference (infinitely-near chains).  Node ids, given or
+generated, must be unique.
 """
 
 from __future__ import annotations
@@ -194,13 +195,17 @@ def _refused_line(surface, components, component_lines, node_lines) -> int:
     """The line to blame for a refused base pair: the first component line
     whose boundary prefix `make_pair` refuses.  Else a node count is wrong:
     the first node line that joins the two components `make_pair` names,
-    or the first node line when none joins them."""
+    or the first node line when none joins them.  With node lines no id is
+    generated, so the prefixes are built with the components' indices as
+    labels, whose generated ids cannot collide."""
+    labels = [lab for lab, _ in components]
+    if node_lines:
+        components = [(str(k), coords) for k, (_, coords) in enumerate(components)]
     for k, line_no in enumerate(component_lines, start=1):
         try:
             make_pair(surface, components[:k])
         except ValueError:
             return line_no
-    labels = [lab for lab, _ in components]
 
     def incident(line) -> tuple[int, int]:
         return tuple(sorted((labels.index(line[2]), labels.index(line[3]))))

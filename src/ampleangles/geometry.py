@@ -18,7 +18,6 @@ its weak twin, nonnegative on every normal.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -96,9 +95,6 @@ class SurfaceModel(namedtuple("SurfaceModel", "basis_labels intersection_matrix 
 
     def basis_vector(self, i: int) -> "DivisorClass":
         return self.divisor([1 if j == i else 0 for j in range(self.rank)])
-
-    def canonical_class(self) -> "DivisorClass":
-        return self.divisor(self.canonical)
 
     def minus_k(self) -> "DivisorClass":
         return self.divisor([-c for c in self.canonical])
@@ -259,47 +255,3 @@ def nef_cone(s: SurfaceModel) -> tuple[tuple[int, ...], ...]:
         return ((1, 0), (-prov.n, 1))
     raise ValueError("built-in nef cones exist only for the plane and Hirzebruch surfaces")
 
-
-def lattice_signature(matrix: Sequence[Sequence[Rat]]) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric matrix, by exact
-    symmetric Gaussian reduction over the rationals."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    r = len(m)
-    pos = neg = zero = 0
-    rows = list(range(r))
-    while rows:
-        k = rows[0]
-        pivot = m[k][k]
-        if pivot == 0:
-            # look for a nonzero diagonal entry to swap in
-            swap = next((j for j in rows if m[j][j] != 0), None)
-            if swap is None:
-                # off-diagonal nonzero forces a hyperbolic pair; all-zero block is radical
-                pair = next(
-                    ((i, j) for i, j in itertools.combinations(rows, 2) if m[i][j] != 0),
-                    None,
-                )
-                if pair is None:
-                    zero += len(rows)
-                    break
-                i, j = pair
-                for t in rows:
-                    m[i][t] += m[j][t]
-                for t in rows:
-                    m[t][i] += m[t][j]
-                continue
-            k = swap
-            pivot = m[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        rows.remove(k)
-        for i in rows:
-            if m[i][k] != 0:
-                f = m[i][k] / pivot
-                for j in rows:
-                    m[i][j] -= f * m[k][j]
-                m[i][k] = Fraction(0)
-                m[k][i] = Fraction(0)
-    return pos, neg, zero

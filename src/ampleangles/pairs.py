@@ -94,10 +94,6 @@ class AngleVector(namedtuple("AngleVector", "entries")):
                 raise ValueError("angles must lie in [0, 1]")
         return tuple.__new__(cls, (entries,))
 
-    @property
-    def interior(self) -> bool:
-        return all(0 < e.numerator < e.denominator for e in self.entries)
-
 
 def angles(values: Sequence[Rat]) -> AngleVector:
     """The angle vector of the values, each kept as it is when it is already
@@ -224,13 +220,12 @@ def make_pair(
     classes = tuple(surface.divisor(coeffs) for _, coeffs in boundary)
     _check_boundary(surface, labels, [c.integer_form for c in classes])
     meet = _intersection_table(surface, classes)
-    if nodes is None:
-        node_tuple = _auto_nodes(labels, meet)
-    else:
-        node_tuple = _sorted_nodes(nodes)
-        ids = [nd.id for nd in node_tuple]
-        if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be distinct")
+    node_tuple = _auto_nodes(labels, meet) if nodes is None else _sorted_nodes(nodes)
+    ids = [nd.id for nd in node_tuple]
+    if len(set(ids)) != len(ids):
+        twice = next(i for i in ids if ids.count(i) > 1)
+        raise ValueError(f"node ids must be distinct; {twice!r} is used twice")
+    if nodes is not None:
         for nd in node_tuple:
             if not all(0 <= t < len(labels) for t in nd.incident):
                 raise ValueError(f"node {nd.id!r} references a missing component")
@@ -484,7 +479,8 @@ def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> L
 
     Both incident components become proper transforms, the exceptional
     curve joins the boundary, and the blown node is replaced by the two
-    new transverse intersections with E.
+    new transverse intersections with E.  A new node id that another node
+    already holds is refused.
     """
     nd = p.node(node_id)
     i, j = nd.incident
@@ -494,8 +490,11 @@ def blow_up_node(p: LogPair, node_id: str, exc_label: Optional[str] = None) -> L
     if _is_tracked(p, label):
         raise ValueError(f"tracked-curve tag {label!r} already in use")
     nodes = [other for other in p.nodes if other.id != node_id]
-    nodes.append(NodeRecord(f"{p.labels[i]}.{label}.1", (i, p.r)))
-    nodes.append(NodeRecord(f"{p.labels[j]}.{label}.1", (j, p.r)))
+    for t in (i, j):
+        new_id = f"{p.labels[t]}.{label}.1"
+        if any(other.id == new_id for other in nodes):
+            raise ValueError(f"node id {new_id!r} already in use")
+        nodes.append(NodeRecord(new_id, (t, p.r)))
     event = BlowUpEvent(label, "node", node_id, restore_node=nd)
     return _blow_up(p, label, f"node:{node_id}", [i, j], nd.on_fiber_of, event, nodes)
 

@@ -16,7 +16,7 @@ from _util import MAEDA_P2, P2_TABLE, _nef_normals, fn_table, maeda_fn_table, ra
 def test_maeda_count_n3():
     rows = cl.enumerate_maeda(3)
     assert len(rows) == 13
-    counts = Counter(label.text for _, label in rows)
+    counts = Counter(label for _, label in rows)
     assert counts == {
         "Maeda.i": 1,
         "Maeda.ii": 1,
@@ -29,7 +29,7 @@ def test_maeda_count_n3():
 
 
 def test_maeda_label_examples():
-    rows = {(c.surface, c.classes): label.text for c, label in cl.enumerate_maeda(4)}
+    rows = {(c.surface, c.classes): label for c, label in cl.enumerate_maeda(4)}
     assert rows[("P2", (1, 1))] == "Maeda.ii"
     for n in range(5):
         assert rows[(f"F{n}", ((1, 0), (0, 1)))] == "Maeda.v"
@@ -38,7 +38,7 @@ def test_maeda_label_examples():
 def test_maeda_against_golden_table():
     n_max = 6
     got = {
-        (c.surface, tuple(sorted(c.classes)), label.text)
+        (c.surface, tuple(sorted(c.classes)), label)
         for c, label in cl.enumerate_maeda(n_max)
     }
     want = {("P2", tuple(sorted(d)), lab) for lab, d in MAEDA_P2}
@@ -49,14 +49,14 @@ def test_maeda_against_golden_table():
 
 
 def test_match_label_examples():
-    assert cl.match_label(cl.CandidatePair("F1", 1, ((1, 0), (0, 1)))).text == "II.2C.1"
-    assert cl.match_label(cl.CandidatePair("F0", 0, ((1, 1), (1, 1)))).text == "II.4A"
+    assert cl.match_label(cl.CandidatePair("F1", 1, ((1, 0), (0, 1)))) == "II.2C.1"
+    assert cl.match_label(cl.CandidatePair("F0", 0, ((1, 1), (1, 1)))) == "II.4A"
     assert (
-        cl.match_label(cl.CandidatePair("F3", 3, ((1, 0), (0, 1), (0, 1), (1, 3)))).text
+        cl.match_label(cl.CandidatePair("F3", 3, ((1, 0), (0, 1), (0, 1), (1, 3))))
         == "ALdP.4.3"
     )
     assert (
-        cl.match_label(cl.CandidatePair("F0", 0, ((1, 0), (0, 1), (0, 1), (1, 0)))).text
+        cl.match_label(cl.CandidatePair("F0", 0, ((1, 0), (0, 1), (0, 1), (1, 0))))
         == "IV"
     )
     with pytest.raises(LookupError):
@@ -64,7 +64,7 @@ def test_match_label_examples():
 
 
 def test_rank2_survivors_at_n2():
-    rows = [(c, label.text, s) for c, label, s in cl.enumerate_rank2(2) if c.n == 2]
+    rows = [(c, label, s) for c, label, s in cl.enumerate_rank2(2) if c.n == 2]
     labels = {lab for _, lab, _ in rows}
     assert labels == {
         "I.2.2", "II.2A.2", "II.2B.2", "II.2C.2", "III.3.2",
@@ -76,7 +76,7 @@ def test_rank2_survivors_at_n2():
 
 
 def test_rank2_fiber_family_lands_at_n0():
-    rows = {(c.surface, c.classes): label.text for c, label, _ in cl.enumerate_rank2(0)}
+    rows = {(c.surface, c.classes): label for c, label, _ in cl.enumerate_rank2(0)}
     # (1,n) with two fibers exists only at n = 0, as III.3.0
     assert rows[("F0", ((1, 0), (0, 1), (1, 0)))] == "III.3.0"
 
@@ -84,7 +84,7 @@ def test_rank2_fiber_family_lands_at_n0():
 def test_rank2_against_golden_table():
     n_max = 5
     got = {
-        (c.surface, c.classes, label.text, s)
+        (c.surface, c.classes, label, s)
         for c, label, s in cl.enumerate_rank2(n_max)
     }
     want = {("P2", d, lab, s) for lab, d, s in P2_TABLE}
@@ -96,7 +96,7 @@ def test_rank2_against_golden_table():
 
 def test_rank2_not_strong_tags():
     rows = cl.enumerate_rank2(4)
-    not_strong = sorted(label.text for _, label, s in rows if s == cl.NOT_STRONG)
+    not_strong = sorted(label for _, label, s in rows if s == cl.NOT_STRONG)
     assert not_strong == sorted(
         f"ALdP.{k}.{n}" for k in (1, 2, 3, 4) for n in range(1, 5)
     )

@@ -147,6 +147,17 @@ def test_spec_errors_after_parsing_name_their_line(tmp_path, capsys):
             "node a Z G\nnode a C G\nnode c Z C\n",
             6,
         ),
+        # generated ids that collide: A.B with C, and A with B.C, both give A.B.C.1
+        ("surface P2\ncomponent A.B 1\ncomponent C 1\ncomponent A 1\ncomponent B.C 1\n", 5),
+        # a node blow-up whose new node X.Y.Z.1 is already the node of X.Y and Z
+        ("surface P2\ncomponent X.Y 1\ncomponent Z 1\ncomponent X 1\ncomponent Q 1\nblowup node X.Q.1 Y.Z\n", 6),
+        # with node lines no id is generated: A and B.C meet once, but two lines join them
+        (
+            "surface P2\ncomponent A.B 1\ncomponent C 1\ncomponent A 1\ncomponent B.C 1\n"
+            "node p A.B C\nnode q A.B A\nnode r A.B B.C\nnode s C A\nnode t C B.C\n"
+            "node u A B.C\nnode v A B.C\n",
+            11,
+        ),
     ]
     spec = tmp_path / "bad.pair"
     for text, line_no in cases:

@@ -11,7 +11,7 @@ from ampleangles import cli, dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
-from _util import F, adjoint_coeffs, family_at, rank2_candidates
+from _util import F, adjoint_coeffs, family_at, inertia, rank2_candidates
 from test_acceptance import BASES, _random_script
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -158,7 +158,13 @@ def test_make_pair_validation():
         (
             (f1, zf),
             {"nodes": [pr.NodeRecord("x", (0, 1)), pr.NodeRecord("x", (0, 1))]},
-            "node ids must be distinct",
+            "node ids must be distinct; 'x' is used twice",
+        ),
+        # generated ids that collide: A.B with C, and A with B.C
+        (
+            (g.projective_plane(), [("A.B", (1,)), ("C", (1,)), ("A", (1,)), ("B.C", (1,))]),
+            {},
+            "node ids must be distinct; 'A.B.C.1' is used twice",
         ),
         ((f1, zf), {"nodes": [pr.NodeRecord("x", (0, 2))]}, "node 'x' references a missing component"),
         (
@@ -178,13 +184,13 @@ def test_make_pair_validation():
 def test_angle_vector():
     with pytest.raises(ValueError):
         pr.angles([F(3, 2)])
-    assert pr.angles([F(1, 2), F(1, 3)]).interior
-    assert not pr.angles([0, F(1, 2)]).interior
+    assert all(0 < e < 1 for e in pr.angles([F(1, 2), F(1, 3)]).entries)
+    assert not all(0 < e < 1 for e in pr.angles([0, F(1, 2)]).entries)
 
 
 def test_angle_vector_range():
     assert pr.angles([0, 1, F(1, 7)]).entries == (0, 1, F(1, 7))
-    assert not pr.angles([F(1, 2), 1]).interior
+    assert not all(0 < e < 1 for e in pr.angles([F(1, 2), 1]).entries)
     for bad in ([F(-1, 7)], [F(1, 2), F(8, 7)], [-1], [2]):
         with pytest.raises(ValueError, match=r"^angles must lie in \[0, 1\]$"):
             pr.angles(bad)
@@ -221,7 +227,6 @@ def test_angles_convert_and_refuse_on_seeded_mixes():
         assert type(v.entries) is tuple and v.entries == tuple(values)
         for got, given in zip(v.entries, values):
             assert type(got) is F and (got is given) is (type(given) is F)
-        assert v.interior is all(0 < x < 1 for x in values)
         direct = pr.AngleVector(tuple(values))
         assert all(a is b for a, b in zip(direct.entries, values))
     assert seen[True] > 50 and seen[False] > 50
@@ -277,7 +282,7 @@ def test_blowup_invariants():
     p = fig1_pair()
     up = pr.blow_up_node(p, "Z.C2.1", "E")
     assert up.surface.rank == p.surface.rank + 1
-    assert g.lattice_signature(up.surface.intersection_matrix) == (1, up.surface.rank - 1, 0)
+    assert inertia(up.surface.intersection_matrix) == (1, up.surface.rank - 1, 0)
     mk2 = lambda q: g.intersect(q.surface.minus_k(), q.surface.minus_k())
     assert mk2(up) == mk2(p) - 1
 
@@ -393,17 +398,69 @@ def test_is_minimal_blowups():
     assert pr.is_minimal(up2) is pr.UNKNOWN
 
 
+def _assert_nodes_match_intersections(p):
+    """Node ids are distinct, and the nodes joining C_i and C_j number C_i.C_j."""
+    ids = [nd.id for nd in p.nodes]
+    assert len(set(ids)) == len(ids), ids
+    count = Counter(nd.incident for nd in p.nodes)
+    for i, j in itertools.combinations(range(p.r), 2):
+        assert count[i, j] == g.intersect(p.classes[i], p.classes[j]), (p.labels, i, j)
+
+
 def test_node_count_consistency_preserved():
     p = fig1_pair()  # Z.C2 = 2, so two nodes
     assert len(p.nodes) == 2
     up = pr.blow_up_node(p, "Z.C2.1", "E")
     # remaining original node plus two new E-nodes
-    pairs_count = {}
-    for nd in up.nodes:
-        pairs_count[nd.incident] = pairs_count.get(nd.incident, 0) + 1
-    for i in range(up.r):
-        for j in range(i + 1, up.r):
-            assert pairs_count.get((i, j), 0) == g.intersect(up.classes[i], up.classes[j])
+    _assert_nodes_match_intersections(up)
+
+
+def test_node_blowup_refuses_a_node_id_in_use():
+    """Dotted labels can make a new node's id equal one already in use;
+    blow_up_node refuses the step, so no node id stands for two nodes."""
+    p2 = g.projective_plane()
+    p = pr.make_pair(p2, [("X.Y", (1,)), ("Z", (1,)), ("X", (1,)), ("Q", (1,))])
+    with pytest.raises(ValueError) as err:
+        pr.blow_up_node(p, "X.Q.1", "Y.Z")
+    assert str(err.value) == "node id 'X.Y.Z.1' already in use"
+    # the blown node's own id is free again, for one of the new nodes
+    p = pr.make_pair(p2, [("A", (1,)), ("B", (1,))], nodes=[pr.NodeRecord("A.E.1", (0, 1))])
+    up = pr.blow_up_node(p, "A.E.1", "E")
+    assert [(nd.id, nd.incident) for nd in up.nodes] == [("A.E.1", (0, 2)), ("B.E.1", (1, 2))]
+    _assert_nodes_match_intersections(up)
+
+
+def test_node_ids_stay_distinct_under_dotted_labels():
+    """Seeded scripts on the plane whose labels and fresh names contain
+    dots, so that generated node ids can collide: a refused base pair or
+    step is skipped, and after every accepted one the node ids are distinct
+    and the nodes joining C_i and C_j number C_i.C_j."""
+    rng = random.Random(29)
+    names = ["A", "B", "C", "A.B", "B.C", "C.A"]
+    outcomes = Counter()
+    for _ in range(1000):
+        labels = rng.sample(names, rng.randint(3, 5))
+        try:
+            p = pr.make_pair(g.projective_plane(), [(lab, (rng.randint(1, 2),)) for lab in labels])
+        except ValueError as err:
+            assert str(err).startswith("node ids must be distinct; "), err
+            outcomes["base refused"] += 1
+            continue
+        _assert_nodes_match_intersections(p)
+        for _ in range(rng.randint(1, 4)):
+            fresh = rng.choice(names + ["E", "E.A"])
+            try:
+                if p.nodes and rng.random() < 0.7:
+                    p = pr.blow_up_node(p, rng.choice(p.nodes).id, fresh)
+                else:
+                    p = pr.blow_up_smooth_point(p, rng.choice(p.labels), fresh)
+            except ValueError as err:
+                assert "already in use" in str(err) or "names a node" in str(err), err
+                outcomes["node id" if str(err).startswith("node id") else "other refusal"] += 1
+                continue
+            _assert_nodes_match_intersections(p)
+            outcomes["step"] += 1
+    assert outcomes["base refused"] >= 20 and outcomes["node id"] >= 10 and outcomes["step"] >= 500, outcomes
 
 
 def test_fiber_tracking_on_smooth_blowup():
@@ -638,7 +695,6 @@ def _value_types():
         (lambda: an.AABody(rows(), an.EXACT), "exactness"),
         (lambda: an.QuadraticReport(F(1), (F(2),), ((F(3),),), 4, 3, 1, 1, 1), "samples"),
         (lambda: an.reparam(p(), pr.angles([F(1, 2), F(1, 2)])), "eta"),
-        (lambda: cl.FamilyLabel("ALdP.3.n", 2), "n"),
         (lambda: cl.CandidatePair("F2", 2, ((1, 0), (0, 1))), "classes"),
         (lambda: dsl.BlowUpStep("smooth", "Z", "p", "f"), "fiber"),
         (lambda: dsl.PairScript(p(), ()), "steps"),
@@ -666,7 +722,7 @@ def test_value_types_are_immutable_named_tuples():
             with pytest.raises(AttributeError):
                 setattr(a, name, getattr(b, name))
         built.add(type(a))
-    assert len(built) == 23 and CACHING <= built
+    assert len(built) == 22 and CACHING <= built
     plane = g.ProjectivePlane()
     assert not plane  # no fields: the one falsy value
 
