@@ -21,8 +21,7 @@ each coordinate by the rows.  With points to sign, it reads the body's
 vertices: when their images prove the quadratic positive on the open
 body (the Hodge index theorem, `_positive_on_vertices`), every point is
 positive and the count is the table.  Otherwise a second walk carries
-the quadratic down, so that along the last coordinate it is
-a + b.x + c.x^2 in integers, signed in closed form.  The strong ALdP
+the quadratic down in integers and signs each point.  The strong ALdP
 verdict is read off an exact body's rows.  The ALdP verdict first tests
 that -K - C is nef, i.e. that the origin satisfies the weakened rows
 (every offset is >= 0), and reads the closure only then; its elimination
@@ -54,7 +53,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import polytope as pt
@@ -219,47 +218,6 @@ class QuadraticReport(
     __slots__ = ()
 
 
-def _run_signs(a: int, b: int, c: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """How many integers x in [lo, hi] give Q = a + b.x + c.x^2 a positive,
-    zero and negative sign, in that order, counted in closed form.
-
-    Negating Q swaps the positive and negative counts, so c > 0, or c = 0
-    with b >= 0, is enough.  For c = 0 and b > 0, Q < 0 iff x < -a/b and
-    Q = 0 iff x = -a/b.  For c > 0, 4c.Q = u^2 - D with u = 2c.x + b and
-    D = b^2 - 4ac: Q < 0 iff |u| <= t, where t = isqrt(D), less 1 when D
-    is a perfect square, and Q = 0 iff u = +-isqrt(D) when D is one.
-    """
-    n = hi - lo + 1
-    flip = c < 0 or (c == 0 and b < 0)
-    if flip:
-        a, b, c = -a, -b, -c
-    neg = zero = 0
-    if c:
-        d = b * b - 4 * a * c
-        if d >= 0:
-            s = isqrt(d)
-            square = s * s == d
-            t = s - 1 if square else s
-            m = 2 * c
-            # -t <= 2c.x + b <= t is ceil((-t - b)/m) <= x <= floor((t - b)/m)
-            neg = max(0, min(hi, (t - b) // m) - max(lo, -((t + b) // m)) + 1)
-            if square:
-                zero = _root_in(s - b, m, lo, hi) + (_root_in(-s - b, m, lo, hi) if s else 0)
-    elif b:
-        # x < -a/b is x <= ceil(-a/b) - 1
-        neg = max(0, min(hi, -(a // b) - 1) - lo + 1)
-        zero = _root_in(-a, b, lo, hi)
-    elif a <= 0:
-        neg, zero = (n, 0) if a else (0, n)
-    pos = n - neg - zero
-    return (neg, zero, pos) if flip else (pos, zero, neg)
-
-
-def _root_in(num: int, den: int, lo: int, hi: int) -> int:
-    """1 when num/den (den > 0) is an integer in [lo, hi], else 0."""
-    return int(num % den == 0 and lo <= num // den <= hi)
-
-
 def _grid_levels(denom: int, p: pt.HPolytope):
     """The rows of p that cut the box {1..denom-1}^r, as seen by the grid
     walks: (levels, tested), levels[j] listing (row, c, least - best) for
@@ -392,9 +350,9 @@ def _quadratic_signs(gram, denom: int, p: pt.HPolytope) -> tuple[int, int, int]:
 
     The walk over the rows of `_grid_levels` carries, next to the partial
     sums, the integer Q = denom^2.q(k/denom): its terms a in the fixed
-    coordinates and the coefficients lin of the free ones.  Along the last
-    coordinate, whose bounds are exact, Q = a + lin_0.x + c.x^2, counted
-    by `_run_signs`.
+    coordinates and the coefficients lin of the free ones, so that fixing
+    the next coordinate at x gives Q's new terms a + x.(lin_0 + c.x).  Each
+    value of the last coordinate, whose bounds are exact, is signed.
     """
     setup = _grid_levels(denom, p)
     if setup is None:
@@ -407,17 +365,16 @@ def _quadratic_signs(gram, denom: int, p: pt.HPolytope) -> tuple[int, int, int]:
 
     def scan(j, partial, a, lin):
         lo, hi = _bounds(levels[j], partial, top)
-        if j == last:
-            if lo <= hi:
-                for sign, count in enumerate(_run_signs(a, lin[0], c2[j][j], lo, hi)):
-                    signs[sign] += count
-            return
         b, c, rest = lin[0], c2[j][j], lin[1:]
         for x in range(lo, hi + 1):
+            q = a + x * (b + c * x)
+            if j == last:
+                signs[(q <= 0) + (q < 0)] += 1  # 0 positive, 1 zero, 2 negative
+                continue
             step = partial[:]
             for i, cj, _ in levels[j]:
                 step[i] += cj * x
-            scan(j + 1, step, a + x * (b + c * x), [v + w * x for v, w in zip(rest, cross[j])])
+            scan(j + 1, step, q, [v + w * x for v, w in zip(rest, cross[j])])
 
     signs = [0, 0, 0]
     scan(0, [0] * tested, gram[0][0] * denom * denom, [2 * denom * v for v in gram[0][1:]])

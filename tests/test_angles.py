@@ -741,7 +741,7 @@ def test_certified_report_matches_the_signed_grid(monkeypatch):
     grid samples, so none of them is signed point by point.  No benchmark
     job runs the signing walk, so its time has a budget here: the reports
     built without the certificate, double description included, take under
-    3 s together (0.30 s on a 2-vCPU VM)."""
+    3 s together (0.18-0.25 s on a 2-vCPU VM)."""
     paths = sorted(SAMPLES.glob("*.pair"))
     paths += [REPO / "perfbench" / "inputs" / f"chain-r{r}.pair" for r in (5, 6)]
     pairs = [dsl.load_pair_spec(str(path)).final for path in paths]
@@ -948,46 +948,6 @@ def test_vertices_do_not_depend_on_row_order():
             rows = list(closed.integer_rows)
             random.Random(seed).shuffle(rows)
             assert pt.vertices(pt.HPolytope(r, tuple(rows))) == want, (r, seed)
-
-
-def test_run_signs_match_pointwise_evaluation():
-    """The closed-form count of one run against evaluating Q = a + b.x +
-    c.x^2 at each of its integers: random coefficients up to 10^6, integer
-    double and simple roots, linear and constant Q, b = 0, one-point runs,
-    and runs wholly inside, outside or straddling the roots."""
-    rng = random.Random(2718)
-    kinds = Counter()
-    for i in range(6000):
-        shape, big = i % 6, rng.choice([40, 10**6])
-        root, k, m = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(-big, big)
-        if shape == 0:
-            a, b, c = (rng.randint(-big, big) for _ in range(3))
-        elif shape == 1:  # k.(x - root)^2
-            a, b, c = k * root * root, -2 * k * root, k
-        elif shape == 2:  # (x - root).(k.x + m)
-            a, b, c = -root * m, m - k * root, k
-        elif shape == 3:  # k.(x - root), or a random linear Q
-            a, b, c = (-k * root, k, 0) if rng.random() < 0.5 else (m, rng.randint(-big, big), 0)
-        elif shape == 4:
-            a, b, c = m, 0, rng.randint(-big, big)
-        else:
-            a, b, c = m, 0, 0
-        lo = (root if shape in (1, 2, 3) else 0) + rng.randint(-40, 10)
-        hi = lo + rng.choice([0, rng.randint(0, 60)])
-        want = Counter()
-        for x in range(lo, hi + 1):
-            q = a + b * x + c * x * x
-            want[(q > 0) - (q < 0)] += 1
-        assert an._run_signs(a, b, c, lo, hi) == (want[1], want[0], want[-1]), (a, b, c, lo, hi)
-        kinds["c < 0"] += c < 0
-        kinds["c = 0"] += c == 0
-        kinds["b = 0"] += b == 0
-        kinds["one point"] += lo == hi
-        kinds["zero"] += want[0] > 0
-        if c and b * b - 4 * a * c > 0:  # two real roots
-            side = (c > 0) - (c < 0)
-            kinds["inside" if set(want) == {-side} else "outside" if set(want) == {side} else "straddling"] += 1
-    assert min(kinds.values()) > 300 and len(kinds) == 8, kinds
 
 
 def test_quadratic_signs_match_fraction_evaluation():

@@ -533,6 +533,31 @@ def test_aa_svg_escapes_file_name(tmp_path):
     assert "a&b<c.pair section b1=1/2" in texts
 
 
+def test_aa_svg_marks_outer_and_empty_bodies(tmp_path, capsys):
+    """An outer body is drawn with the OUTER watermark, and an empty one as
+    the word "empty" with no shape: a 2-angle blow-up body, and the empty
+    section of the shared-fiber sample."""
+    import xml.etree.ElementTree as ET
+
+    spec = tmp_path / "f1-smooth.pair"
+    spec.write_text("surface F 1\ncomponent Z 1 0\ncomponent F 0 1\nblowup smooth Z e\n")
+    sample = pathlib.Path(__file__).resolve().parent.parent / "samples" / "shared-fiber-degeneration.pair"
+    runs = {
+        "outer": [str(spec)],
+        "empty": [str(sample), "--slice", "1=1/2", "--slice", "2=1/2"],
+    }
+    for name, argv in runs.items():
+        svg = tmp_path / f"{name}.svg"
+        assert cli.main(["aa", *argv, "--svg", str(svg)]) == 0, name
+        out = capsys.readouterr().out
+        text = svg.read_text(encoding="utf-8")
+        texts = [el.text for el in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")]
+        assert "exactness: outer" in out and "OUTER" in texts, name
+    assert "(1/2, 0)" in (tmp_path / "outer.svg").read_text(encoding="utf-8")
+    empty = (tmp_path / "empty.svg").read_text(encoding="utf-8")
+    assert "empty" in empty and "<path" not in empty
+
+
 def test_blowup_report(specs):
     out = run_cli(["blowup", "blow.pair"], cwd=specs)
     assert out.returncode == 2  # verdicts are unknown on the blow-up

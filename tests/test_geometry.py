@@ -205,6 +205,7 @@ def test_intersect_symmetric_bilinear(triple, lam, mu):
     a, b, c = triple
     assert g.intersect(a, b) == g.intersect(b, a)
     assert g.intersect(lam * a + mu * b, c) == lam * g.intersect(a, c) + mu * g.intersect(b, c)
+    assert g.intersect(-a, c) == -g.intersect(a, c)
 
 
 @given(st.integers(min_value=-1, max_value=5), small_rats, small_rats)

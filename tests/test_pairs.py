@@ -310,6 +310,20 @@ def test_node_blowup_contract_round_trip():
     assert fields(p.nodes) == [("a", (0, 1), "f"), ("b", (0, 2), "h")]
 
 
+def test_contract_picks_a_fresh_node_id():
+    """Contracting a boundary E joins the two components it met with a new
+    node A.B.m, m the least number whose id is free."""
+    N = pr.NodeRecord
+    p = pr.make_pair(
+        g.blow_up(g.projective_plane(), "E", "p"),
+        [("A", (1, -1)), ("B", (1, -1)), ("E", (0, 1)), ("C", (1, 0))],
+        nodes=[N("A.B.1", (0, 3)), N("y", (1, 3)), N("ae", (0, 2)), N("be", (1, 2))],
+    )
+    down, _ = pr.contract(p, "E")
+    assert down.labels == ("A", "B", "C")
+    assert {nd.id: nd.incident for nd in down.nodes} == {"A.B.2": (0, 1), "A.B.1": (0, 2), "y": (1, 2)}
+
+
 def test_smooth_blowup_contract_round_trip():
     p = pr.make_pair(g.hirzebruch(2), [("Z", (1, 0))])
     up = pr.blow_up_smooth_point(p, "Z", "q")
