@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -62,6 +61,7 @@ from .geometry import (
     UNSUPPORTED,
     BlowUp,
     DivisorClass,
+    _cached_field,
     _fraction,
     _integer_point,
     _is_ample_numerators,
@@ -81,13 +81,13 @@ class AABody(namedtuple("AABody", "open_part exactness")):
     are computed on first read.  Equality compares the open part and the
     exactness only."""
 
-    @cached_property
+    @_cached_field
     def closed_hull(self) -> pt.HPolytope:
         """The closure of the open part (canonical empty when it is
         infeasible), by Fourier-Motzkin elimination."""
         return pt.closure(self.open_part)
 
-    @cached_property
+    @_cached_field
     def vertices(self) -> pt.VPolytope:
         """The closure's vertices, by double description (none when the
         body is empty)."""

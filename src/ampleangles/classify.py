@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterator, Optional
 
 from .angles import EXACT, AABody, _family_open_part
 from .geometry import (
     SurfaceModel,
+    _cached_field,
     _is_ample_numerators,
     _is_nef_numerators,
     fn_irreducible_admissible,
@@ -70,25 +71,26 @@ class CandidatePair(namedtuple("CandidatePair", "surface n classes")):
     """A candidate boundary on "P2" (n None; `classes` a degree tuple) or
     on "F<n>" (`classes` a tuple of (a, b) tuples)."""
 
-    @cached_property
+    @_cached_field
     def coords(self) -> tuple[tuple[int, ...], ...]:
         """The classes as integer coordinate vectors in the surface's basis."""
         return tuple((d,) for d in self.classes) if self.n is None else self.classes
 
-    @cached_property
+    @_cached_field
     def pair(self) -> LogPair:
         """The log pair with boundary C1, C2, ... in `classes` order, built
         once, when a caller first reads it; classify itself never does."""
         return make_pair(_model(self.n), list(zip(_labels(len(self.coords)), self.coords)))
 
-    @cached_property
+    @_cached_field
     def constant(self) -> tuple[int, ...]:
-        """-K - C in integers: the constant of the log adjoint family, whose
-        increments are `coords` over the denominator 1.  The boundary passes
-        the validity tests of `make_pair` first."""
+        """-K - C in integers, -K less the column sums of `coords`: the
+        constant of the log adjoint family, whose increments are `coords`
+        over the denominator 1.  The boundary passes the validity tests of
+        `make_pair` first."""
         s, coords = _model(self.n), self.coords
         _check_boundary(s, _labels(len(coords)), [(k, 1) for k in coords])
-        return tuple(-v - sum(k[j] for k in coords) for j, v in enumerate(s.canonical))
+        return tuple(-v - sum(col) for v, col in zip(s.canonical, zip(*coords)))
 
     @property
     def log_dp(self) -> bool:
@@ -102,7 +104,7 @@ class CandidatePair(namedtuple("CandidatePair", "surface n classes")):
         offsets), so the body is written only for a candidate that passes."""
         return _is_nef_numerators(_model(self.n), self.constant) and self.body.aldp
 
-    @cached_property
+    @_cached_field
     def body(self) -> AABody:
         """The exact body of ample angles of `pair`, written from the class
         tuples against the nef-cone normals, closed at most once, when its

@@ -14,13 +14,20 @@ the integer intersection matrix and returns the exact `Fraction`.
 Ampleness on the plane and F_n is one integer rule: the numerators are
 positive on every `nef_cone` normal (Kleiman's criterion); nefness is
 its weak twin, nonnegative on every normal.
+
+Fields derived from an immutable value (a class's integer form, a body's
+closure) are computed on first read by `_cached_field`, a non-data
+descriptor that stores the value in the instance `__dict__`, so later
+reads find it there and skip the descriptor.  It is
+`functools.cached_property` without the lock that Python 3.10 and 3.11
+take on every first read (3.12 dropped it): two threads may both compute
+a field, and each gets an equal value.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Sequence, Union
@@ -45,6 +52,24 @@ UNSUPPORTED = Tri("UNSUPPORTED")
 UNKNOWN = Tri("UNKNOWN")
 
 Rat = Union[int, Fraction]
+
+
+class _cached_field:
+    """A field computed once per instance by the decorated method and then
+    kept in the instance `__dict__`; read on the class, the descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class ProjectivePlane(namedtuple("ProjectivePlane", "")):
@@ -129,7 +154,7 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
 
     __mul__ = __rmul__
 
-    @cached_property
+    @_cached_field
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(k, den): the coefficients as integer numerators k over their
         least common denominator den.  Cached: the class is immutable."""
@@ -151,8 +176,14 @@ def _fraction(num: int, den: int) -> Fraction:
 
 def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
     """x as (k, den): integer numerators k over den, the least common
-    denominator of the entries, so that x = k/den."""
-    ratios = [(v if type(v) is Fraction else Fraction(v)).as_integer_ratio() for v in x]
+    denominator of the entries, so that x = k/den.  An int entry is its
+    own numerator over 1; no Fraction is built for it."""
+    ratios = [
+        v.as_integer_ratio() if type(v) is Fraction
+        else (v, 1) if type(v) is int
+        else Fraction(v).as_integer_ratio()
+        for v in x
+    ]
     den = 1
     for _, q in ratios:
         if den % q:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -45,6 +44,7 @@ from .geometry import (
     ProjectivePlane,
     Rat,
     SurfaceModel,
+    _cached_field,
     _fraction,
     _integer_point,
     blow_up,
@@ -128,7 +128,7 @@ class LogPair(namedtuple("LogPair", "surface labels classes nodes tracked histor
             total = total + c
         return total
 
-    @cached_property
+    @_cached_field
     def adjoint_family(self) -> "LogAdjointFamily":
         """The log adjoint family of the pair, built once (see `log_adjoint`)
         from the classes' integer forms (k_i, d_i): over den = lcm(d_i) the
@@ -137,7 +137,7 @@ class LogPair(namedtuple("LogPair", "surface labels classes nodes tracked histor
         den = lcm(*(d for _, d in forms))
         increments = tuple(tuple(v * (den // d) for v in k) for k, d in forms)
         canonical = self.surface.canonical
-        constant = tuple(-v * den - sum(inc[j] for inc in increments) for j, v in enumerate(canonical))
+        constant = tuple(-v * den - sum(col) for v, col in zip(canonical, zip(*increments)))
         cls = DivisorClass(self.surface, tuple(_fraction(v, den) for v in constant))
         return LogAdjointFamily(cls, self.classes, (den, constant, increments))
 
@@ -181,25 +181,28 @@ def _check_boundary(surface: SurfaceModel, labels: Sequence[str], forms) -> None
 
     Only signs are tested, so numerators are paired, and only those of
     distinct classes, each at its first component: a repeat meets its first
-    copy in the class's square, which the first test has seen.  The first
-    offending component, and then pair, is named as a scan of all of them
-    would name it."""
+    copy in the class's square, which the first test has seen.  Each
+    distinct class's dual M.k is computed once, at its first component; it
+    gives the class's square k.(M.k) and its pairings with the later
+    classes.  The first offending component, and then pair, is named as a
+    scan of all of them would name it."""
     matrix = surface.intersection_matrix
     first = {}  # class -> (its first component, whether its square is negative)
+    distinct = []  # (first component, numerators k, dual M.k) of each class, in scan order
     for idx, form in enumerate(forms):
         seen = first.get(form)
         if seen is None:
             k = form[0]
-            first[form] = idx, sum(x * sum(map(mul, row, k)) for x, row in zip(k, matrix)) < 0
+            dual = [sum(map(mul, row, k)) for row in matrix]
+            first[form] = idx, sum(map(mul, k, dual)) < 0
+            distinct.append((idx, k, dual))
         elif seen[1]:
             raise ValueError(
                 "a class with negative self-intersection has a unique member; "
                 f"components {labels[seen[0]]!r} and {labels[idx]!r} collide"
             )
-    distinct = [(i, form[0]) for form, (i, _) in first.items()]
-    for a, (i, ki) in enumerate(distinct):
-        dual = [sum(map(mul, row, ki)) for row in matrix]
-        for j, kj in distinct[a + 1 :]:
+    for a, (i, _, dual) in enumerate(distinct):
+        for j, kj, _ in distinct[a + 1 :]:
             if sum(map(mul, kj, dual)) < 0:
                 raise ValueError(f"components {labels[i]!r}, {labels[j]!r} have negative intersection")
 
@@ -267,7 +270,7 @@ class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
             self.__dict__["integer_form"] = form  # the cache `integer_form` fills
         return self
 
-    @cached_property
+    @_cached_field
     def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(den, constant, increments): the coefficients as integer numerators
         over den, the least common denominator of all of them."""
@@ -277,7 +280,7 @@ class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
         nums = [tuple(k[i * n : (i + 1) * n]) for i in range(len(classes))]
         return den, nums[0], tuple(nums[1:])
 
-    @cached_property
+    @_cached_field
     def column_form(self):
         """(den, constant, columns, canonical, normals): the integer form
         with the increments transposed into one column per basis coordinate,

@@ -32,13 +32,13 @@ is no floating-point mode.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from math import ceil, floor, gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Rat, _fraction, _integer_point
+from .geometry import Rat, _cached_field, _fraction, _integer_point
 
 
 Row = tuple[tuple[int, ...], int, bool]
@@ -67,7 +67,7 @@ class HPolytope(namedtuple("HPolytope", "dim integer_rows")):
             raise ValueError("row dimension mismatch")
         return tuple.__new__(cls, (dim, integer_rows))
 
-    @cached_property
+    @_cached_field
     def halfspaces(self) -> tuple[HalfSpace, ...]:
         """The rows as `HalfSpace`s, a Fraction view of the integer rows
         that the benchmark's span hooks read."""
@@ -529,12 +529,16 @@ def vertices(p: HPolytope) -> VPolytope:
     and the vertices are x/t over the extreme rays of that cone with
     t > 0.  Every line has t = 0, so the system is empty when no ray has
     t > 0; otherwise a line or a ray with t = 0 is a recession direction.
+    The distinct rows enter after t >= 0 in sorted order, so the work does
+    not depend on the order in which a caller wrote them; some orders
+    cost minutes where the sorted one costs a tenth of a second (the
+    r = 16 chain body with its cube rows first).
     """
     if any(strict for _, _, strict in p.integer_rows):
         raise ValueError("vertex enumeration requires a closed (weak) system")
     dim = p.dim
-    rows = dict.fromkeys(normal + (offset,) for normal, offset, _ in p.integer_rows)
-    rays, lines = _double_description([(0,) * dim + (1,), *rows])
+    rows = {normal + (offset,) for normal, offset, _ in p.integer_rows}
+    rays, lines = _double_description([(0,) * dim + (1,), *sorted(rows)])
     found = [ray for ray in rays if ray[-1] > 0]
     if found and (lines or len(found) < len(rays)):
         raise ValueError("vertex enumeration requires a bounded polyhedron")

@@ -215,6 +215,25 @@ def fraction_intersect(matrix, a, b):
     return total
 
 
+def check_boundary_by_scan(matrix, labels, classes):
+    """The boundary tests of `pairs.make_pair`, scanned over every component
+    and every pair in Fractions: the first component that repeats an
+    earlier class of negative square is refused with that earlier
+    component, and then the first pair i < j with C_i.C_j < 0.  `classes`
+    are coefficient tuples of Fractions; the ValueError carries the
+    library's message."""
+    for j, cj in enumerate(classes):
+        for i in range(j):
+            if classes[i] == cj and fraction_intersect(matrix, cj, cj) < 0:
+                raise ValueError(
+                    "a class with negative self-intersection has a unique member; "
+                    f"components {labels[i]!r} and {labels[j]!r} collide"
+                )
+    for i, j in combinations(range(len(classes)), 2):
+        if fraction_intersect(matrix, classes[i], classes[j]) < 0:
+            raise ValueError(f"components {labels[i]!r}, {labels[j]!r} have negative intersection")
+
+
 def adjoint_square_signs(p, points, denom):
     """How many integer points k give adjoint(k/denom)^2 a positive, zero
     and negative sign, in that order: the adjoint -K - sum (1 - beta_i) C_i

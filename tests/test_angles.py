@@ -937,17 +937,50 @@ def test_elimination_scales_on_chains():
 def test_vertices_do_not_depend_on_row_order():
     """Double description lists the same vertices of a closed chain body
     whatever the order of its rows: r = 8 and r = 10 (64 and 110 vertices),
-    each in its written order and in three seeded shuffles.  No time budget:
-    shuffled rows can take far longer than the written order (up to 1.1 s
-    against 0.03 s at r = 12)."""
+    each in its written order and in three seeded shuffles.  `vertices`
+    sorts the rows it is given, so the shuffles also enter
+    `_double_description` directly, in the order they were drawn, and must
+    give the same rays; the time budget is in
+    test_vertices_of_the_r16_chain_in_any_row_order."""
     for r, count in ((8, 64), (10, 110)):
         closed = an.aa_body(chain_pair(r)).closed_hull
         want = pt.vertices(closed)
         assert len(want.vertices) == count, r
+        t_row = (0,) * r + (1,)
+        written = [normal + (offset,) for normal, offset, _ in closed.integer_rows]
+        want_rays = sorted(pt._double_description([t_row, *sorted(written)])[0])
         for seed in (1, 2, 3):
             rows = list(closed.integer_rows)
             random.Random(seed).shuffle(rows)
             assert pt.vertices(pt.HPolytope(r, tuple(rows))) == want, (r, seed)
+            rays, lines = pt._double_description([t_row, *(normal + (offset,) for normal, offset, _ in rows)])
+            assert sorted(rays) == want_rays and not lines, (r, seed)
+
+
+def test_vertices_of_the_r16_chain_in_any_row_order():
+    """The r = 16 chain body (48 rows, 368 vertices) with its cube rows
+    first, which ran for over 9 minutes before `vertices` sorted its rows,
+    and in three seeded shuffles: the same vertices each time, each under
+    2 s (0.06-0.19 s on a 2-vCPU VM)."""
+    r = 16
+    closed = an.aa_body(chain_pair(r)).closed_hull
+    cube = set(pt.cube_rows(r, False))
+    rows = list(closed.integer_rows)
+    faces = [row for row in rows if row in cube]
+    assert len(faces) == 2 * r and len(rows) == 48
+    orders = [faces + [row for row in rows if row not in cube]]
+    for seed in (1, 2, 3):
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    want = None
+    for i, order in enumerate(orders):
+        start = time.perf_counter()
+        got = pt.vertices(pt.HPolytope(r, tuple(order)))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"order {i}: {elapsed:.2f}s"
+        assert len(got.vertices) == 368 and got == (want or got), i
+        want = got
 
 
 def test_quadratic_signs_match_fraction_evaluation():

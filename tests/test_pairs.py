@@ -1,7 +1,7 @@
 import itertools
 import pathlib
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -11,7 +11,7 @@ from ampleangles import cli, dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
-from _util import F, adjoint_coeffs, family_at, inertia, rank2_candidates
+from _util import F, adjoint_coeffs, check_boundary_by_scan, family_at, inertia, rank2_candidates
 from test_acceptance import BASES, _random_script
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -768,3 +768,96 @@ def test_value_types_are_immutable_named_tuples():
     assert twin.integer_form is form and twin == family
     fresh = pr.LogAdjointFamily(family.constant, family.increments)
     assert "integer_form" not in vars(fresh) and fresh.integer_form == form
+
+
+def test_cached_field_computes_once_and_stays_overridable(monkeypatch):
+    """The library's cached-field descriptor: one call per instance, the
+    value kept in the instance __dict__; read on the class, the descriptor
+    with the method's docstring; a class attribute set over it (as
+    test_classify_scales_to_n48 sets `body`) wins.  Every cached field of
+    the value types is one, and each keeps its value after a read."""
+    calls = []
+
+    class Box(namedtuple("Box", "x")):
+        @g._cached_field
+        def double(self):
+            """Twice x."""
+            calls.append(self.x)
+            return 2 * self.x
+
+    box = Box(3)
+    assert box.double == 6 and box.double == 6 and calls == [3]
+    assert vars(box) == {"double": 6}
+    assert Box(4).double == 8 and calls == [3, 4]
+    assert isinstance(Box.double, g._cached_field) and Box.double.__doc__ == "Twice x."
+    monkeypatch.setattr(Box, "double", property(lambda b: -b.x))
+    assert Box(5).double == -5 and box.double == -3 and calls == [3, 4]
+
+    fields = {
+        (cls, name)
+        for cls in CACHING
+        for name, attr in vars(cls).items()
+        if isinstance(attr, g._cached_field)
+    }
+    classes = fig1_pair().classes
+    open_part = an.aa_body(fig1_pair()).open_part
+    reads = [
+        (g.hirzebruch(1).divisor([1, F(1, 2)]), "integer_form"),
+        (pt.HPolytope(1, (((1,), 0, True), ((-1,), 1, True))), "halfspaces"),
+        (fig1_pair(), "adjoint_family"),
+        (pr.LogAdjointFamily(classes[0], classes), "integer_form"),
+        (pr.log_adjoint(fig1_pair()), "column_form"),
+        (an.AABody(open_part, an.EXACT), "closed_hull"),
+        (an.AABody(open_part, an.EXACT), "vertices"),
+    ]
+    for name in ("coords", "pair", "constant", "body"):
+        reads.append((cl.CandidatePair("F1", 1, ((1, 0), (1, 3))), name))
+    assert {(type(obj), name) for obj, name in reads} == fields and len(fields) == 11
+    for obj, name in reads:
+        assert name not in vars(obj), (type(obj), name)
+        value = getattr(obj, name)
+        assert vars(obj)[name] is value and getattr(obj, name) is value, (type(obj), name)
+
+
+def test_check_boundary_matches_a_scan_of_all_pairs():
+    """`_check_boundary`, which pairs each distinct class once through one
+    dual, accepts and refuses the same seeded boundaries as a scan of every
+    component and pair in Fractions, with the same message: on the plane
+    and F_0..F_4 blown up at most twice, with integer and rational classes
+    drawn from a small pool, so that classes repeat.  Blow-ups give classes
+    of negative square, so most refusals are collisions."""
+    rng = random.Random(2031)
+    bases = [g.projective_plane()] + [g.hirzebruch(n) for n in range(5)]
+    outcomes = Counter()
+    for _ in range(3000):
+        s = rng.choice(bases)
+        for e in range(rng.randint(0, 2)):
+            s = g.blow_up(s, f"E{e + 1}", "p")
+        pool = [
+            tuple(F(rng.randint(-1, 3), den) for _ in range(s.rank))
+            for den in rng.choices((1, 1, 2, 3), k=rng.randint(1, 4))
+        ]
+        classes = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        labels = [f"C{i + 1}" for i in range(len(classes))]
+        try:
+            check_boundary_by_scan(s.intersection_matrix, labels, classes)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            pr._check_boundary(s, labels, [s.divisor(c).integer_form for c in classes])
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (s, classes)
+        repeated = len(set(classes)) < len(classes)
+        rational = any(c.denominator > 1 for cls in classes for c in cls)
+        kind = "accepted" if want is None else "collide" if "collide" in want else "negative"
+        outcomes[kind, repeated, rational] += 1
+    # every outcome with and without repeats and rational classes (a
+    # collision needs a repeat)
+    assert len(outcomes) == 10
+    totals = Counter()
+    for (kind, _, _), count in outcomes.items():
+        totals[kind] += count
+    assert totals == {"accepted": 1119, "collide": 1578, "negative": 303}
