@@ -282,15 +282,14 @@ class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
 
     @_cached_field
     def column_form(self):
-        """(den, constant, columns, canonical, normals): the integer form
-        with the increments transposed into one column per basis coordinate,
-        so that d.den times the class at beta = k/d is d.constant_j +
-        columns_j.k in coordinate j, next to the surface's canonical class
-        and nef-cone normals.  `angles.reparam` reads it in one pass; the
-        plane and F_n only, where `nef_cone` exists."""
+        """(den, constant, columns, normals): the integer form with the
+        increments transposed into one column per basis coordinate, so that
+        d.den times the class at beta = k/d is d.constant_j + columns_j.k in
+        coordinate j, next to the surface's nef-cone normals.
+        `angles.reparam` reads it in one pass; the plane and F_n only, where
+        `nef_cone` exists."""
         den, constant, increments = self.integer_form
-        surface = self.constant.surface
-        return den, constant, tuple(zip(*increments)), surface.canonical, nef_cone(surface)
+        return den, constant, tuple(zip(*increments)), nef_cone(self.constant.surface)
 
 
 def log_adjoint(p: LogPair) -> LogAdjointFamily:

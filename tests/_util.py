@@ -9,6 +9,7 @@ from operator import mul
 from ampleangles import classify as cl
 from ampleangles.angles import EXACT, AABody
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
+from ampleangles.pairs import log_adjoint
 from ampleangles.polytope import HalfSpace, cube_rows, integer_polytope
 
 F = Fraction
@@ -476,7 +477,9 @@ def fraction_reparam(p, gamma):
     on coefficient lists: an oracle for the library's integer `reparam`.
     Returns (gamma, eta, A, f, f_inv), the maps as dense (matrix,
     translation) pairs, the views of the library's maps.  Raises the
-    ValueError and RuntimeError texts the library raises."""
+    ValueError texts the library raises.  The library does not re-check
+    the identity, ampleness, bounds and inverse statements; this oracle
+    keeps its own checks of them, each a RuntimeError."""
     r, g = p.r, gamma.entries
     if len(g) != r:
         raise ValueError("gamma length must match the number of boundary components")
@@ -516,6 +519,41 @@ def fraction_reparam(p, gamma):
     if affine_product(f, f_inv) != identity or affine_product(f_inv, f) != identity:
         raise RuntimeError("angle substitution is not an exact inverse pair")
     return gamma, h, p.surface.divisor(a), f, f_inv
+
+
+def verify_reparam(p, rd):
+    """Replay what the reparametrization rd of a pair p on the plane or
+    F_n states, from the data alone: the adjoint identity eta.(K + A +
+    F(beta)) = -K - sum (1 - beta_i) C_i, A ample by the direct criteria,
+    the coefficients of F(beta) within [0, 1] over the closed cube, and
+    f_inv the inverse of f.  A failure is an AssertionError naming the
+    statement."""
+    r = p.r
+    fam = log_adjoint(p)
+    probes = affine_basis(r)
+    images = [rd.f.apply(beta) for beta in probes]
+    # identity (exact, affine in beta: spanning probes suffice)
+    for beta, coeffs in zip(probes, images):
+        rhs = p.surface.divisor(p.surface.canonical) + rd.ample_part
+        for c, cls in zip(coeffs, p.classes):
+            rhs = rhs + c * cls
+        assert (rd.eta * rhs).coeffs == family_at(fam, beta).coeffs, "adjoint identity fails"
+    # A ample, by the direct criteria
+    prov = p.surface.provenance
+    if isinstance(prov, ProjectivePlane):
+        assert rd.ample_part.coeffs[0] > 0, "A is not ample"
+    else:
+        a, b = rd.ample_part.coeffs
+        assert a > 0 and b > prov.n * a, "A is not ample"
+    # coefficient bounds at cube vertices: coefficient i is affine in
+    # beta_i alone, so the all-0 and all-1 corners realize every
+    # coordinate value any vertex attains
+    for corner in ((F(0),) * r, (F(1),) * r):
+        assert all(0 <= c <= 1 for c in rd.f.apply(corner)), "a coefficient leaves [0, 1]"
+    # exact inverse: f_inv after f fixes the affine basis, so it is
+    # the identity; f maps r coordinates to r, so f after f_inv is too
+    assert rd.f.dim == r, "f does not map r coordinates"
+    assert [rd.f_inv.apply(y) for y in images] == probes, "f_inv is not the inverse of f"
 
 
 def _solve(rows):

@@ -18,7 +18,6 @@ from _util import (
     MAEDA_P2,
     P2_TABLE,
     aa_via_nef,
-    affine_basis,
     brute_force_vertices,
     cube_halfspaces,
     direct_ample_fn,
@@ -31,6 +30,7 @@ from _util import (
     maeda_fn_table,
     polytope,
     remove_redundant,
+    verify_reparam,
 )
 
 
@@ -145,35 +145,10 @@ def test_criterion_4_reparametrization():
         for cand, _, _ in cl.enumerate_rank2(6):
             p = cl.build_pair(cand)
             body = an.aa_halfspaces_rank_le2(p)
-            fam = pr.log_adjoint(p)
-            r = p.r
-            probes = affine_basis(r)
-            for gamma in grid(r, 8):
+            for gamma in grid(p.r, 8):
                 if not pt.contains(body.open_part, gamma):
                     continue
-                rd = an.reparam(p, pr.angles(gamma))
-                images = [rd.f.apply(beta) for beta in probes]
-                # identity (exact, affine in beta: spanning probes suffice)
-                for beta, coeffs in zip(probes, images):
-                    rhs = p.surface.divisor(p.surface.canonical) + rd.ample_part
-                    for c, cls in zip(coeffs, p.classes):
-                        rhs = rhs + c * cls
-                    assert (rd.eta * rhs).coeffs == family_at(fam, beta).coeffs
-                # A ample, by the direct criteria
-                if cand.n is None:
-                    assert rd.ample_part.coeffs[0] > 0
-                else:
-                    a, b = rd.ample_part.coeffs
-                    assert a > 0 and b > cand.n * a
-                # coefficient bounds at cube vertices: coefficient i is affine in
-                # beta_i alone, so the all-0 and all-1 corners realize every
-                # coordinate value any vertex attains
-                for corner in ((F(0),) * r, (F(1),) * r):
-                    assert all(0 <= c <= 1 for c in rd.f.apply(corner))
-                # exact inverse: f_inv after f fixes the affine basis, so it is
-                # the identity; f maps r coordinates to r, so f after f_inv is too
-                assert rd.f.dim == r
-                assert [rd.f_inv.apply(y) for y in images] == probes
+                verify_reparam(p, an.reparam(p, pr.angles(gamma)))
                 checked += 1
         assert checked > 1000
         crit.detail = f"{checked} gamma points"

@@ -41,6 +41,7 @@ from _util import (
     rank2_candidates,
     remove_redundant,
     unit_gram,
+    verify_reparam,
 )
 from test_acceptance import BASES, _random_script
 
@@ -183,8 +184,9 @@ def test_diagonal_map_divides_out_the_gcd():
     """AffineMap x_i -> (slope.x_i + shift_i)/den is its integer form in
     lowest terms with den > 0, so scaling it by 1..50 or by -1 gives the
     same map, and a zero denominator is refused.  `_map_and_inverse`
-    builds the same map and the constructor's form of its inverse, and
-    refuses a zero slope, the inverse's denominator."""
+    builds the same map and the constructor's form of its inverse, whose
+    dense views compose to the identity in both orders, and refuses a zero
+    slope, the inverse's denominator."""
     rng = random.Random(41)
     with pytest.raises(ValueError, match="denominator must be nonzero"):
         pt.AffineMap(1, (2, 3), 0)
@@ -209,35 +211,8 @@ def test_diagonal_map_divides_out_the_gcd():
         assert tuple(f) == tuple(m) and type(f) is pt.AffineMap
         inverse = pt.AffineMap(den, [-t for t in shift], slope)
         assert tuple(f_inv) == tuple(inverse) and type(f_inv) is pt.AffineMap
-        assert an._undoes(f, f_inv) and an._undoes(f_inv, f)
-
-
-def test_undoes_agrees_with_dense_composition():
-    """`_undoes` agrees with dense Fraction composition of the views, on
-    inverses, near misses and random maps."""
-    rng = random.Random(43)
-    undone = Counter()
-    for _ in range(300):
-        r = rng.randint(1, 5)
-        slope, den = rng.randint(-20, 20), rng.choice((1, -1)) * rng.randint(1, 40)
-        shift = [rng.randint(-30, 30) for _ in range(r)]
-        m = pt.AffineMap(slope, shift, den)
-        others = [pt.AffineMap(rng.randint(-20, 20), [rng.randint(-30, 30) for _ in range(r)], 7)]
-        if slope:
-            inverse = (den, [-t for t in shift], slope)
-            others.append(pt.AffineMap(*inverse))
-            others.append(pt.AffineMap(inverse[0] + rng.choice((1, -1)), *inverse[1:]))
-            i = rng.randrange(r)
-            near = [t + (j == i) for j, t in enumerate(inverse[1])]
-            others.append(pt.AffineMap(inverse[0], near, inverse[2]))
-        for other in others:
-            for outer, inner in ((m, other), (other, m)):
-                dense = affine_product((outer.matrix, outer.translation), (inner.matrix, inner.translation))
-                got = an._undoes(outer, inner)
-                assert got == (dense == identity_map(r))
-                undone[got] += 1
-        assert not an._undoes(m, pt.AffineMap(1, (0,) * (r + 1), 1))
-    assert undone[True] > 300 and undone[False] > 300
+        views = [(m.matrix, m.translation) for m in (f, f_inv)]
+        assert affine_product(*views) == identity_map(r) == affine_product(*views[::-1])
 
 
 def test_reparam_midpoint_is_identity():
@@ -327,6 +302,7 @@ def test_reparam_against_fraction_oracle():
                 assert all(type(v) is F for v in (h, *a.coeffs, *t, *t_inv))
                 # both maps in the constructor's normal form: lowest terms, den > 0
                 rd = an.reparam(p, pr.angles(gamma))
+                verify_reparam(p, rd)
                 assert type(rd.eta) is F
                 for m in (rd.f, rd.f_inv):
                     assert m == pt.AffineMap(m.slope, m.shift, m.den) and type(m.shift) is tuple
@@ -361,10 +337,10 @@ def test_log_adjoint_at_matches_direct_evaluation():
                          for j, c in enumerate(constant.coeffs))
             # the column form at beta = k/d: d.constant_j + column_j.k is d.den
             # times the class in coordinate j, the evaluation reparam makes
-            den, nums, columns, canonical, normals = family.column_form
+            den, nums, columns, normals = family.column_form
             assert (den, nums) == family.integer_form[:2]
             assert [list(col) for col in columns] == [[inc[j] for inc in family.integer_form[2]] for j in range(2)]
-            assert canonical == surface.canonical and normals == g.nef_cone(surface)
+            assert normals == g.nef_cone(surface)
             d = lcm(*(b.denominator for b in beta))
             k = [b.numerator * (d // b.denominator) for b in beta]
             got = [d * c + sum(map(mul, col, k)) for c, col in zip(nums, columns)]
@@ -372,71 +348,62 @@ def test_log_adjoint_at_matches_direct_evaluation():
             assert tuple(F(v, d * den) for v in got) == want
 
 
+def _after(outer, inner):
+    """The coordinatewise map outer after inner."""
+    (s1, t1, d1), (s2, t2, d2) = outer, inner
+    return pt.AffineMap(s1 * s2, [s1 * u + d2 * t for t, u in zip(t1, t2)], d1 * d2)
+
+
 def test_reparam_checks_fire(monkeypatch):
-    """Each check of reparam raises its RuntimeError when the statement it
-    checks is broken from outside."""
+    """`verify_reparam` rejects reparametrization data broken from outside,
+    each time by the statement the break violates."""
     p = fn_pair(2, [(1, 0), (0, 1), (0, 1)])
     gamma = pr.angles([F(1, 3), F(2, 3), F(5, 8)])
-    family = pr.log_adjoint(p)
+    rd = an.reparam(p, gamma)
+    verify_reparam(p, rd)
+    # f_inv followed or preceded by a shift of one coordinate
+    shift = pt.AffineMap(1, (1, 0, 0), 1)
+    views = lambda m: (m.matrix, m.translation)
+    for outer, inner in ((shift, rd.f_inv), (rd.f_inv, shift)):
+        assert views(_after(outer, inner)) == affine_product(views(outer), views(inner))
+    broken = [
+        (rd._replace(ample_part=rd.ample_part + p.surface.divisor([1, 3])), "adjoint identity"),
+        (rd._replace(eta=2 * rd.eta), "adjoint identity"),
+        (rd._replace(f_inv=_after(shift, rd.f_inv)), "not the inverse"),
+        (rd._replace(f_inv=_after(rd.f_inv, shift)), "not the inverse"),
+    ]
 
-    # (a) a shifted constant class: membership still passes, the identity fails
-    shifted = pr.LogAdjointFamily(family.constant + p.surface.divisor([1, 3]), family.increments)
-    monkeypatch.setattr(an, "log_adjoint", lambda q: shifted)
-    with pytest.raises(RuntimeError, match="identity failed on the constant class"):
-        an.reparam(p, gamma)
-    monkeypatch.undo()
+    # reparam run with a broken helper builds data that keeps some
+    # statements and breaks one
+    def built_with(module, name, fake, angles=gamma.entries):
+        monkeypatch.setattr(module, name, fake)
+        try:
+            return an.reparam(p, pr.angles(angles))
+        finally:
+            monkeypatch.undo()
 
-    # eta is read with gamma's numerators in one pass; the cases below hand
-    # reparam a wrong eta = hn/hd with the true numerators
-    real_point = an._angle_point
-
-    def eta_as(hn, hd):
-        return lambda entries, message: (*real_point(entries, message)[:2], hn, hd)
-
-    # (b) eta = -1/2: the identity still holds for any eta (the maps are
-    # built from it), but A = (1 + 1/eta).adjoint(gamma) = -adjoint(gamma)
-    # is not ample
-    monkeypatch.setattr(an, "_angle_point", eta_as(1, -2))
-    with pytest.raises(RuntimeError, match="non-ample A"):
-        an.reparam(p, gamma)
-    monkeypatch.undo()
-
-    # (c) eta = 1, below the true maximum, pushes one coefficient out of
-    # [0, 1] on one side only: f_i(0) >= 0 needs eta >= g_i/(1-g_i), which
-    # fails for g_2 = 3/4, and f_i(1) <= 1 needs eta >= (1-g_i)/g_i, which
-    # fails for g_1 = 1/4
-    monkeypatch.setattr(an, "_angle_point", eta_as(1, 1))
-    for angle in ([F(1, 2), F(3, 4), F(1, 2)], [F(1, 4), F(1, 2), F(1, 2)]):
-        with pytest.raises(RuntimeError, match="boundary coefficient bounds"):
-            an.reparam(p, pr.angles(angle))
-    monkeypatch.undo()
-
-    # (a) on the increments: f's slope doubled through the map builder, so
-    # eta.slope is not 1
+    # f's slope doubled through the map builder, f_inv still its inverse:
+    # eta.slope is not 1, so the increments break the identity
     real_maps = pt._map_and_inverse
-    monkeypatch.setattr(pt, "_map_and_inverse", lambda slope, shift, den: real_maps(2 * slope, shift, den))
-    with pytest.raises(RuntimeError, match="identity failed on an increment class"):
-        an.reparam(p, gamma)
-    monkeypatch.undo()
+    doubled = lambda slope, t, den: real_maps(2 * slope, t, den)
+    broken.append((built_with(pt, "_map_and_inverse", doubled), "adjoint identity"))
+    # a wrong eta = hn/hd with the true numerators: the identity still holds
+    # for any eta, since the maps are built from it
+    real_point = an._angle_point
+    eta_as = lambda hn, hd: lambda entries, message: (*real_point(entries, message)[:2], hn, hd)
+    # eta = -1/2: A = (1 + 1/eta).adjoint(gamma) = -adjoint(gamma) is not ample
+    broken.append((built_with(an, "_angle_point", eta_as(1, -2)), "not ample"))
+    # eta = 1, below the true maximum, pushes one coefficient out of [0, 1]
+    # on one side only: f_i(0) >= 0 needs eta >= g_i/(1-g_i), which fails
+    # for g_2 = 3/4, and f_i(1) <= 1 needs eta >= (1-g_i)/g_i, which fails
+    # for g_1 = 1/4
+    for angles in ([F(1, 2), F(3, 4), F(1, 2)], [F(1, 4), F(1, 2), F(1, 2)]):
+        broken.append((built_with(an, "_angle_point", eta_as(1, 1), angles), r"leaves \[0, 1\]"))
 
-    # the inverse check, on each side: f after f_inv, then f_inv after f;
-    # the helper fails on one call and answers truly on the other
-    real = an._undoes
-    calls = []
-    for broken_call in (0, 1):
-        calls.clear()
-
-        def undoes(outer, inner):
-            calls.append(outer)
-            return real(outer, inner) and len(calls) - 1 != broken_call
-
-        monkeypatch.setattr(an, "_undoes", undoes)
-        with pytest.raises(RuntimeError, match="not an exact inverse pair"):
-            an.reparam(p, gamma)
-        # the first side passed before the second one failed
-        assert len(calls) == broken_call + 1
-        monkeypatch.undo()
-    assert _outcome(an.reparam, p, gamma) == fraction_reparam(p, gamma)
+    for bad, statement in broken:
+        with pytest.raises(AssertionError, match=statement):
+            verify_reparam(p, bad)
+    assert an.reparam(p, gamma) == rd
 
 
 def _query_survivors():
