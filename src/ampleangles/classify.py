@@ -1,11 +1,13 @@
 """Enumeration of log del Pezzo and rank-<=2 asymptotically log del Pezzo pairs.
 
-The enumerators are filter-driven: candidate boundaries are generated
-from the admissible component classes within the nef search bounds
-(sum of Z-coefficients <= 2, sum of F-coefficients <= n+2), and the
-only acceptance test is the relevant positivity predicate.  The
-built-in family tables are used solely to *name* the survivors; a
-survivor missing from the table is an inconsistency and raises.  A name
+The enumerators are filter-driven: the candidate boundaries are the
+multisets C of admissible component classes with -K - C nef (total
+degree <= 3 on the plane; on F_n, sum of Z-coefficients <= 2 and sum of
+F-coefficients <= 2 - n + n.(sum of Z-coefficients)), as no other
+boundary is log del Pezzo or asymptotically log del Pezzo, and the only
+acceptance test is the relevant positivity predicate.  The built-in
+family tables are used solely to *name* the survivors; a survivor
+missing from the table is an inconsistency and raises.  A name
 is the plain text printed for its family, n filled in ("ALdP.3.5",
 "II.4A", "Maeda.v").
 
@@ -24,11 +26,12 @@ rows `angles` writes for a pair, against the nef-cone normals).  No
 `LogPair` is built: `CandidatePair.pair` is built only when a caller
 reads it.  The rank-2 test (`CandidatePair.aldp`) first checks that
 -K - C is nef, by the integer nef rule of `geometry` on the constant,
-and only then writes the body: a candidate that fails gets no rows and
-no body.  The body is closed at most once, and a printed rank-2 row
-reuses that closure.  With -K - C nef the origin satisfies every row
-weakly, so Fourier-Motzkin elimination eliminates only the rows tight
-there, the body's tangent cone at the origin.
+and only then writes the body: a candidate that a direct caller builds
+outside the nef region gets no rows and no body.  The body is closed at
+most once, and a printed rank-2 row reuses that closure.  With -K - C
+nef the origin satisfies every row weakly, so Fourier-Motzkin
+elimination eliminates only the rows tight there, the body's tangent
+cone at the origin.
 """
 
 from __future__ import annotations
@@ -121,39 +124,44 @@ def build_pair(c: CandidatePair) -> LogPair:
 # Candidate generation
 
 
-def component_classes(n: int, max_a: int = 2, max_b: Optional[int] = None) -> list[tuple[int, int]]:
-    """Classes aZ + bF of the box a <= max_a, b <= max_b (default n + 2)
-    with a smooth irreducible member (`fn_irreducible_admissible`), sorted."""
-    if max_b is None:
-        max_b = n + 2
-    box = itertools.product(range(max_a + 1), range(max_b + 1))
-    return [ab for ab in box if ab != (0, 0) and fn_irreducible_admissible(*ab, n)]
+def component_classes(n: int) -> list[tuple[int, int]]:
+    """Classes aZ + bF with a <= 2 and b <= n + 2, the bounds of a component
+    of a boundary with -K - C nef, that have a smooth irreducible member
+    (`fn_irreducible_admissible`), sorted."""
+    bounds = itertools.product(range(3), range(n + 3))
+    return [ab for ab in bounds if ab != (0, 0) and fn_irreducible_admissible(*ab, n)]
 
 
-def candidate_multisets(
-    n: int, max_sum_a: int = 2, max_sum_b: Optional[int] = None, max_a: int = 2
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Sorted multisets of component classes within the coefficient-sum box.
+def candidate_multisets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Sorted multisets C of component classes on F_n with -K - C nef.
 
-    A class of negative self-intersection (Z_n for n >= 1) has a unique
-    member and appears at most once.
+    -K - C = (2 - sum a)Z + (n + 2 - sum b)F is nef iff sum a <= 2 and
+    sum b <= 2 - n + n sum a.  The walk extends a prefix within sum a <= 2
+    and sum b <= n + 2 and yields the nef ones.  The alphabet is sorted by
+    (a, b), so a class past the sum of a ends the walk and one past the sum
+    of b ends its run of equal a.  A class of negative self-intersection
+    (Z_n for n >= 1) has a unique member and appears at most once.
     """
-    if max_sum_b is None:
-        max_sum_b = n + 2
-    alphabet = component_classes(n, max_a=max_a, max_b=max_sum_b)
+    alphabet = component_classes(n)
+    run_end = {a: idx + 1 for idx, (a, _) in enumerate(alphabet)}
     acc: list[tuple[int, int]] = []
 
     def rec(start: int, sa: int, sb: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if acc:
+        if acc and sb <= 2 - n + n * sa:
             yield tuple(acc)
-        for idx in range(start, len(alphabet)):
+        idx = start
+        while idx < len(alphabet):
             a, b = alphabet[idx]
-            if sa + a > max_sum_a or sb + b > max_sum_b:
+            if sa + a > 2:
+                break
+            if sb + b > n + 2:
+                idx = run_end[a]
                 continue
             acc.append((a, b))
             nxt = idx + 1 if (n >= 1 and (a, b) == (1, 0)) else idx
             yield from rec(nxt, sa + a, sb + b)
             acc.pop()
+            idx += 1
 
     yield from rec(0, 0, 0)
 
@@ -167,8 +175,10 @@ def swap_canonical(n: Optional[int], classes: tuple) -> tuple:
     return min(key, swapped)
 
 
-def p2_degree_multisets(max_total: int = 3) -> Iterator[tuple[int, ...]]:
-    for total in range(1, max_total + 1):
+def p2_degree_multisets() -> Iterator[tuple[int, ...]]:
+    """Degree multisets C on the plane with -K - C = (3 - sum d)H nef: total
+    degree <= 3."""
+    for total in range(1, 4):
         for r in range(1, total + 1):
             for degs in itertools.combinations_with_replacement(range(1, total + 1), r):
                 if sum(degs) == total:

@@ -582,7 +582,3 @@ def canonical_lines(p: HPolytope) -> list[str]:
         body = " ".join(str(c) for c in normal)
         lines.add(f"{body} | {offset} {_REL[strict]} 0")
     return sorted(lines)
-
-
-def canonical_text(p: HPolytope) -> str:
-    return "\n".join(canonical_lines(p))

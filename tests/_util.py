@@ -8,9 +8,9 @@ from operator import mul
 
 from ampleangles import classify as cl
 from ampleangles.angles import EXACT, AABody
-from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane
+from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane, fn_irreducible_admissible
 from ampleangles.pairs import log_adjoint
-from ampleangles.polytope import HalfSpace, cube_rows, integer_polytope
+from ampleangles.polytope import HalfSpace, canonical_lines, cube_rows, integer_polytope
 
 F = Fraction
 
@@ -393,6 +393,11 @@ def remove_redundant(p):
     return polytope(p.dim, kept)
 
 
+def canonical_text(p):
+    """The canonical lines of p, one per constraint, as one string."""
+    return "\n".join(canonical_lines(p))
+
+
 def parse_canonical(text, dim):
     """Inverse of canonical_text, for round-trip checks."""
     out = []
@@ -429,11 +434,47 @@ def _nef_normals(p):
     raise ValueError("built-in nef cones exist only for the plane and Hirzebruch surfaces")
 
 
+def box_classes(n, max_a=2, max_b=None):
+    """Classes aZ + bF of the box a <= max_a, b <= max_b (default n + 2)
+    with a smooth irreducible member (`fn_irreducible_admissible`), sorted."""
+    if max_b is None:
+        max_b = n + 2
+    box = product(range(max_a + 1), range(max_b + 1))
+    return [ab for ab in box if ab != (0, 0) and fn_irreducible_admissible(*ab, n)]
+
+
+def box_multisets(n, max_sum_a=2, max_sum_b=None, max_a=2):
+    """Sorted multisets of component classes within the coefficient-sum box,
+    -K - C nef or not (`classify.candidate_multisets` yields the nef ones).
+
+    A class of negative self-intersection (Z_n for n >= 1) has a unique
+    member and appears at most once.
+    """
+    if max_sum_b is None:
+        max_sum_b = n + 2
+    alphabet = box_classes(n, max_a=max_a, max_b=max_sum_b)
+    acc = []
+
+    def rec(start, sa, sb):
+        if acc:
+            yield tuple(acc)
+        for idx in range(start, len(alphabet)):
+            a, b = alphabet[idx]
+            if sa + a > max_sum_a or sb + b > max_sum_b:
+                continue
+            acc.append((a, b))
+            nxt = idx + 1 if (n >= 1 and (a, b) == (1, 0)) else idx
+            yield from rec(nxt, sa + a, sb + b)
+            acc.pop()
+
+    yield from rec(0, 0, 0)
+
+
 def rank2_candidates(n_max):
-    """Every candidate the classify enumerators test: the plane's degree
-    multisets and those of F_0, ..., F_n_max, one per key."""
+    """The box corpus: the plane's degree multisets and the box multisets
+    of F_0, ..., F_n_max (`box_multisets`, -K - C nef or not), one per key."""
     groups = [(None, cl.p2_degree_multisets())]
-    groups += [(n, cl.candidate_multisets(n)) for n in range(n_max + 1)]
+    groups += [(n, box_multisets(n)) for n in range(n_max + 1)]
     return [
         cl.CandidatePair("P2" if n is None else f"F{n}", n, key)
         for n, multisets in groups

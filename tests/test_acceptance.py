@@ -19,6 +19,7 @@ from _util import (
     P2_TABLE,
     aa_via_nef,
     brute_force_vertices,
+    canonical_text,
     cube_halfspaces,
     direct_ample_fn,
     direct_ample_p2,
@@ -107,7 +108,7 @@ def test_criterion_2_rank2_golden(capsys):
 
 
 def _minimal(p):
-    return pt.canonical_text(remove_redundant(p))
+    return canonical_text(remove_redundant(p))
 
 
 def test_criterion_3_aa_bodies():
@@ -161,7 +162,7 @@ def test_criterion_5_nef_preimage_equivalence():
             p = cl.build_pair(cand)
             direct = pt.closure(an.aa_halfspaces_rank_le2(p).open_part)
             _, via = aa_via_nef(p)
-            assert pt.canonical_text(direct) == pt.canonical_text(via)
+            assert canonical_text(direct) == canonical_text(via)
             count += 1
         crit.detail = f"{count} survivors, n<=12"
 

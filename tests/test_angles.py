@@ -21,7 +21,9 @@ from _util import (
     affine_apply,
     affine_basis,
     affine_product,
+    box_classes,
     brute_force_grid_points,
+    canonical_text,
     class_map,
     cube_halfspaces,
     direct_ample_fn,
@@ -58,7 +60,7 @@ def p2_pair(degrees):
 
 
 def minimal_canonical(p: pt.HPolytope) -> str:
-    return pt.canonical_text(remove_redundant(p))
+    return canonical_text(remove_redundant(p))
 
 
 def expected_body(r, extra_normals_offsets, strict=True):
@@ -468,7 +470,7 @@ def test_aa_via_nef_matches_direct():
     for p in cases:
         via, closed = aa_via_nef(p)
         direct = an.aa_halfspaces_rank_le2(p)
-        assert pt.canonical_text(closed) == pt.canonical_text(pt.closure(direct.open_part))
+        assert canonical_text(closed) == canonical_text(pt.closure(direct.open_part))
         assert via.exact
         # an independently built open part gives the same strength verdict
         assert via.strongly_aldp is direct.strongly_aldp
@@ -1029,8 +1031,8 @@ def assert_body_matches_oracle(p, body):
     open_part = polytope(p.r, rows + cube_halfspaces(p.r, strict=True))
     blown_up = isinstance(p.surface.provenance, g.BlowUp)
     assert body.exactness == (an.OUTER if blown_up else an.EXACT)
-    assert pt.canonical_text(body.open_part) == pt.canonical_text(open_part)
-    assert pt.canonical_text(body.closed_hull) == pt.canonical_text(pt.closure(open_part))
+    assert canonical_text(body.open_part) == canonical_text(open_part)
+    assert canonical_text(body.closed_hull) == canonical_text(pt.closure(open_part))
     if blown_up:
         assert body.strongly_aldp is g.UNKNOWN
     else:
@@ -1088,7 +1090,7 @@ def _random_rank2_pairs(rng, count):
         if n is None:
             out.append(p2_pair([rng.randint(1, 4) for _ in range(rng.randint(1, 4))]))
             continue
-        alphabet = cl.component_classes(n, max_a=3, max_b=n + 4)
+        alphabet = box_classes(n, max_a=3, max_b=n + 4)
         classes = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
         if n and classes.count((1, 0)) > 1:
             classes = [(1, 0)] + [ab for ab in classes if ab != (1, 0)]

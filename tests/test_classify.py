@@ -10,7 +10,7 @@ from ampleangles import cli
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
 from ampleangles.geometry import Hirzebruch, ProjectivePlane
-from _util import MAEDA_P2, P2_TABLE, _nef_normals, fn_table, maeda_fn_table, rank2_candidates
+from _util import MAEDA_P2, P2_TABLE, _nef_normals, box_multisets, fn_table, maeda_fn_table, rank2_candidates
 
 
 def test_maeda_count_n3():
@@ -138,7 +138,7 @@ def test_rank2_brute_force_box_oracle():
             if an.is_aldp(cl.build_pair(cl.CandidatePair(f"F{n}", n, key))) is True:
                 inside.add(key)
         seen = set()
-        for ms in cl.candidate_multisets(n, max_sum_a=4, max_sum_b=n + 4, max_a=4):
+        for ms in box_multisets(n, max_sum_a=4, max_sum_b=n + 4, max_a=4):
             key = cl.swap_canonical(n, ms)
             if key in seen:
                 continue
@@ -164,20 +164,45 @@ def _minus_k_minus_c_is_nef(n, classes):
     return all(sum(w * x for w, x in zip(normal, adjoint)) >= 0 for normal in normals)
 
 
+def test_candidate_multisets_are_the_nef_part_of_the_box():
+    """The generator yields exactly the box multisets with -K - C nef, up to
+    F_48; and on the box corpus up to F_12 no boundary outside the nef
+    region is log del Pezzo or asymptotically log del Pezzo, by the tuple
+    path's body and verdict and by the built pair's."""
+    for n in range(49):
+        got = [cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n)]
+        box = {cl.swap_canonical(n, ms) for ms in box_multisets(n) if _minus_k_minus_c_is_nef(n, ms)}
+        assert set(got) == box, n
+    outside = [c for c in rank2_candidates(12) if not _minus_k_minus_c_is_nef(c.n, c.classes)]
+    assert len(outside) == 247
+    for c in outside:
+        assert c.aldp is False and c.body.aldp is False and an.is_aldp(c.pair) is False, c
+        assert c.log_dp is False and an.is_log_dp(c.pair) is False, c
+
+
 def test_classify_builds_each_candidate_once(monkeypatch, capsys):
     """No make_pair in either mode: every candidate is decided on its class
-    tuples.  In rank2 mode at most one body and one closure per candidate:
-    one each for every candidate whose -K - C is nef, none for the others,
-    whose closure cannot contain the origin.  The acceptance test, the
-    strength and the printed body share the candidate's body."""
+    tuples.  Both modes validate each boundary with -K - C nef once and
+    never one outside the nef region, which is not generated.  In rank2
+    mode one body and one closure per candidate, all of them nef.  The
+    acceptance test, the strength and the printed body share the
+    candidate's body."""
     n_max = 3
     groups = [(None, {cl.swap_canonical(None, ms) for ms in cl.p2_degree_multisets()})]
     for n in range(n_max + 1):
-        groups.append((n, {cl.swap_canonical(n, ms) for ms in cl.candidate_multisets(n)}))
+        groups.append((n, {cl.swap_canonical(n, ms) for ms in box_multisets(n)}))
     keys = sum(len(found) for _, found in groups)
-    nef = sum(_minus_k_minus_c_is_nef(n, key) for n, found in groups for key in found)
+    nef_keys = Counter((n, key) for n, found in groups for key in found if _minus_k_minus_c_is_nef(n, key))
+    nef = len(nef_keys)
     assert (keys, nef) == (89, 58)
-    pairs, bodies, closures = [], [], []
+    models = {id(cl._model(n)): n for n, _ in groups}
+    pairs, bodies, closures, checked = [], [], [], []
+
+    def counting_check_boundary(surface, labels, forms):
+        n = models[id(surface)]
+        classes = tuple(k[0] if n is None else k for k, _ in forms)
+        checked.append((n, cl.swap_canonical(n, classes)))
+        return check_boundary(surface, labels, forms)
 
     def counting_make_pair(*args, **kwargs):
         pairs.append(args)
@@ -192,6 +217,8 @@ def test_classify_builds_each_candidate_once(monkeypatch, capsys):
         return closure(p)
 
     make_pair, open_part, closure = pr.make_pair, cl._family_open_part, pt.closure
+    check_boundary = cl._check_boundary
+    monkeypatch.setattr(cl, "_check_boundary", counting_check_boundary)
     monkeypatch.setattr(cl, "make_pair", counting_make_pair)
     monkeypatch.setattr(pr, "make_pair", counting_make_pair)
     monkeypatch.setattr(cl, "_family_open_part", counting_open_part)
@@ -200,8 +227,10 @@ def test_classify_builds_each_candidate_once(monkeypatch, capsys):
         pairs.clear()
         bodies.clear()
         closures.clear()
+        checked.clear()
         assert cli.main(["classify", "--mode", mode, "--n-max", str(n_max)]) == 0
         capsys.readouterr()
+        assert Counter(checked) == nef_keys, mode
         assert len(pairs) == 0, mode
         assert len(bodies) == closed, mode
         assert len(closures) == closed, mode
@@ -262,9 +291,22 @@ def test_classify_scales_to_n48(monkeypatch, capsys):
         assert printed(mode) == out, mode
 
 
+def test_classify_scales_to_n96():
+    """Both enumerators up to F_96, with every printed rank-2 closure, in
+    well under the time that deciding every multiset of the coefficient
+    box took (0.43 s)."""
+    start = time.perf_counter()
+    rank2, maeda = cl.enumerate_rank2(96), cl.enumerate_maeda(96)
+    for c, _, _ in rank2:
+        c.body.closed_hull
+    elapsed = time.perf_counter() - start
+    assert (len(rank2), len(maeda)) == (892, 199)
+    assert elapsed < 0.25, f"classify up to F_96 took {elapsed:.2f}s"
+
+
 def test_component_classes_exclude_reducible_multiples():
-    assert (0, 2) not in cl.component_classes(0, max_a=2, max_b=4)
-    assert (2, 0) not in cl.component_classes(0, max_a=2, max_b=4)
+    assert (0, 2) not in cl.component_classes(0)
+    assert (2, 0) not in cl.component_classes(0)
     assert (2, 1) in cl.component_classes(0)
     assert (1, 2) in cl.component_classes(2)
 

@@ -12,6 +12,7 @@ from _util import (
     affine_preimage,
     brute_force_grid_points,
     brute_force_vertices,
+    canonical_text,
     cube_halfspaces,
     first_independent_rows,
     fm_is_feasible,
@@ -63,7 +64,7 @@ def test_closure_examples():
         polytope(1, [halfspace([1], 0, True), halfspace([-1], 0, True)])
     )
     assert not pt.is_feasible(empty)
-    assert pt.canonical_text(pt.closure(closed)) == pt.canonical_text(closed)
+    assert canonical_text(pt.closure(closed)) == canonical_text(closed)
 
 
 def test_contains():
@@ -166,7 +167,7 @@ def test_vertices_double_description_against_brute_force():
     non_empty = 0
     for system in systems:
         got = list(pt.vertices(system).vertices)
-        assert got == brute_force_vertices(system), pt.canonical_text(system)
+        assert got == brute_force_vertices(system), canonical_text(system)
         non_empty += bool(got)
     # both outcomes are exercised
     assert 100 < non_empty < len(systems) - 40
@@ -182,7 +183,7 @@ def test_affine_preimage():
     assert pt.canonical_lines(pre) == ["2 | -1 >= 0"]
     ident = identity_map(2)
     body = pt.closure(figure1_open())
-    assert pt.canonical_text(affine_preimage(ident, body)) == pt.canonical_text(body)
+    assert canonical_text(affine_preimage(ident, body)) == canonical_text(body)
 
 
 def test_affine_preimage_commutes_with_intersection():
@@ -191,7 +192,7 @@ def test_affine_preimage_commutes_with_intersection():
     q = polytope(2, [halfspace([1, 1], 2, False)])
     lhs = affine_preimage(m, intersection(p, q))
     rhs = intersection(affine_preimage(m, p), affine_preimage(m, q))
-    assert pt.canonical_text(lhs) == pt.canonical_text(rhs)
+    assert canonical_text(lhs) == canonical_text(rhs)
 
 
 def test_affine_map_is_its_integer_form():
@@ -274,15 +275,15 @@ def test_vertex_hull_round_trip():
 
 def test_canonical_text_round_trip():
     body = pt.closure(figure1_open())
-    text = pt.canonical_text(body)
+    text = canonical_text(body)
     reparsed = parse_canonical(text, 2)
-    assert pt.canonical_text(reparsed) == text
+    assert canonical_text(reparsed) == text
 
 
 def test_canonical_scaling_normalization():
     a = polytope(2, [halfspace([F(1, 2), F(-1, 3)], F(1, 6), True)])
     b = polytope(2, [halfspace([3, -2], 1, True)])
-    assert pt.canonical_text(a) == pt.canonical_text(b)
+    assert canonical_text(a) == canonical_text(b)
 
 
 def test_double_description_against_fraction_inverse():
@@ -389,11 +390,11 @@ def test_infeasibility_certificates():
     infeasible = 0
     for system in systems:
         feasible = pt.is_feasible(system)
-        assert feasible == fm_is_feasible(system), pt.canonical_text(system)
+        assert feasible == fm_is_feasible(system), canonical_text(system)
         cert = pt.infeasibility_certificate(system)
         assert (cert is None) == feasible
         if cert is not None:
-            assert pt.verify_certificate(system, cert), pt.canonical_text(system)
+            assert pt.verify_certificate(system, cert), canonical_text(system)
             reverify_certificate(rational_rows(system), system, cert)
             infeasible += 1
     # both outcomes are exercised
@@ -481,10 +482,10 @@ def test_integer_rows_match_rational_rows():
         integer = pt.integer_polytope(dim, _integer_rows_of(rational_rows(rational), rng))
         assert integer.integer_rows == rational.integer_rows
         assert integer == rational
-        assert pt.canonical_text(integer) == pt.canonical_text(rational)
+        assert canonical_text(integer) == canonical_text(rational)
         assert pt.is_feasible(integer) == pt.is_feasible(rational)
         assert pt.closure(integer) == pt.closure(rational)
-        assert pt.canonical_text(pt.closure(integer)) == pt.canonical_text(pt.closure(rational))
+        assert canonical_text(pt.closure(integer)) == canonical_text(pt.closure(rational))
         # the Fraction view of the integer rows is the rows themselves
         assert [(hs.normal, hs.offset, hs.strict) for hs in integer.halfspaces] == [
             (tuple(map(F, nm)), F(c), s) for nm, c, s in integer.integer_rows
