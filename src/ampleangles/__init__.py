@@ -21,7 +21,6 @@ from .pairs import (
     contract,
     dual_graph,
     is_anticanonical,
-    is_chain_union,
     is_cycle,
     is_minimal,
     log_adjoint,

@@ -24,10 +24,12 @@ positive and the count is the table.  Otherwise a second walk carries
 the quadratic down in integers and signs each point.  The strong ALdP
 verdict is read off an exact body's rows.  The ALdP verdict first tests
 that -K - C is nef, i.e. that the origin satisfies the weakened rows
-(every offset is >= 0), and reads the closure only then; its elimination
-then works on the rows tight at the origin alone, the body's tangent
-cone there.  Classify makes the same nef test on its candidates' class
-tuples before it writes a body at all.
+(every offset is >= 0), and reads the closure only then: the origin lies
+in it iff it is not canonical empty.  Its feasibility test then works on
+the rows tight at the origin alone, the body's tangent cone there, and
+tries the point t.(1, ..., 1) before it eliminates them.  Classify makes
+the same nef test on its candidates' class tuples before it writes a
+body at all.
 
 The reparametrization machinery expresses the adjoint family as
 eta * (K + A + F(beta)) for an ample A built from an interior rational
@@ -103,16 +105,19 @@ class AABody(namedtuple("AABody", "open_part exactness")):
 
         The closure is the weakened rows or canonical empty, so the origin
         lies in it only when it satisfies the weakened rows: every offset is
-        >= 0, i.e. -K - C is nef.  Only then is the closure read, and its
-        elimination runs on the rows with offset 0 alone: the body's tangent
-        cone at the origin, non-empty iff the body is (`polytope._eliminate`)."""
+        >= 0, i.e. -K - C is nef.  Only then is the closure read.  The origin
+        then satisfies the weakened rows, so ALdP holds iff the closure is
+        not canonical empty, and no point is tested.  The closure's
+        feasibility test sees the rows with offset 0 alone, the body's
+        tangent cone at the origin, non-empty iff the body is: it first tries
+        the witness t.(1, ..., 1) on them and eliminates them only when that
+        fails (`polytope._eliminate`)."""
         if not self.exact:
             return UNKNOWN
-        if any(offset < 0 for _, offset, _ in self.open_part.integer_rows):
+        open_part = self.open_part
+        if any(offset < 0 for _, offset, _ in open_part.integer_rows):
             return False
-        # closure is canonical_empty, which contains no point, exactly when the
-        # open part is infeasible, so the one membership test decides both
-        return pt.contains(self.closed_hull, [0] * self.open_part.dim)
+        return self.closed_hull != pt.canonical_empty(open_part.dim)
 
     @property
     def strongly_aldp(self):

@@ -29,9 +29,12 @@ reads it.  The rank-2 test (`CandidatePair.aldp`) first checks that
 and only then writes the body: a candidate that a direct caller builds
 outside the nef region gets no rows and no body.  The body is closed at
 most once, and a printed rank-2 row reuses that closure.  With -K - C
-nef the origin satisfies every row weakly, so Fourier-Motzkin
-elimination eliminates only the rows tight there, the body's tangent
-cone at the origin.
+nef the origin satisfies every row weakly, so the verdict is read off
+the closure (ALdP iff it is not canonical empty), and the feasibility
+test sees only the rows tight there, the body's tangent cone at the
+origin.  When the point (1, ..., 1) satisfies those rows, small
+multiples of it lie in the body and nothing is eliminated; only the
+tight rows are eliminated, after the witness, and only when it fails.
 """
 
 from __future__ import annotations

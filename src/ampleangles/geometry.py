@@ -7,10 +7,12 @@ Hirzebruch surfaces F_n (basis Z, F with Z^2 = -n, F^2 = 0, Z.F = 1).
 Blow-ups append an exceptional basis vector E with E^2 = -1.
 
 All coefficients are exact: `fractions.Fraction` for divisor classes,
-plain ints for the lattice data.  Intersection numbers are computed on
-integers: each class caches its coefficients as integer numerators over
-their least common denominator, `intersect` pairs the numerators through
-the integer intersection matrix and returns the exact `Fraction`.
+plain ints for the lattice data.  Coefficients and points from a
+caller pass one gate, `_rational`, which refuses a float.  Intersection
+numbers are computed on integers: each class caches its coefficients as
+integer numerators over their least common denominator, `intersect`
+pairs the numerators through the integer intersection matrix and
+returns the exact `Fraction`.
 Ampleness on the plane and F_n is one integer rule: the numerators are
 positive on every `nef_cone` normal (Kleiman's criterion); nefness is
 its weak twin, nonnegative on every normal.
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 from operator import mul
 from typing import Sequence, Union
 
@@ -116,7 +119,7 @@ class SurfaceModel(namedtuple("SurfaceModel", "basis_labels intersection_matrix 
         return len(self.basis_labels)
 
     def divisor(self, coeffs: Sequence[Rat]) -> "DivisorClass":
-        return DivisorClass(self, tuple(Fraction(c) for c in coeffs))
+        return DivisorClass(self, tuple([_rational(c) for c in coeffs]))
 
     def basis_vector(self, i: int) -> "DivisorClass":
         return self.divisor([1 if j == i else 0 for j in range(self.rank)])
@@ -149,7 +152,7 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
         return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar: Rat) -> "DivisorClass":
-        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        s = scalar if isinstance(scalar, Fraction) else _rational(scalar)
         return DivisorClass(self.surface, tuple(s * a if a else a for a in self.coeffs))
 
     __mul__ = __rmul__
@@ -174,6 +177,16 @@ def _fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _ZERO
 
 
+def _rational(v: Rat) -> Fraction:
+    """v as a Fraction, the one gate by which coordinates and coefficients
+    enter the math: an int, a Fraction or any other `numbers.Rational` is
+    exact, and a float, a string or any other value raises TypeError
+    naming it, so no floating point enters silently."""
+    if type(v) is int or type(v) is Fraction or isinstance(v, Rational):
+        return Fraction(v)
+    raise TypeError(f"{v!r} is not an exact rational: pass an int or a Fraction")
+
+
 def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
     """x as (k, den): integer numerators k over den, the least common
     denominator of the entries, so that x = k/den.  An int entry is its
@@ -181,7 +194,7 @@ def _integer_point(x: Sequence[Rat]) -> tuple[list[int], int]:
     ratios = [
         v.as_integer_ratio() if type(v) is Fraction
         else (v, 1) if type(v) is int
-        else Fraction(v).as_integer_ratio()
+        else _rational(v).as_integer_ratio()
         for v in x
     ]
     den = 1

@@ -47,6 +47,7 @@ from .geometry import (
     _cached_field,
     _fraction,
     _integer_point,
+    _rational,
     blow_up,
     intersect,
     nef_cone,
@@ -97,8 +98,8 @@ class AngleVector(namedtuple("AngleVector", "entries")):
 
 def angles(values: Sequence[Rat]) -> AngleVector:
     """The angle vector of the values, each kept as it is when it is already
-    a Fraction."""
-    return AngleVector(tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values]))
+    a Fraction; a float or any other inexact value raises TypeError."""
+    return AngleVector(tuple([v if isinstance(v, Fraction) else _rational(v) for v in values]))
 
 
 class LogPair(namedtuple("LogPair", "surface labels classes nodes tracked history", defaults=((), ()))):
@@ -328,16 +329,6 @@ def _connected_components(n: int, edges) -> list[set[int]]:
     for v in range(n):
         comps.setdefault(find(v), set()).add(v)
     return list(comps.values())
-
-
-def is_chain_union(p: LogPair) -> bool:
-    """True when every connected component of the dual graph is a simple path."""
-    n, edges = dual_graph(p)
-    deg = _degrees(n, edges)
-    if any(d > 2 for d in deg):
-        return False
-    # a union of paths is exactly an acyclic graph: edges = vertices - components
-    return len(edges) == n - len(_connected_components(n, edges))
 
 
 def is_cycle(p: LogPair) -> bool:

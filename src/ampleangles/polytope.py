@@ -9,16 +9,19 @@ those rows alone.  `halfspaces` is a Fraction view of them, kept for the
 benchmark's span hooks.  Feasibility is decided by Fourier-Motzkin
 elimination over the rows; when every offset is >= 0, the origin
 satisfies each row weakly, and only the rows with offset 0 (the tangent
-cone there, non-empty iff the system is) are eliminated.  Strictness is
-combined by OR, and Chernikov's rule applies: after t eliminated
-variables, a combined row built from more than t + 1 input rows is
-implied by the others and is dropped.  A "feasible" answer that may rest
-on a history discarded with a duplicate row is confirmed by
-back-substitution, which builds a point of the rows eliminated.
-Infeasibility certificates are nonnegative integer multipliers on the
-rows, rebuilt from the provenance of the violated row.  That
-elimination decides every closure.  Vertex enumeration is the double
-description method over a closed system's rows, fraction-free from the
+cone there, non-empty iff the system is) count.  The diagonal
+(1, ..., 1) is tried on them first, one sum per row: when it satisfies
+them, t times it is a point of the system for small t > 0, and nothing
+is eliminated; otherwise the tangent cone is.  Strictness is combined
+by OR, and Chernikov's rule applies: after t eliminated variables, a
+combined row built from more than t + 1 input rows is implied by the
+others and is dropped.  A "feasible" answer that may rest on a history
+discarded with a duplicate row is confirmed by back-substitution, which
+builds a point of the rows eliminated.  Infeasibility certificates are
+nonnegative integer multipliers on the rows, rebuilt from the
+provenance of the violated row.  The witness or that elimination
+decides every closure.  Vertex enumeration is the double description
+method over a closed system's rows, fraction-free from the
 whole space on, with a lineality space; it only lists vertices, and it
 tells an empty system from one with a line on its own.
 Closures, sections and the canonical text all work on the rows.  An
@@ -38,7 +41,7 @@ from math import ceil, floor, gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Rat, _cached_field, _fraction, _integer_point
+from .geometry import Rat, _cached_field, _fraction, _integer_point, _rational
 
 
 Row = tuple[tuple[int, ...], int, bool]
@@ -179,10 +182,11 @@ def cube_rows(dim: int, strict: bool) -> tuple[Row, ...]:
 
 
 def _eliminate(p: HPolytope):
-    """Fourier-Motzkin elimination over the integer rows with Chernikov's
-    rule; the provenance of a violated constant row, or None when the
-    system is feasible.  When every offset is >= 0, only the rows with
-    offset 0 enter: the tangent cone of the system at the origin.
+    """The provenance of a violated constant row, or None when the system
+    is feasible.  When every offset is >= 0, the diagonal witness is tried
+    first, and only when it fails are the rows with offset 0, the tangent
+    cone of the system at the origin, eliminated; otherwise every row is
+    (`_fourier_motzkin`).
 
     The tangent cone.  Suppose x0 satisfies every row weakly.  Then the
     system is non-empty iff the rows tight at x0, with their strictness,
@@ -194,6 +198,27 @@ def _eliminate(p: HPolytope):
     are those with offset 0, and they keep their caller's index and mask
     bit, so a certificate is over the caller's rows, with 0 on every row
     whose offset is positive.
+
+    The witness.  At x0 = 0, v = (1, ..., 1) solves the tight rows when
+    each has sum(normal) >= 0, and >= 1 when it is strict (an integer is
+    > 0 exactly when it is >= 1): normal.v is that sum.  Then t.v is a
+    point of the system for every small t > 0, and the answer is
+    "feasible" with nothing eliminated.  A row that v fails proves
+    nothing, so Fourier-Motzkin elimination decides every other system,
+    and every infeasibility certificate comes from it.
+    """
+    rows = p.integer_rows
+    cone = all(offset >= 0 for _, offset, _ in rows)
+    if cone and all(sum(normal) >= strict for normal, offset, strict in rows if not offset):
+        return None
+    return _fourier_motzkin(p, cone)
+
+
+def _fourier_motzkin(p: HPolytope, cone: bool):
+    """Fourier-Motzkin elimination over the integer rows with Chernikov's
+    rule, of the rows with offset 0 alone when `cone` (every offset is
+    >= 0, see `_eliminate`): the provenance of a violated constant row, or
+    None when the rows that entered are feasible.
 
     Eliminating a variable combines each lower row (coefficient al > 0)
     with each upper row (-au < 0) into au.low + al.up, divided by its gcd,
@@ -245,7 +270,6 @@ def _eliminate(p: HPolytope):
     elimination, of which there are finitely many, so the rounds end.
     """
     # with the origin weakly inside, only its tangent cone is eliminated
-    cone = all(offset >= 0 for _, offset, _ in p.integer_rows)
     inputs: dict[tuple, tuple] = {}
     for i, row in enumerate(p.integer_rows):
         if not (cone and row[1]):
@@ -428,8 +452,10 @@ def closure(p: HPolytope) -> HPolytope:
 
 
 def _weakened(p: HPolytope) -> HPolytope:
-    """The rows of p with every strict flag cleared."""
-    return HPolytope(p.dim, tuple((normal, offset, False) for normal, offset, _ in p.integer_rows))
+    """The rows of p with every strict flag cleared; their lengths were
+    checked when p was built."""
+    rows = tuple([(normal, offset, False) for normal, offset, _ in p.integer_rows])
+    return tuple.__new__(HPolytope, (p.dim, rows))
 
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
@@ -556,7 +582,7 @@ def substitute(p: HPolytope, index: int, value: Rat) -> HPolytope:
     value = k/den each row becomes den.normal' . x' + den.offset + k.normal_index."""
     if not 0 <= index < p.dim:
         raise ValueError("substitution index out of range")
-    k, den = Fraction(value).as_integer_ratio()
+    k, den = _rational(value).as_integer_ratio()
     return integer_polytope(
         p.dim - 1,
         [
@@ -579,6 +605,6 @@ def canonical_lines(p: HPolytope) -> list[str]:
     sorted lexicographically."""
     lines = set()
     for normal, offset, strict in p.integer_rows:
-        body = " ".join(str(c) for c in normal)
+        body = " ".join(map(str, normal))
         lines.add(f"{body} | {offset} {_REL[strict]} 0")
     return sorted(lines)

@@ -7,6 +7,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ampleangles import classify as cl
+from ampleangles import polytope as pt
 from ampleangles.angles import EXACT, AABody
 from ampleangles.geometry import BlowUp, Hirzebruch, ProjectivePlane, fn_irreducible_admissible
 from ampleangles.pairs import log_adjoint
@@ -295,6 +296,20 @@ def oracle_rows(p):
     return explicit_ample_rows(p)
 
 
+def record_eliminations(monkeypatch):
+    """Wrap `polytope._fourier_motzkin`: the list receives each system that
+    reaches elimination, which the diagonal witness did not decide."""
+    seen = []
+    fourier_motzkin = pt._fourier_motzkin
+
+    def recorded(p, cone):
+        seen.append(p)
+        return fourier_motzkin(p, cone)
+
+    monkeypatch.setattr(pt, "_fourier_motzkin", recorded)
+    return seen
+
+
 def _scaled(normal, offset, strict):
     """The row divided by its largest absolute entry: one positive rescaling
     shared by all rows proportional to it."""
@@ -421,6 +436,29 @@ def class_map(p):
     coefficient tuples of the boundary."""
     constant, increments = _adjoint_parts(p)
     return tuple(tuple(inc[k] for inc in increments) for k in range(p.surface.rank)), tuple(constant)
+
+
+def is_chain_union(p):
+    """Every connected component of the dual graph of p (one vertex per
+    boundary component, one edge per node) is a simple path: no vertex
+    lies on more than two edges, and no edge closes a cycle, which a
+    union-find over the edges detects (a double edge closes a 2-cycle)."""
+    degree = Counter(i for nd in p.nodes for i in nd.incident)
+    if any(d > 2 for d in degree.values()):
+        return False
+    root = list(range(p.r))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for nd in p.nodes:
+        i, j = map(find, nd.incident)
+        if i == j:
+            return False
+        root[i] = j
+    return True
 
 
 def _nef_normals(p):

@@ -10,7 +10,18 @@ from ampleangles import cli
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
 from ampleangles.geometry import Hirzebruch, ProjectivePlane
-from _util import MAEDA_P2, P2_TABLE, _nef_normals, box_multisets, fn_table, maeda_fn_table, rank2_candidates
+from _util import (
+    MAEDA_P2,
+    P2_TABLE,
+    _nef_normals,
+    box_multisets,
+    fm_is_feasible,
+    fn_table,
+    is_chain_union,
+    maeda_fn_table,
+    rank2_candidates,
+    record_eliminations,
+)
 
 
 def test_maeda_count_n3():
@@ -304,6 +315,23 @@ def test_classify_scales_to_n96():
     assert elapsed < 0.25, f"classify up to F_96 took {elapsed:.2f}s"
 
 
+def test_rank2_verdicts_against_unpruned_elimination(monkeypatch):
+    """On the 139 candidates up to F_12 with -K - C nef, `CandidatePair.aldp`
+    equals unpruned Fraction elimination on the open part.  The diagonal
+    witness decides 92 of them without elimination; the other 47 are
+    eliminated, the 3 that are not ALdP among them."""
+    eliminated = record_eliminations(monkeypatch)
+    nef = [c for c in rank2_candidates(12) if _minus_k_minus_c_is_nef(c.n, c.classes)]
+    assert len(nef) == 139
+    seen = Counter()
+    for c in nef:
+        eliminated.clear()
+        verdict = c.aldp
+        assert verdict == fm_is_feasible(c.body.open_part), c
+        seen[verdict, bool(eliminated)] += 1
+    assert seen == {(True, False): 92, (True, True): 44, (False, True): 3}, seen
+
+
 def test_component_classes_exclude_reducible_multiples():
     assert (0, 2) not in cl.component_classes(0)
     assert (2, 0) not in cl.component_classes(0)
@@ -318,4 +346,4 @@ def test_dual_graph_of_anticanonical_survivors_is_cycle():
         if pr.is_anticanonical(p):
             assert pr.is_cycle(p) or p.r == 1
         else:
-            assert pr.is_chain_union(p)
+            assert is_chain_union(p)

@@ -163,6 +163,19 @@ def test_is_ample():
     assert g.is_ample(bl, bl.divisor([1, 0])) is g.UNSUPPORTED
 
 
+def test_divisors_refuse_floats():
+    """A class's coefficients and a scalar multiple are exact: a float or a
+    string raises TypeError naming it, and ints and Fractions pass."""
+    f1 = g.hirzebruch(1)
+    for bad, name in ((0.5, r"0\.5"), ("1", "'1'")):
+        with pytest.raises(TypeError, match=rf"^{name} is not an exact rational"):
+            f1.divisor([1, bad])
+        with pytest.raises(TypeError, match=rf"^{name} is not an exact rational"):
+            bad * f1.divisor([1, 2])
+    assert f1.divisor([1, F(1, 2)]).coeffs == (1, F(1, 2))
+    assert (F(1, 2) * f1.divisor([1, 2])).coeffs == (F(1, 2), 1)
+
+
 def test_unsupported_is_not_boolean():
     with pytest.raises(TypeError):
         bool(g.UNSUPPORTED)

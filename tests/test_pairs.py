@@ -2,6 +2,7 @@ import itertools
 import pathlib
 import random
 from collections import Counter, namedtuple
+from decimal import Decimal
 
 import pytest
 
@@ -11,7 +12,15 @@ from ampleangles import cli, dsl
 from ampleangles import geometry as g
 from ampleangles import pairs as pr
 from ampleangles import polytope as pt
-from _util import F, adjoint_coeffs, check_boundary_by_scan, family_at, inertia, rank2_candidates
+from _util import (
+    F,
+    adjoint_coeffs,
+    check_boundary_by_scan,
+    family_at,
+    inertia,
+    is_chain_union,
+    rank2_candidates,
+)
 from test_acceptance import BASES, _random_script
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -54,18 +63,18 @@ def test_log_adjoint_matches_direct_expansion():
 
 
 def test_dual_graph_shapes():
-    assert pr.is_chain_union(zf_pair(4))
+    assert is_chain_union(zf_pair(4))
     assert not pr.is_cycle(zf_pair(4))
     lines = pr.make_pair(
         g.projective_plane(), [("L1", (1,)), ("L2", (1,)), ("L3", (1,))]
     )
     assert pr.is_cycle(lines)
-    assert not pr.is_chain_union(lines)
+    assert not is_chain_union(lines)
     # Z -- F -- (Z+F) is a chain: Z.(Z+F) = 0 on F_1
     chain = pr.make_pair(
         g.hirzebruch(1), [("Z", (1, 0)), ("F", (0, 1)), ("C", (1, 1))]
     )
-    assert pr.is_chain_union(chain)
+    assert is_chain_union(chain)
     assert not pr.is_cycle(chain)
     # anticanonical two-component boundary meets twice: a 2-cycle
     assert pr.is_cycle(fig1_pair())
@@ -198,6 +207,17 @@ def test_angle_vector_range():
     half = F(1, 2)
     v = pr.angles([0, 1, half])
     assert all(type(e) is F for e in v.entries) and v.entries[2] is half
+
+
+def test_angles_refuse_floats():
+    """No floating point enters an angle vector: a float, or any value that
+    is not an int or a Fraction, raises TypeError naming it, where
+    Fraction(0.1) would keep 3602879701896397/36028797018963968."""
+    refused = ((0.1, r"0\.1"), (1.0, r"1\.0"), ("1/2", "'1/2'"), (Decimal("0.5"), r"Decimal\('0\.5'\)"))
+    for bad, name in refused:
+        with pytest.raises(TypeError, match=rf"^{name} is not an exact rational"):
+            pr.angles([F(1, 2), bad])
+    assert pr.angles([True, F(1, 3)]).entries == (1, F(1, 3))
 
 
 def test_angles_convert_and_refuse_on_seeded_mixes():

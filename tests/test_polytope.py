@@ -26,6 +26,7 @@ from _util import (
     parse_canonical,
     polytope,
     random_gram,
+    record_eliminations,
     rational_rows,
     remove_redundant,
     reverify_certificate,
@@ -75,6 +76,19 @@ def test_contains():
     assert not pt.contains(open_square, [0, 0])
     with pytest.raises(ValueError):
         pt.contains(closed, [0, 0, 0])
+
+
+def test_points_and_sections_refuse_floats():
+    """`contains`, `AffineMap.apply` and `substitute` take exact points
+    only: a float coordinate or value raises TypeError naming it."""
+    closed = pt.closure(figure1_open())
+    with pytest.raises(TypeError, match=r"^0\.25 is not an exact rational"):
+        pt.contains(closed, [F(1, 2), 0.25])
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+        pt.AffineMap(1, (0, 1), 2).apply([1, 0.5])
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+        pt.substitute(closed, 0, 0.5)
+    assert pt.contains(closed, [F(1, 2), F(1, 4)])
 
 
 def test_vertices_figure1_against_brute_force():
@@ -589,18 +603,22 @@ def _record_back_substitutions(monkeypatch):
 
 
 def test_pruned_elimination_against_unpruned_oracle(monkeypatch):
-    """Chernikov's rule changes no verdict: on seeded systems in dims 0-7,
-    `is_feasible` agrees with unpruned Fraction elimination on every
-    system, none skipped, and each infeasible system has a certificate
-    that `verify_certificate` accepts."""
+    """Chernikov's rule and the diagonal witness change no verdict: on
+    seeded systems in dims 0-7, `is_feasible` agrees with unpruned Fraction
+    elimination on every system, none skipped, and each infeasible system
+    has a certificate that `verify_certificate` accepts.  The witness
+    decides some systems and elimination the rest, both in numbers."""
     seen = _record_back_substitutions(monkeypatch)
+    eliminated = record_eliminations(monkeypatch)
     rng = random.Random(2718)
-    infeasible = points = 0
+    infeasible = points = decided = 0
     for i in range(2400):
         system = _oracle_system(rng, i % 8)
         seen.clear()
+        eliminated.clear()
         feasible = pt.is_feasible(system)
         assert feasible == fm_is_feasible(system), system.integer_rows
+        decided += not eliminated
         if not feasible:
             assert pt.verify_certificate(system, pt.infeasibility_certificate(system))
             infeasible += 1
@@ -611,6 +629,8 @@ def test_pruned_elimination_against_unpruned_oracle(monkeypatch):
     assert 500 < infeasible < 1900
     # some "feasible" answers needed a point to be proven
     assert points > 20
+    # 775 systems are decided by the witness and 1 625 eliminated
+    assert decided > 600 and 2400 - decided > 1400, decided
 
 
 # Infeasible systems on which one kept history per duplicate row loses the
@@ -733,6 +753,35 @@ def _cone_system(rng, dim):
         rows += [(e, 0, True), ([-c for c in e], 0, True)]
     rng.shuffle(rows)
     return pt.integer_polytope(dim, rows)
+
+
+def test_diagonal_witness_gives_a_point(monkeypatch):
+    """On seeded systems whose offsets are all >= 0, the system reaches
+    elimination exactly when (1, ..., 1) fails a row with offset 0, the
+    sum of its normal below its strictness.  When the diagonal passes,
+    the answer is "feasible", and t.(1, ..., 1) is a point of the system by
+    `contains`, for t = 1/2 of the least c/(-sum(normal)) over the rows with
+    offset c > 0 and sum(normal) < 0 (or t = 1)."""
+    eliminated = record_eliminations(monkeypatch)
+    rng = random.Random(1732)
+    decided = 0
+    for i in range(900):
+        dim = 1 + i % 6
+        system = _cone_system(rng, dim)
+        rows = system.integer_rows
+        sums = [(sum(normal), strict) for normal, c, strict in rows if c == 0]
+        holds = all(v > 0 if strict else v >= 0 for v, strict in sums)
+        eliminated.clear()
+        feasible = pt.is_feasible(system)
+        assert bool(eliminated) != holds, rows
+        if holds:
+            assert feasible
+            point = _lemma_point(system, [1] * dim)
+            assert pt.contains(system, point), rows
+            assert all(hs.holds(point) for hs in rational_rows(system)), rows
+            decided += 1
+    # 325 of the 900 systems pass the diagonal
+    assert 150 < decided < 750, decided
 
 
 # A system with every offset >= 0 whose "feasible" answer needs a point: the
