@@ -8,7 +8,8 @@ Blow-ups append an exceptional basis vector E with E^2 = -1.
 
 All coefficients are exact: `fractions.Fraction` for divisor classes,
 plain ints for the lattice data.  Coefficients and points from a
-caller pass one gate, `_rational`, which refuses a float.  Intersection
+caller pass one gate, `_rational`, which refuses a float and passes a
+`Fraction` through uncopied (it is immutable).  Intersection
 numbers are computed on integers: each class caches its coefficients as
 integer numerators over their least common denominator, `intersect`
 pairs the numerators through the integer intersection matrix and
@@ -179,10 +180,14 @@ def _fraction(num: int, den: int) -> Fraction:
 
 def _rational(v: Rat) -> Fraction:
     """v as a Fraction, the one gate by which coordinates and coefficients
-    enter the math: an int, a Fraction or any other `numbers.Rational` is
-    exact, and a float, a string or any other value raises TypeError
-    naming it, so no floating point enters silently."""
-    if type(v) is int or type(v) is Fraction or isinstance(v, Rational):
+    enter the math.  A value of type Fraction passes as it is, uncopied:
+    a Fraction is immutable, so sharing it is safe.  An int or any other
+    `numbers.Rational`, a Fraction subclass included, is exact and is
+    converted to a plain Fraction; a float, a string or any other value
+    raises TypeError naming it, so no floating point enters silently."""
+    if type(v) is Fraction:
+        return v
+    if type(v) is int or isinstance(v, Rational):
         return Fraction(v)
     raise TypeError(f"{v!r} is not an exact rational: pass an int or a Fraction")
 

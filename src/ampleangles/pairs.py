@@ -400,13 +400,18 @@ def _is_tracked(p: LogPair, tag: str) -> bool:
 
 def _validate_tracked_fibers(result: LogPair) -> None:
     """Distinct irreducible curves never meet negatively; a violation means a
-    declared shared-fiber configuration is geometrically impossible."""
+    declared shared-fiber configuration is geometrically impossible.
+
+    Only signs are tested, and denominators are positive, so the fiber's
+    numerators are paired through the lattice matrix with each class's."""
+    matrix = result.surface.intersection_matrix
     for tc in result.tracked:
         if tc.kind != "fiber":
             continue
-        t = result.surface.divisor(tc.coeffs)
+        k, _ = _integer_point(tc.coeffs)
+        dual = [sum(map(mul, row, k)) for row in matrix]
         for lab, cls in zip(result.labels, result.classes):
-            if intersect(t, cls) < 0:
+            if sum(map(mul, cls.integer_form[0], dual)) < 0:
                 raise ValueError(
                     f"fiber tag {tc.tag!r} puts multiple centers on one fiber, but that "
                     f"fiber would then meet component {lab!r} negatively"
@@ -527,7 +532,7 @@ def contract(p: LogPair, which: Union[int, str]) -> tuple[LogPair, AffineForm]:
         tag, curve = which, p.surface.divisor(found[0].coeffs)
     if intersect(curve, curve) != -1:
         raise ValueError("contraction requires a (-1)-curve")
-    if curve.coeffs != p.surface.basis_vector(p.surface.rank - 1).coeffs:
+    if curve.integer_form != ((0,) * (p.surface.rank - 1) + (1,), 1):
         raise ValueError(
             "only the most recent exceptional curve is contractible; "
             "unwind blow-ups in reverse order"
@@ -607,9 +612,13 @@ def is_minimal(p: LogPair):
         if any(c.coeffs == z.coeffs for c in p.classes):
             return True
         return sum(intersect(z, c) for c in p.classes) != 1
-    total = p.boundary_total()
+    # on the integer forms (k, d) of a curve and (k_C, d_C) of C:
+    # curve^2 = -1 is k.M.k = -d^2 and curve.C = 1 is k.M.k_C = d.d_C
+    matrix = p.surface.intersection_matrix
+    k_c, d_c = p.boundary_total().integer_form
     for tc in p.tracked:
-        curve = p.surface.divisor(tc.coeffs)
-        if intersect(curve, curve) == -1 and intersect(curve, total) == 1:
+        k, d = _integer_point(tc.coeffs)
+        dual = [sum(map(mul, row, k)) for row in matrix]
+        if sum(map(mul, k, dual)) == -d * d and sum(map(mul, k_c, dual)) == d * d_c:
             return False
     return UNKNOWN

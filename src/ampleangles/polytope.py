@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -478,8 +478,8 @@ def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the gcd of its entries; the zero vector stays zero."""
-    g = gcd(*v) or 1
-    return tuple(x // g for x in v)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def _double_description(rows: Sequence[tuple[int, ...]]):
@@ -559,6 +559,11 @@ def vertices(p: HPolytope) -> VPolytope:
     not depend on the order in which a caller wrote them; some orders
     cost minutes where the sorted one costs a tenth of a second (the
     r = 16 chain body with its cube rows first).
+
+    The vertices are ordered on integers: over L, the lcm of the rays'
+    t, the vertex x/t is x.(L/t)/L, so the integer vectors x.(L/t) sort
+    exactly as the vertices' Fraction tuples do.  Each vertex's Fractions
+    are built once, after the sort.
     """
     if any(strict for _, _, strict in p.integer_rows):
         raise ValueError("vertex enumeration requires a closed (weak) system")
@@ -568,9 +573,9 @@ def vertices(p: HPolytope) -> VPolytope:
     found = [ray for ray in rays if ray[-1] > 0]
     if found and (lines or len(found) < len(rays)):
         raise ValueError("vertex enumeration requires a bounded polyhedron")
-    return VPolytope(
-        dim, tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in found))
-    )
+    den = lcm(*(ray[-1] for ray in found))
+    found.sort(key=lambda ray: [x * (den // ray[-1]) for x in ray[:-1]])
+    return VPolytope(dim, tuple(tuple(_fraction(x, ray[-1]) for x in ray[:-1]) for ray in found))
 
 
 # ---------------------------------------------------------------------------

@@ -926,6 +926,21 @@ def test_vertices_do_not_depend_on_row_order():
             assert sorted(rays) == want_rays and not lines, (r, seed)
 
 
+def test_vertices_are_sorted_on_their_fractions():
+    """`vertices` orders the rays on an integer key; the chain bodies at
+    r = 8 and 12 come back in the lexicographic order of their Fraction
+    tuples, and as exactly the Fractions x/t of the double-description rays
+    with t > 0."""
+    for r in (8, 12):
+        closed = an.aa_body(chain_pair(r)).closed_hull
+        got = pt.vertices(closed).vertices
+        assert got == tuple(sorted(got)), r
+        rows = sorted({normal + (offset,) for normal, offset, _ in closed.integer_rows})
+        rays, _ = pt._double_description([(0,) * r + (1,), *rows])
+        want = sorted(tuple(F(x, ray[-1]) for x in ray[:-1]) for ray in rays if ray[-1] > 0)
+        assert got == tuple(want), r
+
+
 def test_vertices_of_the_r16_chain_in_any_row_order():
     """The r = 16 chain body (48 rows, 368 vertices) with its cube rows
     first, which ran for over 9 minutes before `vertices` sorted its rows,

@@ -227,6 +227,28 @@ def test_blowup_refuses_a_tracked_tag(tmp_path):
             assert f"input error: line {line_no}: {message}" in out.stderr
 
 
+def test_shared_fiber_refusal_is_an_input_error(tmp_path):
+    """Two centers on the section S = Z + F of F_1 that share a fiber tag:
+    the tracked fiber would meet S negatively, so check and blowup exit 1
+    with the refusal on stderr and print nothing on stdout."""
+    (tmp_path / "shared.pair").write_text(
+        "surface F 1\n"
+        "component Z 1 0\n"
+        "component S 1 1\n"
+        "blowup smooth S q1 fiber=f\n"
+        "blowup smooth S q2 fiber=f\n"
+    )
+    message = (
+        "fiber tag 'f' puts multiple centers on one fiber, but that fiber "
+        "would then meet component 'S' negatively"
+    )
+    for command in ("check", "blowup"):
+        out = run_cli([command, "shared.pair"], cwd=tmp_path)
+        assert out.returncode == 1, out.stderr
+        assert message in out.stderr
+        assert out.stdout == ""
+
+
 def test_check_positive_and_negative_verdicts(tmp_path):
     (tmp_path / "line.pair").write_text(P2LINE)
     out = run_cli(["check", "line.pair"], cwd=tmp_path)

@@ -176,6 +176,21 @@ def test_divisors_refuse_floats():
     assert (F(1, 2) * f1.divisor([1, 2])).coeffs == (F(1, 2), 1)
 
 
+def test_the_gate_passes_a_fraction_through():
+    """`_rational` returns a Fraction as it is, uncopied, and converts a
+    Fraction subclass to a plain Fraction; a class built from a Fraction
+    holds that very object."""
+
+    class Half(Fraction):
+        pass
+
+    f = F(3, 7)
+    assert g._rational(f) is f
+    sub = g._rational(Half(1, 2))
+    assert type(sub) is Fraction and sub == F(1, 2)
+    assert g.hirzebruch(1).divisor([f, 1]).coeffs[0] is f
+
+
 def test_unsupported_is_not_boolean():
     with pytest.raises(TypeError):
         bool(g.UNSUPPORTED)

@@ -568,11 +568,70 @@ def test_fiber_tracking_skips_boundary_fibers():
 
 
 def test_shared_fiber_impossible_configuration_rejected():
-    # a fiber meets Z once, so two centers on Z cannot share a fiber
-    p = pr.make_pair(g.hirzebruch(2), [("Z", (1, 0))])
-    up = pr.blow_up_smooth_point(p, "Z", "q1", fiber_tag="f")
-    with pytest.raises(ValueError):
-        pr.blow_up_smooth_point(up, "Z", "q2", fiber_tag="f")
+    # a fiber meets Z once, and the section S = Z + F of F_1 once, so two
+    # centers on either cannot share a fiber: the transform F - E1 - E2
+    # would meet the component's transform in -1
+    for p, label in (
+        (pr.make_pair(g.hirzebruch(2), [("Z", (1, 0))]), "Z"),
+        (pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("S", (1, 1))]), "S"),
+    ):
+        up = pr.blow_up_smooth_point(p, label, "q1", fiber_tag="f")
+        with pytest.raises(ValueError) as err:
+            pr.blow_up_smooth_point(up, label, "q2", fiber_tag="f")
+        assert str(err.value) == (
+            "fiber tag 'f' puts multiple centers on one fiber, but that fiber "
+            f"would then meet component {label!r} negatively"
+        )
+
+
+def _minimal_by_intersect(p):
+    """is_minimal on a blow-up by its Fraction formula: False when a tracked
+    curve has square -1 and meets the boundary total once, else UNKNOWN."""
+    total = p.boundary_total()
+    for tc in p.tracked:
+        curve = p.surface.divisor(tc.coeffs)
+        if g.intersect(curve, curve) == -1 and g.intersect(curve, total) == 1:
+            return False
+    return pr.UNKNOWN
+
+
+def test_blowup_calculus_on_rational_classes():
+    """A script on F_1 whose boundary holds the non-integral class
+    A = (Z + F)/2 beside Z and C = Z + 2F: a node blow-up, two smooth ones
+    sharing the fiber tag 'f' and a node blow-up on the new component.  The
+    tracked-fiber checks pass on every step, `is_minimal` agrees with its
+    Fraction formula on every stage (UNKNOWN after the first node blow-up,
+    False once an exceptional curve is tracked), and `contract` unwinds the
+    script back to its base.  A tracked class of denominator 2 with square
+    -1 and degree 1 on C is a witness that `contract` still refuses, and
+    seeded scripts on the shared bases check the formula too."""
+    base = pr.make_pair(g.hirzebruch(1), [("Z", (1, 0)), ("A", (F(1, 2), F(1, 2))), ("C", (1, 2))])
+    stages = [base]
+    stages.append(pr.blow_up_node(stages[-1], "Z.C.1", "E1"))
+    stages.append(pr.blow_up_smooth_point(stages[-1], "Z", "q2", fiber_tag="f"))
+    stages.append(pr.blow_up_smooth_point(stages[-1], "C", "q3", fiber_tag="f"))
+    stages.append(pr.blow_up_node(stages[-1], "C.E1.1", "E4"))
+    fiber = next(tc for tc in stages[-1].tracked if tc.tag == "f")
+    assert fiber.coeffs == (0, 1, 0, -1, -1, 0)
+    assert stages[-1].boundary_total().integer_form[1] == 2
+    assert [pr.is_minimal(p) for p in stages] == [True, pr.UNKNOWN, False, False, False]
+    for p in stages[1:]:
+        assert pr.is_minimal(p) is _minimal_by_intersect(p)
+    pair = stages[-1]
+    while pair.history:
+        pair, _ = pr.contract(pair, pair.history[-1].exc_label)
+        assert pair == stages[len(pair.history)]
+    # (Z - F + E)/2 on F_1 blown up once: square -4/4, degree (4 - 2)/2 on Z + 4F
+    half = pr.TrackedCurve("exceptional", "h", (F(1, 2), F(-1, 2), F(1, 2)))
+    p = pr.make_pair(g.blow_up(g.hirzebruch(1), "E", "p"), [("Z", (1, 0, 0)), ("D", (0, 4, 0))], tracked=[half])
+    assert pr.is_minimal(p) is False
+    assert _minimal_by_intersect(p) is False
+    with pytest.raises(ValueError, match="only the most recent exceptional curve is contractible"):
+        pr.contract(p, "h")
+    rng = random.Random(35)
+    for _ in range(30):
+        p = _random_script(rng, rng.choice(BASES)(), rng.randint(1, 4))
+        assert pr.is_minimal(p) is _minimal_by_intersect(p)
 
 
 def _assert_table_is_intersect(classes, meet):
