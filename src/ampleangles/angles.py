@@ -40,13 +40,16 @@ is coordinatewise, with slope 1/eta in every coordinate.  It is built
 in integer arithmetic over gamma's common denominator, in one pass over
 a per-family context: one loop over gamma reads that denominator, the
 angles' numerators, their range and eta (the helper `eta` shares); the
-family's cached column form holds the increments as one column per
-basis coordinate, next to the surface's nef-cone normals, so the
+family's cached column form holds the increments as one sparse column
+per basis coordinate, next to the surface's nef-cone normals, so the
 adjoint at gamma and the test that gamma lies in the body are plain
 loops on integer numerators.  The self-map and its inverse share their
 entries up to order and sign, so one gcd puts both in lowest terms;
-they are never built through Fractions.  The identities they satisfy
-hold by construction and are replayed outside the library.
+they are never built through Fractions.  eta and the ample part's
+coefficients are built once each from their reduced integers, and the
+outputs are assembled without re-validating their lengths.  The
+identities they satisfy hold by construction and are replayed outside
+the library.
 """
 
 from __future__ import annotations
@@ -441,8 +444,8 @@ _OUTSIDE = "gamma must lie in the open body of ample angles"
 
 def _angle_point(entries, message: str) -> tuple[list[int], int, int, int]:
     """(k, d, hn, hd): the angles as integer numerators k over their least
-    common denominator d, and eta = hn/hd in lowest terms, in one pass over
-    their numerators and denominators.  Raises ValueError(message) unless
+    common denominator d, and eta = hn/hd in lowest terms, in one pass that
+    reads each angle's integer ratio once.  Raises ValueError(message) unless
     every angle lies strictly between 0 and 1.
 
     eta is the largest of (1-g)/g and g/(1-g) over the angles g, i.e.
@@ -453,7 +456,7 @@ def _angle_point(entries, message: str) -> tuple[list[int], int, int, int]:
     near, far = 1, 1  # m = near/far, 1 until the first angle: eta = 0 on none
     parts = []
     for g in entries:
-        n, q = g.numerator, g.denominator
+        n, q = g.as_integer_ratio()
         if not 0 < n < q:
             raise ValueError(message)
         if d % q:
@@ -469,7 +472,7 @@ def eta(gamma: AngleVector) -> Fraction:
     """max over i of (1-gamma_i)/gamma_i and gamma_i/(1-gamma_i), read off
     the numerators and denominators of the angles."""
     _, _, hn, hd = _angle_point(gamma.entries, "eta requires every angle strictly between 0 and 1")
-    return Fraction(hn, hd)
+    return _fraction(hn, hd)
 
 
 def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
@@ -496,7 +499,12 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     den, constant, columns, normals = log_adjoint(p).column_form
     k, d, hn, hd = _angle_point(entries, _OUTSIDE)
     # X is a positive multiple of the adjoint at gamma, so ample exactly when it is
-    x = [d * c + sum(map(mul, col, k)) for c, col in zip(constant, columns)]
+    x = []
+    for c, column in zip(constant, columns):
+        v = d * c
+        for i, a in column:
+            v += a * k[i]
+        x.append(v)
     for w in normals:
         if sum(map(mul, w, x)) <= 0:
             raise ValueError(_OUTSIDE)
@@ -505,6 +513,7 @@ def reparam(p: LogPair, gamma: AngleVector) -> ReparamData:
     t_num = [hn_d - s * ki for ki in k]  # f's translation, over hn.d
     f, f_inv = pt._map_and_inverse(hd * d, t_num, hn_d)
     a_den = hn_d * den
-    a_class = DivisorClass(p.surface, tuple([_fraction(s * v, a_den) for v in x]))
-    return ReparamData(gamma, Fraction(hn, hd), a_class, f, f_inv)
+    # the lengths hold by construction: x has one entry per basis coordinate
+    a_class = tuple.__new__(DivisorClass, (p.surface, tuple([_fraction(s * v, a_den) for v in x])))
+    return tuple.__new__(ReparamData, (gamma, _fraction(hn, hd), a_class, f, f_inv))
 

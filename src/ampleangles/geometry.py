@@ -13,7 +13,10 @@ caller pass one gate, `_rational`, which refuses a float and passes a
 numbers are computed on integers: each class caches its coefficients as
 integer numerators over their least common denominator, `intersect`
 pairs the numerators through the integer intersection matrix and
-returns the exact `Fraction`.
+returns the exact `Fraction`.  An exact output computed on integers is
+built once by `_fraction`, from its numerator and denominator: one gcd
+reduces them and the Fraction's two slots are written directly, without
+the constructor's parsing and type dispatch.
 Ampleness on the plane and F_n is one integer rule: the numerators are
 positive on every `nef_cone` normal (Kleiman's criterion); nefness is
 its weak twin, nonnegative on every normal.
@@ -174,8 +177,24 @@ _ZERO = Fraction(0)
 
 
 def _fraction(num: int, den: int) -> Fraction:
-    """num/den as a Fraction; every zero is the one shared constant."""
-    return Fraction(num, den) if num else _ZERO
+    """num/den as a reduced Fraction, built from the two integers without
+    running `Fraction.__new__`: one gcd, the sign moved onto the
+    numerator, and the two slots written as Python 3.12's
+    `Fraction._from_coprime_ints` writes them.  This is the one place that
+    writes a Fraction's slots.  Every zero numerator gives the one shared
+    constant; a nonzero one over a zero denominator raises
+    ZeroDivisionError, as the constructor does."""
+    if not num:
+        return _ZERO
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    elif not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    value = object.__new__(Fraction)
+    value._numerator = num // g
+    value._denominator = den // g
+    return value
 
 
 def _rational(v: Rat) -> Fraction:

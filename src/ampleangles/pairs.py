@@ -89,9 +89,11 @@ class AngleVector(namedtuple("AngleVector", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries: tuple[Fraction, ...]):
-        # a Fraction's denominator is positive, so 0 <= e <= 1 on its numerator
+        # a denominator is positive, so 0 <= e <= 1 on the integer ratio; an
+        # entry that is not a Fraction passes the exact gate, which refuses a float
         for e in entries:
-            if not 0 <= e.numerator <= e.denominator:
+            n, q = e.as_integer_ratio() if type(e) is Fraction else _rational(e).as_integer_ratio()
+            if not 0 <= n <= q:
                 raise ValueError("angles must lie in [0, 1]")
         return tuple.__new__(cls, (entries,))
 
@@ -284,13 +286,15 @@ class LogAdjointFamily(namedtuple("LogAdjointFamily", "constant increments")):
     @_cached_field
     def column_form(self):
         """(den, constant, columns, normals): the integer form with the
-        increments transposed into one column per basis coordinate, so that
-        d.den times the class at beta = k/d is d.constant_j + columns_j.k in
-        coordinate j, next to the surface's nef-cone normals.
-        `angles.reparam` reads it in one pass; the plane and F_n only, where
-        `nef_cone` exists."""
+        increments transposed into one sparse column per basis coordinate,
+        the (i, increment_i) pairs of its nonzero entries, so that d.den
+        times the class at beta = k/d is d.constant_j plus the sum of
+        increment_i.k_i over column j in coordinate j, next to the surface's
+        nef-cone normals.  `angles.reparam` reads it in one pass; the plane
+        and F_n only, where `nef_cone` exists."""
         den, constant, increments = self.integer_form
-        return den, constant, tuple(zip(*increments)), nef_cone(self.constant.surface)
+        columns = tuple(tuple([(i, v) for i, v in enumerate(col) if v]) for col in zip(*increments))
+        return den, constant, columns, nef_cone(self.constant.surface)
 
 
 def log_adjoint(p: LogPair) -> LogAdjointFamily:

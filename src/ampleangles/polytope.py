@@ -6,7 +6,9 @@ entries, the set of x with normal.x + offset > 0 (strict) or >= 0
 the rows mix both kinds.  `integer_polytope` is the one constructor: it
 scales each integer row by its gcd once, and every kernel below works on
 those rows alone.  `halfspaces` is a Fraction view of them, kept for the
-benchmark's span hooks.  Feasibility is decided by Fourier-Motzkin
+benchmark's span hooks; `sparse_rows` lists each row's nonzero
+coefficients with their indices, and `contains` sums only those terms
+at a point.  Feasibility is decided by Fourier-Motzkin
 elimination over the rows; when every offset is >= 0, the origin
 satisfies each row weakly, and only the rows with offset 0 (the tangent
 cone there, non-empty iff the system is) count.  The diagonal
@@ -76,6 +78,16 @@ class HPolytope(namedtuple("HPolytope", "dim integer_rows")):
         that the benchmark's span hooks read."""
         return tuple(
             HalfSpace(tuple(map(Fraction, normal)), Fraction(offset), strict)
+            for normal, offset, strict in self.integer_rows
+        )
+
+    @_cached_field
+    def sparse_rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], int, bool], ...]:
+        """The rows as (terms, offset, strict) in their order, terms the
+        (index, coefficient) pairs of the normal's nonzero entries: the view
+        that `contains` evaluates."""
+        return tuple(
+            (tuple([(i, c) for i, c in enumerate(normal) if c]), offset, strict)
             for normal, offset, strict in self.integer_rows
         )
 
@@ -459,15 +471,19 @@ def _weakened(p: HPolytope) -> HPolytope:
 
 
 def contains(p: HPolytope, x: Sequence[Rat]) -> bool:
-    """Membership, tested on the integer rows against x = k/den, the
-    numerators over their least common denominator: the rows are tested
-    in turn until one fails."""
+    """Membership, tested on the rows' sparse terms against x = k/den, the
+    numerators over their least common denominator: each row sums only
+    its nonzero coefficients, and the rows are tested in turn until one
+    fails."""
     if len(x) != p.dim:
         raise ValueError("point dimension mismatch")
     k, den = _integer_point(x)
-    for normal, offset, strict in p.integer_rows:
+    for terms, offset, strict in p.sparse_rows:
+        value = offset * den
+        for i, c in terms:
+            value += c * k[i]
         # an integer is > 0 exactly when it is >= 1
-        if sum(map(mul, normal, k)) + offset * den < strict:
+        if value < strict:
             return False
     return True
 

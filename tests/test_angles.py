@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 import time
 from collections import Counter
 from math import gcd, lcm
@@ -268,6 +269,21 @@ def test_reparam_rejects_gamma_outside_body():
         an.reparam(p, pr.angles([F(3, 4), F(1, 4)]))
 
 
+def test_reparam_refuses_plain_int_corners():
+    """An `AngleVector` built directly from plain ints is read through the
+    same integer ratios as one of Fractions: a corner of the cube is
+    refused with the one message, and a float entry with the exact gate's."""
+    p = fn_pair(1, [(1, 0), (1, 3)])
+    for corner in ((0, 1), (1, 1), (0, 0)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(an._OUTSIDE)}$"):
+            an.reparam(p, pr.AngleVector(corner))
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+        pr.AngleVector((F(1, 2), 0.5))
+    rd = an.reparam(p, pr.AngleVector((F(1, 2), F(1, 2))))
+    assert type(rd) is an.ReparamData and type(rd.ample_part) is g.DivisorClass
+    assert type(rd.eta) is F and all(type(c) is F for c in rd.ample_part.coeffs)
+
+
 def _outcome(fn, p, gamma):
     """fn(p, gamma) as the Fraction oracle writes it, (gamma, eta, A, f,
     f_inv) with the maps as their (matrix, translation) views, or the text
@@ -337,15 +353,17 @@ def test_log_adjoint_at_matches_direct_evaluation():
             beta = [F(rng.randint(0, 7), rng.choice((7, 2, 1))) for _ in range(r)]
             want = tuple(c + sum(b * inc.coeffs[j] for b, inc in zip(beta, increments))
                          for j, c in enumerate(constant.coeffs))
-            # the column form at beta = k/d: d.constant_j + column_j.k is d.den
-            # times the class in coordinate j, the evaluation reparam makes
+            # the column form at beta = k/d: d.constant_j plus column j's
+            # terms against k is d.den times the class in coordinate j, the
+            # evaluation reparam makes; a column lists its nonzero terms only
             den, nums, columns, normals = family.column_form
             assert (den, nums) == family.integer_form[:2]
-            assert [list(col) for col in columns] == [[inc[j] for inc in family.integer_form[2]] for j in range(2)]
+            dense = [[inc[j] for inc in family.integer_form[2]] for j in range(2)]
+            assert [list(col) for col in columns] == [[(i, v) for i, v in enumerate(c) if v] for c in dense]
             assert normals == g.nef_cone(surface)
             d = lcm(*(b.denominator for b in beta))
             k = [b.numerator * (d // b.denominator) for b in beta]
-            got = [d * c + sum(map(mul, col, k)) for c, col in zip(nums, columns)]
+            got = [d * c + sum(a * k[i] for i, a in col) for c, col in zip(nums, columns)]
             assert all(type(v) is int for v in got)
             assert tuple(F(v, d * den) for v in got) == want
 
@@ -648,9 +666,10 @@ def test_vertex_certificate_is_sound_on_lorentzian_grams():
     """Whenever the vertices prove q > 0, no grid point of the open body has
     q <= 0: random Lorentzian Gram matrices on the strict open bodies of
     random grid systems, cut to the open cube.  The certificate also
-    refuses bodies that have a point with q <= 0, and the two hand-made
+    refuses bodies that have a point with q <= 0, and the three hand-made
     refusals: q = (1 - 2.beta)^2 on (0, 1), whose vertex images lie on
-    opposite sides of the cone and which vanishes at 1/2, and q = 0."""
+    opposite sides of the cone and which vanishes at 1/2, q = 0, and
+    q = 1 - 2.beta^2, whose vertex images have squares 1 and -1."""
     rng = random.Random(2828)
     kinds = Counter()
     for _ in range(600):
@@ -673,6 +692,8 @@ def test_vertex_certificate_is_sound_on_lorentzian_grams():
     assert gram_signs(square, 2, [(1,)]) == (0, 1, 0)
     assert not an._positive_on_vertices(square, segment)
     assert not an._positive_on_vertices([[0, 0], [0, 0]], segment)
+    # a vertex image of square -1 refuses, however far the other side is positive
+    assert not an._positive_on_vertices([[1, 0], [0, -2]], segment)
     assert an._positive_on_vertices([[1, 0], [0, 0]], segment)
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -189,6 +190,38 @@ def test_the_gate_passes_a_fraction_through():
     sub = g._rational(Half(1, 2))
     assert type(sub) is Fraction and sub == F(1, 2)
     assert g.hirzebruch(1).divisor([f, 1]).coeffs[0] is f
+
+
+@given(st.integers(), st.integers().filter(bool))
+@settings(max_examples=400, deadline=None)
+def test_fraction_builder_matches_the_constructor(num, den):
+    """`_fraction` builds num/den without `Fraction.__new__`, and what it
+    builds is the constructor's value: equal, of exact type Fraction, in
+    lowest terms over a positive denominator, with the same hash, repr and
+    str, through a pickle round trip and in arithmetic; a zero is the
+    shared constant."""
+    got, want = g._fraction(num, den), F(num, den)
+    assert type(got) is F and got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0
+    assert hash(got) == hash(want) and repr(got) == repr(want) and str(got) == str(want)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is F and back == want
+    assert got + F(1, 3) == want + F(1, 3) and got * 7 == want * 7
+    assert (got is g._ZERO) is (num == 0)
+
+
+def test_fraction_builder_signs_and_zeros():
+    """A negative denominator moves its sign onto the numerator (reparam's
+    checks feed eta = 1/-2), every zero is `_ZERO`, and a zero denominator
+    raises as the constructor does."""
+    for num, den, want in ((1, -2, (-1, 2)), (-6, -4, (3, 2)), (6, -4, (-3, 2)), (5, 1, (5, 1))):
+        got = g._fraction(num, den)
+        assert type(got) is F and got.as_integer_ratio() == want
+    for den in (1, -3, 16):
+        assert g._fraction(0, den) is g._ZERO
+    with pytest.raises(ZeroDivisionError):
+        g._fraction(3, 0)
 
 
 def test_unsupported_is_not_boolean():

@@ -883,6 +883,7 @@ def test_cached_field_computes_once_and_stays_overridable(monkeypatch):
     reads = [
         (g.hirzebruch(1).divisor([1, F(1, 2)]), "integer_form"),
         (pt.HPolytope(1, (((1,), 0, True), ((-1,), 1, True))), "halfspaces"),
+        (pt.HPolytope(1, (((1,), 0, True), ((-1,), 1, True))), "sparse_rows"),
         (fig1_pair(), "adjoint_family"),
         (pr.LogAdjointFamily(classes[0], classes), "integer_form"),
         (pr.log_adjoint(fig1_pair()), "column_form"),
@@ -891,7 +892,7 @@ def test_cached_field_computes_once_and_stays_overridable(monkeypatch):
     ]
     for name in ("coords", "pair", "constant", "body"):
         reads.append((cl.CandidatePair("F1", 1, ((1, 0), (1, 3))), name))
-    assert {(type(obj), name) for obj, name in reads} == fields and len(fields) == 11
+    assert {(type(obj), name) for obj, name in reads} == fields and len(fields) == 12
     for obj, name in reads:
         assert name not in vars(obj), (type(obj), name)
         value = getattr(obj, name)

@@ -4,6 +4,8 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from ampleangles import angles as an
 from ampleangles import polytope as pt
@@ -76,6 +78,43 @@ def test_contains():
     assert not pt.contains(open_square, [0, 0])
     with pytest.raises(ValueError):
         pt.contains(closed, [0, 0, 0])
+
+
+@st.composite
+def systems_and_points(draw):
+    """A system of random integer rows, all-zero normals among them, in
+    dimension 0..4, with the cube's rows or without, or the canonical empty
+    system; and a point of int and Fraction entries inside and outside the
+    cube."""
+    dim = draw(st.integers(0, 4))
+    if draw(st.integers(0, 9)) == 0:
+        p = pt.canonical_empty(dim)
+    else:
+        normal = st.tuples(*[st.integers(-3, 3)] * dim) | st.just((0,) * dim)
+        rows = draw(st.lists(st.tuples(normal, st.integers(-4, 4), st.booleans()), max_size=5))
+        if draw(st.booleans()):
+            rows += pt.cube_rows(dim, draw(st.booleans()))
+        p = pt.integer_polytope(dim, rows)
+    entry = st.integers(-1, 2) | st.fractions(min_value=-1, max_value=2, max_denominator=16)
+    return p, draw(st.lists(entry, min_size=dim, max_size=dim))
+
+
+@given(systems_and_points())
+@settings(max_examples=300, deadline=None)
+def test_contains_on_sparse_terms_agrees_with_the_rows(case):
+    """`contains`, which sums each row's nonzero terms only, agrees with
+    the Fraction rows evaluated in full; the sparse view lists the rows'
+    nonzero coefficients in the rows' own order."""
+    p, x = case
+    got = pt.contains(p, x)
+    assert got is all(hs.holds(x) for hs in p.halfspaces)
+    dense = [
+        (tuple(dict(terms).get(i, 0) for i in range(p.dim)), offset, strict)
+        for terms, offset, strict in p.sparse_rows
+    ]
+    assert dense == list(p.integer_rows)
+    assert all(c for terms, _, _ in p.sparse_rows for _, c in terms)
+    event(f"inside: {got}")
 
 
 def test_points_and_sections_refuse_floats():
