@@ -27,7 +27,8 @@ that -K - C is nef, i.e. that the origin satisfies the weakened rows
 (every offset is >= 0), and reads the closure only then: the origin lies
 in it iff it is not canonical empty.  Its feasibility test then works on
 the rows tight at the origin alone, the body's tangent cone there, and
-tries the point t.(1, ..., 1) before it eliminates them.  Classify makes
+tries an integer point on the line 1 + k.w (the diagonal first) before
+it eliminates them.  Classify makes
 the same nef test on its candidates' class tuples before it writes a
 body at all.
 
@@ -113,8 +114,8 @@ class AABody(namedtuple("AABody", "open_part exactness")):
         not canonical empty, and no point is tested.  The closure's
         feasibility test sees the rows with offset 0 alone, the body's
         tangent cone at the origin, non-empty iff the body is: it first tries
-        the witness t.(1, ..., 1) on them and eliminates them only when that
-        fails (`polytope._eliminate`)."""
+        the line witness t.(1 + k.w) on them and eliminates them only when
+        that fails (`polytope._eliminate`)."""
         if not self.exact:
             return UNKNOWN
         open_part = self.open_part
@@ -163,12 +164,14 @@ def _family_open_part(r: int, constant, increments, duals) -> pt.HPolytope:
     dual vector w, cut down to the open cube, for a family given by integer
     numerators over any positive common denominator.  `classify` writes
     its candidates' bodies with it too, from their class tuples.  Only the
-    dual rows are divided by their gcd: the cube rows are coprime already."""
+    dual rows are divided by their gcd: the cube rows are coprime already.
+    Each row has one coefficient per increment, r of them, so the
+    polytope is built without the constructor's length check."""
     rows = [
         pt._normalize([sum(map(mul, inc, w)) for inc in increments], sum(map(mul, constant, w)), True)
         for w in duals
     ]
-    return pt.HPolytope(r, (*rows, *pt.cube_rows(r, True)))
+    return tuple.__new__(pt.HPolytope, (r, (*rows, *pt.cube_rows(r, True))))
 
 
 def aa_body(p: LogPair) -> AABody:

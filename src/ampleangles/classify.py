@@ -5,7 +5,10 @@ multisets C of admissible component classes with -K - C nef (total
 degree <= 3 on the plane; on F_n, sum of Z-coefficients <= 2 and sum of
 F-coefficients <= 2 - n + n.(sum of Z-coefficients)), as no other
 boundary is log del Pezzo or asymptotically log del Pezzo, and the only
-acceptance test is the relevant positivity predicate.  The built-in
+acceptance test is the relevant positivity predicate.  On F_n they come
+from a walk over sorted prefixes that returns from a prefix no extension
+can make nef (`candidate_multisets`), so it never goes more than five
+classes deep, whatever n.  The built-in
 family tables are used solely to *name* the survivors; a survivor
 missing from the table is an inconsistency and raises.  A name
 is the plain text printed for its family, n filled in ("ALdP.3.5",
@@ -32,9 +35,11 @@ most once, and a printed rank-2 row reuses that closure.  With -K - C
 nef the origin satisfies every row weakly, so the verdict is read off
 the closure (ALdP iff it is not canonical empty), and the feasibility
 test sees only the rows tight there, the body's tangent cone at the
-origin.  When the point (1, ..., 1) satisfies those rows, small
-multiples of it lie in the body and nothing is eliminated; only the
-tight rows are eliminated, after the witness, and only when it fails.
+origin.  An integer point v on the line 1 + k.w, the diagonal
+(1, ..., 1) first (`polytope._eliminate`), is tried on those rows: when
+it satisfies them, small multiples of it lie in the body and nothing is
+eliminated.  Only when it fails are the tight rows eliminated: up to
+F_96, on the 3 candidates that are not ALdP and on no other.
 """
 
 from __future__ import annotations
@@ -139,18 +144,30 @@ def candidate_multisets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Sorted multisets C of component classes on F_n with -K - C nef.
 
     -K - C = (2 - sum a)Z + (n + 2 - sum b)F is nef iff sum a <= 2 and
-    sum b <= 2 - n + n sum a.  The walk extends a prefix within sum a <= 2
-    and sum b <= n + 2 and yields the nef ones.  The alphabet is sorted by
-    (a, b), so a class past the sum of a ends the walk and one past the sum
-    of b ends its run of equal a.  A class of negative self-intersection
-    (Z_n for n >= 1) has a unique member and appears at most once.
+    sum b <= 2 - n + n sum a, i.e. the slack 2 - n + n sum a - sum b is
+    >= 0.  The walk extends a prefix within sum a <= 2 and sum b <= n + 2
+    and yields the nef ones.  The alphabet is sorted by (a, b), so a class
+    past the sum of a ends the walk and one past the sum of b ends its run
+    of equal a.  A class of negative self-intersection (Z_n for n >= 1)
+    has a unique member and appears at most once.
+
+    A class (a, b) changes the slack by n.a - b, and an admissible class
+    has b >= n.a unless it is Z = (1, 0) or a fiber: so Z alone raises the
+    slack, by n, and in the sorted alphabet it can follow only fibers.  A
+    prefix whose slack, plus n while sum a is 0, is negative has no nef
+    extension, and the walk returns from it.  The yields and their order
+    stay those of the full walk, and no prefix holds more than two fibers
+    before Z, so the recursion is at most five deep for every n.
     """
     alphabet = component_classes(n)
     run_end = {a: idx + 1 for idx, (a, _) in enumerate(alphabet)}
     acc: list[tuple[int, int]] = []
 
     def rec(start: int, sa: int, sb: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if acc and sb <= 2 - n + n * sa:
+        slack = 2 - n + n * sa - sb
+        if slack + (0 if sa else n) < 0:
+            return
+        if acc and slack >= 0:
             yield tuple(acc)
         idx = start
         while idx < len(alphabet):

@@ -11,10 +11,12 @@ coefficients with their indices, and `contains` sums only those terms
 at a point.  Feasibility is decided by Fourier-Motzkin
 elimination over the rows; when every offset is >= 0, the origin
 satisfies each row weakly, and only the rows with offset 0 (the tangent
-cone there, non-empty iff the system is) count.  The diagonal
-(1, ..., 1) is tried on them first, one sum per row: when it satisfies
-them, t times it is a point of the system for small t > 0, and nothing
-is eliminated; otherwise the tangent cone is.  Strictness is combined
+cone there, non-empty iff the system is) count.  An integer point v on
+the line 1 + k.w is tried on them first: the diagonal (1, ..., 1), one
+sum per row, and when it fails some rows, w the sum of their positive
+parts and k the least integer >= 0 that the rows rising along w allow.
+When v satisfies them, t.v is a point of the system for small t > 0, and
+nothing is eliminated; otherwise the tangent cone is.  Strictness is combined
 by OR, and Chernikov's rule applies: after t eliminated variables, a
 combined row built from more than t + 1 input rows is implied by the
 others and is dropped.  A "feasible" answer that may rest on a history
@@ -172,6 +174,7 @@ def integer_polytope(dim: int, rows: Iterable[tuple[Sequence[int], int, bool]]) 
     return HPolytope(dim, tuple(_normalize(*row) for row in rows))
 
 
+@lru_cache(maxsize=None)
 def canonical_empty(dim: int) -> HPolytope:
     """The canonical empty polytope: the single unsatisfiable constraint -1 >= 0."""
     return HPolytope(dim, (((0,) * dim, -1, False),))
@@ -195,7 +198,7 @@ def cube_rows(dim: int, strict: bool) -> tuple[Row, ...]:
 
 def _eliminate(p: HPolytope):
     """The provenance of a violated constant row, or None when the system
-    is feasible.  When every offset is >= 0, the diagonal witness is tried
+    is feasible.  When every offset is >= 0, the line witness is tried
     first, and only when it fails are the rows with offset 0, the tangent
     cone of the system at the origin, eliminated; otherwise every row is
     (`_fourier_motzkin`).
@@ -211,18 +214,36 @@ def _eliminate(p: HPolytope):
     bit, so a certificate is over the caller's rows, with 0 on every row
     whose offset is positive.
 
-    The witness.  At x0 = 0, v = (1, ..., 1) solves the tight rows when
-    each has sum(normal) >= 0, and >= 1 when it is strict (an integer is
-    > 0 exactly when it is >= 1): normal.v is that sum.  Then t.v is a
-    point of the system for every small t > 0, and the answer is
-    "feasible" with nothing eliminated.  A row that v fails proves
-    nothing, so Fourier-Motzkin elimination decides every other system,
-    and every infeasibility certificate comes from it.
+    The witness.  At x0 = 0, an integer point v solves the tight rows
+    when each has normal.v >= 0, and >= 1 when it is strict (an integer is
+    > 0 exactly when it is >= 1).  Then t.v is a point of the system for
+    every small t > 0, and the answer is "feasible" with nothing
+    eliminated.  v is taken on the line 1 + k.w.  The diagonal, w = 0,
+    comes first: normal.v is sum(normal).  When it fails some tight rows,
+    w is the sum of their positive parts, and k is the least integer >= 0
+    with sum(normal) + k.(normal.w) >= strict on every tight row whose
+    normal.w is positive; every tight row is then tested exactly at v.  A
+    row that v fails proves nothing, so Fourier-Motzkin elimination
+    decides every other system, and every infeasibility certificate comes
+    from it.  On classify's bodies up to F_96 the line decides every
+    non-empty tangent cone and elimination sees only the 3 empty ones.
     """
     rows = p.integer_rows
     cone = all(offset >= 0 for _, offset, _ in rows)
-    if cone and all(sum(normal) >= strict for normal, offset, strict in rows if not offset):
-        return None
+    if cone:
+        tight = [(normal, sum(normal), strict) for normal, offset, strict in rows if not offset]
+        failed = [normal for normal, s, strict in tight if s < strict]
+        if not failed:
+            return None
+        w = [sum(c for c in column if c > 0) for column in zip(*failed)]
+        k = 0
+        for normal, s, strict in tight:
+            a = sum(map(mul, normal, w))
+            if a > 0 and s + k * a < strict:
+                k = (strict - s + a - 1) // a
+        v = [1 + k * x for x in w]
+        if all(sum(map(mul, normal, v)) >= strict for normal, _, strict in tight):
+            return None
     return _fourier_motzkin(p, cone)
 
 

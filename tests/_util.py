@@ -298,7 +298,7 @@ def oracle_rows(p):
 
 def record_eliminations(monkeypatch):
     """Wrap `polytope._fourier_motzkin`: the list receives each system that
-    reaches elimination, which the diagonal witness did not decide."""
+    reaches elimination, which the line witness did not decide."""
     seen = []
     fourier_motzkin = pt._fourier_motzkin
 

@@ -1,3 +1,4 @@
+import itertools
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -191,6 +192,21 @@ def test_candidate_multisets_are_the_nef_part_of_the_box():
         assert c.log_dp is False and an.is_log_dp(c.pair) is False, c
 
 
+@pytest.mark.parametrize("n", [1000, 1500, 5000])
+def test_candidate_multisets_at_large_n_against_a_flat_oracle(n):
+    """Far beyond the recursion limit, the generator yields, in lexicographic
+    order, the multisets of up to four component classes with -K - C nef
+    and Z at most once, listed without recursion."""
+    alphabet = cl.component_classes(n)
+    oracle = [
+        ms
+        for size in range(1, 5)
+        for ms in itertools.combinations_with_replacement(alphabet, size)
+        if _minus_k_minus_c_is_nef(n, ms) and ms.count((1, 0)) <= 1
+    ]
+    assert list(cl.candidate_multisets(n)) == sorted(oracle)
+
+
 def test_classify_builds_each_candidate_once(monkeypatch, capsys):
     """No make_pair in either mode: every candidate is decided on its class
     tuples.  Both modes validate each boundary with -K - C nef once and
@@ -317,9 +333,9 @@ def test_classify_scales_to_n96():
 
 def test_rank2_verdicts_against_unpruned_elimination(monkeypatch):
     """On the 139 candidates up to F_12 with -K - C nef, `CandidatePair.aldp`
-    equals unpruned Fraction elimination on the open part.  The diagonal
-    witness decides 92 of them without elimination; the other 47 are
-    eliminated, the 3 that are not ALdP among them."""
+    equals unpruned Fraction elimination on the open part.  The line
+    witness decides all 136 ALdP ones without elimination; only the 3 that
+    are not ALdP are eliminated."""
     eliminated = record_eliminations(monkeypatch)
     nef = [c for c in rank2_candidates(12) if _minus_k_minus_c_is_nef(c.n, c.classes)]
     assert len(nef) == 139
@@ -329,7 +345,7 @@ def test_rank2_verdicts_against_unpruned_elimination(monkeypatch):
         verdict = c.aldp
         assert verdict == fm_is_feasible(c.body.open_part), c
         seen[verdict, bool(eliminated)] += 1
-    assert seen == {(True, False): 92, (True, True): 44, (False, True): 3}, seen
+    assert seen == {(True, False): 136, (False, True): 3}, seen
 
 
 def test_component_classes_exclude_reducible_multiples():

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 import pytest
 from hypothesis import event, given, settings
@@ -642,7 +642,7 @@ def _record_back_substitutions(monkeypatch):
 
 
 def test_pruned_elimination_against_unpruned_oracle(monkeypatch):
-    """Chernikov's rule and the diagonal witness change no verdict: on
+    """Chernikov's rule and the line witness change no verdict: on
     seeded systems in dims 0-7, `is_feasible` agrees with unpruned Fraction
     elimination on every system, none skipped, and each infeasible system
     has a certificate that `verify_certificate` accepts.  The witness
@@ -668,7 +668,7 @@ def test_pruned_elimination_against_unpruned_oracle(monkeypatch):
     assert 500 < infeasible < 1900
     # some "feasible" answers needed a point to be proven
     assert points > 20
-    # 775 systems are decided by the witness and 1 625 eliminated
+    # 821 systems are decided by the witness and 1 579 eliminated
     assert decided > 600 and 2400 - decided > 1400, decided
 
 
@@ -794,38 +794,62 @@ def _cone_system(rng, dim):
     return pt.integer_polytope(dim, rows)
 
 
-def test_diagonal_witness_gives_a_point(monkeypatch):
+def _line_witness(dim, rows):
+    """The integer point v = 1 + k.w of the line witness, for rows whose
+    offsets are all >= 0: w sums the positive parts of the rows with offset
+    0 that (1, ..., 1) fails, and k is the least integer >= 0 at which every
+    row with offset 0 and normal.w > 0 reaches its strictness."""
+    tight = [(normal, strict) for normal, offset, strict in rows if offset == 0]
+    failed = [normal for normal, strict in tight if sum(normal) < strict]
+    w = [sum(max(normal[j], 0) for normal in failed) for j in range(dim)]
+    slopes = [(sum(normal), strict, sum(c * x for c, x in zip(normal, w))) for normal, strict in tight]
+    k = max([0] + [ceil(F(strict - s, a)) for s, strict, a in slopes if a > 0])
+    return [1 + k * x for x in w]
+
+
+def test_line_witness_gives_a_point(monkeypatch):
     """On seeded systems whose offsets are all >= 0, the system reaches
-    elimination exactly when (1, ..., 1) fails a row with offset 0, the
-    sum of its normal below its strictness.  When the diagonal passes,
-    the answer is "feasible", and t.(1, ..., 1) is a point of the system by
-    `contains`, for t = 1/2 of the least c/(-sum(normal)) over the rows with
-    offset c > 0 and sum(normal) < 0 (or t = 1)."""
+    elimination exactly when the line witness v = 1 + k.w (`_line_witness`)
+    fails a row with offset 0.  When v passes, the answer is "feasible",
+    and t.v is a point of the system by `contains` and by the rational
+    rows, for t = 1/2 of the least c/(-normal.v) over the rows with offset
+    c > 0 and normal.v < 0 (or t = 1).  On the same draws the line decides
+    every system that the diagonal (1, ..., 1) decides, and more."""
     eliminated = record_eliminations(monkeypatch)
-    rng = random.Random(1732)
-    decided = 0
-    for i in range(900):
-        dim = 1 + i % 6
-        system = _cone_system(rng, dim)
-        rows = system.integer_rows
-        sums = [(sum(normal), strict) for normal, c, strict in rows if c == 0]
-        holds = all(v > 0 if strict else v >= 0 for v, strict in sums)
-        eliminated.clear()
-        feasible = pt.is_feasible(system)
-        assert bool(eliminated) != holds, rows
-        if holds:
-            assert feasible
-            point = _lemma_point(system, [1] * dim)
-            assert pt.contains(system, point), rows
-            assert all(hs.holds(point) for hs in rational_rows(system)), rows
-            decided += 1
-    # 325 of the 900 systems pass the diagonal
-    assert 150 < decided < 750, decided
+    counts = {}
+    for seed in (1414, 1732):
+        rng = random.Random(seed)
+        line = diagonal = nonempty = 0
+        for i in range(900):
+            dim = 1 + i % 6
+            system = _cone_system(rng, dim)
+            rows = system.integer_rows
+            v = _line_witness(dim, rows)
+            holds = all(
+                sum(c * x for c, x in zip(normal, v)) >= strict for normal, c0, strict in rows if c0 == 0
+            )
+            on_diagonal = all(sum(normal) >= strict for normal, c0, strict in rows if c0 == 0)
+            eliminated.clear()
+            feasible = pt.is_feasible(system)
+            assert bool(eliminated) != holds, rows
+            assert holds or not on_diagonal, rows
+            if holds:
+                assert feasible
+                point = _lemma_point(system, v)
+                assert pt.contains(system, point), rows
+                assert all(hs.holds(point) for hs in rational_rows(system)), rows
+            line += holds
+            diagonal += on_diagonal
+            nonempty += feasible
+        counts[seed] = (line, diagonal, nonempty)
+    # seed 1414 draws the cones of the tangent-cone test: the line decides 417
+    # of its 539 non-empty ones, the diagonal 321
+    assert counts == {1414: (417, 321, 539), 1732: (432, 325, 546)}, counts
 
 
-# A system with every offset >= 0 whose "feasible" answer needs a point: the
-# point back-substitution builds satisfies the rows with offset 0 only, and
-# `_lemma_point` scales it into the system.
+# A system with every offset >= 0 whose elimination needs a point for its
+# "feasible" answer: the point back-substitution builds satisfies the rows
+# with offset 0 only, and `_lemma_point` scales it into the system.
 CONE_BACK_SUBSTITUTION = (
     5,
     (((0, 0, -1, 0, 0), 1, True), ((-1, 0, 0, -1, 0), 1, True), ((0, 0, 0, 0, 0), 0, False),
@@ -884,7 +908,9 @@ def test_tangent_cone_elimination_against_oracles(monkeypatch):
     assert pt.infeasibility_certificate(forced) == (1, 1, 0)
     dim, rows = CONE_BACK_SUBSTITUTION
     system = pt.integer_polytope(dim, rows)
-    seen.clear()
     assert pt.is_feasible(system) and fm_is_feasible(system)
+    # the line witness decides this system, so its cone is eliminated directly
+    seen.clear()
+    assert pt._fourier_motzkin(system, True) is None
     assert seen and not pt.contains(system, seen[-1])
     assert pt.contains(system, _lemma_point(system, seen[-1]))
